@@ -36,7 +36,7 @@ from .conics import (
     ConconicVerdict,
     conconic,
     conic_through_points,
-    cotangent,
+    dual_verdict,
     veronese,
     veronese_residual,
 )
@@ -55,7 +55,7 @@ from .errors import (
     SideOnConic,
     TheoremConsistencyError,
 )
-from .linalg import adjugate3, cross, det, row_norm
+from .linalg import cross, det, row_norm
 from .projective import (
     HLine,
     HPoint,
@@ -180,20 +180,20 @@ class CevianConfig:
         return (self.X1, self.X2, self.Y1, self.Y2, self.Z1, self.Z2)
 
 
+def _check_foot(tri: Triangle, foot: HPoint, side: str, eps: float, off: str, at: str) -> None:
+    """Raise ``FootOffSide`` (naming the foot as ``off`` or ``at``) unless the
+    foot sits on its side line and away from the vertices."""
+    if not incident(foot, tri.side_line(side), eps):
+        raise FootOffSide(f"{off} does not lie on side {side}")
+    for vertex, vname in zip(tri.vertices, "ABC"):
+        if coincident(foot, vertex, eps):
+            raise FootOffSide(f"{at} coincides with vertex {vname}")
+
+
 def validate_feet(tri: Triangle, feet: CevianFeet, eps: float = DEFAULT_EPS) -> None:
     """Check every foot sits on its side line and away from the vertices."""
-    sides = {
-        "A1": "BC", "A2": "BC",
-        "B1": "CA", "B2": "CA",
-        "C1": "AB", "C2": "AB",
-    }
-    for name, side in sides.items():
-        foot = getattr(feet, name)
-        if not incident(foot, tri.side_line(side), eps):
-            raise FootOffSide(f"foot {name} does not lie on side {side}")
-        for vertex, vname in zip(tri.vertices, "ABC"):
-            if coincident(foot, vertex, eps):
-                raise FootOffSide(f"foot {name} coincides with vertex {vname}")
+    for name, side in zip(("A1", "A2", "B1", "B2", "C1", "C2"), ("BC", "BC", "CA", "CA", "AB", "AB")):
+        _check_foot(tri, getattr(feet, name), side, eps, f"foot {name}", f"foot {name}")
 
 
 def _cevian_meet(l: HLine, m: HLine, label: str, eps: float) -> HPoint:
@@ -287,7 +287,8 @@ def _tolerant_conconic(points: Sequence[HPoint], eps: float) -> ConconicVerdict:
     the verdict holds with a degenerate witness: the natural example is the
     two-triple configuration through two fixed points, where all six inner
     points collapse onto two and the witness is the doubly covered line
-    through them.
+    through them.  On the dual points of the six cevians it decides
+    tangent6, where a shared cevian is the repeated item.
     """
     distinct = _dedupe(points, eps)
     if len(distinct) == 6:
@@ -301,27 +302,6 @@ def _tolerant_conconic(points: Sequence[HPoint], eps: float) -> ConconicVerdict:
     else:
         witness = _small_witness(distinct, eps)
     degenerate = witness is None or witness.is_degenerate(eps)
-    return ConconicVerdict(residual=residual, holds=True, witness_conic=witness, degenerate=degenerate)
-
-
-def _tolerant_cotangent(lines: Sequence[HLine], eps: float) -> ConconicVerdict:
-    """Six-line verdict that allows coincident lines (shared cevians)."""
-    distinct = _dedupe(lines, eps)
-    if len(distinct) == 6:
-        return cotangent(lines, eps)
-    residual, _ = veronese_residual([l.coords for l in lines], eps)
-    dual_points = [HPoint(*l.coords) for l in distinct]
-    dual_fit = None
-    if len(dual_points) == 5:
-        try:
-            dual_fit = conic_through_points(dual_points, eps)
-        except NonUniqueConic:
-            dual_fit = None
-    witness = None
-    degenerate = True
-    if dual_fit is not None and not dual_fit.is_degenerate(eps):
-        witness = Conic.from_matrix(adjugate3(dual_fit.gram))
-        degenerate = False
     return ConconicVerdict(residual=residual, holds=True, witness_conic=witness, degenerate=degenerate)
 
 
@@ -342,7 +322,7 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
     lines = cfg.cevian_lines(1) + cfg.cevian_lines(2)
     outer6 = _tolerant_conconic(cfg.feet.outer, eps)
     inner6 = _tolerant_conconic(cfg.inner_points, eps)
-    tangent6 = _tolerant_cotangent(lines, eps)
+    tangent6 = dual_verdict(_tolerant_conconic([HPoint(*l.coords) for l in lines], eps))
     cv = concurrency(join(tri.A, cfg.U1), join(tri.B, cfg.V1), join(tri.C, cfg.W1), eps)
     concurrent_verdict = ConconicVerdict(residual=cv.residual, holds=cv.holds)
     report = ConditionReport(
@@ -400,11 +380,7 @@ def _squared_side_lengths(tri: Triangle) -> Tuple[Scalar, Scalar, Scalar]:
 
 def _validate_triple(tri: Triangle, triple: FeetTriple, eps: float) -> None:
     for foot, side in zip(triple, SIDES):
-        if not incident(foot, tri.side_line(side), eps):
-            raise FootOffSide(f"foot does not lie on side {side}")
-        for vertex, vname in zip(tri.vertices, "ABC"):
-            if coincident(foot, vertex, eps):
-                raise FootOffSide(f"foot on {side} coincides with vertex {vname}")
+        _check_foot(tri, foot, side, eps, "foot", f"foot on {side}")
 
 
 def isogonal_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -> FeetTriple:
@@ -568,13 +544,15 @@ class ProofChart:
 
     and the concurrency condition holds exactly when p = q.  ``p`` or ``q``
     is None when the corresponding auxiliary point is at infinity in the
-    chart; that situation is reported, not treated as an error.
+    chart; that situation is reported, not treated as an error.  Float
+    charts compare p and q relative to their size, with tolerance ``eps``.
     """
 
     b1: Scalar
     c2: Scalar
     p: Optional[Scalar]
     q: Optional[Scalar]
+    eps: float = DEFAULT_EPS
 
     @property
     def degenerate(self) -> bool:
@@ -583,7 +561,10 @@ class ProofChart:
     @property
     def criterion(self) -> bool:
         """The chart form of the concurrency condition."""
-        return self.p == self.q
+        p, q = self.p, self.q
+        if self.degenerate or all_exact((p, q)):
+            return p == q
+        return near_zero(p - q, max(abs(p), abs(q)), self.eps)
 
 
 def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
@@ -614,4 +595,4 @@ def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
     q_pt = affine(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)))
     p = None if p_pt is None else -p_pt[1]
     q = None if q_pt is None else -q_pt[0]
-    return ProofChart(b1=b1, c2=c2, p=p, q=q)
+    return ProofChart(b1=b1, c2=c2, p=p, q=q, eps=eps)

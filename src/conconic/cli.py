@@ -24,6 +24,7 @@ from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
 from .scene import (
     SceneError,
     load_scene,
+    parse_tolerance,
     report_from_conditions,
     report_to_dict,
     scene_from_dict,
@@ -50,6 +51,13 @@ def _parse_number(text: str) -> float:
         return float(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as err:
         raise SceneError(f"cannot parse {text!r} as a number") from err
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return parse_tolerance(text, "tolerance")
+    except SceneError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_triangle(text: str) -> Triangle:
@@ -120,8 +128,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         overrides["mode"] = args.mode
     if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
-    if args.closure_tol is not None:
-        overrides["closure_tol"] = args.closure_tol
     if overrides:
         data = scene_to_dict(scene)
         data.update(overrides)
@@ -132,11 +138,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     tri, feet = scene_instance(scene)
     cfg = build_config(tri, feet, scene.epsilon)
-    try:
-        conditions = check_conditions(cfg, scene.epsilon)
-    except TheoremConsistencyError as err:
-        print(f"internal consistency violation: {err}", file=sys.stderr)
-        return EXIT_DISAGREE
+    conditions = check_conditions(cfg, scene.epsilon)
     report = report_from_conditions(scene, cfg, conditions)
 
     if args.json:
@@ -298,10 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("scene", help="path to a scene JSON file")
     verify.add_argument("--mode", choices=("rational", "float"), default=None,
                         help="override the scene's arithmetic backend")
-    verify.add_argument("--epsilon", type=float, default=None,
+    verify.add_argument("--epsilon", type=_tolerance, default=None,
                         help="float-mode tolerance for residual predicates")
-    verify.add_argument("--closure-tol", type=float, default=None,
-                        help="chain closure tolerance carried into reports")
     verify.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
     verify.add_argument("--json", action="store_true", help="emit the report as JSON")
     verify.set_defaults(func=_cmd_verify)
@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="three vertices as 'x,y x,y x,y'")
     morley.add_argument("--poncelet-samples", type=int, default=0, metavar="N",
                         help="also check chain closure at n=3 from N sample points")
-    morley.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
-    morley.add_argument("--closure-tol", type=float, default=DEFAULT_CLOSURE_TOL)
+    morley.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
+    morley.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
     morley.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
     morley.add_argument("--json", action="store_true", help="emit the report as JSON")
     morley.set_defaults(func=_cmd_morley)
@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="porism mode: require closure at exactly this step")
     poncelet.add_argument("--samples", type=int, default=20,
                           help="porism mode: number of starting points")
-    poncelet.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
-    poncelet.add_argument("--closure-tol", type=float, default=DEFAULT_CLOSURE_TOL)
+    poncelet.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
+    poncelet.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
     poncelet.add_argument("--svg", metavar="PATH", help="write a drawing of the chain")
     poncelet.add_argument("--json", action="store_true", help="emit the report as JSON")
     poncelet.set_defaults(func=_cmd_poncelet)
@@ -337,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors; invalid input is 1 here
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (SceneError, OSError) as err:

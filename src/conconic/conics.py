@@ -27,13 +27,13 @@ as an oracle for the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateConic,
-    DuplicateLines,
+    DuplicateLine,
     DuplicatePoints,
     IrrationalResult,
     LineOnConic,
@@ -150,11 +150,7 @@ class Conic:
         return dot(u, matvec3(self.gram, v))
 
     def contains(self, p: HPoint, eps: float = DEFAULT_EPS) -> bool:
-        value = self.value2(p.coords)
-        if self.exact and p.exact:
-            return value == 0
-        scale = _frob(self.gram) * row_norm(p.coords) ** 2
-        return near_zero(value, scale, eps)
+        return _form_zero(self.gram, p.coords, self.exact and p.exact, eps)
 
     # ----- degeneracy ---------------------------------------------------
 
@@ -224,11 +220,7 @@ class Conic:
 
     def is_tangent(self, l: HLine, eps: float = DEFAULT_EPS) -> bool:
         """Whether the line meets the conic in a single doubled point."""
-        value = dot(l.coords, matvec3(adjugate3(self.gram), l.coords))
-        if self.exact and l.exact:
-            return value == 0
-        scale = _frob(adjugate3(self.gram)) * row_norm(l.coords) ** 2
-        return near_zero(value, scale, eps)
+        return _form_zero(adjugate3(self.gram), l.coords, self.exact and l.exact, eps)
 
     def touch_point(self, l: HLine, eps: float = DEFAULT_EPS) -> HPoint:
         """Tangency point of a tangent line (the pole of the line)."""
@@ -242,6 +234,15 @@ class Conic:
 
 def _frob(m) -> float:
     return math.sqrt(sum(float(v) ** 2 for row in m for v in row))
+
+
+def _form_zero(m, coords, exact: bool, eps: float) -> bool:
+    """Whether the quadratic form of ``m`` vanishes at ``coords``, exactly
+    or relative to the scale of the form and the coordinates."""
+    value = dot(coords, matvec3(m, coords))
+    if exact:
+        return value == 0
+    return near_zero(value, _frob(m) * row_norm(coords) ** 2, eps)
 
 
 # ----- line and conic intersections ------------------------------------
@@ -387,16 +388,29 @@ def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
     return nd, abs(nd) <= eps
 
 
-def _point_witness(pts: Sequence[HPoint], eps: float):
-    """Fit a conic through some five of the points; None when no five-subset
-    determines one (the six points then lie on a pencil of conics)."""
-    for hold_out in (5, 0, 1, 2, 3, 4):
-        five = [p for i, p in enumerate(pts) if i != hold_out]
-        try:
-            return conic_through_points(five, eps)
-        except NonUniqueConic:
-            continue
-    return None
+def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> ConconicVerdict:
+    """Determinant verdict on six points.  When it holds, the witness is fitted
+    through some five of them; it is None when no five-subset determines one
+    (the six points then lie on a pencil of conics)."""
+    residual, holds = veronese_residual([p.coords for p in pts], eps)
+    witness = None
+    if holds:
+        for hold_out in (5, 0, 1, 2, 3, 4):
+            try:
+                witness = conic_through_points([p for i, p in enumerate(pts) if i != hold_out], eps)
+                break
+            except NonUniqueConic:
+                continue
+    degenerate = holds and (witness is None or witness.is_degenerate(eps))
+    return ConconicVerdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
+
+
+def dual_verdict(verdict: ConconicVerdict) -> ConconicVerdict:
+    """Read a verdict on the dual points of six lines as one on the lines: the
+    witness is the adjugate of the dual fit, or None when that is degenerate."""
+    fit = verdict.witness_conic
+    witness = None if verdict.degenerate or fit is None else Conic.from_matrix(adjugate3(fit.gram))
+    return replace(verdict, witness_conic=witness)
 
 
 def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> ConconicVerdict:
@@ -410,10 +424,7 @@ def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> ConconicVerd
     if len(pts) != 6:
         raise ValueError("the conconicity test needs exactly six points")
     _check_distinct(pts, eps)
-    residual, holds = veronese_residual([p.coords for p in pts], eps)
-    witness = _point_witness(pts, eps) if holds else None
-    degenerate = holds and (witness is None or witness.is_degenerate(eps))
-    return ConconicVerdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
+    return _six_point_verdict(pts, eps)
 
 
 def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> ConconicVerdict:
@@ -426,17 +437,8 @@ def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> ConconicVerdi
     ls = list(lines)
     if len(ls) != 6:
         raise ValueError("the cotangency test needs exactly six lines")
-    _check_distinct(ls, eps, exc=DuplicateLines)
-    residual, holds = veronese_residual([l.coords for l in ls], eps)
-    witness = None
-    degenerate = False
-    if holds:
-        dual_fit = _point_witness([HPoint(*l.coords) for l in ls], eps)
-        if dual_fit is None or dual_fit.is_degenerate(eps):
-            degenerate = True
-        else:
-            witness = Conic.from_matrix(adjugate3(dual_fit.gram))
-    return ConconicVerdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
+    _check_distinct(ls, eps, exc=DuplicateLine)
+    return dual_verdict(_six_point_verdict([HPoint(*l.coords) for l in ls], eps))
 
 
 def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Conic:
@@ -514,7 +516,7 @@ def brianchon_concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bo
     for i in range(len(ls)):
         for j in range(i + 1, len(ls)):
             if ls[i] == ls[j]:
-                raise DuplicateLines(f"lines {i} and {j} coincide: {ls[i]}")
+                raise DuplicateLine(f"lines {i} and {j} coincide: {ls[i]}")
     vertices = [meet(ls[i], ls[(i + 1) % 6], eps) for i in range(6)]
     diagonals = [join(vertices[i], vertices[i + 3], eps) for i in range(3)]
     return concurrent(diagonals, eps)

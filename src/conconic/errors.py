@@ -26,10 +26,6 @@ class DuplicatePoints(GeometryError):
     """A point tuple contains a repeated point."""
 
 
-class DuplicateLines(GeometryError):
-    """A line sextuple contains a repeated line."""
-
-
 class DegenerateQuadruple(GeometryError):
     """A projective frame quadruple contains three collinear points."""
 

@@ -26,12 +26,11 @@ from .cevians import (
     check_conditions,
     isogonal_feet,
     isotomic_feet,
-    validate_feet,
 )
 from .errors import GeometryError
 from .linalg import cross, det3
 from .projective import HLine, HPoint, ProjectiveMap, join, meet
-from .scalars import Scalar, div
+from .scalars import Scalar
 
 # ----- scalar and point helpers -------------------------------------------
 
@@ -81,16 +80,11 @@ def float_triangle(rnd: random.Random, min_angle: float = 15.0, max_angle: float
     return Triangle(*(HPoint(x, y, 1.0) for x, y in pts))
 
 
-def _affine(p: HPoint) -> Tuple[Scalar, Scalar]:
-    x, y, z = p.coords
-    return div(x, z), div(y, z)
-
-
 def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
     """The point P + t (Q - P) on the named side with endpoints (P, Q)."""
     p, q = tri.side_endpoints(side)
-    px, py = _affine(p)
-    qx, qy = _affine(q)
+    px, py = p.to_xy()
+    qx, qy = q.to_xy()
     return HPoint(px + t * (qx - px), py + t * (qy - py), 1)
 
 
@@ -101,14 +95,6 @@ def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
     first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[:3]))
     second = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[3:]))
     return CevianFeet.from_triples(first, second)
-
-
-def random_params(rnd: random.Random, n: int = 6, max_den: int = 12) -> List[Fraction]:
-    """Distinct-per-side random foot parameters, away from the vertices."""
-    while True:
-        params = [random_fraction(rnd, max_den) for _ in range(n)]
-        if n < 6 or all(params[i] != params[i + 3] for i in range(3)):
-            return params
 
 
 # ----- conconic cevian configurations --------------------------------------
@@ -174,7 +160,6 @@ def concurrency_solved_instance(
             continue
         feet = feet_from_params(tri, params)
         try:
-            validate_feet(tri, feet)
             cfg = build_config(tri, feet)
         except GeometryError:
             continue
@@ -196,7 +181,6 @@ def conjugate_instance(
         try:
             second = conjugate(tri, first)
             feet = CevianFeet.from_triples(first, second)
-            validate_feet(tri, feet)
             build_config(tri, feet)
         except GeometryError:
             continue
@@ -207,9 +191,9 @@ def random_interior_point(rnd: random.Random, tri: Triangle, max_den: int = 10) 
     """A rational point strictly inside the triangle (positive barycentrics)."""
     w = [Fraction(rnd.randint(1, max_den), 1) for _ in range(3)]
     total = sum(w)
-    ax, ay = _affine(tri.A)
-    bx, by = _affine(tri.B)
-    cx, cy = _affine(tri.C)
+    ax, ay = tri.A.to_xy()
+    bx, by = tri.B.to_xy()
+    cx, cy = tri.C.to_xy()
     x = (w[0] * ax + w[1] * bx + w[2] * cx) / total
     y = (w[0] * ay + w[1] * by + w[2] * cy) / total
     return HPoint(x, y, 1)
@@ -229,7 +213,6 @@ def through_point_instance(
             first = cevians_through_point(tri, p1)
             second = cevians_through_point(tri, p2)
             feet = CevianFeet.from_triples(first, second)
-            validate_feet(tri, feet)
             build_config(tri, feet)
         except GeometryError:
             continue
@@ -254,7 +237,6 @@ def perturbed_failing_instance(
             continue
         feet = feet_from_params(tri, nudged)
         try:
-            validate_feet(tri, feet)
             cfg = build_config(tri, feet)
             report = check_conditions(cfg)
         except GeometryError:

@@ -62,20 +62,6 @@ def adjugate3(m):
     return tuple(tuple(row) for row in c)
 
 
-def solve3(m, rhs) -> Triple:
-    """Cramer solve of a 3x3 system; caller guarantees nonzero determinant."""
-    d = det3(m)
-    cols = []
-    for j in range(3):
-        mj = [list(row) for row in m]
-        for i in range(3):
-            mj[i][j] = rhs[i]
-        cols.append(det3(mj))
-    if all_exact(cols) and isinstance(d, (int, Fraction)):
-        return tuple(Fraction(c, d) for c in cols)
-    return tuple(c / d for c in cols)
-
-
 def row_norm(row: Sequence[Scalar]) -> float:
     return math.sqrt(sum(float(v) * float(v) for v in row))
 

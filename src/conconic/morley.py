@@ -31,12 +31,13 @@ from .cevians import (
     build_config,
     check_conditions,
 )
-from .conics import Conic, conic_through_points, dual_conic
+from .conics import Conic, _frob, conic_through_points, dual_conic
 from .errors import (
     ConcurrencyViolated,
     LabelingSelfCheckFailed,
     TheoremConsistencyError,
 )
+from .linalg import row_norm
 from .projective import HLine, HPoint, concurrency, join, meet
 from .scalars import DEFAULT_EPS
 
@@ -77,26 +78,32 @@ def _trisectors(vertex: Tuple[float, float], toward: Tuple[float, float], far: T
     )
 
 
+def _trisectors_and_meets(tri: Triangle):
+    """The trisector pairs at A, B, C and the meets of adjacent trisectors."""
+    a, b, c = (_affine_xy(v) for v in tri.vertices)
+    near_ab, near_ac = _trisectors(a, b, c)
+    near_bc, near_ba = _trisectors(b, c, a)
+    near_ca, near_cb = _trisectors(c, a, b)
+    pairs = ((near_ab, near_ac), (near_bc, near_ba), (near_ca, near_cb))
+    return pairs, (meet(near_bc, near_cb), meet(near_ca, near_ac), meet(near_ab, near_ba))
+
+
 def morley_triangle(tri: Triangle) -> Tuple[HPoint, HPoint, HPoint]:
     """Vertices of the inner equilateral triangle of adjacent trisectors.
 
     Ordered (U1, V1, W1) = (meet nearest side BC, nearest CA, nearest AB).
     """
-    a, b, c = (_affine_xy(v) for v in tri.vertices)
-    near_ab, near_ac = _trisectors(a, b, c)
-    near_bc, near_ba = _trisectors(b, c, a)
-    near_ca, near_cb = _trisectors(c, a, b)
-    u1 = meet(near_bc, near_cb)
-    v1 = meet(near_ca, near_ac)
-    w1 = meet(near_ab, near_ba)
-    return (u1, v1, w1)
+    return _trisectors_and_meets(tri)[1]
+
+
+def _centroid(pts: Tuple[HPoint, HPoint, HPoint]) -> HPoint:
+    xs = [_affine_xy(p) for p in pts]
+    return HPoint(sum(x for x, _ in xs) / 3.0, sum(y for _, y in xs) / 3.0, 1.0)
 
 
 def first_morley_center(tri: Triangle) -> HPoint:
     """Centroid of the equilateral trisector triangle."""
-    u1, v1, w1 = morley_triangle(tri)
-    xs = [_affine_xy(p) for p in (u1, v1, w1)]
-    return HPoint(sum(x for x, _ in xs) / 3.0, sum(y for _, y in xs) / 3.0, 1.0)
+    return _centroid(morley_triangle(tri))
 
 
 def second_morley_center(tri: Triangle, eps: float = DEFAULT_EPS) -> HPoint:
@@ -172,13 +179,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
     derived points must pick up the sixth, and the dual fit through five
     trisectors must be tangent to the sixth.
     """
-    a, b, c = (_affine_xy(v) for v in tri.vertices)
-    trisectors = (
-        _trisectors(a, b, c),  # at A: (near AB, near AC)
-        _trisectors(b, c, a),  # at B: (near BC, near BA)
-        _trisectors(c, a, b),  # at C: (near CA, near CB)
-    )
-    target = morley_triangle(tri)
+    trisectors, target = _trisectors_and_meets(tri)
 
     cfg = None
     for flips in itertools.product((False, True), repeat=3):
@@ -215,15 +216,12 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
             verdicts=report,
         )
 
-    la = join(tri.A, cfg.U1)
-    lb = join(tri.B, cfg.V1)
-    lc = join(tri.C, cfg.W1)
-    verdict = concurrency(la, lb, lc, eps)
-    if not verdict.holds:
+    if not report.concurrent.holds:
         raise ConcurrencyViolated(
-            f"trisector-meet cevians are not concurrent (residual {verdict.residual!r})"
+            f"trisector-meet cevians are not concurrent (residual {report.concurrent.residual!r})"
         )
-    centers = MorleyCenters(first=first_morley_center(tri), second=meet(la, lb))
+    second = meet(join(tri.A, cfg.U1), join(tri.B, cfg.V1))
+    centers = MorleyCenters(first=_centroid(target), second=second)
 
     return MorleyData(
         triangle=tri,
@@ -239,11 +237,8 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
 
 
 def _normalized_value(conic: Conic, p: HPoint) -> float:
-    from .linalg import row_norm
-
     num = abs(float(conic.value2(p.coords)))
-    frob = math.sqrt(sum(float(v) ** 2 for row in conic.gram for v in row))
-    return num / (frob * row_norm(p.coords) ** 2)
+    return num / (_frob(conic.gram) * row_norm(p.coords) ** 2)
 
 
 def equilateral_side_spread(tri: Triangle) -> Tuple[float, float]:

@@ -104,10 +104,6 @@ def second_intersection(conic: Conic, base: HPoint, line_coords, eps: float = DE
     return HPoint(*combined)
 
 
-def _frob(m) -> float:
-    return math.sqrt(sum(float(v) ** 2 for row in m for v in row))
-
-
 def sample_on_conic(conic: Conic, base: HPoint, t: Scalar, eps: float = DEFAULT_EPS) -> HPoint:
     """Point of the conic cut out by the pencil line of parameter t at base.
 

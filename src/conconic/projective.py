@@ -243,14 +243,7 @@ class ProjectiveMap:
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
         object.__setattr__(self, "matrix", rows)
-        d = det3(rows)
-        flat = [v for r in rows for v in r]
-        if all_exact(flat):
-            singular = d == 0
-        else:
-            scale = math.prod(row_norm(r) for r in rows)
-            singular = near_zero(d, scale, DEFAULT_EPS)
-        if singular:
+        if _triple_det_zero(rows, DEFAULT_EPS):
             raise SingularMap("projective map matrix is singular")
 
     def apply(self, p: HPoint) -> HPoint:

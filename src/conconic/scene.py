@@ -15,6 +15,7 @@ order (x^2, xy, y^2, xz, yz, z^2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -36,7 +37,7 @@ from .cevians import (
 from .errors import ChartDegenerate
 from .generate import feet_from_params, foot_point
 from .projective import HPoint
-from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, format_scalar
+from .scalars import DEFAULT_EPS, Scalar, format_scalar
 
 MODES = ("rational", "float")
 GENERATORS = ("isogonal", "isotomic", "through_points")
@@ -78,6 +79,17 @@ def decode_value(v: Any, exact: bool) -> Scalar:
     raise SceneError(f"expected a number or string, got {type(v).__name__}")
 
 
+def parse_tolerance(value: Any, name: str) -> float:
+    """A tolerance as a float; it must be a finite number in (0, 1)."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0 < tol < 1:
+        raise SceneError(f"{name} must be a finite positive number below 1, got {value!r}")
+    return tol
+
+
 def _decode_pair(pair: Any, exact: bool, what: str) -> Tuple[Scalar, Scalar]:
     if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
         raise SceneError(f"{what} must be a pair of coordinates")
@@ -98,7 +110,6 @@ class Scene:
     generator_params: Optional[Tuple[Scalar, ...]] = None
     generator_points: Optional[Tuple[Tuple[Scalar, Scalar], ...]] = None
     epsilon: float = DEFAULT_EPS
-    closure_tol: float = DEFAULT_CLOSURE_TOL
 
     @property
     def exact(self) -> bool:
@@ -108,7 +119,7 @@ class Scene:
 def scene_from_dict(data: Dict[str, Any]) -> Scene:
     if not isinstance(data, dict):
         raise SceneError("a scene must be a JSON object")
-    unknown = set(data) - {"triangle", "mode", "feet", "epsilon", "closure_tol"}
+    unknown = set(data) - {"triangle", "mode", "feet", "epsilon"}
     if unknown:
         raise SceneError(f"unknown scene fields: {sorted(unknown)}")
     mode = data.get("mode", "rational")
@@ -151,10 +162,6 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
     else:
         raise SceneError("feet must carry either params or a generator")
 
-    epsilon = float(data.get("epsilon", DEFAULT_EPS))
-    closure_tol = float(data.get("closure_tol", DEFAULT_CLOSURE_TOL))
-    if epsilon <= 0 or closure_tol <= 0:
-        raise SceneError("tolerances must be positive")
     return Scene(
         mode=mode,
         triangle=triangle,
@@ -162,8 +169,7 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         generator=generator,
         generator_params=gen_params,
         generator_points=gen_points,
-        epsilon=epsilon,
-        closure_tol=closure_tol,
+        epsilon=parse_tolerance(data.get("epsilon", DEFAULT_EPS), "epsilon"),
     )
 
 
@@ -186,7 +192,6 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
         "triangle": [[encode_value(x), encode_value(y)] for x, y in scene.triangle],
         "feet": feet,
         "epsilon": scene.epsilon,
-        "closure_tol": scene.closure_tol,
     }
 
 
@@ -307,7 +312,6 @@ def report_from_conditions(
         provenance={
             "scene": scene_to_dict(scene),
             "epsilon": scene.epsilon,
-            "closure_tol": scene.closure_tol,
         },
     )
 

@@ -32,7 +32,6 @@ from conconic.generate import (
     feet_from_params,
     foot_point,
     perturbed_failing_instance,
-    random_params,
     random_triangle,
     through_point_instance,
 )
@@ -276,17 +275,26 @@ def test_chart_frozen_oracle():
     assert chart.criterion
 
 
+def _float_copy(tri, feet):
+    def fl(p):
+        return HPoint(*(float(v) for v in p.coords))
+
+    names = ("A1", "A2", "B1", "B2", "C1", "C2")
+    return Triangle(*map(fl, tri.vertices)), CevianFeet(*(fl(getattr(feet, n)) for n in names))
+
+
 def test_chart_criterion_tracks_concurrency(rnd):
-    # p = q exactly on conconic instances, p != q on perturbed ones
+    # p = q on conconic instances, p != q on perturbed ones: exactly in
+    # rational mode, and up to the relative tolerance on float copies
     for _ in range(10):
         tri, feet, _ = concurrency_solved_instance(rnd)
-        cfg = build_config(tri, feet)
-        chart = to_chart(cfg)
-        assert chart.p == chart.q
+        for instance in ((tri, feet), _float_copy(tri, feet)):
+            chart = to_chart(build_config(*instance))
+            assert chart.criterion
     for _ in range(10):
         tri, feet = perturbed_failing_instance(rnd)
-        cfg = build_config(tri, feet)
-        chart = to_chart(cfg)
-        if chart.degenerate:
-            continue
-        assert chart.p != chart.q
+        for instance in ((tri, feet), _float_copy(tri, feet)):
+            chart = to_chart(build_config(*instance))
+            if chart.degenerate:
+                continue
+            assert not chart.criterion

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,36 @@ def test_verify_svg_is_deterministic(scene_file, tmp_path):
     assert main(["verify", scene, "--svg", str(svg2)]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()
     assert svg1.read_text().startswith("<?xml")
+
+
+def test_verify_svg_bytes_are_pinned(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "triangle": [["0", "0"], ["4", "0"], ["0", "3"]],
+        "feet": {"generator": "isogonal", "params": ["1/3", "2/5", "1/2"]},
+    }))
+    svg = tmp_path / "out.svg"
+    assert main(["verify", str(scene), "--svg", str(svg)]) == 0
+    digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+    assert digest == "052b2c327ff88747137f9641ecc274b6722a1d25067dd0b84d89999a99f28cf9"
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["morley", "--triangle", "0,0 4,0 0,3", "--epsilon", "abc"], "--epsilon"),
+        (["morley", "--triangle", "0,0 4,0 0,3", "--epsilon", "nan"], "--epsilon"),
+        (["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-2.5",
+          "--expected-n", "3", "--closure-tol", "inf"], "--closure-tol"),
+        (["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1",
+          "--start", "2,0", "--epsilon", "0"], "--epsilon"),
+        (["verify", "scene.json", "--epsilon", "-1"], "--epsilon"),
+        (["verify", "scene.json", "--closure-tol", "1e-7"], "--closure-tol"),
+    ],
+)
+def test_bad_flags_exit_one_naming_the_flag(argv, needle, capsys):
+    assert main(argv) == 1
+    assert needle in capsys.readouterr().err
 
 
 def test_morley_command(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -42,7 +43,6 @@ def test_scene_defaults():
     assert scene.mode == "rational"
     assert scene.exact
     assert scene.epsilon == 1e-9
-    assert scene.closure_tol == 1e-7
 
 
 def test_scene_parses_decimal_strings_exactly():
@@ -67,6 +67,11 @@ def test_scene_validation_errors():
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "extra": 1}, "unknown"),
         ({"triangle": [[0.5, "0"], ["4", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}}, "rational mode"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": -1}, "positive"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": "nan"}, "epsilon"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": "abc"}, "epsilon"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": "inf"}, "epsilon"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": 1}, "epsilon"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "closure_tol": 1e-7}, "unknown"),
     ]
     for data, needle in cases:
         with pytest.raises(SceneError) as exc:
@@ -114,6 +119,29 @@ def test_report_round_trip_float():
     assert report.all_hold
     wire = report_to_json(report)
     assert report_from_dict(json.loads(wire)) == report
+
+
+# sha256 of report_to_json for fixed rational scenes on the 3-4-5 triangle;
+# any change to verdicts, residuals, witnesses, the chart or the wire
+# format itself changes a digest
+PINNED_REPORTS = {
+    "b21f6e93e7fe62c6db7d3f77049e5903f6065687cec412d2f44ff31f4861511a": {
+        "params": ["3/5", "2/3", "1/3", "1/3", "1/2", "4/7"]},
+    "4c973796397dc226bf62b93d1aaf87d539a008f054e3d642192bd821bdd186ce": {
+        "params": ["3/5", "2/3", "1/3", "1/3", "1/2", "3/5"]},
+    "d8614230d84b432a5d0a5ac01cfb30ee71f8f9cee9b08b91f2ebc87d77408e8e": {
+        "generator": "isogonal", "params": ["1/3", "2/5", "1/2"]},
+    "2b76ced13227587d8846b77f0b7aaa64d77c3e7477ff54f38ad4973fdf185932": {
+        "generator": "isotomic", "params": ["1/3", "2/5", "1/2"]},
+    "18a956dd1ccf9a6b5c3459ccc7e79550d5730ffbb8640f9714cb1c1bb913e621": {
+        "generator": "through_points", "points": [["1", "1/2"], ["3/2", "1"]]},
+}
+
+
+def test_report_wire_format_is_pinned():
+    for digest, feet in PINNED_REPORTS.items():
+        report = verify_scene(scene_from_dict({"triangle": ISOGONAL_SCENE["triangle"], "feet": feet}))
+        assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest, feet
 
 
 def test_rational_values_travel_as_strings():
