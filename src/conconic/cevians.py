@@ -107,7 +107,7 @@ class Triangle:
         return join(self.A, self.B)
 
     def side_line(self, side: str) -> HLine:
-        return {"BC": self.bc, "CA": self.ca, "AB": self.ab}[side]
+        return join(*self.side_endpoints(side))
 
     def side_endpoints(self, side: str) -> Tuple[HPoint, HPoint]:
         return {
@@ -367,11 +367,7 @@ def _combine(w1: Scalar, p: Tuple, w2: Scalar, q: Tuple) -> HPoint:
     return HPoint(*(w1 * a + w2 * b for a, b in zip(p, q)))
 
 
-def _squared_side_lengths(tri: Triangle) -> Tuple[Scalar, Scalar, Scalar]:
-    a = _affine_triple(tri.A, "triangle vertex")
-    b = _affine_triple(tri.B, "triangle vertex")
-    c = _affine_triple(tri.C, "triangle vertex")
-
+def _squared_side_lengths(a: Tuple, b: Tuple, c: Tuple) -> Tuple[Scalar, Scalar, Scalar]:
     def sq(u, v):
         return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
 
@@ -381,6 +377,26 @@ def _squared_side_lengths(tri: Triangle) -> Tuple[Scalar, Scalar, Scalar]:
 def _validate_triple(tri: Triangle, triple: FeetTriple, eps: float) -> None:
     for foot, side in zip(triple, SIDES):
         _check_foot(tri, foot, side, eps, "foot", f"foot on {side}")
+
+
+def _conjugate_feet(tri: Triangle, triple: FeetTriple, eps: float, vertex_weights) -> FeetTriple:
+    """Feet under the weighted swap of barycentric side weights.
+
+    With per-vertex weights (wa, wb, wc) = ``vertex_weights(A, B, C)`` of
+    the affine vertex triples, the weights (y : z) of a foot on BC map to
+    (wb*z : wc*y), and cyclically on the other sides.
+    """
+    _validate_triple(tri, triple, eps)
+    av, bv, cv = (_affine_triple(v, "triangle vertex") for v in tri.vertices)
+    wa, wb, wc = vertex_weights(av, bv, cv)
+    fa, fb, fc = triple
+    y, z = _side_weights(fa, bv, cv)      # foot on BC: (0 : y : z)
+    out_a = _combine(wb * z, bv, wc * y, cv)
+    x, z = _side_weights(fb, av, cv)      # foot on CA: (x : 0 : z)
+    out_b = _combine(wa * z, av, wc * x, cv)
+    x, y = _side_weights(fc, av, bv)      # foot on AB: (x : y : 0)
+    out_c = _combine(wa * y, av, wb * x, bv)
+    return (out_a, out_b, out_c)
 
 
 def isogonal_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -> FeetTriple:
@@ -393,35 +409,12 @@ def isogonal_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -
     inputs exact; the equivalent metric description (reflect the cevian
     direction across the bisector direction) needs square roots.
     """
-    _validate_triple(tri, triple, eps)
-    a2, b2, c2 = _squared_side_lengths(tri)
-    av = _affine_triple(tri.A, "triangle vertex")
-    bv = _affine_triple(tri.B, "triangle vertex")
-    cv = _affine_triple(tri.C, "triangle vertex")
-    fa, fb, fc = triple
-    y, z = _side_weights(fa, bv, cv)      # foot on BC: (0 : y : z)
-    out_a = _combine(b2 * z, bv, c2 * y, cv)
-    x, z = _side_weights(fb, av, cv)      # foot on CA: (x : 0 : z)
-    out_b = _combine(a2 * z, av, c2 * x, cv)
-    x, y = _side_weights(fc, av, bv)      # foot on AB: (x : y : 0)
-    out_c = _combine(a2 * y, av, b2 * x, bv)
-    return (out_a, out_b, out_c)
+    return _conjugate_feet(tri, triple, eps, _squared_side_lengths)
 
 
 def isotomic_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -> FeetTriple:
     """Feet reflected across the midpoint of their side (weights swapped)."""
-    _validate_triple(tri, triple, eps)
-    av = _affine_triple(tri.A, "triangle vertex")
-    bv = _affine_triple(tri.B, "triangle vertex")
-    cv = _affine_triple(tri.C, "triangle vertex")
-    fa, fb, fc = triple
-    y, z = _side_weights(fa, bv, cv)
-    out_a = _combine(z, bv, y, cv)
-    x, z = _side_weights(fb, av, cv)
-    out_b = _combine(z, av, x, cv)
-    x, y = _side_weights(fc, av, bv)
-    out_c = _combine(y, av, x, bv)
-    return (out_a, out_b, out_c)
+    return _conjugate_feet(tri, triple, eps, lambda *_: (1, 1, 1))
 
 
 def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) -> FeetTriple:

@@ -159,17 +159,7 @@ class Conic:
         if self.exact:
             if det(g) != 0:
                 return 3
-            for i in range(3):
-                for j in range(3):
-                    rows = [r for r in range(3) if r != i]
-                    cols = [c for c in range(3) if c != j]
-                    minor = (
-                        g[rows[0]][cols[0]] * g[rows[1]][cols[1]]
-                        - g[rows[0]][cols[1]] * g[rows[1]][cols[0]]
-                    )
-                    if minor != 0:
-                        return 2
-            return 1
+            return 2 if any(v != 0 for row in adjugate3(g) for v in row) else 1
         m = [[float(v) for v in row] for row in g]
         r = 0
         threshold = None

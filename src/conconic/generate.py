@@ -3,11 +3,11 @@
 Everything takes an explicit ``random.Random`` so runs are reproducible
 from a seed.  Exact generators draw small rationals and keep all derived
 data in ``Fraction`` arithmetic; the conconic families are constructed,
-not searched: six-point instances come from solving the concurrency
-condition for the last foot (the concurrency determinant is linear in
-that foot's side parameter once every other foot is fixed), and on-conic
-sextuples come from pushing rational circle points through a random
-projective map.
+not searched: six-point instances come from solving Carnot's criterion
+``prod(t) == prod(1 - t)`` over the six side parameters for the last foot
+(a foot at parameter t on side (P, Q) is P + t (Q - P), and the criterion
+is linear in each parameter), and on-conic sextuples come from pushing
+rational circle points through a random projective map.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .cevians import (
     isotomic_feet,
 )
 from .errors import GeometryError
-from .linalg import cross, det3
-from .projective import HLine, HPoint, ProjectiveMap, join, meet
+from .linalg import det3
+from .projective import HLine, HPoint, ProjectiveMap
 from .scalars import Scalar
 
 # ----- scalar and point helpers -------------------------------------------
@@ -100,62 +100,36 @@ def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
 # ----- conconic cevian configurations --------------------------------------
 
 
-def _raw_join(p: HPoint, q) -> Tuple[Scalar, ...]:
-    coords = q.coords if isinstance(q, HPoint) else q
-    return cross(p.coords, coords)
-
-
 def solve_concurrent_params(
-    rnd: random.Random, tri: Triangle, max_den: int = 12
+    rnd: random.Random, max_den: int = 12
 ) -> Optional[List[Fraction]]:
     """Six foot parameters whose cevian configuration is concurrent.
 
     Five parameters are drawn at random and the last (the second C-foot)
-    is solved from the concurrency condition, which is linear in it when
-    all joins and meets are left uncanonicalized.  Returns None when the
-    draw degenerates (no unique solution, or a foot hits a vertex).
+    is solved from Carnot's criterion ``prod(t) == prod(1 - t)``, which is
+    linear in any single parameter.  Every drawn fraction lies strictly
+    inside (0, 1), so the solution does too; returns None only when it
+    repeats the first C-foot.
     """
-    t_a1, t_b1, t_c1, t_a2, t_b2 = (random_fraction(rnd, max_den) for _ in range(5))
-    a1 = foot_point(tri, "BC", t_a1)
-    b1 = foot_point(tri, "CA", t_b1)
-    c1 = foot_point(tri, "AB", t_c1)
-    a2 = foot_point(tri, "BC", t_a2)
-    b2 = foot_point(tri, "CA", t_b2)
-
-    aa1 = join(tri.A, a1)
-    bb1 = join(tri.B, b1)
-    cc1 = join(tri.C, c1)
-    aa2 = join(tri.A, a2)
-    bb2 = join(tri.B, b2)
-    v1 = meet(cc1, aa2)
-    w1 = meet(aa1, bb2)
-    row_bv1 = _raw_join(tri.B, v1)
-    row_cw1 = _raw_join(tri.C, w1)
-
-    def det_at(t: Fraction) -> Fraction:
-        c2 = foot_point(tri, "AB", t)
-        cc2 = _raw_join(tri.C, c2)
-        u1 = cross(bb1.coords, cc2)
-        row_au1 = cross(tri.A.coords, u1)
-        return det3((row_au1, row_bv1, row_cw1))
-
-    d0 = det_at(Fraction(0))
-    d1 = det_at(Fraction(1))
-    if d0 == d1:
+    five = [random_fraction(rnd, max_den) for _ in range(5)]  # a1, b1, c1, a2, b2
+    p = math.prod(1 - t for t in five)
+    q = math.prod(five)
+    t_c2 = p / (p + q)
+    if t_c2 == five[2]:
         return None
-    t_c2 = Fraction(d0, d0 - d1)
-    if t_c2 in (0, 1) or t_c2 == t_c1:
-        return None
-    return [t_a1, t_b1, t_c1, t_a2, t_b2, t_c2]
+    return five + [t_c2]
 
 
 def concurrency_solved_instance(
     rnd: random.Random, max_den: int = 12
 ) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
-    """An exact configuration satisfying all four equivalent conditions."""
+    """An exact configuration satisfying all four equivalent conditions.
+
+    Every candidate is built and checked before it is returned.
+    """
     while True:
         tri = random_triangle(rnd)
-        params = solve_concurrent_params(rnd, tri, max_den)
+        params = solve_concurrent_params(rnd, max_den)
         if params is None:
             continue
         feet = feet_from_params(tri, params)

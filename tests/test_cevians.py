@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from conconic.generate import (
     foot_point,
     perturbed_failing_instance,
     random_triangle,
+    solve_concurrent_params,
     through_point_instance,
 )
 
@@ -163,6 +165,20 @@ def test_four_conditions_hold_on_solved_instance(rnd):
     for verdict in (report.outer6, report.inner6, report.tangent6, report.concurrent):
         assert verdict.residual == 0
     assert report.outer6.witness_conic is not None
+
+
+def test_solved_params_satisfy_carnot_and_all_conditions(rnd):
+    # Carnot's criterion for six feet on the sides: prod(t) == prod(1 - t)
+    solved = 0
+    while solved < 200:
+        tri = random_triangle(rnd)
+        params = solve_concurrent_params(rnd)
+        if params is None:
+            continue
+        solved += 1
+        assert math.prod(params) == math.prod(1 - t for t in params), params
+        report = check_conditions(build_config(tri, feet_from_params(tri, params)))
+        assert report.all_hold, params
 
 
 def test_four_conditions_fail_on_perturbed_instance(rnd):

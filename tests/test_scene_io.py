@@ -27,6 +27,12 @@ EXPLICIT_SCENE = {
     "feet": {"params": ["1/3", "2/5", "3/7", "1/2", "1/2", "1/2"]},
 }
 
+FLOAT_ISOTOMIC_SCENE = {
+    "triangle": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
+    "mode": "float",
+    "feet": {"generator": "isotomic", "params": [0.3, 0.45, 0.61]},
+}
+
 THROUGH_SCENE = {
     "triangle": [["0", "0"], ["4", "0"], ["0", "3"]],
     "feet": {"generator": "through_points", "points": [["1", "1/2"], ["3/2", "1"]]},
@@ -108,40 +114,36 @@ def test_report_round_trip_rational():
 
 
 def test_report_round_trip_float():
-    scene = scene_from_dict(
-        {
-            "triangle": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
-            "mode": "float",
-            "feet": {"generator": "isotomic", "params": [0.3, 0.45, 0.61]},
-        }
-    )
-    report = verify_scene(scene)
+    report = verify_scene(scene_from_dict(FLOAT_ISOTOMIC_SCENE))
     assert report.all_hold
     wire = report_to_json(report)
     assert report_from_dict(json.loads(wire)) == report
 
 
-# sha256 of report_to_json for fixed rational scenes on the 3-4-5 triangle;
-# any change to verdicts, residuals, witnesses, the chart or the wire
-# format itself changes a digest
+# sha256 of report_to_json for fixed scenes on the 3-4-5 triangle (rational
+# unless the entry overrides triangle and mode); any change to verdicts,
+# residuals, witnesses, the chart or the wire format itself changes a digest
 PINNED_REPORTS = {
     "b21f6e93e7fe62c6db7d3f77049e5903f6065687cec412d2f44ff31f4861511a": {
-        "params": ["3/5", "2/3", "1/3", "1/3", "1/2", "4/7"]},
+        "feet": {"params": ["3/5", "2/3", "1/3", "1/3", "1/2", "4/7"]}},
     "4c973796397dc226bf62b93d1aaf87d539a008f054e3d642192bd821bdd186ce": {
-        "params": ["3/5", "2/3", "1/3", "1/3", "1/2", "3/5"]},
+        "feet": {"params": ["3/5", "2/3", "1/3", "1/3", "1/2", "3/5"]}},
     "d8614230d84b432a5d0a5ac01cfb30ee71f8f9cee9b08b91f2ebc87d77408e8e": {
-        "generator": "isogonal", "params": ["1/3", "2/5", "1/2"]},
+        "feet": {"generator": "isogonal", "params": ["1/3", "2/5", "1/2"]}},
     "2b76ced13227587d8846b77f0b7aaa64d77c3e7477ff54f38ad4973fdf185932": {
-        "generator": "isotomic", "params": ["1/3", "2/5", "1/2"]},
+        "feet": {"generator": "isotomic", "params": ["1/3", "2/5", "1/2"]}},
     "18a956dd1ccf9a6b5c3459ccc7e79550d5730ffbb8640f9714cb1c1bb913e621": {
-        "generator": "through_points", "points": [["1", "1/2"], ["3/2", "1"]]},
+        "feet": {"generator": "through_points", "points": [["1", "1/2"], ["3/2", "1"]]}},
+    "590c3386cb50c97d4b4b47679d1329ac30f0fc6cc1d47105db2e59d243643638": FLOAT_ISOTOMIC_SCENE,
+    "08e27075a6f1fc68cf714f2d1b66ec95cba94cb0be36e341869997cb605dc6af": {
+        **FLOAT_ISOTOMIC_SCENE, "feet": {"generator": "isogonal", "params": [0.3, 0.45, 0.61]}},
 }
 
 
 def test_report_wire_format_is_pinned():
-    for digest, feet in PINNED_REPORTS.items():
-        report = verify_scene(scene_from_dict({"triangle": ISOGONAL_SCENE["triangle"], "feet": feet}))
-        assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest, feet
+    for digest, scene in PINNED_REPORTS.items():
+        report = verify_scene(scene_from_dict({"triangle": ISOGONAL_SCENE["triangle"], **scene}))
+        assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest, scene
 
 
 def test_rational_values_travel_as_strings():
