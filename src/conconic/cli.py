@@ -18,7 +18,7 @@ from .cevians import Triangle, build_config, check_conditions
 from .conics import Conic
 from .errors import GeometryError, TheoremConsistencyError
 from .morley import equilateral_side_spread, morley_config
-from .poncelet import porism_check, trace_chain
+from .poncelet import find_point_on_conic, porism_check, trace_chain
 from .projective import HPoint
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
 from .scene import (
@@ -257,8 +257,6 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
             state = "all chains closed" if report.all_closed else "some chains did not close"
             print(f"{state} at n={args.expected_n} over {args.samples} samples (max gap {report.max_gap:.3e})")
         if args.svg:
-            from .poncelet import find_point_on_conic
-
             chain = trace_chain(outer, inner, find_point_on_conic(outer, args.epsilon),
                                 max(args.expected_n, 3), args.closure_tol, args.epsilon)
             _write_svg(args.svg, render_chain(outer, inner, chain, args.epsilon))

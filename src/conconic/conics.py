@@ -75,10 +75,38 @@ def veronese(coords: Sequence[Scalar]) -> Six:
     return (x * x, x * y, y * y, x * z, y * z, z * z)
 
 
-class Conic:
-    """A conic of the projective plane, canonical up to scale."""
+class _memoized:
+    """Read-only attribute computed on first access and then kept in the
+    instance slot ``_<name>``, for immutable classes with ``__slots__``."""
 
-    __slots__ = ("coeffs",)
+    def __init__(self, compute):
+        self.compute = compute
+        self.slot = "_" + compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        try:
+            return getattr(obj, self.slot)
+        except AttributeError:
+            value = self.compute(obj)
+            object.__setattr__(obj, self.slot, value)
+            return value
+
+
+class Conic:
+    """A conic of the projective plane, canonical up to scale.
+
+    Conics are immutable, so every form derived from the coefficients is
+    computed on first use and kept on the instance: ``exact``, ``gram``, its
+    ``adjugate`` and Frobenius norm ``gram_norm``, the rank per ``eps`` and
+    the dual conic.  The cache lives in slots that start out empty, so a
+    conic only pays for what is asked of it; a Poncelet chain, which asks
+    the same inner conic for its dual on every step, builds it once.
+    """
+
+    __slots__ = ("coeffs", "_exact", "_gram", "_adjugate", "_gram_norm", "_ranks", "_dual")
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar, e: Scalar, f: Scalar):
         try:
@@ -99,15 +127,25 @@ class Conic:
         terms = " + ".join(f"{c}*{m}" for c, m in zip(self.coeffs, VERONESE_MONOMIALS) if c != 0)
         return f"Conic({terms} = 0)"
 
-    @property
+    @_memoized
     def exact(self) -> bool:
         return all_exact(self.coeffs)
 
-    @property
+    @_memoized
     def gram(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """Doubled symmetric matrix of the form (twice the classical one)."""
         a, b, c, d, e, f = self.coeffs
         return ((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f))
+
+    @_memoized
+    def adjugate(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """Adjugate of ``gram``: the dual form, up to scale."""
+        return adjugate3(self.gram)
+
+    @_memoized
+    def gram_norm(self) -> float:
+        """Frobenius norm of ``gram``, the scale of float zero tests."""
+        return _frob(self.gram)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "Conic":
@@ -150,16 +188,28 @@ class Conic:
         return dot(u, matvec3(self.gram, v))
 
     def contains(self, p: HPoint, eps: float = DEFAULT_EPS) -> bool:
-        return _form_zero(self.gram, p.coords, self.exact and p.exact, eps)
+        return _form_zero(self.gram, self.gram_norm, p.coords, self.exact and p.exact, eps)
 
     # ----- degeneracy ---------------------------------------------------
 
     def rank(self, eps: float = DEFAULT_EPS) -> int:
+        """Rank of ``gram``; float ranks depend on ``eps`` and are kept per value."""
+        try:
+            ranks = self._ranks
+        except AttributeError:
+            ranks = {}
+            object.__setattr__(self, "_ranks", ranks)
+        r = ranks.get(eps)
+        if r is None:
+            r = ranks[eps] = self._rank(eps)
+        return r
+
+    def _rank(self, eps: float) -> int:
         g = self.gram
         if self.exact:
             if det(g) != 0:
                 return 3
-            return 2 if any(v != 0 for row in adjugate3(g) for v in row) else 1
+            return 2 if any(v != 0 for row in self.adjugate for v in row) else 1
         m = [[float(v) for v in row] for row in g]
         r = 0
         threshold = None
@@ -192,10 +242,19 @@ class Conic:
     # ----- polarity -----------------------------------------------------
 
     def dual(self, eps: float = DEFAULT_EPS) -> "Conic":
-        """The conic of tangent lines, via the adjugate form."""
+        """The conic of tangent lines, via the adjugate form.
+
+        ``eps`` only decides whether the conic counts as degenerate; the dual
+        itself does not depend on it, so it is built once per conic.
+        """
         if self.is_degenerate(eps):
             raise DegenerateConic("degenerate conic has no dual conic")
-        return Conic.from_matrix(adjugate3(self.gram))
+        try:
+            return self._dual
+        except AttributeError:
+            dual = Conic.from_matrix(self.adjugate)
+            object.__setattr__(self, "_dual", dual)
+            return dual
 
     def polar(self, p: HPoint) -> HLine:
         raw = matvec3(self.gram, p.coords)
@@ -206,11 +265,12 @@ class Conic:
     def pole(self, l: HLine, eps: float = DEFAULT_EPS) -> HPoint:
         if self.is_degenerate(eps):
             raise DegenerateConic("pole is only defined for a nondegenerate conic")
-        return HPoint(*matvec3(adjugate3(self.gram), l.coords))
+        return HPoint(*matvec3(self.adjugate, l.coords))
 
     def is_tangent(self, l: HLine, eps: float = DEFAULT_EPS) -> bool:
         """Whether the line meets the conic in a single doubled point."""
-        return _form_zero(adjugate3(self.gram), l.coords, self.exact and l.exact, eps)
+        adj = self.adjugate
+        return _form_zero(adj, _frob(adj), l.coords, self.exact and l.exact, eps)
 
     def touch_point(self, l: HLine, eps: float = DEFAULT_EPS) -> HPoint:
         """Tangency point of a tangent line (the pole of the line)."""
@@ -226,13 +286,13 @@ def _frob(m) -> float:
     return math.sqrt(sum(float(v) ** 2 for row in m for v in row))
 
 
-def _form_zero(m, coords, exact: bool, eps: float) -> bool:
+def _form_zero(m, norm: float, coords, exact: bool, eps: float) -> bool:
     """Whether the quadratic form of ``m`` vanishes at ``coords``, exactly
-    or relative to the scale of the form and the coordinates."""
+    or relative to the form's Frobenius ``norm`` and the coordinates."""
     value = dot(coords, matvec3(m, coords))
     if exact:
         return value == 0
-    return near_zero(value, _frob(m) * row_norm(coords) ** 2, eps)
+    return near_zero(value, norm * row_norm(coords) ** 2, eps)
 
 
 # ----- line and conic intersections ------------------------------------
@@ -399,7 +459,7 @@ def dual_verdict(verdict: ConconicVerdict) -> ConconicVerdict:
     """Read a verdict on the dual points of six lines as one on the lines: the
     witness is the adjugate of the dual fit, or None when that is degenerate."""
     fit = verdict.witness_conic
-    witness = None if verdict.degenerate or fit is None else Conic.from_matrix(adjugate3(fit.gram))
+    witness = None if verdict.degenerate or fit is None else Conic.from_matrix(fit.adjugate)
     return replace(verdict, witness_conic=witness)
 
 

@@ -31,14 +31,14 @@ from .cevians import (
     build_config,
     check_conditions,
 )
-from .conics import Conic, _frob, conic_through_points, dual_conic
+from .conics import Conic, conic_through_points, dual_conic
 from .errors import (
     ConcurrencyViolated,
     LabelingSelfCheckFailed,
     TheoremConsistencyError,
 )
 from .linalg import row_norm
-from .projective import HLine, HPoint, concurrency, join, meet
+from .projective import HLine, HPoint, concurrency, join, meet, projective_gap
 from .scalars import DEFAULT_EPS
 
 # Tolerance for matching computed meets against the equilateral triangle
@@ -166,8 +166,6 @@ def _feet_for_flips(tri: Triangle, trisectors, flips) -> CevianFeet:
 
 
 def _matches_morley(cfg: CevianConfig, target, tol: float) -> bool:
-    from .projective import projective_gap
-
     pairs = zip((cfg.U1, cfg.V1, cfg.W1), target)
     return all(projective_gap(got, want) <= tol for got, want in pairs)
 
@@ -238,7 +236,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
 
 def _normalized_value(conic: Conic, p: HPoint) -> float:
     num = abs(float(conic.value2(p.coords)))
-    return num / (_frob(conic.gram) * row_norm(p.coords) ** 2)
+    return num / (conic.gram_norm * row_norm(p.coords) ** 2)
 
 
 def equilateral_side_spread(tri: Triangle) -> Tuple[float, float]:

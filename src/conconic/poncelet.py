@@ -33,7 +33,7 @@ from .errors import (
     NoRealSolution,
     NoTangentLine,
 )
-from .linalg import adjugate3, cross, det3, matvec3, row_norm
+from .linalg import cross, det3, matvec3, row_norm
 from .projective import HLine, HPoint, coincident, projective_gap
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
 
@@ -122,7 +122,7 @@ def sample_on_conic(conic: Conic, base: HPoint, t: Scalar, eps: float = DEFAULT_
 
 def conic_center(conic: Conic) -> HPoint:
     """The pole of the line at infinity (finite for central conics)."""
-    return HPoint(*matvec3(adjugate3(conic.gram), (0, 0, 1)))
+    return HPoint(*matvec3(conic.adjugate, (0, 0, 1)))
 
 
 def _affine(p: HPoint) -> Tuple[float, float, float]:
@@ -149,7 +149,7 @@ def poncelet_step(
     if not tangents:
         raise NoTangentLine("chain vertex lies inside the inner conic")
     if incoming is not None:
-        link = max(tangents, key=lambda l: projective_gap(HPoint(*l.coords), HPoint(*incoming.coords)))
+        link = max(tangents, key=lambda l: projective_gap(l, incoming))
         if coincident(link, incoming, eps):
             raise ChainStuck("both tangents coincide with the incoming link")
     elif len(tangents) == 1:
@@ -160,7 +160,7 @@ def poncelet_step(
             raise ChainStuck("inner conic has no finite center to orient the first step")
         picked = None
         for cand in tangents:
-            touch = HPoint(*matvec3(adjugate3(c2.gram), cand.coords))
+            touch = HPoint(*matvec3(c2.adjugate, cand.coords))
             if touch.at_infinity:
                 continue
             orientation = det3((_affine(current), _affine(touch), _affine(center)))

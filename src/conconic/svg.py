@@ -14,10 +14,11 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .cevians import CevianConfig, Triangle
-from .conics import Conic
+from .conics import Conic, intersect_line
 from .errors import GeometryError
+from .linalg import row_norm
 from .poncelet import ChainResult, find_point_on_conic, sample_on_conic
-from .projective import HLine, HPoint
+from .projective import HLine, HPoint, incident, join
 
 CONIC_SAMPLES = 256
 MARGIN = 0.15
@@ -171,32 +172,21 @@ def _draw_conic(frame: Frame, conic: Conic, color: str, eps: float) -> List[str]
 
 def _component_lines(conic: Conic, eps: float) -> List[HLine]:
     """The line(s) making up a rank-deficient conic."""
-    from .conics import intersect_line
-    from .linalg import adjugate3, matvec3, row_norm
-
-    gram = conic.gram
     rank = conic.rank(eps)
     if rank == 1:
-        rows = sorted(gram, key=row_norm, reverse=True)
-        return [HLine(*rows[0])]
+        return [HLine(*max(conic.gram, key=row_norm))]
     if rank != 2:
         return []
     # a line pair's singular point is in the kernel; pair = lines joining it
-    # to the two intersections with any line avoiding the singular point
-    adj = adjugate3(gram)
-    candidates = sorted(
-        (tuple(row) for row in adj), key=row_norm, reverse=True
-    )
-    # rank-2 adjugate has rank 1; its rows are multiples of the singular point
-    singular = candidates[0]
+    # to the two intersections with any line avoiding the singular point.
+    # A rank-2 form has a rank-1 adjugate whose rows are multiples of that point.
+    singular = HPoint(*max(conic.adjugate, key=row_norm))
     probes = (HLine(1, 0, 0), HLine(0, 1, 0), HLine(0, 0, 1), HLine(1, 1, 1))
-    from .projective import incident, join
-
     for probe in probes:
-        if incident(HPoint(*singular), probe):
+        if incident(singular, probe, eps):
             continue
         pts = intersect_line(conic, probe, eps)
-        return [join(HPoint(*singular), p) for p in pts]
+        return [join(singular, p, eps) for p in pts]
     return []
 
 

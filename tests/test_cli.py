@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 
 import pytest
 
+from conconic import Conic
 from conconic.cli import main
 
 ISOGONAL_SCENE = """
@@ -128,6 +130,43 @@ def test_morley_command(capsys, tmp_path):
     assert data["porism"]["all_closed"] is True
     assert data["porism"]["steps"] == [3] * 10
     assert svg.exists()
+
+
+def test_morley_json_is_pinned(capsys):
+    argv = ["morley", "--triangle", "0,0 4,0 0,3", "--poncelet-samples", "25", "--json"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "79e0835bd20ca121be289f48a088c108f05ba98ac6647610e1fd88bcd436b33f"
+
+
+def test_poncelet_porism_json_and_svg_are_pinned(capsys, tmp_path):
+    # concentric circles R = 2, r = 2 cos(pi/5): every chain closes at n = 5
+    inner = f"1,0,1,0,0,{-(2.0 * math.cos(math.pi / 5)) ** 2!r}"
+    svg = tmp_path / "chain.svg"
+    argv = ["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", inner,
+            "--expected-n", "5", "--samples", "25", "--json", "--svg", str(svg)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["steps"] == [5] * 25
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78e60846e90c81cf298933d98a003606a4428e3141ed8c040b6b96aebf73eaeb"
+    )
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "473f7c17543e650c5bda672270dff03a7ff284e170b4db9574af6278b59432db"
+    )
+
+
+def test_verify_draws_line_pair_witness_at_epsilon_flag(scene_file, tmp_path, capsys):
+    scene = scene_file(json.dumps({
+        "triangle": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
+        "mode": "float",
+        "feet": {"generator": "isotomic", "params": [0.5, 0.8, 0.6]},
+    }))
+    svg = tmp_path / "out.svg"
+    assert main(["verify", scene, "--epsilon", "1e-3", "--json", "--svg", str(svg)]) == 0
+    witness = Conic.from_coeffs(json.loads(capsys.readouterr().out)["witnesses"]["inner6"])
+    assert witness.classify(1e-3) == "line_pair"
+    assert svg.read_text().count("stroke-dasharray") == 2
 
 
 def test_morley_rejects_bad_triangle(capsys):

@@ -143,6 +143,42 @@ def test_rank_and_classification():
     assert double.rank() == 1 and double.classify() == "double_line"
 
 
+def test_float_rank_is_kept_per_epsilon():
+    # gram = diag(2, 2, 1e-6): the last pivot counts at eps = 1e-9 only
+    expected = {1e-9: 3, 1e-3: 2}
+    for order in ((1e-9, 1e-3, 1e-9), (1e-3, 1e-9, 1e-3)):
+        thin = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, 5e-7))
+        assert [thin.rank(eps) for eps in order] == [expected[eps] for eps in order]
+
+
+def test_degenerate_dual_raises_on_every_call():
+    double = Conic.from_double_line(HLine(1, 1, 1))
+    for _ in range(2):
+        with pytest.raises(DegenerateConic):
+            double.dual()
+    thin = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, 5e-7))
+    for _ in range(2):
+        assert thin.dual(1e-9).rank(1e-9) == 3
+        with pytest.raises(DegenerateConic):
+            thin.dual(1e-3)
+
+
+def test_dual_is_built_once():
+    ellipse = Conic.from_coeffs((Fraction(1, 4), 0, 1, 0, 0, -1))
+    assert ellipse.dual() is ellipse.dual()
+    assert ellipse.dual().dual() == ellipse
+
+
+def test_conic_rejects_assignment_to_any_attribute():
+    conic = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
+    conic.dual()  # fill the cached forms first
+    names = Conic.__slots__ + ("exact", "gram", "adjugate", "gram_norm", "rank", "extra")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(conic, name, None)
+    assert conic.coeffs == (1, 0, 1, 0, 0, -1) and conic.rank() == 3
+
+
 def test_polar_pole_round_trip():
     p = HPoint(5, 0, 3)
     polar = UNIT_CIRCLE.polar(p)
