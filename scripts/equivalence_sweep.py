@@ -4,10 +4,13 @@
 Three independent routes decide whether six points lie on a common conic:
 the 6x6 determinant of their quadratic monomial rows, fitting a conic to
 five of the points and testing the sixth, and the classical hexagon
-collinearity criterion.  Dually, the determinant route for six lines is
-checked against diagonal concurrency of the tangent hexagon.  The sweep
-mixes engineered positives with generic sextuples (which are almost never
-conconic) and tallies agreement; any disagreement is printed in full.
+collinearity criterion.  On every engineered positive, the determinant
+route's witness (signed 5x5 minors in integers) must also equal the
+nullspace fit through the same five points.  Dually, the determinant route
+for six lines is checked against diagonal concurrency of the tangent
+hexagon.  The sweep mixes engineered positives with generic sextuples
+(which are almost never conconic) and tallies agreement; any disagreement
+is printed in full.
 
 Usage:
     python3 scripts/equivalence_sweep.py --count 2000 --seed 7
@@ -21,13 +24,33 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conconic import brianchon_concurrent, conconic, conconic_by_fit, cotangent, pascal_collinear
+from conconic import (
+    brianchon_concurrent,
+    conconic,
+    conconic_by_fit,
+    conic_through_points,
+    cotangent,
+    pascal_collinear,
+)
+from conconic.errors import NonUniqueConic
 from conconic.generate import (
     conconic_sextuple,
     cotangent_sextuple,
     random_line_sextuple,
     random_sextuple,
 )
+
+
+def nullspace_fit(pts):
+    """The nullspace fit through the five points the determinant route
+    fits its witness through: the first five, else the first five-subset
+    (leaving out point 0, 1, ...) that determines a conic."""
+    for hold_out in (5, 0, 1, 2, 3, 4):
+        try:
+            return conic_through_points([p for i, p in enumerate(pts) if i != hold_out])
+        except NonUniqueConic:
+            continue
+    return None
 
 
 def main(argv=None) -> int:
@@ -41,10 +64,12 @@ def main(argv=None) -> int:
     mismatches = 0
 
     t0 = time.perf_counter()
-    tallies = {"det=fit": 0, "det=hexagon": 0, "positives": 0}
+    tallies = {"det=fit": 0, "det=hexagon": 0, "positives": 0, "witness=fit": 0, "engineered": 0}
     for k in range(args.count):
-        pts = conconic_sextuple(rnd) if k % 3 == 0 else random_sextuple(rnd)
-        det_verdict = conconic(pts).holds
+        engineered = k % 3 == 0
+        pts = conconic_sextuple(rnd) if engineered else random_sextuple(rnd)
+        verdict = conconic(pts)
+        det_verdict = verdict.holds
         fit_verdict = conconic_by_fit(pts)
         hex_verdict = pascal_collinear(pts)
         tallies["det=fit"] += det_verdict == fit_verdict
@@ -54,11 +79,20 @@ def main(argv=None) -> int:
             mismatches += 1
             print(f"MISMATCH points det={det_verdict} fit={fit_verdict} "
                   f"hexagon={hex_verdict}\n  {pts}")
+        if engineered:
+            tallies["engineered"] += 1
+            fitted = nullspace_fit(pts)
+            same = verdict.witness_conic is not None and verdict.witness_conic == fitted
+            tallies["witness=fit"] += same
+            if not same:
+                mismatches += 1
+                print(f"MISMATCH witness {verdict.witness_conic} fit={fitted}\n  {pts}")
     dt = time.perf_counter() - t0
     print(f"point sextuples ({args.count} instances, {dt:.1f}s):")
     print(f"  determinant vs fit-and-test:     {tallies['det=fit']}/{args.count}")
     print(f"  determinant vs hexagon verdict:  {tallies['det=hexagon']}/{args.count}")
     print(f"  engineered + accidental positives: {tallies['positives']}")
+    print(f"  witness minors vs nullspace fit:   {tallies['witness=fit']}/{tallies['engineered']}")
 
     t0 = time.perf_counter()
     line_tallies = {"det=diagonals": 0, "positives": 0}

@@ -34,8 +34,8 @@ from typing import Optional, Sequence, Tuple
 from .conics import (
     Conic,
     ConconicVerdict,
-    conconic,
-    conic_through_points,
+    _fit_five,
+    _six_point_verdict,
     dual_verdict,
     veronese,
     veronese_residual,
@@ -48,7 +48,6 @@ from .errors import (
     DegenerateTriangle,
     FootOffSide,
     IrrationalResult,
-    NonUniqueConic,
     NoRealSolution,
     PointAtVertex,
     PointOnSide,
@@ -280,25 +279,23 @@ def _small_witness(distinct: Sequence[HPoint], eps: float) -> Optional[Conic]:
     )
 
 
-def _tolerant_conconic(points: Sequence[HPoint], eps: float) -> ConconicVerdict:
+def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> ConconicVerdict:
     """Six-point verdict that allows coincident points.
 
-    Repeated points make the Veronese determinant vanish identically, so
-    the verdict holds with a degenerate witness: the natural example is the
-    two-triple configuration through two fixed points, where all six inner
-    points collapse onto two and the witness is the doubly covered line
-    through them.  On the dual points of the six cevians it decides
-    tangent6, where a shared cevian is the repeated item.
+    ``sextuple`` is the pair ``(points, _dedupe(points, eps))``.  Repeated
+    points make the Veronese determinant vanish identically, so the verdict
+    holds with a degenerate witness: the natural example is the two-triple
+    configuration through two fixed points, where all six inner points
+    collapse onto two and the witness is the doubly covered line through
+    them.  On the dual points of the six cevians it decides tangent6, where
+    a shared cevian is the repeated item.
     """
-    distinct = _dedupe(points, eps)
+    points, distinct = sextuple
     if len(distinct) == 6:
-        return conconic(points, eps)
+        return _six_point_verdict(points, eps)
     residual, _ = veronese_residual([p.coords for p in points], eps)
     if len(distinct) == 5:
-        try:
-            witness = conic_through_points(distinct, eps)
-        except NonUniqueConic:
-            witness = None
+        witness = _fit_five(distinct, eps)
     else:
         witness = _small_witness(distinct, eps)
     degenerate = witness is None or witness.is_degenerate(eps)
@@ -320,9 +317,14 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
     """
     tri = cfg.triangle
     lines = cfg.cevian_lines(1) + cfg.cevian_lines(2)
-    outer6 = _tolerant_conconic(cfg.feet.outer, eps)
-    inner6 = _tolerant_conconic(cfg.inner_points, eps)
-    tangent6 = dual_verdict(_tolerant_conconic([HPoint(*l.coords) for l in lines], eps))
+    # a line and its dual point share coordinates, so they coincide alike
+    sextuples = [
+        (points, _dedupe(points, eps))
+        for points in (cfg.feet.outer, cfg.inner_points, [HPoint(*l.coords) for l in lines])
+    ]
+    outer6 = _tolerant_conconic(sextuples[0], eps)
+    inner6 = _tolerant_conconic(sextuples[1], eps)
+    tangent6 = dual_verdict(_tolerant_conconic(sextuples[2], eps))
     cv = concurrency(join(tri.A, cfg.U1), join(tri.B, cfg.V1), join(tri.C, cfg.W1), eps)
     concurrent_verdict = ConconicVerdict(residual=cv.residual, holds=cv.holds)
     report = ConditionReport(
@@ -331,11 +333,7 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
         tangent6=tangent6,
         concurrent=concurrent_verdict,
     )
-    duplicate_free = (
-        len(_dedupe(cfg.feet.outer, eps)) == 6
-        and len(_dedupe(cfg.inner_points, eps)) == 6
-        and len(_dedupe(lines, eps)) == 6
-    )
+    duplicate_free = all(len(distinct) == 6 for _, distinct in sextuples)
     if cfg.exact and duplicate_free and not report.agree:
         raise TheoremConsistencyError(
             f"the four equivalent conditions disagree on exact input: {report.booleans}",

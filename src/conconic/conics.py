@@ -21,7 +21,10 @@ Two independent routes to "six points lie on one conic" are provided:
 ``conconic`` (rank of the stacked Veronese images, i.e. a 6x6 determinant)
 and ``conconic_by_fit`` (fit a conic through five of the points, test the
 sixth).  They are deliberately separate implementations so each can serve
-as an oracle for the other.
+as an oracle for the other.  When ``conconic`` holds on exact points, its
+witness is the vector of signed 5x5 minors of five Veronese rows, so the
+exact path stays in integer Bareiss determinants; ``conic_through_points``,
+which ``conconic_by_fit`` and float witnesses use, solves the nullspace.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ class Conic:
 
     def __setattr__(self, name, value):
         raise AttributeError("Conic is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Conic is immutable")
+
+    def __reduce__(self):
+        # rebuild from the coefficients (copy, pickle); caches refill lazily
+        return (Conic, self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Conic) and self.coeffs == other.coeffs
@@ -438,19 +448,40 @@ def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
     return nd, abs(nd) <= eps
 
 
+def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
+    """The conic through five distinct points, or None when they admit a
+    pencil of conics (four of them collinear).
+
+    Exact points have integer canonical coordinates, so the conic is the
+    vector of signed minors ``(-1)^k det(V without column k)`` of their
+    Veronese rows ``V``, each an integer Bareiss determinant; all six
+    vanish exactly when ``V`` has rank below five.  Float points go through
+    the nullspace fit of ``conic_through_points``.
+    """
+    if not all(p.exact for p in pts):
+        try:
+            return conic_through_points(pts, eps)
+        except NonUniqueConic:
+            return None
+    rows = [veronese(p.coords) for p in pts]
+    minors = [det([row[:k] + row[k + 1:] for row in rows]) for k in range(6)]
+    if not any(minors):
+        return None
+    return Conic.from_coeffs([-m if k % 2 else m for k, m in enumerate(minors)])
+
+
 def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> ConconicVerdict:
-    """Determinant verdict on six points.  When it holds, the witness is fitted
-    through some five of them; it is None when no five-subset determines one
-    (the six points then lie on a pencil of conics)."""
+    """Determinant verdict on six distinct points.  When it holds, the witness
+    is fitted by ``_fit_five`` through the first five points, or else through
+    the first five-subset (leaving out point 0, 1, ...) that determines one;
+    it is None when none does (the six points then lie on a pencil)."""
     residual, holds = veronese_residual([p.coords for p in pts], eps)
     witness = None
     if holds:
         for hold_out in (5, 0, 1, 2, 3, 4):
-            try:
-                witness = conic_through_points([p for i, p in enumerate(pts) if i != hold_out], eps)
+            witness = _fit_five([p for i, p in enumerate(pts) if i != hold_out], eps)
+            if witness is not None:
                 break
-            except NonUniqueConic:
-                continue
     degenerate = holds and (witness is None or witness.is_degenerate(eps))
     return ConconicVerdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
 

@@ -40,6 +40,12 @@ class _HTriple:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self.coords)
+
     @property
     def x(self) -> Scalar:
         return self.coords[0]

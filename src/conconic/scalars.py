@@ -24,7 +24,10 @@ def is_exact(x: Scalar) -> bool:
 
 
 def all_exact(values: Iterable[Scalar]) -> bool:
-    return all(is_exact(v) for v in values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            return False
+    return True
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:
@@ -70,26 +73,21 @@ def format_scalar(x: Scalar) -> str:
 def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     """Canonical representative of a homogeneous coordinate tuple.
 
-    Rational entries: clear denominators, divide by the gcd, and make the
-    first nonzero entry positive, so equality up to scale becomes plain
-    tuple equality.  Float entries: divide by the first component of largest
-    magnitude, which pins that component to +1.
+    Rational entries: clear denominators (an all-``int`` tuple has none),
+    divide by the gcd, and make the first nonzero entry positive, so
+    equality up to scale becomes plain tuple equality.  Float entries:
+    divide by the first component of largest magnitude, which pins that
+    component to +1.
     """
     vals = list(values)
     if not vals:
         raise ValueError("empty coordinate tuple")
+    if all(type(v) is int for v in vals):
+        return _reduced(vals)
     if all_exact(vals):
         fracs = [Fraction(v) for v in vals]
-        if all(f == 0 for f in fracs):
-            raise ValueError("homogeneous coordinates cannot all be zero")
         denom_lcm = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * denom_lcm) for f in fracs]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        return _reduced([int(f * denom_lcm) for f in fracs])
     floats = [float(v) for v in vals]
     if not all(math.isfinite(v) for v in floats):
         raise ValueError("non-finite homogeneous coordinate")
@@ -98,3 +96,13 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
         raise ValueError("homogeneous coordinates cannot all be zero")
     pivot = next(v for v in floats if abs(v) == m)
     return tuple(v / pivot for v in floats)
+
+
+def _reduced(ints: Sequence[int]) -> tuple:
+    """``ints`` divided by their gcd, signed so the first nonzero is positive."""
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("homogeneous coordinates cannot all be zero")
+    if next(v for v in ints if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)

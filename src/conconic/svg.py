@@ -18,7 +18,7 @@ from .conics import Conic, intersect_line
 from .errors import GeometryError
 from .linalg import row_norm
 from .poncelet import ChainResult, find_point_on_conic, sample_on_conic
-from .projective import HLine, HPoint, incident, join
+from .projective import HLine, HPoint, join
 
 CONIC_SAMPLES = 256
 MARGIN = 0.15
@@ -180,14 +180,11 @@ def _component_lines(conic: Conic, eps: float) -> List[HLine]:
     # a line pair's singular point is in the kernel; pair = lines joining it
     # to the two intersections with any line avoiding the singular point.
     # A rank-2 form has a rank-1 adjugate whose rows are multiples of that point.
+    # The line with the same coordinates as a real point s avoids it (s.s > 0)
+    # and lies as far from it as any line can.
     singular = HPoint(*max(conic.adjugate, key=row_norm))
-    probes = (HLine(1, 0, 0), HLine(0, 1, 0), HLine(0, 0, 1), HLine(1, 1, 1))
-    for probe in probes:
-        if incident(singular, probe, eps):
-            continue
-        pts = intersect_line(conic, probe, eps)
-        return [join(singular, p, eps) for p in pts]
-    return []
+    pts = intersect_line(conic, HLine(*singular.coords), eps)
+    return [join(singular, p, eps) for p in pts]
 
 
 def render_configuration(

@@ -1,8 +1,13 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import conconic.conics as conics
 
 from conconic import (
     Conic,
@@ -36,6 +41,8 @@ from conconic.generate import (
     random_projective_map,
     random_sextuple,
 )
+
+from conftest import exact_points, small_fractions
 
 UNIT_CIRCLE = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
 
@@ -208,6 +215,70 @@ def test_conic_through_points_collinear_cases():
     assert fitted.is_degenerate()
     with pytest.raises(NonUniqueConic):
         conic_through_points([HPoint(i, 0, 1) for i in range(4)] + [HPoint(0, 1, 1)])
+
+
+@st.composite
+def five_points(draw):
+    """Five distinct exact points whose first ``k`` lie on one line, for k
+    drawn from 0 (general), 3 (a line-pair fit) and 4 (a pencil)."""
+    k = draw(st.sampled_from((0, 3, 4)))
+    p, q = draw(exact_points()), draw(exact_points())
+    assume(p != q)
+    weights = st.tuples(small_fractions, small_fractions).filter(lambda w: w != (0, 0))
+    on_line = [
+        HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
+        for a, b in draw(st.lists(weights, min_size=k, max_size=k))
+    ]
+    pts = on_line + [draw(exact_points()) for _ in range(5 - k)]
+    assume(len(set(pts)) == 5)
+    return k, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(five_points())
+def test_minor_fit_matches_nullspace_fit(case):
+    k, pts = case
+    fit = conics._fit_five(pts, 1e-9)
+    if k == 4:
+        assert fit is None
+        with pytest.raises(NonUniqueConic):
+            conic_through_points(pts)
+        return
+    try:
+        expected = conic_through_points(pts)
+    except NonUniqueConic:
+        assert fit is None
+    else:
+        assert fit == expected
+        if k == 3:
+            assert fit.is_degenerate()
+
+
+def test_minor_fit_stays_in_integer_determinants(monkeypatch):
+    def no_nullspace(*args, **kwargs):
+        raise AssertionError("exact fits must not solve a nullspace")
+
+    monkeypatch.setattr(conics, "nullspace", no_nullspace)
+    assert conics._fit_five(CIRCLE_SEXTUPLE[:5], 1e-9) == UNIT_CIRCLE
+    line_pair = [HPoint(i, 0, 1) for i in range(3)] + [HPoint(0, 1, 1), HPoint(1, 2, 1)]
+    assert conics._fit_five(line_pair, 1e-9).classify() == "line_pair"
+    pencil = [HPoint(i, 0, 1) for i in range(4)] + [HPoint(0, 1, 1)]
+    assert conics._fit_five(pencil, 1e-9) is None
+    assert conconic(CIRCLE_SEXTUPLE).witness_conic == UNIT_CIRCLE
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1, 0, 0, -1), (0.5, 0.0, 1.0, 0.1, -0.0, -3.0)])
+def test_conic_copies_and_pickles_and_refuses_del(coeffs):
+    conic = Conic.from_coeffs(coeffs)
+    dual = conic.dual()  # fill the cached forms first
+    for twin in (copy.copy(conic), copy.deepcopy(conic), pickle.loads(pickle.dumps(conic))):
+        assert twin == conic
+        assert [repr(c) for c in twin.coeffs] == [repr(c) for c in conic.coeffs]
+        assert twin.dual() == dual and twin.rank() == 3
+    for name in ("coeffs", "_dual", "gram"):
+        with pytest.raises(AttributeError):
+            delattr(conic, name)
+    assert conic.coeffs == Conic.from_coeffs(coeffs).coeffs and conic.dual() is dual
 
 
 def test_two_routes_agree_on_random_sextuples(rnd):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -164,3 +166,13 @@ def test_coincident_tolerates_float_noise():
     q = HPoint(1.0 + 1e-13, 2.0, 3.0)
     assert coincident(p, q)
     assert not coincident(p, HPoint(1.001, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("item", [HPoint(3, 4, 5), HPoint(0.1, -0.0, 2.0), HLine(1, -2, 3), HLine(0.1, 0.2, -0.3)])
+def test_triples_copy_and_pickle_and_refuse_del(item):
+    for twin in (copy.copy(item), copy.deepcopy(item), pickle.loads(pickle.dumps(item))):
+        assert type(twin) is type(item) and twin == item
+        assert [repr(c) for c in twin.coords] == [repr(c) for c in item.coords]
+    with pytest.raises(AttributeError):
+        del item.coords
+    assert len(item.coords) == 3

@@ -26,6 +26,13 @@ def test_exactness_classification():
     assert not all_exact([1, 0.5])
 
 
+def test_all_exact_keeps_bool_out_and_fraction_in():
+    assert all_exact([Fraction(1, 3), 2, Fraction(4)]) and all_exact([])
+    assert not all_exact([1, True]) and not all_exact([False])
+    assert not all_exact([Fraction(1, 2), 0.5])
+    assert not is_exact(True)
+
+
 def test_div_keeps_exact_values_exact():
     assert div(1, 3) == Fraction(1, 3)
     assert isinstance(div(1, 3), Fraction)
@@ -94,3 +101,16 @@ def test_canonical_tuple_float_pins_largest_component():
 def test_canonical_tuple_rejects_zero():
     with pytest.raises(ValueError):
         canonical_tuple([0, 0, 0])
+
+
+@given(st.lists(st.one_of(st.integers(-6, 6), st.integers(-10**30, 10**30)), min_size=1, max_size=6))
+def test_canonical_tuple_of_ints_matches_the_fraction_path(vals):
+    fracs = [Fraction(v) for v in vals]
+    if all(v == 0 for v in vals):
+        for form in (vals, fracs):
+            with pytest.raises(ValueError):
+                canonical_tuple(form)
+        return
+    out = canonical_tuple(vals)
+    assert out == canonical_tuple(fracs)
+    assert all(type(v) is int for v in out)
