@@ -1,17 +1,10 @@
-import pytest
-
 from conconic import Conic, HPoint, Triangle, join
 from conconic.cevians import build_config
 from conconic.generate import feet_from_params
 from conconic.svg import render_configuration
 
 
-@pytest.mark.parametrize("offset", [1e-4, 2e-3])
-def test_line_pair_witness_uses_the_rendering_epsilon(offset):
-    # the singular point sits 1e-4 off the line x = 0, so at eps = 1e-3 it
-    # counts as on it, and 2e-3 off it, just beyond eps, where a probe along
-    # x = 0 meets the pair in two points too close for the discriminant test;
-    # either way both lines must be drawn
+def _assert_line_pair_drawn_as_two_lines(offset):
     tri = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(0.0, 3.0, 1.0))
     cfg = build_config(tri, feet_from_params(tri, [0.3, 0.4, 0.5, 0.6, 0.7, 0.2]))
     s = HPoint(offset, 0.5, 1.0)
@@ -19,3 +12,15 @@ def test_line_pair_witness_uses_the_rendering_epsilon(offset):
     for eps in (1e-9, 1e-3):
         assert pair.classify(eps) == "line_pair"
         assert render_configuration(cfg, (pair,), eps).count("stroke-dasharray") == 2
+
+
+def test_line_pair_witness_uses_the_rendering_epsilon():
+    # the singular point sits 1e-4 off the line x = 0: at eps = 1e-3 it
+    # counts as on it, and both lines must still be drawn
+    _assert_line_pair_drawn_as_two_lines(1e-4)
+
+
+def test_line_pair_just_beyond_the_rendering_epsilon_is_drawn_as_two_lines():
+    # 2e-3 off x = 0, just beyond eps = 1e-3: a probe along x = 0 meets the
+    # pair in two points too close for the discriminant test
+    _assert_line_pair_drawn_as_two_lines(2e-3)
