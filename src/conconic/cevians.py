@@ -27,7 +27,6 @@ p = q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -37,7 +36,7 @@ from .conics import (
     _fit_five,
     _six_point_verdict,
     dual_verdict,
-    veronese,
+    intersect_line,
     veronese_residual,
 )
 from .errors import (
@@ -46,15 +45,15 @@ from .errors import (
     CoincidentLines,
     DegenerateQuadruple,
     DegenerateTriangle,
+    DuplicatePoints,
     FootOffSide,
-    IrrationalResult,
     NoRealSolution,
     PointAtVertex,
     PointOnSide,
     SideOnConic,
     TheoremConsistencyError,
 )
-from .linalg import cross, det, row_norm
+from .linalg import cross, row_norm
 from .projective import (
     HLine,
     HPoint,
@@ -66,7 +65,7 @@ from .projective import (
     map_from_correspondence,
     meet,
 )
-from .scalars import DEFAULT_EPS, Scalar, all_exact, div, exact_sqrt, near_zero
+from .scalars import DEFAULT_EPS, Scalar, div, is_zero
 
 FeetTriple = Tuple[HPoint, HPoint, HPoint]
 
@@ -345,6 +344,15 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
 # ----- conjugate feet generators ------------------------------------------
 
 
+def _finite_xy(p: HPoint, eps: float) -> Optional[Tuple[Scalar, Scalar]]:
+    """Affine coordinates of ``p``, or None when it lies at infinity (in float
+    mode: when its last coordinate is below ``eps`` relative to its norm)."""
+    x, y, z = p.coords
+    if is_zero(z, eps, lambda: row_norm(p.coords)):
+        return None
+    return div(x, z), div(y, z)
+
+
 def _affine_triple(p: HPoint, what: str) -> Tuple[Scalar, Scalar, Scalar]:
     if p.at_infinity:
         raise ValueError(f"{what} must be a finite point")
@@ -433,38 +441,6 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
 # ----- completing five feet to a conconic sextuple -------------------------
 
 
-def _quadratic_real_roots(a: Scalar, b: Scalar, c: Scalar, eps: float):
-    """Real roots of a*t^2 + b*t + c, honoring the arithmetic backend."""
-    if all_exact((a, b, c)):
-        if a == 0:
-            if b == 0:
-                raise NoRealSolution("determinant has no root on this side")
-            return [div(-c, b)]
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            raise NoRealSolution("determinant has no real root on this side")
-        root = exact_sqrt(disc)
-        if root is None:
-            raise IrrationalResult(
-                "roots exist but are irrational; rerun with float coordinates"
-            )
-        return sorted({div(-b + root, 2 * a), div(-b - root, 2 * a)})
-    fa, fb, fc = float(a), float(b), float(c)
-    scale = max(abs(fa), abs(fb), abs(fc))
-    if near_zero(fa, scale, eps):
-        if near_zero(fb, scale, eps):
-            raise NoRealSolution("determinant has no root on this side")
-        return [-fc / fb]
-    disc = fb * fb - 4.0 * fa * fc
-    if near_zero(disc, max(fb * fb, abs(4.0 * fa * fc)), eps):
-        return [-fb / (2.0 * fa)]
-    if disc < 0:
-        raise NoRealSolution("determinant has no real root on this side")
-    root = math.sqrt(disc)
-    q = -(fb + math.copysign(root, fb)) / 2.0
-    return sorted({q / fa, fc / q})
-
-
 def solve_sixth_foot(
     tri: Triangle,
     five_feet: Sequence[HPoint],
@@ -473,49 +449,44 @@ def solve_sixth_foot(
 ) -> Tuple[HPoint, ...]:
     """Feet on ``side`` completing five feet to a conconic sextuple.
 
-    The unknown foot is parametrized affinely along the side, which makes
-    the six-point Veronese determinant a quadratic polynomial in the
-    parameter; its real roots (excluding the side's endpoints, which are
-    not valid feet) are returned.  ``SideOnConic`` means the determinant
-    vanishes identically: the five feet already force a degenerate conic
-    containing the whole side, so every foot works.
+    The sixth foot lies on the conic through the five, so the feet are the
+    real meets of that conic with the side line, ordered by their parameter
+    t along the side (the point P + t (Q - P) for endpoints (P, Q)); points
+    at infinity and the side's endpoints are not valid feet and are left
+    out.  ``SideOnConic`` means every foot works: the five feet repeat a
+    foot or admit a pencil of conics, or the conic through them passes
+    through three points of the side and so contains it.  ``NoRealSolution``
+    means the conic meets the side line in no real finite point; exact feet
+    that would be irrational raise ``IrrationalResult``.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if len(five_feet) != 5:
         raise ValueError("exactly five fixed feet are required")
-    v1, v2 = tri.side_endpoints(side)
-    p = _affine_triple(v1, "side endpoint")
-    q = _affine_triple(v2, "side endpoint")
-    fixed_rows = [list(veronese(f.coords)) for f in five_feet]
-
-    def det_at(t: Scalar) -> Scalar:
-        moving = tuple(a + t * (b - a) for a, b in zip(p, q))
-        return det(fixed_rows + [list(veronese(moving))])
-
-    d0, d1, d2 = det_at(0), det_at(1), det_at(2)
-    # quadratic through the three samples: c + b t + a t^2
-    c = d0
-    a = div(d2 - 2 * d1 + d0, 2)
-    b = d1 - d0 - a
-    exact = all_exact((a, b, c))
-    if exact:
-        identically_zero = a == 0 and b == 0 and c == 0
-    else:
-        scale = max(abs(float(d0)), abs(float(d1)), abs(float(d2)))
-        identically_zero = all(near_zero(float(v), scale, eps) for v in (a, b, c))
-    if identically_zero:
+    ends = tri.side_endpoints(side)
+    p, q = (_affine_triple(v, "side endpoint") for v in ends)
+    try:
+        conic = _fit_five(five_feet, eps)  # None for a pencil
+    except DuplicatePoints:  # float repeats; exact ones give a pencil
+        conic = None
+    # a conic through three points of a line contains the whole line
+    on_side = ends + (HPoint(*(a + b for a, b in zip(p, q))),)
+    if conic is None or all(conic.contains(x, eps) for x in on_side):
         raise SideOnConic(
             f"five feet already force a conic containing side {side}; "
             "every foot satisfies the determinant"
         )
-    roots = _quadratic_real_roots(a, b, c, eps)
+    roots = intersect_line(conic, tri.side_line(side), eps)
+    finite = [r for r in roots if _finite_xy(r, eps) is not None]
+    if not finite:
+        raise NoRealSolution(f"the conic through the five feet meets side {side} in no real point")
     feet = []
-    for t in roots:
-        if t == 0 or t == 1:
+    for root in finite:
+        if any(coincident(root, v, eps) for v in ends):
             continue  # the root sits on a vertex, which is not a valid foot
-        feet.append(HPoint(*(u + t * (v - u) for u, v in zip(p, q))))
-    return tuple(feet)
+        y, z = _side_weights(root, p, q)  # root = y p + z q, so t = z / (y + z)
+        feet.append((div(z, y + z), root))
+    return tuple(root for _, root in sorted(feet, key=lambda tf: tf[0]))
 
 
 # ----- the normalized chart ------------------------------------------------
@@ -553,9 +524,9 @@ class ProofChart:
     def criterion(self) -> bool:
         """The chart form of the concurrency condition."""
         p, q = self.p, self.q
-        if self.degenerate or all_exact((p, q)):
+        if self.degenerate:
             return p == q
-        return near_zero(p - q, max(abs(p), abs(q)), self.eps)
+        return is_zero(p - q, self.eps, lambda: max(abs(p), abs(q)))
 
 
 def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
@@ -568,22 +539,16 @@ def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
     except DegenerateQuadruple as err:
         raise ChartDegenerate(f"chart frame cannot be built: {err}") from None
 
-    def affine(img: HPoint) -> Optional[Tuple[Scalar, Scalar]]:
-        x, y, z = img.coords
-        if z == 0 or (not img.exact and near_zero(z, row_norm(img.coords), eps)):
-            return None
-        return div(x, z), div(y, z)
-
-    b1_pt = affine(chart_map.apply(feet.B1))
-    c2_pt = affine(chart_map.apply(feet.C2))
+    b1_pt = _finite_xy(chart_map.apply(feet.B1), eps)
+    c2_pt = _finite_xy(chart_map.apply(feet.C2), eps)
     if b1_pt is None or c2_pt is None:
         raise ChartDegenerate("a normalized foot escaped to infinity in the chart")
     b1 = b1_pt[0]
     c2 = c2_pt[1]
 
     ab, ca = tri.ab, tri.ca
-    p_pt = affine(chart_map.apply(meet(ab, join(feet.A2, feet.B1, eps), eps)))
-    q_pt = affine(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)))
+    p_pt = _finite_xy(chart_map.apply(meet(ab, join(feet.A2, feet.B1, eps), eps)), eps)
+    q_pt = _finite_xy(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)), eps)
     p = None if p_pt is None else -p_pt[1]
     q = None if q_pt is None else -q_pt[0]
     return ProofChart(b1=b1, c2=c2, p=p, q=q, eps=eps)

@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .cevians import Triangle, build_config, check_conditions
+from .cevians import Triangle
 from .conics import Conic
 from .errors import GeometryError, TheoremConsistencyError
 from .morley import equilateral_side_spread, morley_config
@@ -23,12 +23,11 @@ from .projective import HPoint
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
 from .scene import (
     SceneError,
+    _verify,
     load_scene,
     parse_tolerance,
-    report_from_conditions,
     report_to_dict,
     scene_from_dict,
-    scene_instance,
     scene_to_dict,
 )
 from .svg import render_chain, render_configuration, render_morley
@@ -136,10 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             scene = scene_from_dict(data)
 
-    tri, feet = scene_instance(scene)
-    cfg = build_config(tri, feet, scene.epsilon)
-    conditions = check_conditions(cfg, scene.epsilon)
-    report = report_from_conditions(scene, cfg, conditions)
+    cfg, report = _verify(scene)
 
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateConic,
@@ -65,7 +65,7 @@ from .projective import (
     join,
     meet,
 )
-from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt, near_zero
+from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt, is_zero, near_zero
 
 Six = Tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]
 
@@ -198,7 +198,7 @@ class Conic:
         return dot(u, matvec3(self.gram, v))
 
     def contains(self, p: HPoint, eps: float = DEFAULT_EPS) -> bool:
-        return _form_zero(self.gram, self.gram_norm, p.coords, self.exact and p.exact, eps)
+        return _form_zero(self.gram, lambda: self.gram_norm, p.coords, eps)
 
     # ----- degeneracy ---------------------------------------------------
 
@@ -280,7 +280,7 @@ class Conic:
     def is_tangent(self, l: HLine, eps: float = DEFAULT_EPS) -> bool:
         """Whether the line meets the conic in a single doubled point."""
         adj = self.adjugate
-        return _form_zero(adj, _frob(adj), l.coords, self.exact and l.exact, eps)
+        return _form_zero(adj, lambda: _frob(adj), l.coords, eps)
 
     def touch_point(self, l: HLine, eps: float = DEFAULT_EPS) -> HPoint:
         """Tangency point of a tangent line (the pole of the line)."""
@@ -296,13 +296,11 @@ def _frob(m) -> float:
     return math.sqrt(sum(float(v) ** 2 for row in m for v in row))
 
 
-def _form_zero(m, norm: float, coords, exact: bool, eps: float) -> bool:
-    """Whether the quadratic form of ``m`` vanishes at ``coords``, exactly
-    or relative to the form's Frobenius ``norm`` and the coordinates."""
+def _form_zero(m, norm: Callable[[], float], coords, eps: float) -> bool:
+    """Whether the quadratic form of ``m`` vanishes at ``coords``, relative
+    to the form's Frobenius ``norm()`` and the coordinates in float mode."""
     value = dot(coords, matvec3(m, coords))
-    if exact:
-        return value == 0
-    return near_zero(value, norm * row_norm(coords) ** 2, eps)
+    return is_zero(value, eps, lambda: norm() * row_norm(coords) ** 2)
 
 
 # ----- line and conic intersections ------------------------------------

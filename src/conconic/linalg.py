@@ -1,9 +1,9 @@
 """Small dense linear algebra over exact rationals or floats.
 
 Everything here works on plain tuples/lists so both backends share one code
-path.  Determinants take three routes: integer matrices go through
-fraction-free Bareiss elimination, other exact matrices through Fraction
-Gaussian elimination, float matrices through partially pivoted LU.
+path.  Determinants take two routes: exact matrices clear each row's
+denominators and go through fraction-free Bareiss elimination in plain
+integers, float matrices through partially pivoted LU.
 """
 
 from __future__ import annotations
@@ -86,26 +86,6 @@ def _det_bareiss_int(rows: List[List[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _det_fraction(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(v) for v in r] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return det
-
-
 def _det_float(rows) -> float:
     n = len(rows)
     m = [[float(v) for v in r] for r in rows]
@@ -127,13 +107,18 @@ def _det_float(rows) -> float:
 
 
 def det(rows) -> Scalar:
-    """Determinant of a square matrix in the backend of its entries."""
+    """Determinant of a square matrix in the backend of its entries: an
+    ``int`` for integer entries, a ``Fraction`` for other rational ones
+    (each row scaled by the lcm of its denominators before Bareiss)."""
     flat = [v for r in rows for v in r]
-    if all_exact(flat):
-        if all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1) for v in flat):
-            return _det_bareiss_int([[int(v) for v in r] for r in rows])
-        return _det_fraction(rows)
-    return _det_float(rows)
+    if not all_exact(flat):
+        return _det_float(rows)
+    if all(type(v) is int for v in flat):
+        return _det_bareiss_int(rows)
+    scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
+    d = _det_bareiss_int([[int(v * s) for v in r] for r, s in zip(rows, scales)])
+    scale = math.prod(scales)
+    return d if scale == 1 else Fraction(d, scale)
 
 
 def normalized_det(rows) -> float:

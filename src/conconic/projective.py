@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     CoincidentLines,
@@ -24,7 +23,7 @@ from .errors import (
     SingularMap,
 )
 from .linalg import adjugate3, cross, det3, dot, matmul3, matvec3, row_norm, transpose3
-from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, near_zero
+from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, div, is_zero
 
 Triple = Tuple[Scalar, Scalar, Scalar]
 
@@ -96,9 +95,7 @@ class HPoint(_HTriple):
         if self.at_infinity:
             raise ZeroDivisionError("point at infinity has no affine coordinates")
         x, y, z = self.coords
-        if self.exact:
-            return Fraction(x, z), Fraction(y, z)
-        return x / z, y / z
+        return div(x, z), div(y, z)
 
 
 class HLine(_HTriple):
@@ -113,10 +110,7 @@ LINE_AT_INFINITY = HLine.at_infinity()
 
 
 def _coincident(u: Triple, v: Triple, raw: Triple, eps: float) -> bool:
-    if all_exact(raw):
-        return all(c == 0 for c in raw)
-    scale = row_norm(u) * row_norm(v)
-    return all(near_zero(c, scale, eps) for c in raw)
+    return is_zero(max(map(abs, raw)), eps, lambda: row_norm(u) * row_norm(v))
 
 
 def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
@@ -141,42 +135,31 @@ def meet(l: HLine, m: HLine, eps: float = DEFAULT_EPS) -> HPoint:
 
 
 def incident(p: HPoint, l: HLine, eps: float = DEFAULT_EPS) -> bool:
-    value = dot(p.coords, l.coords)
-    if all_exact(p.coords) and all_exact(l.coords):
-        return value == 0
-    return near_zero(value, row_norm(p.coords) * row_norm(l.coords), eps)
+    return is_zero(dot(p.coords, l.coords), eps, lambda: row_norm(p.coords) * row_norm(l.coords))
 
 
 def _triple_det_zero(rows: Sequence[Triple], eps: float) -> bool:
-    d = det3(rows)
-    if all_exact([v for r in rows for v in r]):
-        return d == 0
-    scale = math.prod(row_norm(r) for r in rows)
-    return near_zero(d, scale, eps)
+    return is_zero(det3(rows), eps, lambda: math.prod(row_norm(r) for r in rows))
+
+
+def _rank_two(items: Sequence[_HTriple], eps: float) -> bool:
+    """Whether each triple after the first two depends linearly on them:
+    points on one line, lines through one point (trivially true below 3)."""
+    items = list(items)
+    if len(items) < 3:
+        return True
+    a, b = items[0].coords, items[1].coords
+    return all(_triple_det_zero((a, b, c.coords), eps) for c in items[2:])
 
 
 def collinear(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
     """Whether all the points lie on one line (trivially true below 3)."""
-    pts = list(points)
-    if len(pts) < 3:
-        return True
-    anchor_a, anchor_b = pts[0], pts[1]
-    return all(
-        _triple_det_zero((anchor_a.coords, anchor_b.coords, p.coords), eps)
-        for p in pts[2:]
-    )
+    return _rank_two(points, eps)
 
 
 def concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bool:
     """Whether all the lines pass through one point (trivially true below 3)."""
-    ls = list(lines)
-    if len(ls) < 3:
-        return True
-    anchor_a, anchor_b = ls[0], ls[1]
-    return all(
-        _triple_det_zero((anchor_a.coords, anchor_b.coords, l.coords), eps)
-        for l in ls[2:]
-    )
+    return _rank_two(lines, eps)
 
 
 @dataclass(frozen=True)
@@ -201,26 +184,23 @@ def _det_verdict(rows: Sequence[Triple], eps: float) -> IncidenceVerdict:
     return IncidenceVerdict(residual=nd, holds=abs(nd) <= eps)
 
 
-def concurrency(l: HLine, m: HLine, n: HLine, eps: float = DEFAULT_EPS) -> IncidenceVerdict:
-    """Residual-and-verdict form of the three-line concurrency test.
+def _triple_verdict(items: Sequence[_HTriple], eps: float, exc, noun: str) -> IncidenceVerdict:
+    """Determinant verdict on three pairwise-distinct triples, stacked in
+    the given order so the residual's sign is reproducible."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if coincident(items[i], items[j], eps):
+            raise exc(f"{noun} {items[i]} and {items[j]} coincide")
+    return _det_verdict(tuple(t.coords for t in items), eps)
 
-    The residual is the determinant of the coefficient triples stacked in
-    the given order, so its sign is reproducible.
-    """
-    for a, b in ((l, m), (l, n), (m, n)):
-        if not _coincident(a.coords, b.coords, cross(a.coords, b.coords), eps):
-            continue
-        raise DuplicateLine(f"lines {a} and {b} coincide")
-    return _det_verdict((l.coords, m.coords, n.coords), eps)
+
+def concurrency(l: HLine, m: HLine, n: HLine, eps: float = DEFAULT_EPS) -> IncidenceVerdict:
+    """Residual-and-verdict form of the three-line concurrency test."""
+    return _triple_verdict((l, m, n), eps, DuplicateLine, "lines")
 
 
 def collinearity(p: HPoint, q: HPoint, r: HPoint, eps: float = DEFAULT_EPS) -> IncidenceVerdict:
     """Residual-and-verdict form of the three-point collinearity test."""
-    for a, b in ((p, q), (p, r), (q, r)):
-        if not _coincident(a.coords, b.coords, cross(a.coords, b.coords), eps):
-            continue
-        raise DuplicatePoints(f"points {a} and {b} coincide")
-    return _det_verdict((p.coords, q.coords, r.coords), eps)
+    return _triple_verdict((p, q, r), eps, DuplicatePoints, "points")
 
 
 def projective_gap(p: HPoint, q: HPoint) -> float:
@@ -284,20 +264,13 @@ def map_from_correspondence(
 def _frame_matrix(quad: Sequence[Triple], eps: float, label: str):
     """Matrix sending the standard frame e1, e2, e3, e1+e2+e3 to ``quad``."""
     p0, p1, p2, p3 = quad
-    exact = all_exact([v for p in quad for v in p])
     # Cramer data for [p0 p1 p2] (a, b, g)^T = p3; each determinant below
     # vanishes exactly when one 3-subset of the quadruple is collinear.
     subsets = [(p0, p1, p2), (p3, p1, p2), (p0, p3, p2), (p0, p1, p3)]
-    dets = []
-    for rows in subsets:
-        value = det3(rows)
-        if exact:
-            bad = value == 0
-        else:
-            bad = near_zero(value, math.prod(row_norm(r) for r in rows), eps)
-        if bad:
+    dets = [det3(rows) for rows in subsets]
+    for d, rows in zip(dets, subsets):
+        if is_zero(d, eps, lambda: math.prod(row_norm(r) for r in rows)):
             raise DegenerateQuadruple(f"three of the four {label} points are collinear")
-        dets.append(value)
     weights = dets[1:]  # d * (a, b, g); the global factor d is harmless
     return transpose3(tuple(
         tuple(w * c for c in p) for w, p in zip(weights, (p0, p1, p2))

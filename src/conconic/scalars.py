@@ -3,15 +3,19 @@
 Two kinds of number flow through the package: exact rationals (``int`` and
 ``fractions.Fraction``) and IEEE floats.  A value tuple is *exact* when all
 entries are rational; any float member switches the whole object to the float
-backend.  Exact zero tests are plain ``== 0``; float zero tests are relative,
-``|x| <= eps * scale``, with the scale supplied by each predicate.
+backend.  Every zero test goes through ``is_zero``, which reads the backend
+from the computed value itself: arithmetic with any float operand yields a
+float, so a non-float value was computed from exact inputs only and is zero
+only when it ``== 0``, while a float value is zero relative to a scale,
+``|x| <= eps * scale``, that each predicate supplies and that is only
+computed on the float path.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -39,6 +43,17 @@ def div(a: Scalar, b: Scalar) -> Scalar:
 
 def near_zero(x: float, scale: float, eps: float) -> bool:
     return abs(x) <= eps * max(scale, 1e-300)
+
+
+def is_zero(x: Scalar, eps: float, scale: Callable[[], float]) -> bool:
+    """The zero test of every predicate, in the backend of ``x`` itself.
+
+    A float ``x`` is zero relative to ``scale()``, which is called once and
+    only here; any other ``x`` is exact and zero only when it equals 0.
+    """
+    if isinstance(x, float):
+        return near_zero(x, scale(), eps)
+    return x == 0
 
 
 def exact_sqrt(x: Scalar) -> Optional[Fraction]:

@@ -32,7 +32,6 @@ from .cevians import (
     isogonal_feet,
     isotomic_feet,
     to_chart,
-    validate_feet,
 )
 from .errors import ChartDegenerate
 from .generate import feet_from_params, foot_point
@@ -205,7 +204,10 @@ def load_scene(path: str) -> Scene:
 
 
 def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:
-    """Materialize the triangle and the six feet a scene describes."""
+    """Materialize the triangle and the six feet a scene describes.
+
+    The feet are not validated here: ``build_config`` checks them.
+    """
     tri = Triangle(*(HPoint(x, y, 1) for x, y in scene.triangle))
     if scene.generator == "through_points":
         p1, p2 = (HPoint(x, y, 1) for x, y in scene.generator_points)
@@ -221,7 +223,6 @@ def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:
         feet = CevianFeet.from_triples(first, conjugate(tri, first, scene.epsilon))
     else:
         feet = feet_from_params(tri, scene.feet_params)
-    validate_feet(tri, feet, scene.epsilon)
     return tri, feet
 
 
@@ -316,12 +317,16 @@ def report_from_conditions(
     )
 
 
-def verify_scene(scene: Scene) -> VerifyReport:
-    """Run the four-condition check on a scene and assemble the report."""
+def _verify(scene: Scene) -> Tuple[CevianConfig, VerifyReport]:
+    """The configuration a scene describes and its verification report."""
     tri, feet = scene_instance(scene)
     cfg = build_config(tri, feet, scene.epsilon)
-    conditions = check_conditions(cfg, scene.epsilon)
-    return report_from_conditions(scene, cfg, conditions)
+    return cfg, report_from_conditions(scene, cfg, check_conditions(cfg, scene.epsilon))
+
+
+def verify_scene(scene: Scene) -> VerifyReport:
+    """Run the four-condition check on a scene and assemble the report."""
+    return _verify(scene)[1]
 
 
 # ----- report serialization -------------------------------------------------

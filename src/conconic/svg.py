@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .cevians import CevianConfig, Triangle
+from .cevians import CevianConfig
 from .conics import Conic, intersect_line
 from .errors import GeometryError
 from .linalg import row_norm

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import assume, given, settings
 from conconic import (
     CevianFeet,
     HPoint,
+    incident,
+    projective_gap,
     Triangle,
     build_config,
     cevians_through_point,
@@ -18,10 +22,15 @@ from conconic import (
     to_chart,
     validate_feet,
 )
+from conconic.cevians import SIDES
+from conconic.conics import conic_through_points
 from conconic.errors import (
     DegenerateTriangle,
+    DuplicatePoints,
     FootOffSide,
+    IrrationalResult,
     NoRealSolution,
+    NonUniqueConic,
     PointAtVertex,
     PointOnSide,
     SideOnConic,
@@ -33,10 +42,12 @@ from conconic.generate import (
     feet_from_params,
     foot_point,
     perturbed_failing_instance,
+    random_fraction,
     random_triangle,
     solve_concurrent_params,
     through_point_instance,
 )
+from conconic.scalars import exact_sqrt
 
 from conftest import exact_triangles, unit_interval_fractions
 
@@ -222,6 +233,28 @@ def test_collapsed_configuration_reports_instead_of_raising():
     assert report.booleans == (False, True, False, False)
 
 
+def test_exact_pipeline_never_computes_a_float_scale(monkeypatch, rnd):
+    import conconic.cevians as cevians
+    import conconic.conics as conics
+    import conconic.projective as projective
+
+    instances = [concurrency_solved_instance(rnd)[:2], through_point_instance(rnd)[:2]]
+    circle = conics.Conic.from_coeffs((1, 0, 1, 0, 0, -1))
+
+    def no_scale(*args):
+        raise AssertionError("an exact zero test computed a float scale")
+
+    for module in (projective, conics, cevians):
+        monkeypatch.setattr(module, "row_norm", no_scale)
+    monkeypatch.setattr(conics, "_frob", no_scale)
+    for tri, feet in instances:
+        cfg = build_config(tri, feet)
+        report = check_conditions(cfg)
+        assert report.all_hold and to_chart(cfg).criterion
+        assert all(report.outer6.witness_conic.contains(p) for p in feet.outer)
+    assert circle.contains(HPoint(3, 4, 5)) and circle.is_tangent(projective.HLine(1, 0, -1))
+
+
 def test_exact_duplicate_free_disagreement_raises(monkeypatch):
     # force an artificial disagreement on a duplicate-free exact instance:
     # the guard must refuse to return an inconsistent report
@@ -278,6 +311,106 @@ def test_solve_sixth_foot_side_on_conic():
     on_ca = [foot_point(tri, "CA", t) for t in (Fraction(1, 3), Fraction(2, 3))]
     with pytest.raises(SideOnConic):
         solve_sixth_foot(tri, tuple(on_bc + on_ca), "BC")
+
+
+def _sixth_foot_draw(rnd):
+    """A triangle, a target side and five fixed points.  Each point is a
+    foot on a random side at a parameter of denominator at most 5 (so feet
+    repeat, and three can share a side) or a free rational point."""
+    tri = random_triangle(rnd)
+    side = rnd.choice(SIDES)
+    five = []
+    for _ in range(5):
+        where = rnd.choice(SIDES + ("plane",))
+        if where == "plane":
+            x, y = (Fraction(rnd.randint(-12, 12), rnd.randint(1, 3)) for _ in range(2))
+            five.append(HPoint(x, y, 1))
+        else:
+            five.append(foot_point(tri, where, random_fraction(rnd, 5)))
+    return tri, tuple(five), side
+
+
+def _side_quadratic(tri, five, side):
+    """Coefficients (a, b, c) of f(t) = a t^2 + b t + c, the nullspace-fitted
+    conic through the five points at P + t (Q - P) on the side, or None
+    when the points fix no conic."""
+    try:
+        conic = conic_through_points(five)
+    except (DuplicatePoints, NonUniqueConic):
+        return None
+    (px, py), (qx, qy) = (v.to_xy() for v in tri.side_endpoints(side))
+    fm, f0, fp = (conic.value2((px + t * (qx - px), py + t * (qy - py), 1)) for t in (-1, 0, 1))
+    return (fp + fm) / 2 - f0, (fp - fm) / 2, f0
+
+
+def _floated(tri, five):
+    def fl(p):
+        return HPoint(*(float(c) for c in p.coords))
+
+    return Triangle(*(fl(v) for v in tri.vertices)), tuple(fl(p) for p in five)
+
+
+def _sixth_foot_outcome(tri, five, side):
+    try:
+        return solve_sixth_foot(tri, five, side)
+    except (SideOnConic, NoRealSolution, IrrationalResult) as err:
+        return type(err)
+
+
+def test_sixth_foot_is_the_fitted_conic_meeting_the_side():
+    seen = Counter()
+    for seed in range(400):
+        tri, five, side = _sixth_foot_draw(random.Random(seed))
+        outcome = _sixth_foot_outcome(tri, five, side)
+        seen[outcome if isinstance(outcome, type) else tuple] += 1
+        quad = _side_quadratic(tri, five, side)
+        if len(set(five)) < 5 or quad is None or not any(quad):
+            assert outcome is SideOnConic, seed
+            continue
+        a, b, c = quad
+        if a == 0:
+            roots = [] if b == 0 else [-c / b]
+        elif b * b - 4 * a * c < 0:
+            roots = []
+        else:
+            root = exact_sqrt(b * b - 4 * a * c)
+            if root is None:
+                assert outcome is IrrationalResult, seed
+                # a fixed foot on the side would be a rational root
+                assert not any(incident(p, tri.side_line(side)) for p in five), seed
+                continue
+            roots = sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
+        if not roots:
+            assert outcome is NoRealSolution, seed
+            continue
+        expected = tuple(foot_point(tri, side, t) for t in roots if t not in (0, 1))
+        assert outcome == expected, seed
+        for foot in outcome:
+            assert foot in five or conconic(five + (foot,)).holds, seed
+    assert seen[SideOnConic] and seen[IrrationalResult] and seen[NoRealSolution] and seen[tuple]
+
+
+def test_sixth_foot_of_float_copies_matches_the_exact_feet():
+    matched = 0
+    for seed in range(400):
+        tri, five, side = _sixth_foot_draw(random.Random(seed))
+        exact = _sixth_foot_outcome(tri, five, side)
+        ftri, ffive = _floated(tri, five)
+        floated = _sixth_foot_outcome(ftri, ffive, side)
+        if exact is IrrationalResult:
+            # the float copy finds the two irrational roots of f(t)
+            a, b, c = (float(v) for v in _side_quadratic(tri, five, side))
+            root = math.sqrt(b * b - 4 * a * c)
+            ts = sorted(((-b + root) / (2 * a), (-b - root) / (2 * a)))
+            exact = tuple(foot_point(ftri, side, t) for t in ts)
+        if isinstance(exact, type):
+            assert floated is exact, seed
+            continue
+        assert isinstance(floated, tuple) and len(floated) == len(exact), seed
+        for got, want in zip(floated, exact):
+            assert projective_gap(got, want) < 1e-7, seed
+        matched += len(exact)
+    assert matched
 
 
 def test_chart_frozen_oracle():

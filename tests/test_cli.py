@@ -69,6 +69,22 @@ def test_verify_invalid_scene_exits_one(scene_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+FOOT_AT_VERTEX_SCENE = """
+{
+  "triangle": [["0","0"], ["4","0"], ["0","3"]],
+  "feet": {"params": ["0", "2/5", "3/7", "1/2", "1/2", "1/2"]}
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "float"], ["--json"]])
+def test_verify_foot_at_a_vertex_exits_one(scene_file, capsys, flags):
+    code = main(["verify", scene_file(FOOT_AT_VERTEX_SCENE), *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: FootOffSide: foot A1 coincides with vertex B\n"
+
+
 def test_verify_float_mode_override(scene_file, capsys):
     code = main(["verify", scene_file(ISOGONAL_SCENE), "--mode", "float", "--json"])
     data = json.loads(capsys.readouterr().out)

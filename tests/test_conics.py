@@ -42,7 +42,6 @@ from conconic.generate import (
     random_sextuple,
 )
 
-from conftest import exact_points, small_fractions
 
 UNIT_CIRCLE = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
 
@@ -217,19 +216,29 @@ def test_conic_through_points_collinear_cases():
         conic_through_points([HPoint(i, 0, 1) for i in range(4)] + [HPoint(0, 1, 1)])
 
 
+# The values of ``small_fractions`` as one sampled strategy, simplest first.
+# ``st.fractions`` builds a fresh strategy on every draw, which made drawing
+# the points most of this test's running time.
+_FIVE_POINT_FRACTIONS = st.sampled_from(sorted(
+    {Fraction(n, d) for d in range(1, 7) for n in range(-8 * d, 8 * d + 1)},
+    key=lambda f: (f.denominator, abs(f), f),
+))
+_FIVE_POINT_COORDS = st.tuples(*[_FIVE_POINT_FRACTIONS] * 3).filter(any)
+_FIVE_POINT_WEIGHTS = st.tuples(_FIVE_POINT_FRACTIONS, _FIVE_POINT_FRACTIONS).filter(any)
+
+
 @st.composite
 def five_points(draw):
     """Five distinct exact points whose first ``k`` lie on one line, for k
     drawn from 0 (general), 3 (a line-pair fit) and 4 (a pencil)."""
     k = draw(st.sampled_from((0, 3, 4)))
-    p, q = draw(exact_points()), draw(exact_points())
+    p, q = (HPoint(*draw(_FIVE_POINT_COORDS)) for _ in range(2))
     assume(p != q)
-    weights = st.tuples(small_fractions, small_fractions).filter(lambda w: w != (0, 0))
     on_line = [
         HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
-        for a, b in draw(st.lists(weights, min_size=k, max_size=k))
+        for a, b in (draw(_FIVE_POINT_WEIGHTS) for _ in range(k))
     ]
-    pts = on_line + [draw(exact_points()) for _ in range(5 - k)]
+    pts = on_line + [HPoint(*draw(_FIVE_POINT_COORDS)) for _ in range(5 - k)]
     assume(len(set(pts)) == 5)
     return k, pts
 

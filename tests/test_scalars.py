@@ -12,6 +12,7 @@ from conconic.scalars import (
     exact_sqrt,
     format_scalar,
     is_exact,
+    is_zero,
     near_zero,
     parse_scalar,
 )
@@ -55,6 +56,24 @@ def test_near_zero_is_relative():
     assert near_zero(1e-3, 1e7, 1e-9)
     # tiny scales fall back to an absolute floor instead of dividing by zero
     assert near_zero(0.0, 0.0, 1e-9)
+
+
+def test_is_zero_reads_the_backend_from_the_value():
+    def no_scale():
+        raise AssertionError("an exact value never needs a scale")
+
+    assert not is_zero(Fraction(1, 10**30), 0.5, no_scale)
+    assert not is_zero(1, 0.5, no_scale)
+    assert is_zero(0, 0.5, no_scale) and is_zero(Fraction(0), 0.5, no_scale)
+    calls = []
+
+    def unit_scale():
+        calls.append(1)
+        return 1.0
+
+    assert is_zero(1e-12, 1e-9, unit_scale) and not is_zero(1e-6, 1e-9, unit_scale)
+    assert calls == [1, 1]  # once per float test
+    assert is_zero(0.0, 1e-9, lambda: 0.0) and not is_zero(1e-300, 1e-9, lambda: 0.0)
 
 
 def test_parse_and_format_round_trip():
