@@ -30,15 +30,11 @@ import argparse
 import hashlib
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conconic import (
-    CevianFeet,
-    HPoint,
-    Triangle,
     build_config,
     check_conditions,
     conconic,
@@ -47,26 +43,29 @@ from conconic import (
     solve_sixth_foot,
     to_chart,
 )
-from conconic.cevians import SIDES
 from conconic.errors import GeometryError
 from conconic.generate import (
     concurrency_solved_instance,
     conconic_sextuple,
     conjugate_instance,
     cotangent_sextuple,
-    foot_point,
+    float_copy,
     perturbed_failing_instance,
-    random_fraction,
     random_line_sextuple,
     random_sextuple,
-    random_triangle,
+    sixth_foot_draw,
     through_point_instance,
 )
 
 FAMILIES = ("solved", "isogonal", "isotomic", "through", "perturbed")
+CONFIGS = 50     # exact configurations, cycling through FAMILIES
+SEXTUPLES = 64   # point and line sextuples, alternating
+DRAWS = 200      # sixth-foot draws
 
 
 def op_rng(seed: int, i: int) -> random.Random:
+    """The per-operation generator of ``bench/workloads.py``: configuration
+    record i sees the inputs of ``exact_sweep`` operation i."""
     return random.Random(seed * 1_000_003 + i)
 
 
@@ -78,17 +77,6 @@ def instance(rnd: random.Random, family: str):
     if family == "perturbed":
         return perturbed_failing_instance(rnd)
     return conjugate_instance(rnd, family)
-
-
-def floated(p):
-    return type(p)(*(float(c) for c in p.coords))
-
-
-def float_copy(tri, feet):
-    ftri = Triangle(*(floated(v) for v in tri.vertices))
-    ffeet = CevianFeet(**{name: floated(getattr(feet, name))
-                          for name in ("A1", "A2", "B1", "B2", "C1", "C2")})
-    return ftri, ffeet
 
 
 def coeffs(conic):
@@ -139,22 +127,6 @@ def sextuple_records(rnd: random.Random, i: int, out):
     out["sextuples"].append(repr(record))
 
 
-def sixth_foot_draw(rnd: random.Random):
-    """A triangle, a target side and five points, each a foot on a random
-    side (parameter denominator at most 5) or a free rational point."""
-    tri = random_triangle(rnd)
-    side = rnd.choice(SIDES)
-    five = []
-    for _ in range(5):
-        where = rnd.choice(SIDES + ("plane",))
-        if where == "plane":
-            x, y = (Fraction(rnd.randint(-12, 12), rnd.randint(1, 3)) for _ in range(2))
-            five.append(HPoint(x, y, 1))
-        else:
-            five.append(foot_point(tri, where, random_fraction(rnd, 5)))
-    return tri, tuple(five), side
-
-
 def sixth_foot_record(tri, five, side):
     result = attempt(solve_sixth_foot, tri, five, side)
     return repr(result if isinstance(result, str) else [p.coords for p in result])
@@ -163,25 +135,22 @@ def sixth_foot_record(tri, five, side):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--configs", type=int, default=50, help="exact configurations")
-    parser.add_argument("--sextuples", type=int, default=64, help="point and line sextuples")
-    parser.add_argument("--draws", type=int, default=200, help="sixth-foot draws")
     args = parser.parse_args(argv)
 
     names = ("verdicts", "residuals", "witnesses", "charts")
     out = {prefix + name: [] for prefix in ("", "float_") for name in names}
     out.update(sextuples=[], sixth_feet=[], float_sixth_feet=[])
-    for i in range(args.configs):
+    for i in range(CONFIGS):
         tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
         config_records(tri, feet, out, "")
-        config_records(*float_copy(tri, feet), out, "float_")
-    for i in range(args.sextuples):
+        config_records(float_copy(tri), float_copy(feet), out, "float_")
+    for i in range(SEXTUPLES):
         sextuple_records(op_rng(args.seed, i), i, out)
-    for i in range(args.draws):
+    for i in range(DRAWS):
         tri, five, side = sixth_foot_draw(op_rng(args.seed, i))
         out["sixth_feet"].append(sixth_foot_record(tri, five, side))
-        ftri = Triangle(*(floated(v) for v in tri.vertices))
-        out["float_sixth_feet"].append(sixth_foot_record(ftri, tuple(floated(p) for p in five), side))
+        ffive = tuple(map(float_copy, five))
+        out["float_sixth_feet"].append(sixth_foot_record(float_copy(tri), ffive, side))
     for family, records in out.items():
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
         print(f"{family:<18} {len(records):>4}  {digest}")

@@ -47,6 +47,7 @@ from .errors import (
     DegenerateTriangle,
     DuplicatePoints,
     FootOffSide,
+    LineOnConic,
     NoRealSolution,
     PointAtVertex,
     PointOnSide,
@@ -454,10 +455,11 @@ def solve_sixth_foot(
     t along the side (the point P + t (Q - P) for endpoints (P, Q)); points
     at infinity and the side's endpoints are not valid feet and are left
     out.  ``SideOnConic`` means every foot works: the five feet repeat a
-    foot or admit a pencil of conics, or the conic through them passes
-    through three points of the side and so contains it.  ``NoRealSolution``
-    means the conic meets the side line in no real finite point; exact feet
-    that would be irrational raise ``IrrationalResult``.
+    foot or admit a pencil of conics, or the conic through them contains
+    the side (it passes through three points of it, or ``intersect_line``
+    raises ``LineOnConic``).  ``NoRealSolution`` means the conic meets the
+    side line in no real finite point; exact feet that would be irrational
+    raise ``IrrationalResult``.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -465,18 +467,18 @@ def solve_sixth_foot(
         raise ValueError("exactly five fixed feet are required")
     ends = tri.side_endpoints(side)
     p, q = (_affine_triple(v, "side endpoint") for v in ends)
-    try:
-        conic = _fit_five(five_feet, eps)  # None for a pencil
-    except DuplicatePoints:  # float repeats; exact ones give a pencil
-        conic = None
     # a conic through three points of a line contains the whole line
     on_side = ends + (HPoint(*(a + b for a, b in zip(p, q))),)
-    if conic is None or all(conic.contains(x, eps) for x in on_side):
+    try:  # a float fit raises DuplicatePoints on repeats; an exact one gives a pencil
+        conic = _fit_five(five_feet, eps)  # None for a pencil
+        if conic is None or all(conic.contains(x, eps) for x in on_side):
+            raise LineOnConic(f"conic contains side {side}")
+        roots = intersect_line(conic, tri.side_line(side), eps)
+    except (DuplicatePoints, LineOnConic):
         raise SideOnConic(
             f"five feet already force a conic containing side {side}; "
             "every foot satisfies the determinant"
-        )
-    roots = intersect_line(conic, tri.side_line(side), eps)
+        ) from None
     finite = [r for r in roots if _finite_xy(r, eps) is not None]
     if not finite:
         raise NoRealSolution(f"the conic through the five feet meets side {side} in no real point")

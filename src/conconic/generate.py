@@ -12,6 +12,7 @@ rational circle points through a random projective map.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -45,10 +46,7 @@ def random_fraction(rnd: random.Random, max_den: int = 12) -> Fraction:
 def random_triangle(rnd: random.Random, span: int = 6) -> Triangle:
     """A nondegenerate triangle with small rational vertices."""
     while True:
-        coords = [
-            Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4))
-            for _ in range(6)
-        ]
+        coords = [Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4)) for _ in range(6)]
         pts = tuple(HPoint(coords[2 * i], coords[2 * i + 1], 1) for i in range(3))
         try:
             return Triangle(*pts)
@@ -164,13 +162,8 @@ def conjugate_instance(
 def random_interior_point(rnd: random.Random, tri: Triangle, max_den: int = 10) -> HPoint:
     """A rational point strictly inside the triangle (positive barycentrics)."""
     w = [Fraction(rnd.randint(1, max_den), 1) for _ in range(3)]
-    total = sum(w)
-    ax, ay = tri.A.to_xy()
-    bx, by = tri.B.to_xy()
-    cx, cy = tri.C.to_xy()
-    x = (w[0] * ax + w[1] * bx + w[2] * cx) / total
-    y = (w[0] * ay + w[1] * by + w[2] * cy) / total
-    return HPoint(x, y, 1)
+    xys = [v.to_xy() for v in tri.vertices]
+    return HPoint(*(sum(wi * xy[k] for wi, xy in zip(w, xys)) / sum(w) for k in range(2)), 1)
 
 
 def through_point_instance(
@@ -259,59 +252,65 @@ def conconic_sextuple(rnd: random.Random) -> Tuple[HPoint, ...]:
 def cotangent_sextuple(rnd: random.Random) -> Tuple[HLine, ...]:
     """Six exact tangent lines of one common conic."""
     pmap = random_projective_map(rnd)
-    ts = _distinct_fractions(rnd, 6)
-    lines = []
-    for t in ts:
-        p = _circle_point(t)
-        tangent = HLine(p.coords[0], p.coords[1], -p.coords[2])
-        lines.append(pmap.apply_line(tangent))
-    return tuple(lines)
+    points = [_circle_point(t).coords for t in _distinct_fractions(rnd, 6)]
+    # the tangent of x^2 + y^2 = z^2 at (x : y : z) is the line (x, y, -z)
+    return tuple(pmap.apply_line(HLine(x, y, -z)) for x, y, z in points)
+
+
+def _random_point(rnd: random.Random, span: int) -> HPoint:
+    """A point with coordinates in [-2 span, 2 span], denominators 1 to 3."""
+    return HPoint(*(Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)) for _ in range(2)), 1)
+
+
+def _three_dependent(vectors) -> bool:
+    """Whether some three of the homogeneous vectors are dependent."""
+    return any(det3(triple) == 0 for triple in itertools.combinations(vectors, 3))
 
 
 def random_sextuple(rnd: random.Random, span: int = 8) -> Tuple[HPoint, ...]:
     """Six distinct random rational points with no three collinear."""
     while True:
-        pts = [
-            HPoint(
-                Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)),
-                Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)),
-                1,
-            )
-            for _ in range(6)
-        ]
-        if len({p.coords for p in pts}) < 6:
-            continue
-        if any(
-            det3((pts[i].coords, pts[j].coords, pts[k].coords)) == 0
-            for i in range(6)
-            for j in range(i + 1, 6)
-            for k in range(j + 1, 6)
-        ):
-            continue
-        return tuple(pts)
+        pts = tuple(_random_point(rnd, span) for _ in range(6))
+        coords = {p.coords for p in pts}
+        if len(coords) == 6 and not _three_dependent(coords):
+            return pts
 
 
 def random_line_sextuple(rnd: random.Random, span: int = 8) -> Tuple[HLine, ...]:
     """Six distinct random rational lines with no three concurrent."""
     while True:
         try:
-            lines = [
-                HLine(
-                    rnd.randint(-span, span),
-                    rnd.randint(-span, span),
-                    rnd.randint(-span, span),
-                )
-                for _ in range(6)
-            ]
+            lines = tuple(HLine(*(rnd.randint(-span, span) for _ in range(3))) for _ in range(6))
         except ValueError:
             continue
-        if len({l.coords for l in lines}) < 6:
-            continue
-        if any(
-            det3((lines[i].coords, lines[j].coords, lines[k].coords)) == 0
-            for i in range(6)
-            for j in range(i + 1, 6)
-            for k in range(j + 1, 6)
-        ):
-            continue
-        return tuple(lines)
+        coords = {l.coords for l in lines}
+        if len(coords) == 6 and not _three_dependent(coords):
+            return lines
+
+
+# ----- sixth-foot draws and float copies ------------------------------------
+
+
+def sixth_foot_draw(rnd: random.Random) -> Tuple[Triangle, Tuple[HPoint, ...], str]:
+    """A triangle, a target side and five fixed points for ``solve_sixth_foot``:
+    each a foot on a random side at a parameter of denominator at most 5 (so
+    feet repeat, and three can share a side) or a free rational point."""
+    tri = random_triangle(rnd)
+    side = rnd.choice(SIDES)
+    five = []
+    for _ in range(5):
+        where = rnd.choice(SIDES + ("plane",))
+        if where == "plane":
+            five.append(_random_point(rnd, 6))
+        else:
+            five.append(foot_point(tri, where, random_fraction(rnd, 5)))
+    return tri, tuple(five), side
+
+
+def float_copy(obj):
+    """The float copy of an exact point, triangle or set of cevian feet."""
+    if isinstance(obj, HPoint):
+        return HPoint(*map(float, obj.coords))
+    if isinstance(obj, Triangle):
+        return Triangle(*map(float_copy, obj.vertices))
+    return CevianFeet(*map(float_copy, obj.outer))

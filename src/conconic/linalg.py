@@ -109,7 +109,8 @@ def _det_float(rows) -> float:
 def det(rows) -> Scalar:
     """Determinant of a square matrix in the backend of its entries: an
     ``int`` for integer entries, a ``Fraction`` for other rational ones
-    (each row scaled by the lcm of its denominators before Bareiss)."""
+    (each row scaled by the lcm of its denominators before Bareiss; no
+    library caller passes one, as exact coordinates are canonical ints)."""
     flat = [v for r in rows for v in r]
     if not all_exact(flat):
         return _det_float(rows)

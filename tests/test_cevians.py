@@ -22,13 +22,13 @@ from conconic import (
     to_chart,
     validate_feet,
 )
-from conconic.cevians import SIDES
 from conconic.conics import conic_through_points
 from conconic.errors import (
     DegenerateTriangle,
     DuplicatePoints,
     FootOffSide,
     IrrationalResult,
+    LineOnConic,
     NoRealSolution,
     NonUniqueConic,
     PointAtVertex,
@@ -40,10 +40,11 @@ from conconic.generate import (
     concurrency_solved_instance,
     conjugate_instance,
     feet_from_params,
+    float_copy,
     foot_point,
     perturbed_failing_instance,
-    random_fraction,
     random_triangle,
+    sixth_foot_draw,
     solve_concurrent_params,
     through_point_instance,
 )
@@ -313,21 +314,20 @@ def test_solve_sixth_foot_side_on_conic():
         solve_sixth_foot(tri, tuple(on_bc + on_ca), "BC")
 
 
-def _sixth_foot_draw(rnd):
-    """A triangle, a target side and five fixed points.  Each point is a
-    foot on a random side at a parameter of denominator at most 5 (so feet
-    repeat, and three can share a side) or a free rational point."""
-    tri = random_triangle(rnd)
-    side = rnd.choice(SIDES)
-    five = []
-    for _ in range(5):
-        where = rnd.choice(SIDES + ("plane",))
-        if where == "plane":
-            x, y = (Fraction(rnd.randint(-12, 12), rnd.randint(1, 3)) for _ in range(2))
-            five.append(HPoint(x, y, 1))
-        else:
-            five.append(foot_point(tri, where, random_fraction(rnd, 5)))
-    return tri, tuple(five), side
+def test_solve_sixth_foot_maps_line_on_conic_to_side_on_conic(monkeypatch):
+    # intersect_line raises LineOnConic when the form vanishes on the whole
+    # line; the solver reports that as SideOnConic, not as a bare error
+    import conconic.cevians as cevians
+
+    def contains_line(conic, line, eps):
+        raise LineOnConic("form is zero on the line")
+
+    monkeypatch.setattr(cevians, "intersect_line", contains_line)
+    tri = Triangle(HPoint(0, 0, 1), HPoint(4, 0, 1), HPoint(0, 3, 1))
+    five = (foot_point(tri, "CA", Fraction(1, 3)), foot_point(tri, "AB", Fraction(1, 2))) + (
+        HPoint(1, 1, 1), HPoint(3, 2, 1), HPoint(-1, 2, 1))
+    with pytest.raises(SideOnConic):
+        solve_sixth_foot(tri, five, "BC")
 
 
 def _side_quadratic(tri, five, side):
@@ -343,13 +343,6 @@ def _side_quadratic(tri, five, side):
     return (fp + fm) / 2 - f0, (fp - fm) / 2, f0
 
 
-def _floated(tri, five):
-    def fl(p):
-        return HPoint(*(float(c) for c in p.coords))
-
-    return Triangle(*(fl(v) for v in tri.vertices)), tuple(fl(p) for p in five)
-
-
 def _sixth_foot_outcome(tri, five, side):
     try:
         return solve_sixth_foot(tri, five, side)
@@ -360,7 +353,7 @@ def _sixth_foot_outcome(tri, five, side):
 def test_sixth_foot_is_the_fitted_conic_meeting_the_side():
     seen = Counter()
     for seed in range(400):
-        tri, five, side = _sixth_foot_draw(random.Random(seed))
+        tri, five, side = sixth_foot_draw(random.Random(seed))
         outcome = _sixth_foot_outcome(tri, five, side)
         seen[outcome if isinstance(outcome, type) else tuple] += 1
         quad = _side_quadratic(tri, five, side)
@@ -393,9 +386,9 @@ def test_sixth_foot_is_the_fitted_conic_meeting_the_side():
 def test_sixth_foot_of_float_copies_matches_the_exact_feet():
     matched = 0
     for seed in range(400):
-        tri, five, side = _sixth_foot_draw(random.Random(seed))
+        tri, five, side = sixth_foot_draw(random.Random(seed))
         exact = _sixth_foot_outcome(tri, five, side)
-        ftri, ffive = _floated(tri, five)
+        ftri, ffive = float_copy(tri), tuple(map(float_copy, five))
         floated = _sixth_foot_outcome(ftri, ffive, side)
         if exact is IrrationalResult:
             # the float copy finds the two irrational roots of f(t)
@@ -424,25 +417,17 @@ def test_chart_frozen_oracle():
     assert chart.criterion
 
 
-def _float_copy(tri, feet):
-    def fl(p):
-        return HPoint(*(float(v) for v in p.coords))
-
-    names = ("A1", "A2", "B1", "B2", "C1", "C2")
-    return Triangle(*map(fl, tri.vertices)), CevianFeet(*(fl(getattr(feet, n)) for n in names))
-
-
 def test_chart_criterion_tracks_concurrency(rnd):
     # p = q on conconic instances, p != q on perturbed ones: exactly in
     # rational mode, and up to the relative tolerance on float copies
     for _ in range(10):
         tri, feet, _ = concurrency_solved_instance(rnd)
-        for instance in ((tri, feet), _float_copy(tri, feet)):
+        for instance in ((tri, feet), (float_copy(tri), float_copy(feet))):
             chart = to_chart(build_config(*instance))
             assert chart.criterion
     for _ in range(10):
         tri, feet = perturbed_failing_instance(rnd)
-        for instance in ((tri, feet), _float_copy(tri, feet)):
+        for instance in ((tri, feet), (float_copy(tri), float_copy(feet))):
             chart = to_chart(build_config(*instance))
             if chart.degenerate:
                 continue
