@@ -4,10 +4,11 @@
 The seeded inputs are exact cevian configurations from the five generator
 families (solved, isogonal, isotomic, through two points, perturbed), the
 float copies of the same configurations, point and line sextuples (one in
-four engineered onto or tangent to a conic), and five-point draws for the
-sixth-foot solver.  Every output is recorded by ``repr``, which
-round-trips both ``Fraction`` and ``float``, so one changed bit changes
-its family's digest.  Running the script at two commits and comparing the
+four engineered onto or tangent to a conic), five-point draws for the
+sixth-foot solver, float triangles for the trisector configuration, and
+circle pairs whose chains close at n = 3..8.  Every output is recorded by
+``repr``, which round-trips both ``Fraction`` and ``float``, so one
+changed bit changes its family's digest.  Running the script at two commits and comparing the
 lines checks that a change which must not alter any output does not.
 
 Families:
@@ -20,7 +21,18 @@ Families:
         conconic / conconic_by_fit on point sextuples, cotangent on line
         sextuples;
     sixth_feet, float_sixth_feet
-        solve_sixth_foot on exact draws and on their float copies.
+        solve_sixth_foot on exact draws and on their float copies;
+    morley
+        morley_config on float triangles (angles in 15-150 and 1-178
+        degrees, alternating): the Morley triangle, the four holds flags
+        and residuals, both conics and the two centres;
+    chains
+        porism_check steps and gaps on those conic pairs (n = 3) and on
+        circle pairs, one circle inside the other, that close at n = 3..8;
+    svg
+        the sha256 of render_configuration on exact configurations with
+        their first two witnesses, of render_morley, and of render_chain on
+        the first of those conic pairs and on every circle pair.
 
 Usage:
     python3 scripts/output_dump.py --seed 1
@@ -28,6 +40,7 @@ Usage:
 
 import argparse
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -35,13 +48,21 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conconic import (
+    Conic,
     build_config,
     check_conditions,
     conconic,
     conconic_by_fit,
     cotangent,
+    find_point_on_conic,
+    morley_config,
+    porism_check,
+    render_chain,
+    render_configuration,
+    render_morley,
     solve_sixth_foot,
     to_chart,
+    trace_chain,
 )
 from conconic.errors import GeometryError
 from conconic.generate import (
@@ -50,6 +71,7 @@ from conconic.generate import (
     conjugate_instance,
     cotangent_sextuple,
     float_copy,
+    float_triangle,
     perturbed_failing_instance,
     random_line_sextuple,
     random_sextuple,
@@ -61,6 +83,9 @@ FAMILIES = ("solved", "isogonal", "isotomic", "through", "perturbed")
 CONFIGS = 50     # exact configurations, cycling through FAMILIES
 SEXTUPLES = 64   # point and line sextuples, alternating
 DRAWS = 200      # sixth-foot draws
+TRIANGLES = 20   # float triangles for the trisector configuration
+SAMPLES = 5      # porism_check starting points per conic pair
+DRAWINGS = 4     # render_configuration and render_morley drawings each
 
 
 def op_rng(seed: int, i: int) -> random.Random:
@@ -132,6 +157,46 @@ def sixth_foot_record(tri, five, side):
     return repr(result if isinstance(result, str) else [p.coords for p in result])
 
 
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def floats(p):
+    return [float(v) for v in p.coords]
+
+
+def morley_record(data):
+    if isinstance(data, str):
+        return data
+    report = data.report
+    verdicts = (report.outer6, report.inner6, report.tangent6, report.concurrent)
+    return (
+        [floats(p) for p in data.morley_triangle],
+        [(v.holds, v.residual) for v in verdicts],
+        data.inner_conic.coeffs,
+        data.cevian_conic.coeffs,
+        floats(data.centers.first),
+        floats(data.centers.second),
+    )
+
+
+def circle_pair(rnd: random.Random, n: int):
+    """Two concentric circles at a random centre, radii R and R cos(pi/n),
+    so that every chain between them closes at step n."""
+    radius = rnd.uniform(1.0, 5.0)
+    cx, cy = rnd.uniform(-3.0, 3.0), rnd.uniform(-3.0, 3.0)
+
+    def circle(r):
+        return Conic.from_coeffs((1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - r * r))
+
+    return circle(radius), circle(radius * math.cos(math.pi / n)), n
+
+
+def chain_svg(outer, inner, n):
+    chain = trace_chain(outer, inner, find_point_on_conic(outer), n)
+    return render_chain(outer, inner, chain)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -139,7 +204,7 @@ def main(argv=None) -> int:
 
     names = ("verdicts", "residuals", "witnesses", "charts")
     out = {prefix + name: [] for prefix in ("", "float_") for name in names}
-    out.update(sextuples=[], sixth_feet=[], float_sixth_feet=[])
+    out.update(sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], svg=[])
     for i in range(CONFIGS):
         tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
         config_records(tri, feet, out, "")
@@ -151,8 +216,29 @@ def main(argv=None) -> int:
         out["sixth_feet"].append(sixth_foot_record(tri, five, side))
         ffive = tuple(map(float_copy, five))
         out["float_sixth_feet"].append(sixth_foot_record(float_copy(tri), ffive, side))
+    for i in range(DRAWINGS):
+        tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
+        cfg = build_config(tri, feet)
+        report = check_conditions(cfg)
+        witnesses = (report.outer6.witness_conic, report.inner6.witness_conic)
+        out["svg"].append(sha(render_configuration(cfg, witnesses)))
+    pairs = []
+    for i in range(TRIANGLES):
+        low, high = (15.0, 150.0) if i % 2 == 0 else (1.0, 178.0)
+        data = attempt(morley_config, float_triangle(op_rng(args.seed, i), low, high))
+        out["morley"].append(repr(morley_record(data)))
+        if not isinstance(data, str):
+            pairs.append((data.inner_conic, data.cevian_conic, 3))
+            if len(pairs) <= DRAWINGS:
+                out["svg"].append(sha(render_morley(data)))
+    circles = [circle_pair(op_rng(args.seed, i), n) for i, n in enumerate(range(3, 9))]
+    for outer, inner, n in pairs + circles:
+        report = attempt(porism_check, outer, inner, n, SAMPLES)
+        out["chains"].append(repr(report if isinstance(report, str) else (report.steps, report.gaps)))
+    for outer, inner, n in pairs[:1] + circles:
+        out["svg"].append(sha(attempt(chain_svg, outer, inner, n)))
     for family, records in out.items():
-        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        digest = sha("\n".join(records))
         print(f"{family:<18} {len(records):>4}  {digest}")
     return 0
 

@@ -71,6 +71,7 @@ from .scalars import DEFAULT_EPS, Scalar, div, is_zero
 FeetTriple = Tuple[HPoint, HPoint, HPoint]
 
 SIDES = ("BC", "CA", "AB")
+CONDITION_NAMES = ("outer6", "inner6", "tangent6", "concurrent")
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,6 @@ class Triangle:
     @property
     def vertices(self) -> Tuple[HPoint, HPoint, HPoint]:
         return (self.A, self.B, self.C)
-
-    @property
-    def bc(self) -> HLine:
-        return join(self.B, self.C)
-
-    @property
-    def ca(self) -> HLine:
-        return join(self.C, self.A)
-
-    @property
-    def ab(self) -> HLine:
-        return join(self.A, self.B)
 
     def side_line(self, side: str) -> HLine:
         return join(*self.side_endpoints(side))
@@ -150,10 +139,12 @@ class CevianFeet:
 
 @dataclass(frozen=True)
 class CevianConfig:
-    """A triangle, six feet, and all nine derived intersection points."""
+    """A triangle, six feet, the six cevian lines in the order (AA1, BB1,
+    CC1, AA2, BB2, CC2), and all nine derived intersection points."""
 
     triangle: Triangle
     feet: CevianFeet
+    cevians: Tuple[HLine, HLine, HLine, HLine, HLine, HLine]
     X1: HPoint
     Y1: HPoint
     Z1: HPoint
@@ -167,12 +158,6 @@ class CevianConfig:
     @property
     def exact(self) -> bool:
         return self.triangle.exact and all(p.exact for p in self.feet.outer)
-
-    def cevian_lines(self, which: int) -> Tuple[HLine, HLine, HLine]:
-        """The cevians AA_i, BB_i, CC_i of one triple."""
-        tri = self.triangle
-        a_foot, b_foot, c_foot = self.feet.triple(which)
-        return (join(tri.A, a_foot), join(tri.B, b_foot), join(tri.C, c_foot))
 
     @property
     def inner_points(self) -> Tuple[HPoint, ...]:
@@ -205,15 +190,12 @@ def _cevian_meet(l: HLine, m: HLine, label: str, eps: float) -> HPoint:
 def build_config(tri: Triangle, feet: CevianFeet, eps: float = DEFAULT_EPS) -> CevianConfig:
     """Derive the full configuration from a triangle and validated feet."""
     validate_feet(tri, feet, eps)
-    aa1 = join(tri.A, feet.A1)
-    bb1 = join(tri.B, feet.B1)
-    cc1 = join(tri.C, feet.C1)
-    aa2 = join(tri.A, feet.A2)
-    bb2 = join(tri.B, feet.B2)
-    cc2 = join(tri.C, feet.C2)
+    cevians = tuple(join(v, f) for v, f in zip(tri.vertices * 2, feet.triple(1) + feet.triple(2)))
+    aa1, bb1, cc1, aa2, bb2, cc2 = cevians
     return CevianConfig(
         triangle=tri,
         feet=feet,
+        cevians=cevians,
         X1=_cevian_meet(bb1, cc1, "X1", eps),
         Y1=_cevian_meet(aa1, cc1, "Y1", eps),
         Z1=_cevian_meet(aa1, bb1, "Z1", eps),
@@ -239,13 +221,13 @@ class ConditionReport:
     concurrent: ConconicVerdict
 
     @property
+    def named(self) -> Tuple[Tuple[str, ConconicVerdict], ...]:
+        """The (name, verdict) pairs in ``CONDITION_NAMES`` order."""
+        return tuple((name, getattr(self, name)) for name in CONDITION_NAMES)
+
+    @property
     def booleans(self) -> Tuple[bool, bool, bool, bool]:
-        return (
-            self.outer6.holds,
-            self.inner6.holds,
-            self.tangent6.holds,
-            self.concurrent.holds,
-        )
+        return tuple(verdict.holds for _, verdict in self.named)
 
     @property
     def agree(self) -> bool:
@@ -316,11 +298,10 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
     verdicts are reported as computed without the consistency assertion.
     """
     tri = cfg.triangle
-    lines = cfg.cevian_lines(1) + cfg.cevian_lines(2)
     # a line and its dual point share coordinates, so they coincide alike
     sextuples = [
         (points, _dedupe(points, eps))
-        for points in (cfg.feet.outer, cfg.inner_points, [HPoint(*l.coords) for l in lines])
+        for points in (cfg.feet.outer, cfg.inner_points, [HPoint(*l.coords) for l in cfg.cevians])
     ]
     outer6 = _tolerant_conconic(sextuples[0], eps)
     inner6 = _tolerant_conconic(sextuples[1], eps)
@@ -429,14 +410,11 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
     for vertex, vname in zip(tri.vertices, "ABC"):
         if coincident(p, vertex, eps):
             raise PointAtVertex(f"point coincides with vertex {vname}")
-    for side in SIDES:
-        if incident(p, tri.side_line(side), eps):
+    sides = tuple(tri.side_line(side) for side in SIDES)
+    for side, line in zip(SIDES, sides):
+        if incident(p, line, eps):
             raise PointOnSide(f"point lies on side line {side}")
-    return (
-        meet(join(tri.A, p, eps), tri.bc, eps),
-        meet(join(tri.B, p, eps), tri.ca, eps),
-        meet(join(tri.C, p, eps), tri.ab, eps),
-    )
+    return tuple(meet(join(v, p, eps), line, eps) for v, line in zip(tri.vertices, sides))
 
 
 # ----- completing five feet to a conconic sextuple -------------------------
@@ -548,7 +526,7 @@ def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
     b1 = b1_pt[0]
     c2 = c2_pt[1]
 
-    ab, ca = tri.ab, tri.ca
+    ab, ca = tri.side_line("AB"), tri.side_line("CA")
     p_pt = _finite_xy(chart_map.apply(meet(ab, join(feet.A2, feet.B1, eps), eps)), eps)
     q_pt = _finite_xy(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)), eps)
     p = None if p_pt is None else -p_pt[1]

@@ -128,12 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
     if overrides:
-        data = scene_to_dict(scene)
-        data.update(overrides)
-        if overrides.get("mode") == "float":
-            scene = scene_from_dict(_floatify(data))
-        else:
-            scene = scene_from_dict(data)
+        scene = scene_from_dict({**scene_to_dict(scene), **overrides})
 
     cfg, report = _verify(scene)
 
@@ -151,17 +146,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
-def _floatify(data):
-    """Convert every exact string value in a scene dict to a JSON float."""
-    if isinstance(data, dict):
-        return {k: (_floatify(v) if k != "mode" and k != "generator" else v) for k, v in data.items()}
-    if isinstance(data, list):
-        return [_floatify(v) for v in data]
-    if isinstance(data, str):
-        return float(Fraction(data))
-    return data
-
-
 # ----- morley ---------------------------------------------------------------
 
 
@@ -175,12 +159,7 @@ def _cmd_morley(args: argparse.Namespace) -> int:
         "equilateral_relative_spread": spread,
         "verdicts": {
             name: {"holds": rec.holds, "residual": float(rec.residual)}
-            for name, rec in (
-                ("outer6", data.report.outer6),
-                ("inner6", data.report.inner6),
-                ("tangent6", data.report.tangent6),
-                ("concurrent", data.report.concurrent),
-            )
+            for name, rec in data.report.named
         },
         "centers": {
             "first": [float(v) for v in data.centers.first.coords],

@@ -578,6 +578,7 @@ def pascal_collinear(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool
     pts = list(points)
     if len(pts) != 6:
         raise ValueError("a hexagon needs exactly six vertices")
+    _check_distinct(pts, eps)
     sides = [join(pts[i], pts[(i + 1) % 6], eps) for i in range(6)]
     meets = [meet(sides[i], sides[i + 3], eps) for i in range(3)]
     return collinear(meets, eps)
@@ -592,10 +593,7 @@ def brianchon_concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bo
     ls = list(lines)
     if len(ls) != 6:
         raise ValueError("a hexagon needs exactly six sides")
-    for i in range(len(ls)):
-        for j in range(i + 1, len(ls)):
-            if ls[i] == ls[j]:
-                raise DuplicateLine(f"lines {i} and {j} coincide: {ls[i]}")
+    _check_distinct(ls, eps, exc=DuplicateLine)
     vertices = [meet(ls[i], ls[(i + 1) % 6], eps) for i in range(6)]
     diagonals = [join(vertices[i], vertices[i + 3], eps) for i in range(3)]
     return concurrent(diagonals, eps)

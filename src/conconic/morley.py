@@ -7,8 +7,7 @@ the side named at each vertex's first neighbor (the trisector out of A
 hugging AB is AA1, the one hugging AC is AA2, and cyclically), which
 makes the derived points U1, V1, W1 land on the vertices of the inner
 equilateral triangle formed by adjacent-trisector meets.  The labeling
-is self-checked at runtime against that equilateral triangle and flipped
-per vertex if needed.
+is self-checked at runtime against that equilateral triangle.
 
 Trisection works on signed angles, so both triangle orientations are
 handled without special cases.  Everything here is float-mode: angles
@@ -18,12 +17,12 @@ coordinates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
 
 from .cevians import (
+    SIDES,
     CevianFeet,
     ConditionReport,
     CevianConfig,
@@ -153,18 +152,6 @@ class MorleyData:
     cevian_conic: Conic
 
 
-def _feet_for_flips(tri: Triangle, trisectors, flips) -> CevianFeet:
-    """Feet of the six trisectors under per-vertex first/second swaps."""
-    sides = (tri.bc, tri.ca, tri.ab)
-    first = []
-    second = []
-    for (near_first, near_second), side, flip in zip(trisectors, sides, flips):
-        one, two = (near_second, near_first) if flip else (near_first, near_second)
-        first.append(meet(one, side))
-        second.append(meet(two, side))
-    return CevianFeet.from_triples(tuple(first), tuple(second))
-
-
 def _matches_morley(cfg: CevianConfig, target, tol: float) -> bool:
     pairs = zip((cfg.U1, cfg.V1, cfg.W1), target)
     return all(projective_gap(got, want) <= tol for got, want in pairs)
@@ -178,17 +165,12 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
     trisectors must be tangent to the sixth.
     """
     trisectors, target = _trisectors_and_meets(tri)
-
-    cfg = None
-    for flips in itertools.product((False, True), repeat=3):
-        feet = _feet_for_flips(tri, trisectors, flips)
-        candidate = build_config(tri, feet)
-        if _matches_morley(candidate, target, _CHECK_TOL):
-            cfg = candidate
-            break
-    if cfg is None:
+    sides = [tri.side_line(side) for side in SIDES]
+    triples = [tuple(meet(pair[k], side) for pair, side in zip(trisectors, sides)) for k in (0, 1)]
+    cfg = build_config(tri, CevianFeet.from_triples(*triples))
+    if not _matches_morley(cfg, target, _CHECK_TOL):
         raise LabelingSelfCheckFailed(
-            "no per-vertex labeling reproduces the equilateral trisector triangle"
+            "the trisector labeling does not reproduce the equilateral trisector triangle"
         )
 
     report = check_conditions(cfg, eps)
@@ -203,8 +185,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
             verdicts=report,
         )
 
-    lines = cfg.cevian_lines(1) + cfg.cevian_lines(2)
-    duals = tuple(HPoint(*l.coords) for l in lines)
+    duals = tuple(HPoint(*l.coords) for l in cfg.cevians)
     dual_fit = conic_through_points(duals[:5], eps)
     cevian_conic = dual_conic(dual_fit, eps)
     sixth_residual = _normalized_value(dual_fit, duals[5])
@@ -223,7 +204,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
 
     return MorleyData(
         triangle=tri,
-        trisector_cevians=lines,
+        trisector_cevians=cfg.cevians,
         feet=cfg.feet,
         morley_triangle=(cfg.U1, cfg.V1, cfg.W1),
         config=cfg,

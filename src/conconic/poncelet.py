@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .conics import Conic, tangent_lines_from
 from .errors import (
@@ -83,23 +83,15 @@ def second_intersection(conic: Conic, base: HPoint, line_coords, eps: float = DE
     """
     other = _point_on_line_away_from(line_coords, base, eps)
     a = conic.value2(other)
-    b = conic.bilinear2(base.coords, other)
-    exact = all_exact((a, b)) and base.exact
-    if exact:
-        if a == 0:
-            return HPoint(*other)
-        s = div(-2 * b, a)
-    else:
-        fa, fb = float(a), float(b)
-        if fa == 0.0:
-            return HPoint(*other)
-        s = -2.0 * fb / fa
-        if not math.isfinite(s):
-            return HPoint(*other)
+    if a == 0:
+        return HPoint(*other)
+    s = div(-2 * conic.bilinear2(base.coords, other), a)
     if s == 0:
         return base
     combined = tuple(u + s * v for u, v in zip(base.coords, other))
-    if not exact and not all(math.isfinite(c) for c in combined):
+    # an infinite or NaN s makes some coordinate non-finite; math.isfinite
+    # would overflow on a huge Fraction, so only a float s is checked
+    if isinstance(s, float) and not all(map(math.isfinite, combined)):
         return HPoint(*other)
     return HPoint(*combined)
 
@@ -123,11 +115,6 @@ def sample_on_conic(conic: Conic, base: HPoint, t: Scalar, eps: float = DEFAULT_
 def conic_center(conic: Conic) -> HPoint:
     """The pole of the line at infinity (finite for central conics)."""
     return HPoint(*matvec3(conic.adjugate, (0, 0, 1)))
-
-
-def _affine(p: HPoint) -> Tuple[float, float, float]:
-    x, y, z = (float(v) for v in p.coords)
-    return (x / z, y / z, 1.0)
 
 
 def poncelet_step(
@@ -163,7 +150,7 @@ def poncelet_step(
             touch = HPoint(*matvec3(c2.adjugate, cand.coords))
             if touch.at_infinity:
                 continue
-            orientation = det3((_affine(current), _affine(touch), _affine(center)))
+            orientation = det3([(*map(float, p.to_xy()), 1.0) for p in (current, touch, center)])
             if orientation > 0:
                 picked = cand
                 break
@@ -247,7 +234,7 @@ def find_point_on_conic(conic: Conic, eps: float = DEFAULT_EPS) -> HPoint:
     center = conic_center(conic)
     if center.at_infinity:
         raise DegenerateConic("conic has no finite center to search from")
-    cx, cy, _ = _affine(center)
+    cx, cy = map(float, center.to_xy())
     c = float(conic.value2((cx, cy, 1.0)))
     for k in range(16):
         theta = math.pi * k / 16.0
@@ -258,6 +245,16 @@ def find_point_on_conic(conic: Conic, eps: float = DEFAULT_EPS) -> HPoint:
         s = math.sqrt(-c / a)
         return HPoint(cx + s * direction[0], cy + s * direction[1], 1.0)
     raise NoRealSolution("conic appears to have no real points")
+
+
+def spread_on_conic(conic: Conic, n: int, eps: float = DEFAULT_EPS) -> Iterator[HPoint]:
+    """``n`` points spread over a conic, yielded one at a time: the pencil
+    parameters tan(theta_k / 2) with theta_k = -pi + 2 pi (k + 1/2) / n at
+    one base point found by ``find_point_on_conic``."""
+    base = find_point_on_conic(conic, eps)
+    for k in range(n):
+        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / n
+        yield sample_on_conic(conic, base, math.tan(theta / 2.0), eps)
 
 
 def porism_check(
@@ -278,12 +275,9 @@ def porism_check(
         raise ValueError("closure below three steps is not a chain")
     if num_samples < 1:
         raise ValueError("at least one sample is required")
-    base = find_point_on_conic(c1, eps)
     steps = []
     gaps = []
-    for k in range(num_samples):
-        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / num_samples
-        start = sample_on_conic(c1, base, math.tan(theta / 2.0), eps)
+    for start in spread_on_conic(c1, num_samples, eps):
         result = trace_chain(c1, c2, start, expected_n, closure_tol, eps)
         steps.append(result.closure_step)
         gaps.append(result.gap)

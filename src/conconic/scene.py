@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .cevians import (
+    CONDITION_NAMES,
     SIDES,
     CevianFeet,
     ConditionReport,
@@ -40,7 +41,6 @@ from .scalars import DEFAULT_EPS, Scalar, format_scalar
 
 MODES = ("rational", "float")
 GENERATORS = ("isogonal", "isotomic", "through_points")
-CONDITION_NAMES = ("outer6", "inner6", "tangent6", "concurrent")
 
 
 class SceneError(ValueError):
@@ -269,11 +269,6 @@ class VerifyReport:
         return dict(self.witnesses)[name]
 
 
-def _verdict_record(verdict) -> VerdictRecord:
-    degenerate = bool(getattr(verdict, "degenerate", False))
-    return VerdictRecord(holds=verdict.holds, residual=verdict.residual, degenerate=degenerate)
-
-
 def _chart_record(cfg: CevianConfig, eps: float) -> ChartRecord:
     try:
         chart = to_chart(cfg, eps)
@@ -293,19 +288,17 @@ def _chart_record(cfg: CevianConfig, eps: float) -> ChartRecord:
 def report_from_conditions(
     scene: Scene, cfg: CevianConfig, conditions: ConditionReport
 ) -> VerifyReport:
-    ordered = (
-        ("outer6", conditions.outer6),
-        ("inner6", conditions.inner6),
-        ("tangent6", conditions.tangent6),
-        ("concurrent", conditions.concurrent),
-    )
+    named = conditions.named
     witnesses = tuple(
-        (name, verdict.witness_conic.coeffs if getattr(verdict, "witness_conic", None) else None)
-        for name, verdict in ordered[:3]
+        (name, None if v.witness_conic is None else v.witness_conic.coeffs)
+        for name, v in named[:3]
     )
     return VerifyReport(
         mode=scene.mode,
-        verdicts=tuple((name, _verdict_record(v)) for name, v in ordered),
+        verdicts=tuple(
+            (name, VerdictRecord(holds=v.holds, residual=v.residual, degenerate=v.degenerate))
+            for name, v in named
+        ),
         witnesses=witnesses,
         chart=_chart_record(cfg, scene.epsilon),
         agree=conditions.agree,

@@ -17,7 +17,7 @@ from .cevians import CevianConfig
 from .conics import Conic, intersect_line
 from .errors import GeometryError
 from .linalg import row_norm
-from .poncelet import ChainResult, find_point_on_conic, sample_on_conic
+from .poncelet import ChainResult, spread_on_conic
 from .projective import HLine, HPoint, join
 
 CONIC_SAMPLES = 256
@@ -135,15 +135,8 @@ def _clip_line(frame: Frame, line: HLine) -> Optional[Tuple[Tuple[float, float],
 
 def conic_polyline_points(conic: Conic, eps: float = 1e-9) -> List[Tuple[float, float]]:
     """Sample points along a nondegenerate conic for drawing."""
-    base = find_point_on_conic(conic, eps)
-    pts: List[Tuple[float, float]] = []
-    for k in range(CONIC_SAMPLES):
-        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / CONIC_SAMPLES
-        sample = sample_on_conic(conic, base, math.tan(theta / 2.0), eps)
-        xy = _affine(sample)
-        if xy is not None:
-            pts.append(xy)
-    return pts
+    samples = map(_affine, spread_on_conic(conic, CONIC_SAMPLES, eps))
+    return [xy for xy in samples if xy is not None]
 
 
 def _draw_conic(frame: Frame, conic: Conic, color: str, eps: float) -> List[str]:
@@ -187,12 +180,10 @@ def _component_lines(conic: Conic, eps: float) -> List[HLine]:
     return [join(singular, p, eps) for p in pts]
 
 
-def render_configuration(
-    cfg: CevianConfig,
-    witnesses: Sequence[Optional[Conic]] = (),
-    eps: float = 1e-9,
-) -> str:
-    """SVG of a cevian configuration with optional witness conics."""
+def _configuration_body(
+    cfg: CevianConfig, witnesses: Sequence[Optional[Conic]], eps: float
+) -> Tuple[Frame, List[str]]:
+    """The frame and the drawing elements of a configuration."""
     tri = cfg.triangle
     corners = [xy for xy in (_affine(v) for v in tri.vertices) if xy is not None]
     frame = Frame([x for x, _ in corners], [y for _, y in corners])
@@ -221,7 +212,16 @@ def render_configuration(
         xy = _affine(v)
         if xy is not None:
             body.append(_dot(frame, xy, _TRIANGLE_COLOR))
-    return _document(frame, body)
+    return frame, body
+
+
+def render_configuration(
+    cfg: CevianConfig,
+    witnesses: Sequence[Optional[Conic]] = (),
+    eps: float = 1e-9,
+) -> str:
+    """SVG of a cevian configuration with optional witness conics."""
+    return _document(*_configuration_body(cfg, witnesses, eps))
 
 
 def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = 1e-9) -> str:
@@ -247,13 +247,9 @@ def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = 1e-9) ->
 
 
 def render_morley(data, eps: float = 1e-9) -> str:
-    """SVG of the trisector configuration with its two conics."""
-    body_svg = render_configuration(
-        data.config, witnesses=(data.inner_conic, data.cevian_conic), eps=eps
-    )
-    # append the equilateral triangle on top, inside the closing tag
+    """SVG of the trisector configuration with its two conics, and the
+    equilateral triangle drawn on top."""
+    frame, body = _configuration_body(data.config, (data.inner_conic, data.cevian_conic), eps)
     tri_pts = [xy for xy in (_affine(p) for p in data.morley_triangle) if xy is not None]
-    corners = [xy for xy in (_affine(v) for v in data.triangle.vertices) if xy is not None]
-    frame = Frame([x for x, _ in corners], [y for _, y in corners])
-    extra = _polyline(frame, tri_pts, _INNER_COLOR, width_scale=1.2, closed=True)
-    return body_svg.replace("</svg>", extra + "\n</svg>")
+    body.append(_polyline(frame, tri_pts, _INNER_COLOR, width_scale=1.2, closed=True))
+    return _document(frame, body)

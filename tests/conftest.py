@@ -14,9 +14,13 @@ def rnd():
 
 # hypothesis strategies shared across test modules
 
-small_fractions = st.fractions(
-    min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
-)
+# fractions in [-8, 8] with denominator at most 6, simplest first; one
+# sampled strategy, because ``st.fractions`` builds a new strategy on every
+# draw, which made drawing most of the running time of the tests using it
+small_fractions = st.sampled_from(sorted(
+    {Fraction(n, d) for d in range(1, 7) for n in range(-8 * d, 8 * d + 1)},
+    key=lambda f: (f.denominator, abs(f), f),
+))
 
 nonzero_fractions = small_fractions.filter(lambda f: f != 0)
 

@@ -155,6 +155,14 @@ def test_morley_json_is_pinned(capsys):
     assert digest == "79e0835bd20ca121be289f48a088c108f05ba98ac6647610e1fd88bcd436b33f"
 
 
+def test_morley_svg_is_pinned(tmp_path):
+    svg = tmp_path / "morley.svg"
+    assert main(["morley", "--triangle", "0,0 4,0 0,3", "--svg", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "bcd8bdda6e6faa4448429802de8079aa41cfce387f0d548c13c47cb92acf0588"
+    )
+
+
 def test_poncelet_porism_json_and_svg_are_pinned(capsys, tmp_path):
     # concentric circles R = 2, r = 2 cos(pi/5): every chain closes at n = 5
     inner = f"1,0,1,0,0,{-(2.0 * math.cos(math.pi / 5)) ** 2!r}"

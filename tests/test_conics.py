@@ -28,6 +28,7 @@ from conconic import (
 )
 from conconic.errors import (
     DegenerateConic,
+    DuplicateLine,
     DuplicatePoints,
     IrrationalResult,
     LineOnConic,
@@ -41,6 +42,7 @@ from conconic.generate import (
     random_projective_map,
     random_sextuple,
 )
+from conftest import small_fractions
 
 
 UNIT_CIRCLE = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
@@ -216,15 +218,8 @@ def test_conic_through_points_collinear_cases():
         conic_through_points([HPoint(i, 0, 1) for i in range(4)] + [HPoint(0, 1, 1)])
 
 
-# The values of ``small_fractions`` as one sampled strategy, simplest first.
-# ``st.fractions`` builds a fresh strategy on every draw, which made drawing
-# the points most of this test's running time.
-_FIVE_POINT_FRACTIONS = st.sampled_from(sorted(
-    {Fraction(n, d) for d in range(1, 7) for n in range(-8 * d, 8 * d + 1)},
-    key=lambda f: (f.denominator, abs(f), f),
-))
-_FIVE_POINT_COORDS = st.tuples(*[_FIVE_POINT_FRACTIONS] * 3).filter(any)
-_FIVE_POINT_WEIGHTS = st.tuples(_FIVE_POINT_FRACTIONS, _FIVE_POINT_FRACTIONS).filter(any)
+_FIVE_POINT_COORDS = st.tuples(*[small_fractions] * 3).filter(any)
+_FIVE_POINT_WEIGHTS = st.tuples(small_fractions, small_fractions).filter(any)
 
 
 @st.composite
@@ -328,6 +323,27 @@ def test_brianchon_matches_determinant_route(rnd):
     for k in range(100):
         lines = cotangent_sextuple(rnd) if k % 2 == 0 else random_line_sextuple(rnd)
         assert brianchon_concurrent(lines) == cotangent(lines).holds
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hexagon_oracles_reject_repeated_inputs(seed):
+    # input 3 repeats input 0, exactly or as a float copy off by 1e-13
+    # (relative) in one coordinate; the determinant routes reject both
+    rnd = random.Random(seed)
+    cases = (
+        (random_sextuple(rnd), pascal_collinear, conconic, DuplicatePoints),
+        (random_line_sextuple(rnd), brianchon_concurrent, cotangent, DuplicateLine),
+    )
+    for items, oracle, determinant_route, exc in cases:
+        kind = type(items[0])
+        floats = [kind(*map(float, item.coords)) for item in items]
+        x, y, z = floats[0].coords
+        near = kind(x * (1 + 1e-13), y, z)
+        for repeated in (items[:3] + items[:1] + items[4:], floats[:3] + [near] + floats[4:]):
+            with pytest.raises(exc):
+                determinant_route(repeated)
+            with pytest.raises(exc):
+                oracle(repeated)
 
 
 def test_float_residual_is_scale_free():

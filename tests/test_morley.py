@@ -13,6 +13,8 @@ from conconic import (
     projective_gap,
     second_morley_center,
 )
+import conconic.morley as morley
+from conconic.errors import LabelingSelfCheckFailed
 from conconic.morley import equilateral_side_spread, first_morley_center
 
 RIGHT_345 = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(0.0, 3.0, 1.0))
@@ -97,6 +99,12 @@ def test_morley_config_conditions_and_conics():
     target = morley_triangle(RIGHT_345)
     for got, want in zip(data.morley_triangle, target):
         assert projective_gap(got, want) < 1e-9
+
+
+def test_labeling_self_check_failure_raises(monkeypatch):
+    monkeypatch.setattr(morley, "_matches_morley", lambda *args: False)
+    with pytest.raises(LabelingSelfCheckFailed):
+        morley_config(RIGHT_345)
 
 
 def test_morley_centers():
