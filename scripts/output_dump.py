@@ -117,7 +117,7 @@ def config_records(tri, feet, out, prefix):
             out[prefix + family].append(type(err).__name__)
         return
     verdicts = (report.outer6, report.inner6, report.tangent6, report.concurrent)
-    out[prefix + "verdicts"].append(repr([(v.holds, getattr(v, "degenerate", False)) for v in verdicts]))
+    out[prefix + "verdicts"].append(repr([(v.holds, v.degenerate) for v in verdicts]))
     out[prefix + "residuals"].append(repr([v.residual for v in verdicts]))
     out[prefix + "witnesses"].append(repr([coeffs(v.witness_conic) for v in verdicts[:3]]))
     try:
@@ -168,10 +168,10 @@ def floats(p):
 def morley_record(data):
     if isinstance(data, str):
         return data
-    report = data.report
+    report, cfg = data.report, data.config
     verdicts = (report.outer6, report.inner6, report.tangent6, report.concurrent)
     return (
-        [floats(p) for p in data.morley_triangle],
+        [floats(p) for p in (cfg.U1, cfg.V1, cfg.W1)],
         [(v.holds, v.residual) for v in verdicts],
         data.inner_conic.coeffs,
         data.cevian_conic.coeffs,

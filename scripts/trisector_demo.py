@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     for name, vertex in zip("ABC", (tri.A, tri.B, tri.C)):
         print(f"  {name} = {describe_point(vertex)}")
 
-    u1, v1, w1 = data.morley_triangle
+    u1, v1, w1 = data.config.U1, data.config.V1, data.config.W1
     mean, spread = equilateral_side_spread(tri)
     print("\ninner trisector triangle:")
     for name, vertex in zip(("U1", "V1", "W1"), (u1, v1, w1)):

@@ -26,7 +26,6 @@ from .cevians import (
 )
 from .conics import (
     Conic,
-    ConconicVerdict,
     brianchon_concurrent,
     classify,
     conconic,
@@ -60,9 +59,9 @@ from .poncelet import (
 from .projective import (
     HLine,
     HPoint,
-    IncidenceVerdict,
     LINE_AT_INFINITY,
     ProjectiveMap,
+    Verdict,
     collinearity,
     concurrency,
     incident,
@@ -93,14 +92,12 @@ __all__ = [
     "CevianFeet",
     "ChainResult",
     "Conic",
-    "ConconicVerdict",
     "ConditionReport",
     "DEFAULT_CLOSURE_TOL",
     "DEFAULT_EPS",
     "GeometryError",
     "HLine",
     "HPoint",
-    "IncidenceVerdict",
     "LINE_AT_INFINITY",
     "MorleyCenters",
     "MorleyData",
@@ -111,6 +108,7 @@ __all__ = [
     "SceneError",
     "CevianConfig",
     "Triangle",
+    "Verdict",
     "VerifyReport",
     "brianchon_concurrent",
     "build_config",

@@ -28,11 +28,11 @@ p = q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .conics import (
     Conic,
-    ConconicVerdict,
     _fit_five,
     _six_point_verdict,
     dual_verdict,
@@ -58,6 +58,7 @@ from .linalg import cross, row_norm
 from .projective import (
     HLine,
     HPoint,
+    Verdict,
     coincident,
     collinear,
     concurrency,
@@ -94,8 +95,13 @@ class Triangle:
     def vertices(self) -> Tuple[HPoint, HPoint, HPoint]:
         return (self.A, self.B, self.C)
 
+    @cached_property
+    def sides(self) -> Tuple[HLine, HLine, HLine]:
+        """The side lines in ``SIDES`` order, joined once per triangle."""
+        return tuple(join(*self.side_endpoints(side)) for side in SIDES)
+
     def side_line(self, side: str) -> HLine:
-        return join(*self.side_endpoints(side))
+        return self.sides[SIDES.index(side)]
 
     def side_endpoints(self, side: str) -> Tuple[HPoint, HPoint]:
         return {
@@ -215,13 +221,13 @@ def build_config(tri: Triangle, feet: CevianFeet, eps: float = DEFAULT_EPS) -> C
 class ConditionReport:
     """The four condition verdicts for one configuration."""
 
-    outer6: ConconicVerdict
-    inner6: ConconicVerdict
-    tangent6: ConconicVerdict
-    concurrent: ConconicVerdict
+    outer6: Verdict
+    inner6: Verdict
+    tangent6: Verdict
+    concurrent: Verdict
 
     @property
-    def named(self) -> Tuple[Tuple[str, ConconicVerdict], ...]:
+    def named(self) -> Tuple[Tuple[str, Verdict], ...]:
         """The (name, verdict) pairs in ``CONDITION_NAMES`` order."""
         return tuple((name, getattr(self, name)) for name in CONDITION_NAMES)
 
@@ -261,7 +267,7 @@ def _small_witness(distinct: Sequence[HPoint], eps: float) -> Optional[Conic]:
     )
 
 
-def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> ConconicVerdict:
+def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> Verdict:
     """Six-point verdict that allows coincident points.
 
     ``sextuple`` is the pair ``(points, _dedupe(points, eps))``.  Repeated
@@ -281,7 +287,7 @@ def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> C
     else:
         witness = _small_witness(distinct, eps)
     degenerate = witness is None or witness.is_degenerate(eps)
-    return ConconicVerdict(residual=residual, holds=True, witness_conic=witness, degenerate=degenerate)
+    return Verdict(residual=residual, holds=True, witness_conic=witness, degenerate=degenerate)
 
 
 def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionReport:
@@ -306,13 +312,11 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
     outer6 = _tolerant_conconic(sextuples[0], eps)
     inner6 = _tolerant_conconic(sextuples[1], eps)
     tangent6 = dual_verdict(_tolerant_conconic(sextuples[2], eps))
-    cv = concurrency(join(tri.A, cfg.U1), join(tri.B, cfg.V1), join(tri.C, cfg.W1), eps)
-    concurrent_verdict = ConconicVerdict(residual=cv.residual, holds=cv.holds)
     report = ConditionReport(
         outer6=outer6,
         inner6=inner6,
         tangent6=tangent6,
-        concurrent=concurrent_verdict,
+        concurrent=concurrency(join(tri.A, cfg.U1), join(tri.B, cfg.V1), join(tri.C, cfg.W1), eps),
     )
     duplicate_free = all(len(distinct) == 6 for _, distinct in sextuples)
     if cfg.exact and duplicate_free and not report.agree:
@@ -410,11 +414,10 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
     for vertex, vname in zip(tri.vertices, "ABC"):
         if coincident(p, vertex, eps):
             raise PointAtVertex(f"point coincides with vertex {vname}")
-    sides = tuple(tri.side_line(side) for side in SIDES)
-    for side, line in zip(SIDES, sides):
+    for side, line in zip(SIDES, tri.sides):
         if incident(p, line, eps):
             raise PointOnSide(f"point lies on side line {side}")
-    return tuple(meet(join(v, p, eps), line, eps) for v, line in zip(tri.vertices, sides))
+    return tuple(meet(join(v, p, eps), line, eps) for v, line in zip(tri.vertices, tri.sides))
 
 
 # ----- completing five feet to a conconic sextuple -------------------------
@@ -434,10 +437,10 @@ def solve_sixth_foot(
     at infinity and the side's endpoints are not valid feet and are left
     out.  ``SideOnConic`` means every foot works: the five feet repeat a
     foot or admit a pencil of conics, or the conic through them contains
-    the side (it passes through three points of it, or ``intersect_line``
-    raises ``LineOnConic``).  ``NoRealSolution`` means the conic meets the
-    side line in no real finite point; exact feet that would be irrational
-    raise ``IrrationalResult``.
+    the side (``intersect_line`` raises ``LineOnConic``, in float mode when
+    the conic vanishes on the side up to ``eps``).  ``NoRealSolution``
+    means the conic meets the side line in no real finite point; exact feet
+    that would be irrational raise ``IrrationalResult``.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -445,12 +448,10 @@ def solve_sixth_foot(
         raise ValueError("exactly five fixed feet are required")
     ends = tri.side_endpoints(side)
     p, q = (_affine_triple(v, "side endpoint") for v in ends)
-    # a conic through three points of a line contains the whole line
-    on_side = ends + (HPoint(*(a + b for a, b in zip(p, q))),)
     try:  # a float fit raises DuplicatePoints on repeats; an exact one gives a pencil
         conic = _fit_five(five_feet, eps)  # None for a pencil
-        if conic is None or all(conic.contains(x, eps) for x in on_side):
-            raise LineOnConic(f"conic contains side {side}")
+        if conic is None:
+            raise LineOnConic("five feet admit a pencil of conics")
         roots = intersect_line(conic, tri.side_line(side), eps)
     except (DuplicatePoints, LineOnConic):
         raise SideOnConic(
@@ -526,7 +527,7 @@ def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
     b1 = b1_pt[0]
     c2 = c2_pt[1]
 
-    ab, ca = tri.side_line("AB"), tri.side_line("CA")
+    _, ca, ab = tri.sides
     p_pt = _finite_xy(chart_map.apply(meet(ab, join(feet.A2, feet.B1, eps), eps)), eps)
     q_pt = _finite_xy(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)), eps)
     p = None if p_pt is None else -p_pt[1]

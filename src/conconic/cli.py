@@ -26,7 +26,7 @@ from .scene import (
     _verify,
     load_scene,
     parse_tolerance,
-    report_to_dict,
+    report_to_json,
     scene_from_dict,
     scene_to_dict,
 )
@@ -100,21 +100,21 @@ def _write_svg(path: Optional[str], content: str) -> None:
 
 
 def _print_verify_text(report) -> None:
-    for name, rec in report.verdicts:
-        flag = "holds" if rec.holds else "fails"
-        extra = "  (degenerate witness)" if rec.degenerate else ""
-        print(f"{name:<11} {flag}  residual {_fmt_value(rec.residual)}{extra}")
-    ch = report.chart
-    if ch.degenerate and ch.b1 is None:
+    conditions, ch = report.conditions, report.chart
+    for name, v in conditions.named:
+        flag = "holds" if v.holds else "fails"
+        extra = "  (degenerate witness)" if v.degenerate else ""
+        print(f"{name:<11} {flag}  residual {_fmt_value(v.residual)}{extra}")
+    if ch is None:
         print("chart       degenerate (frame could not be built)")
     else:
-        crit = "p = q" if ch.criterion else "p != q" if ch.criterion is not None else "undefined"
+        crit = "undefined" if ch.degenerate else "p = q" if ch.criterion else "p != q"
         print(
             f"chart       b1={_fmt_value(ch.b1)} c2={_fmt_value(ch.c2)} "
             f"p={_fmt_value(ch.p)} q={_fmt_value(ch.q)}  criterion: {crit}"
         )
-    if report.agree:
-        state = "all four conditions hold" if report.all_hold else "all four conditions fail"
+    if conditions.agree:
+        state = "all four conditions hold" if conditions.all_hold else "all four conditions fail"
         print(f"agreement   {state}")
     else:
         print("agreement   conditions disagree (degenerate or perturbed input)")
@@ -133,17 +133,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg, report = _verify(scene)
 
     if args.json:
-        print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        print(report_to_json(report))
     else:
         _print_verify_text(report)
 
+    conditions = report.conditions
     if args.svg:
-        witnesses = tuple(
-            Conic.from_coeffs(c) if c is not None else None
-            for _, c in report.witnesses[:2]
-        )
+        witnesses = (conditions.outer6.witness_conic, conditions.inner6.witness_conic)
         _write_svg(args.svg, render_configuration(cfg, witnesses, scene.epsilon))
-    return EXIT_OK if report.agree else EXIT_DISAGREE
+    return EXIT_OK if conditions.agree else EXIT_DISAGREE
 
 
 # ----- morley ---------------------------------------------------------------
@@ -152,10 +150,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_morley(args: argparse.Namespace) -> int:
     tri = _parse_triangle(args.triangle)
     data = morley_config(tri, args.epsilon)
+    cfg = data.config
     _, spread = equilateral_side_spread(tri)
     payload = {
         "triangle": [[float(v) for v in p.coords] for p in tri.vertices],
-        "morley_triangle": [[float(v) for v in p.coords] for p in data.morley_triangle],
+        "morley_triangle": [[float(v) for v in p.coords] for p in (cfg.U1, cfg.V1, cfg.W1)],
         "equilateral_relative_spread": spread,
         "verdicts": {
             name: {"holds": rec.holds, "residual": float(rec.residual)}

@@ -30,7 +30,7 @@ which ``conconic_by_fit`` and float witnesses use, solves the nullspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -59,6 +59,7 @@ from .projective import (
     HLine,
     HPoint,
     ProjectiveMap,
+    Verdict,
     coincident,
     collinear,
     concurrent,
@@ -318,13 +319,14 @@ def _points_on_line(l: HLine) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
     raise ValueError("line coordinates are degenerate")  # unreachable for valid lines
 
 
-def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float):
+def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Callable[[], float]):
     """Projective roots (lam : mu) of a lam^2 + 2 b lam mu + c mu^2 = 0.
 
     Returns a list of one pair for a double root, two pairs for distinct
     roots, empty for no real roots.  Raises ``LineOnConic`` when the form
-    vanishes identically and ``IrrationalResult`` when exact roots exist
-    but are not rational.
+    vanishes identically (in float mode: when its coefficients are below
+    ``eps`` relative to ``scale()``) and ``IrrationalResult`` when exact
+    roots exist but are not rational.
     """
     if all_exact((a, b, c)):
         if a == 0 and b == 0 and c == 0:
@@ -347,10 +349,10 @@ def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float):
         return [(-b + root, Fraction(a)), (-b - root, Fraction(a))]
     fa, fb, fc = float(a), float(b), float(c)
     magnitude = max(abs(fa), abs(fb), abs(fc))
-    if magnitude == 0.0:
+    if near_zero(magnitude, scale(), eps):
         raise LineOnConic("every point of the line lies on the conic")
     if abs(fa) < abs(fc):
-        return [(mu, lam) for lam, mu in _quadratic_root_pairs(fc, fb, fa, eps)]
+        return [(mu, lam) for lam, mu in _quadratic_root_pairs(fc, fb, fa, eps, scale)]
     if near_zero(fa, magnitude, eps):
         # conic essentially passes through the first basis point
         if near_zero(fb, magnitude, eps):
@@ -379,7 +381,7 @@ def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HP
     a = conic.value2(p0)
     b = conic.bilinear2(p0, p1)
     c = conic.value2(p1)
-    pairs = _quadratic_root_pairs(a, b, c, eps)
+    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * row_norm(p0) * row_norm(p1))
     points = []
     for lam, mu in pairs:
         coords = tuple(lam * u + mu * v for u, v in zip(p0, p1))
@@ -411,23 +413,6 @@ def classify(conic: Conic, eps: float = DEFAULT_EPS) -> str:
 
 
 # ----- six points on a conic --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConconicVerdict:
-    """Outcome of a six-element "on one conic" test.
-
-    ``residual`` is the exact 6x6 determinant in exact mode and the
-    determinant normalized by the product of the Veronese row norms in
-    float mode.  ``witness_conic``, when present, passes through (or is
-    tangent to) all six inputs; ``degenerate`` marks a witness of rank
-    below three, including the case where no single witness is determined.
-    """
-
-    residual: Scalar
-    holds: bool
-    witness_conic: Optional[Conic] = None
-    degenerate: bool = False
 
 
 def _check_distinct(items: Sequence, eps: float, exc=DuplicatePoints) -> None:
@@ -468,7 +453,7 @@ def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
     return Conic.from_coeffs([-m if k % 2 else m for k, m in enumerate(minors)])
 
 
-def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> ConconicVerdict:
+def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> Verdict:
     """Determinant verdict on six distinct points.  When it holds, the witness
     is fitted by ``_fit_five`` through the first five points, or else through
     the first five-subset (leaving out point 0, 1, ...) that determines one;
@@ -481,10 +466,10 @@ def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> ConconicVerdict:
             if witness is not None:
                 break
     degenerate = holds and (witness is None or witness.is_degenerate(eps))
-    return ConconicVerdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
+    return Verdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
 
 
-def dual_verdict(verdict: ConconicVerdict) -> ConconicVerdict:
+def dual_verdict(verdict: Verdict) -> Verdict:
     """Read a verdict on the dual points of six lines as one on the lines: the
     witness is the adjugate of the dual fit, or None when that is degenerate."""
     fit = verdict.witness_conic
@@ -492,7 +477,7 @@ def dual_verdict(verdict: ConconicVerdict) -> ConconicVerdict:
     return replace(verdict, witness_conic=witness)
 
 
-def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> ConconicVerdict:
+def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Verdict:
     """Whether six pairwise-distinct points all lie on one conic.
 
     The determinant of the stacked Veronese images vanishes exactly when
@@ -506,7 +491,7 @@ def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> ConconicVerd
     return _six_point_verdict(pts, eps)
 
 
-def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> ConconicVerdict:
+def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
     """Whether six pairwise-distinct lines all touch one conic.
 
     Works on the coefficient triples as points of the dual plane; when the

@@ -33,6 +33,11 @@ from .linalg import det3
 from .projective import HLine, HPoint, ProjectiveMap
 from .scalars import Scalar
 
+TRIANGLE_SPAN = 6      # random_triangle: coordinates k / d with |k| <= 2 span, d <= 4
+MAP_SPAN = 9           # random_projective_map entries, and _distinct_fractions' range
+SEXTUPLE_SPAN = 8      # random_sextuple points, random_line_sextuple coefficients
+INTERIOR_MAX_DEN = 10  # random_interior_point: integer barycentric weights up to this
+
 # ----- scalar and point helpers -------------------------------------------
 
 
@@ -43,8 +48,9 @@ def random_fraction(rnd: random.Random, max_den: int = 12) -> Fraction:
     return Fraction(num, den)
 
 
-def random_triangle(rnd: random.Random, span: int = 6) -> Triangle:
+def random_triangle(rnd: random.Random) -> Triangle:
     """A nondegenerate triangle with small rational vertices."""
+    span = TRIANGLE_SPAN
     while True:
         coords = [Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4)) for _ in range(6)]
         pts = tuple(HPoint(coords[2 * i], coords[2 * i + 1], 1) for i in range(3))
@@ -98,9 +104,7 @@ def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
 # ----- conconic cevian configurations --------------------------------------
 
 
-def solve_concurrent_params(
-    rnd: random.Random, max_den: int = 12
-) -> Optional[List[Fraction]]:
+def solve_concurrent_params(rnd: random.Random) -> Optional[List[Fraction]]:
     """Six foot parameters whose cevian configuration is concurrent.
 
     Five parameters are drawn at random and the last (the second C-foot)
@@ -109,7 +113,7 @@ def solve_concurrent_params(
     inside (0, 1), so the solution does too; returns None only when it
     repeats the first C-foot.
     """
-    five = [random_fraction(rnd, max_den) for _ in range(5)]  # a1, b1, c1, a2, b2
+    five = [random_fraction(rnd) for _ in range(5)]  # a1, b1, c1, a2, b2
     p = math.prod(1 - t for t in five)
     q = math.prod(five)
     t_c2 = p / (p + q)
@@ -118,16 +122,14 @@ def solve_concurrent_params(
     return five + [t_c2]
 
 
-def concurrency_solved_instance(
-    rnd: random.Random, max_den: int = 12
-) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
+def concurrency_solved_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
     """An exact configuration satisfying all four equivalent conditions.
 
     Every candidate is built and checked before it is returned.
     """
     while True:
         tri = random_triangle(rnd)
-        params = solve_concurrent_params(rnd, max_den)
+        params = solve_concurrent_params(rnd)
         if params is None:
             continue
         feet = feet_from_params(tri, params)
@@ -140,16 +142,12 @@ def concurrency_solved_instance(
             return tri, feet, params
 
 
-def conjugate_instance(
-    rnd: random.Random, kind: str, max_den: int = 12
-) -> Tuple[Triangle, CevianFeet]:
+def conjugate_instance(rnd: random.Random, kind: str) -> Tuple[Triangle, CevianFeet]:
     """A configuration whose second triple is the named conjugate of the first."""
     conjugate = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}[kind]
     while True:
         tri = random_triangle(rnd)
-        first = tuple(
-            foot_point(tri, side, random_fraction(rnd, max_den)) for side in SIDES
-        )
+        first = tuple(foot_point(tri, side, random_fraction(rnd)) for side in SIDES)
         try:
             second = conjugate(tri, first)
             feet = CevianFeet.from_triples(first, second)
@@ -159,21 +157,19 @@ def conjugate_instance(
         return tri, feet
 
 
-def random_interior_point(rnd: random.Random, tri: Triangle, max_den: int = 10) -> HPoint:
+def random_interior_point(rnd: random.Random, tri: Triangle) -> HPoint:
     """A rational point strictly inside the triangle (positive barycentrics)."""
-    w = [Fraction(rnd.randint(1, max_den), 1) for _ in range(3)]
+    w = [Fraction(rnd.randint(1, INTERIOR_MAX_DEN), 1) for _ in range(3)]
     xys = [v.to_xy() for v in tri.vertices]
     return HPoint(*(sum(wi * xy[k] for wi, xy in zip(w, xys)) / sum(w) for k in range(2)), 1)
 
 
-def through_point_instance(
-    rnd: random.Random, max_den: int = 10
-) -> Tuple[Triangle, CevianFeet, HPoint, HPoint]:
+def through_point_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, HPoint, HPoint]:
     """A configuration whose two cevian triples pass through two points."""
     while True:
         tri = random_triangle(rnd)
-        p1 = random_interior_point(rnd, tri, max_den)
-        p2 = random_interior_point(rnd, tri, max_den)
+        p1 = random_interior_point(rnd, tri)
+        p2 = random_interior_point(rnd, tri)
         if p1 == p2:
             continue
         try:
@@ -186,16 +182,14 @@ def through_point_instance(
         return tri, feet, p1, p2
 
 
-def perturbed_failing_instance(
-    rnd: random.Random, max_den: int = 12
-) -> Tuple[Triangle, CevianFeet]:
+def perturbed_failing_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet]:
     """A conconic instance knocked off by nudging one foot parameter.
 
     The perturbed configuration is re-checked: all four conditions must
     fail (generic perturbations do; degenerate ones are redrawn).
     """
     while True:
-        tri, _, params = concurrency_solved_instance(rnd, max_den)
+        tri, _, params = concurrency_solved_instance(rnd)
         idx = rnd.randrange(6)
         delta = Fraction(rnd.choice([-1, 1]), rnd.randint(7, 40))
         nudged = list(params)
@@ -215,12 +209,10 @@ def perturbed_failing_instance(
 # ----- sextuples on (and off) conics ---------------------------------------
 
 
-def random_projective_map(rnd: random.Random, span: int = 9) -> ProjectiveMap:
+def random_projective_map(rnd: random.Random) -> ProjectiveMap:
     """A random invertible integer projective map."""
     while True:
-        rows = tuple(
-            tuple(rnd.randint(-span, span) for _ in range(3)) for _ in range(3)
-        )
+        rows = tuple(tuple(rnd.randint(-MAP_SPAN, MAP_SPAN) for _ in range(3)) for _ in range(3))
         try:
             return ProjectiveMap(rows)
         except GeometryError:
@@ -232,11 +224,11 @@ def _circle_point(t: Fraction) -> HPoint:
     return HPoint(1 - t * t, 2 * t, 1 + t * t)
 
 
-def _distinct_fractions(rnd: random.Random, n: int, span: int = 9) -> List[Fraction]:
+def _distinct_fractions(rnd: random.Random, n: int) -> List[Fraction]:
     seen = set()
     out: List[Fraction] = []
     while len(out) < n:
-        t = Fraction(rnd.randint(-4 * span, 4 * span), rnd.randint(1, span))
+        t = Fraction(rnd.randint(-4 * MAP_SPAN, 4 * MAP_SPAN), rnd.randint(1, MAP_SPAN))
         if t not in seen:
             seen.add(t)
             out.append(t)
@@ -267,17 +259,18 @@ def _three_dependent(vectors) -> bool:
     return any(det3(triple) == 0 for triple in itertools.combinations(vectors, 3))
 
 
-def random_sextuple(rnd: random.Random, span: int = 8) -> Tuple[HPoint, ...]:
+def random_sextuple(rnd: random.Random) -> Tuple[HPoint, ...]:
     """Six distinct random rational points with no three collinear."""
     while True:
-        pts = tuple(_random_point(rnd, span) for _ in range(6))
+        pts = tuple(_random_point(rnd, SEXTUPLE_SPAN) for _ in range(6))
         coords = {p.coords for p in pts}
         if len(coords) == 6 and not _three_dependent(coords):
             return pts
 
 
-def random_line_sextuple(rnd: random.Random, span: int = 8) -> Tuple[HLine, ...]:
+def random_line_sextuple(rnd: random.Random) -> Tuple[HLine, ...]:
     """Six distinct random rational lines with no three concurrent."""
+    span = SEXTUPLE_SPAN
     while True:
         try:
             lines = tuple(HLine(*(rnd.randint(-span, span) for _ in range(3))) for _ in range(6))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .cevians import (
-    SIDES,
     CevianFeet,
     ConditionReport,
     CevianConfig,
@@ -135,16 +134,13 @@ class MorleyCenters:
 class MorleyData:
     """Full trisector cevian configuration with its fitted conics.
 
-    ``trisector_cevians`` are the six trisectors as cevian lines in the
-    order (AA1, BB1, CC1, AA2, BB2, CC2); ``inner_conic`` passes through
-    the six derived points and ``cevian_conic`` is tangent to all six
-    trisectors.
+    ``config.cevians`` are the six trisectors as cevian lines in the order
+    (AA1, BB1, CC1, AA2, BB2, CC2), and ``(config.U1, config.V1,
+    config.W1)`` is the equilateral trisector triangle; ``inner_conic``
+    passes through the six derived points and ``cevian_conic`` is tangent
+    to all six trisectors.
     """
 
-    triangle: Triangle
-    trisector_cevians: Tuple[HLine, HLine, HLine, HLine, HLine, HLine]
-    feet: CevianFeet
-    morley_triangle: Tuple[HPoint, HPoint, HPoint]
     config: CevianConfig
     report: ConditionReport
     centers: MorleyCenters
@@ -165,8 +161,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
     trisectors must be tangent to the sixth.
     """
     trisectors, target = _trisectors_and_meets(tri)
-    sides = [tri.side_line(side) for side in SIDES]
-    triples = [tuple(meet(pair[k], side) for pair, side in zip(trisectors, sides)) for k in (0, 1)]
+    triples = [tuple(meet(pair[k], side) for pair, side in zip(trisectors, tri.sides)) for k in (0, 1)]
     cfg = build_config(tri, CevianFeet.from_triples(*triples))
     if not _matches_morley(cfg, target, _CHECK_TOL):
         raise LabelingSelfCheckFailed(
@@ -203,10 +198,6 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
     centers = MorleyCenters(first=_centroid(target), second=second)
 
     return MorleyData(
-        triangle=tri,
-        trisector_cevians=cfg.cevians,
-        feet=cfg.feet,
-        morley_triangle=(cfg.U1, cfg.V1, cfg.W1),
         config=cfg,
         report=report,
         centers=centers,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .errors import (
     CoincidentLines,
@@ -24,6 +24,9 @@ from .errors import (
 )
 from .linalg import adjugate3, cross, det3, dot, matmul3, matvec3, row_norm, transpose3
 from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, div, is_zero
+
+if TYPE_CHECKING:
+    from .conics import Conic
 
 Triple = Tuple[Scalar, Scalar, Scalar]
 
@@ -163,28 +166,33 @@ def concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bool:
 
 
 @dataclass(frozen=True)
-class IncidenceVerdict:
-    """Signed residual and boolean outcome of a determinant predicate.
+class Verdict:
+    """Signed residual and boolean outcome of an incidence predicate.
 
-    In exact mode the residual is the raw 3x3 determinant; in float mode it
-    is normalized by the product of the Euclidean row norms, so the verdict
-    is scale invariant.
+    In exact mode the residual is the raw determinant; in float mode it is
+    normalized by the product of the Euclidean row norms, so the verdict is
+    scale invariant.  Six-item tests ("on one conic") also carry a
+    ``witness_conic`` that passes through (or is tangent to) all six inputs
+    when one is determined, and ``degenerate`` marks a witness of rank
+    below three or a holding verdict with no single witness.
     """
 
     residual: Scalar
     holds: bool
+    witness_conic: Optional["Conic"] = None
+    degenerate: bool = False
 
 
-def _det_verdict(rows: Sequence[Triple], eps: float) -> IncidenceVerdict:
+def _det_verdict(rows: Sequence[Triple], eps: float) -> Verdict:
     if all_exact([v for r in rows for v in r]):
         d = det3(rows)
-        return IncidenceVerdict(residual=d, holds=(d == 0))
+        return Verdict(residual=d, holds=(d == 0))
     scale = math.prod(row_norm(r) for r in rows)
     nd = float(det3(rows)) / scale if scale else 0.0
-    return IncidenceVerdict(residual=nd, holds=abs(nd) <= eps)
+    return Verdict(residual=nd, holds=abs(nd) <= eps)
 
 
-def _triple_verdict(items: Sequence[_HTriple], eps: float, exc, noun: str) -> IncidenceVerdict:
+def _triple_verdict(items: Sequence[_HTriple], eps: float, exc, noun: str) -> Verdict:
     """Determinant verdict on three pairwise-distinct triples, stacked in
     the given order so the residual's sign is reproducible."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -193,12 +201,12 @@ def _triple_verdict(items: Sequence[_HTriple], eps: float, exc, noun: str) -> In
     return _det_verdict(tuple(t.coords for t in items), eps)
 
 
-def concurrency(l: HLine, m: HLine, n: HLine, eps: float = DEFAULT_EPS) -> IncidenceVerdict:
+def concurrency(l: HLine, m: HLine, n: HLine, eps: float = DEFAULT_EPS) -> Verdict:
     """Residual-and-verdict form of the three-line concurrency test."""
     return _triple_verdict((l, m, n), eps, DuplicateLine, "lines")
 
 
-def collinearity(p: HPoint, q: HPoint, r: HPoint, eps: float = DEFAULT_EPS) -> IncidenceVerdict:
+def collinearity(p: HPoint, q: HPoint, r: HPoint, eps: float = DEFAULT_EPS) -> Verdict:
     """Residual-and-verdict form of the three-point collinearity test."""
     return _triple_verdict((p, q, r), eps, DuplicatePoints, "points")
 

@@ -26,6 +26,7 @@ from .cevians import (
     CevianFeet,
     ConditionReport,
     CevianConfig,
+    ProofChart,
     Triangle,
     build_config,
     cevians_through_point,
@@ -34,9 +35,10 @@ from .cevians import (
     isotomic_feet,
     to_chart,
 )
+from .conics import Conic
 from .errors import ChartDegenerate
 from .generate import feet_from_params, foot_point
-from .projective import HPoint
+from .projective import HPoint, Verdict
 from .scalars import DEFAULT_EPS, Scalar, format_scalar
 
 MODES = ("rational", "float")
@@ -230,79 +232,28 @@ def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:
 
 
 @dataclass(frozen=True)
-class VerdictRecord:
-    """One condition's outcome: boolean, residual, degeneracy flag."""
-
-    holds: bool
-    residual: Scalar
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class ChartRecord:
-    """Normalized-chart data; all coordinates are None when the chart fails."""
-
-    degenerate: bool
-    b1: Optional[Scalar]
-    c2: Optional[Scalar]
-    p: Optional[Scalar]
-    q: Optional[Scalar]
-    criterion: Optional[bool]
-
-
-@dataclass(frozen=True)
 class VerifyReport:
-    """Everything the verification pipeline concluded about one scene."""
+    """Everything the verification pipeline concluded about one scene: the
+    four verdicts and the normalized chart, None when its frame cannot be
+    built."""
 
     mode: str
-    verdicts: Tuple[Tuple[str, VerdictRecord], ...]
-    witnesses: Tuple[Tuple[str, Optional[Tuple[Scalar, ...]]], ...]
-    chart: ChartRecord
-    agree: bool
-    all_hold: bool
+    conditions: ConditionReport
+    chart: Optional[ProofChart]
     provenance: Dict[str, Any]
-
-    def verdict(self, name: str) -> VerdictRecord:
-        return dict(self.verdicts)[name]
-
-    def witness(self, name: str) -> Optional[Tuple[Scalar, ...]]:
-        return dict(self.witnesses)[name]
-
-
-def _chart_record(cfg: CevianConfig, eps: float) -> ChartRecord:
-    try:
-        chart = to_chart(cfg, eps)
-    except ChartDegenerate:
-        return ChartRecord(degenerate=True, b1=None, c2=None, p=None, q=None, criterion=None)
-    criterion = None if chart.degenerate else chart.criterion
-    return ChartRecord(
-        degenerate=chart.degenerate,
-        b1=chart.b1,
-        c2=chart.c2,
-        p=chart.p,
-        q=chart.q,
-        criterion=criterion,
-    )
 
 
 def report_from_conditions(
     scene: Scene, cfg: CevianConfig, conditions: ConditionReport
 ) -> VerifyReport:
-    named = conditions.named
-    witnesses = tuple(
-        (name, None if v.witness_conic is None else v.witness_conic.coeffs)
-        for name, v in named[:3]
-    )
+    try:
+        chart = to_chart(cfg, scene.epsilon)
+    except ChartDegenerate:
+        chart = None
     return VerifyReport(
         mode=scene.mode,
-        verdicts=tuple(
-            (name, VerdictRecord(holds=v.holds, residual=v.residual, degenerate=v.degenerate))
-            for name, v in named
-        ),
-        witnesses=witnesses,
-        chart=_chart_record(cfg, scene.epsilon),
-        agree=conditions.agree,
-        all_hold=conditions.all_hold,
+        conditions=conditions,
+        chart=chart,
         provenance={
             "scene": scene_to_dict(scene),
             "epsilon": scene.epsilon,
@@ -323,37 +274,47 @@ def verify_scene(scene: Scene) -> VerifyReport:
 
 
 # ----- report serialization -------------------------------------------------
+#
+# The wire report is derived from the computed verdicts and chart: "agree",
+# "all_hold", the chart's "degenerate" and its "criterion" are not stored
+# anywhere else, and decoding recomputes them and rejects a contradiction.
 
 
 def _encode_opt(x: Optional[Scalar]):
     return None if x is None else encode_value(x)
 
 
+def _chart_flags(chart: Optional[ProofChart]) -> Tuple[bool, Optional[bool]]:
+    """The chart's wire "degenerate" and "criterion" values."""
+    if chart is None or chart.degenerate:
+        return True, None
+    return False, chart.criterion
+
+
 def report_to_dict(report: VerifyReport) -> Dict[str, Any]:
+    conditions, chart = report.conditions, report.chart
+    degenerate, criterion = _chart_flags(chart)
     return {
         "mode": report.mode,
         "verdicts": {
             name: {
-                "holds": rec.holds,
-                "residual": encode_value(rec.residual),
-                "degenerate": rec.degenerate,
+                "holds": v.holds,
+                "residual": encode_value(v.residual),
+                "degenerate": v.degenerate,
             }
-            for name, rec in report.verdicts
+            for name, v in conditions.named
         },
         "witnesses": {
-            name: None if coeffs is None else [encode_value(v) for v in coeffs]
-            for name, coeffs in report.witnesses
+            name: None if v.witness_conic is None else [encode_value(c) for c in v.witness_conic.coeffs]
+            for name, v in conditions.named[:3]
         },
         "chart": {
-            "degenerate": report.chart.degenerate,
-            "b1": _encode_opt(report.chart.b1),
-            "c2": _encode_opt(report.chart.c2),
-            "p": _encode_opt(report.chart.p),
-            "q": _encode_opt(report.chart.q),
-            "criterion": report.chart.criterion,
+            "degenerate": degenerate,
+            **{k: None if chart is None else _encode_opt(getattr(chart, k)) for k in ("b1", "c2", "p", "q")},
+            "criterion": criterion,
         },
-        "agree": report.agree,
-        "all_hold": report.all_hold,
+        "agree": conditions.agree,
+        "all_hold": conditions.all_hold,
         "provenance": report.provenance,
     }
 
@@ -362,45 +323,44 @@ def _decode_opt(v: Any, exact: bool) -> Optional[Scalar]:
     return None if v is None else decode_value(v, exact)
 
 
+def _decode_verdict(rec: Dict[str, Any], coeffs: Optional[Sequence], exact: bool) -> Verdict:
+    witness = None if coeffs is None else Conic.from_coeffs([decode_value(v, exact) for v in coeffs])
+    return Verdict(
+        residual=decode_value(rec["residual"], exact),
+        holds=bool(rec["holds"]),
+        witness_conic=witness,
+        degenerate=bool(rec["degenerate"]),
+    )
+
+
 def report_from_dict(data: Dict[str, Any]) -> VerifyReport:
     mode = data["mode"]
     if mode not in MODES:
         raise SceneError(f"mode must be one of {MODES}, got {mode!r}")
     exact = mode == "rational"
-    verdicts = tuple(
-        (
-            name,
-            VerdictRecord(
-                holds=bool(rec["holds"]),
-                residual=decode_value(rec["residual"], exact),
-                degenerate=bool(rec["degenerate"]),
-            ),
-        )
-        for name, rec in ((n, data["verdicts"][n]) for n in CONDITION_NAMES)
+    witnesses = {**data["witnesses"], "concurrent": None}  # concurrency has no witness
+    conditions = ConditionReport(**{
+        name: _decode_verdict(data["verdicts"][name], witnesses[name], exact) for name in CONDITION_NAMES
+    })
+    raw = data["chart"]
+    chart = None if raw["b1"] is None else ProofChart(
+        b1=decode_value(raw["b1"], exact),
+        c2=decode_value(raw["c2"], exact),
+        p=_decode_opt(raw["p"], exact),
+        q=_decode_opt(raw["q"], exact),
+        eps=parse_tolerance(data["provenance"]["epsilon"], "epsilon"),
     )
-    witnesses = tuple(
-        (name, None if coeffs is None else tuple(decode_value(v, exact) for v in coeffs))
-        for name, coeffs in ((n, data["witnesses"][n]) for n in CONDITION_NAMES[:3])
-    )
-    chart_raw = data["chart"]
-    chart = ChartRecord(
-        degenerate=bool(chart_raw["degenerate"]),
-        b1=_decode_opt(chart_raw["b1"], exact),
-        c2=_decode_opt(chart_raw["c2"], exact),
-        p=_decode_opt(chart_raw["p"], exact),
-        q=_decode_opt(chart_raw["q"], exact),
-        criterion=chart_raw["criterion"],
-    )
-    return VerifyReport(
-        mode=mode,
-        verdicts=verdicts,
-        witnesses=witnesses,
-        chart=chart,
-        agree=bool(data["agree"]),
-        all_hold=bool(data["all_hold"]),
-        provenance=data["provenance"],
-    )
+    degenerate, criterion = _chart_flags(chart)
+    for what, stored, derived in (
+        ("agree", data["agree"], conditions.agree),
+        ("all_hold", data["all_hold"], conditions.all_hold),
+        ("chart degenerate", raw["degenerate"], degenerate),
+        ("chart criterion", raw["criterion"], criterion),
+    ):
+        if stored != derived:
+            raise SceneError(f"stored {what} {stored!r} contradicts the decoded report, which gives {derived!r}")
+    return VerifyReport(mode=mode, conditions=conditions, chart=chart, provenance=data["provenance"])
 
 
-def report_to_json(report: VerifyReport, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent, sort_keys=True)
+def report_to_json(report: VerifyReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)

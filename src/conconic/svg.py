@@ -249,7 +249,8 @@ def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = 1e-9) ->
 def render_morley(data, eps: float = 1e-9) -> str:
     """SVG of the trisector configuration with its two conics, and the
     equilateral triangle drawn on top."""
-    frame, body = _configuration_body(data.config, (data.inner_conic, data.cevian_conic), eps)
-    tri_pts = [xy for xy in (_affine(p) for p in data.morley_triangle) if xy is not None]
+    cfg = data.config
+    frame, body = _configuration_body(cfg, (data.inner_conic, data.cevian_conic), eps)
+    tri_pts = [xy for xy in (_affine(p) for p in (cfg.U1, cfg.V1, cfg.W1)) if xy is not None]
     body.append(_polyline(frame, tri_pts, _INNER_COLOR, width_scale=1.2, closed=True))
     return _document(frame, body)

@@ -147,7 +147,7 @@ def test_criterion_5_float_trisector_configurations():
         _, spread = equilateral_side_spread(tri)
         assert spread < 1e-10
         data = morley_config(tri)
-        u1, v1, w1 = data.morley_triangle
+        u1, v1, w1 = data.config.U1, data.config.V1, data.config.W1
         residual = concurrency(join(tri.A, u1), join(tri.B, v1), join(tri.C, w1)).residual
         assert abs(residual) < 1e-9
         assert abs(data.report.outer6.residual) < 1e-8

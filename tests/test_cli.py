@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from conconic import Conic
+import conconic.scene as scene
+from conconic import Conic, ProofChart, load_scene, report_from_dict, verify_scene
 from conconic.cli import main
+from conconic.errors import ChartDegenerate
 
 ISOGONAL_SCENE = """
 {
@@ -55,6 +58,42 @@ def test_verify_json_report(scene_file, capsys):
     assert data["agree"] is True
     assert data["chart"]["p"] == "9/16"
     assert list(data["verdicts"]) == sorted(data["verdicts"])
+
+
+def _no_chart_frame(cfg, eps):
+    raise ChartDegenerate("chart frame cannot be built")
+
+
+def _p_at_infinity(cfg, eps):
+    return ProofChart(b1=Fraction(1, 2), c2=Fraction(1, 3), p=None, q=Fraction(2, 3), eps=eps)
+
+
+# to_chart stand-in -> (wire chart object, text chart line)
+DEGENERATE_CHARTS = {
+    "no_frame": (
+        _no_chart_frame,
+        {"degenerate": True, "b1": None, "c2": None, "p": None, "q": None, "criterion": None},
+        "chart       degenerate (frame could not be built)",
+    ),
+    "p_at_infinity": (
+        _p_at_infinity,
+        {"degenerate": True, "b1": "1/2", "c2": "1/3", "p": None, "q": "2/3", "criterion": None},
+        "chart       b1=1/2 c2=1/3 p=infinite q=2/3  criterion: undefined",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CHARTS))
+def test_verify_reports_a_degenerate_chart(case, monkeypatch, scene_file, capsys):
+    fake, wire, line = DEGENERATE_CHARTS[case]
+    monkeypatch.setattr(scene, "to_chart", fake)
+    path = scene_file(ISOGONAL_SCENE)
+    assert main(["verify", path]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert main(["verify", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["chart"] == wire
+    assert report_from_dict(data) == verify_scene(load_scene(path))
 
 
 def test_verify_missing_file_exits_one(capsys):

@@ -126,6 +126,25 @@ def test_intersect_line_on_degenerate_conic():
         intersect_line(pair, HLine(0, 1, 0))
 
 
+def test_float_line_on_fitted_conic_raises():
+    # a float fit through three points of a segment and two free points is
+    # the segment's line paired with another, so the segment's line lies on
+    # it up to rounding; a line through one endpoint and a free point does not
+    for seed in range(200):
+        rnd = random.Random(seed)
+        p, q = [(rnd.uniform(-5, 5), rnd.uniform(-5, 5)) for _ in range(2)]
+        on_side = [
+            HPoint.from_xy(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            for t in (rnd.uniform(0.05, 0.95) for _ in range(3))
+        ]
+        free = [HPoint.from_xy(rnd.uniform(-5, 5), rnd.uniform(-5, 5)) for _ in range(2)]
+        conic = conic_through_points(on_side + free)
+        with pytest.raises(LineOnConic):
+            intersect_line(conic, join(HPoint.from_xy(*p), HPoint.from_xy(*q)))
+        across = join(HPoint.from_xy(*p), HPoint.from_xy(rnd.uniform(-5, 5), rnd.uniform(-5, 5)))
+        assert len(intersect_line(conic, across)) in (1, 2)
+
+
 def test_tangent_lines_frozen_oracle():
     lines = tangent_lines_from(UNIT_CIRCLE, HPoint(5, 0, 3))
     assert set(lines) == {HLine(3, 4, -5), HLine(3, -4, -5)}

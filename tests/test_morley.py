@@ -93,11 +93,11 @@ def test_morley_config_conditions_and_conics():
     for p in (cfg.X1, cfg.Y1, cfg.Z1, cfg.X2, cfg.Y2, cfg.Z2):
         assert data.inner_conic.contains(p)
     # cevian conic really touches all six trisectors
-    for line in data.trisector_cevians:
+    for line in cfg.cevians:
         assert data.cevian_conic.is_tangent(line)
     # labeled meets reproduce the equilateral triangle
     target = morley_triangle(RIGHT_345)
-    for got, want in zip(data.morley_triangle, target):
+    for got, want in zip((cfg.U1, cfg.V1, cfg.W1), target):
         assert projective_gap(got, want) < 1e-9
 
 

@@ -97,13 +97,13 @@ def test_scene_instance_materializes_feet():
 
 def test_verify_report_shape_and_chart():
     report = verify_scene(scene_from_dict(ISOGONAL_SCENE))
-    assert [name for name, _ in report.verdicts] == ["outer6", "inner6", "tangent6", "concurrent"]
-    assert report.agree and report.all_hold
-    assert report.verdict("outer6").residual == 0
+    assert [name for name, _ in report.conditions.named] == ["outer6", "inner6", "tangent6", "concurrent"]
+    assert report.conditions.agree and report.conditions.all_hold
+    assert report.conditions.outer6.residual == 0
     assert report.chart.b1 == Fraction(25, 16)
     assert report.chart.c2 == Fraction(9, 25)
     assert report.chart.p == report.chart.q == Fraction(9, 16)
-    assert report.witness("outer6") is not None
+    assert report.conditions.outer6.witness_conic is not None
 
 
 def test_report_round_trip_rational():
@@ -115,7 +115,7 @@ def test_report_round_trip_rational():
 
 def test_report_round_trip_float():
     report = verify_scene(scene_from_dict(FLOAT_ISOTOMIC_SCENE))
-    assert report.all_hold
+    assert report.conditions.all_hold
     wire = report_to_json(report)
     assert report_from_dict(json.loads(wire)) == report
 
@@ -154,13 +154,22 @@ def test_rational_values_travel_as_strings():
     assert all(isinstance(v, str) for v in data["witnesses"]["outer6"])
 
 
+@pytest.mark.parametrize("key", ["agree", "all_hold", "criterion"])
+def test_report_from_dict_rejects_contradicting_derived_values(key):
+    data = report_to_dict(verify_scene(scene_from_dict(ISOGONAL_SCENE)))
+    holder = data["chart"] if key == "criterion" else data
+    holder[key] = not holder[key]
+    with pytest.raises(SceneError, match=key):
+        report_from_dict(data)
+
+
 def test_median_second_triple_scene_disagrees():
     report = verify_scene(scene_from_dict(EXPLICIT_SCENE))
     # the second triple is the median triple, whose cevians concur: the
     # derived points collapse and the six-derived-point determinant
     # vanishes trivially while the other three conditions fail
-    assert [rec.holds for _, rec in report.verdicts] == [False, True, False, False]
-    assert not report.agree
+    assert [rec.holds for _, rec in report.conditions.named] == [False, True, False, False]
+    assert not report.conditions.agree
 
 
 def test_load_scene_from_file(tmp_path):
