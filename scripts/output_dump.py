@@ -29,6 +29,9 @@ Families:
     chains
         porism_check steps and gaps on those conic pairs (n = 3) and on
         circle pairs, one circle inside the other, that close at n = 3..8;
+    chain_points
+        the coordinates of every vertex and link of the chains that
+        porism_check traces for the chains family;
     svg
         the sha256 of render_configuration on exact configurations with
         their first two witnesses, of render_morley, and of render_chain on
@@ -65,6 +68,7 @@ from conconic import (
     trace_chain,
 )
 from conconic.errors import GeometryError
+from conconic.poncelet import spread_on_conic
 from conconic.generate import (
     concurrency_solved_instance,
     conconic_sextuple,
@@ -192,6 +196,13 @@ def circle_pair(rnd: random.Random, n: int):
     return circle(radius), circle(radius * math.cos(math.pi / n)), n
 
 
+def chain_coords(outer, inner, n):
+    """Vertex and link coordinates of the chains ``porism_check(outer,
+    inner, n, SAMPLES)`` traces, one record per starting point."""
+    chains = (trace_chain(outer, inner, start, n) for start in spread_on_conic(outer, SAMPLES))
+    return [([p.coords for p in c.points], [l.coords for l in c.links]) for c in chains]
+
+
 def chain_svg(outer, inner, n):
     chain = trace_chain(outer, inner, find_point_on_conic(outer), n)
     return render_chain(outer, inner, chain)
@@ -204,7 +215,7 @@ def main(argv=None) -> int:
 
     names = ("verdicts", "residuals", "witnesses", "charts")
     out = {prefix + name: [] for prefix in ("", "float_") for name in names}
-    out.update(sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], svg=[])
+    out.update(sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], chain_points=[], svg=[])
     for i in range(CONFIGS):
         tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
         config_records(tri, feet, out, "")
@@ -235,6 +246,7 @@ def main(argv=None) -> int:
     for outer, inner, n in pairs + circles:
         report = attempt(porism_check, outer, inner, n, SAMPLES)
         out["chains"].append(repr(report if isinstance(report, str) else (report.steps, report.gaps)))
+        out["chain_points"].append(repr(attempt(chain_coords, outer, inner, n)))
     for outer, inner, n in pairs[:1] + circles:
         out["svg"].append(sha(attempt(chain_svg, outer, inner, n)))
     for family, records in out.items():

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .cevians import Triangle
 from .conics import Conic
 from .errors import GeometryError, TheoremConsistencyError
-from .morley import equilateral_side_spread, morley_config
+from .morley import morley_config, side_spread
 from .poncelet import find_point_on_conic, porism_check, trace_chain
 from .projective import HPoint
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
@@ -151,7 +151,7 @@ def _cmd_morley(args: argparse.Namespace) -> int:
     tri = _parse_triangle(args.triangle)
     data = morley_config(tri, args.epsilon)
     cfg = data.config
-    _, spread = equilateral_side_spread(tri)
+    _, spread = side_spread(data.trisector_meets)
     payload = {
         "triangle": [[float(v) for v in p.coords] for p in tri.vertices],
         "morley_triangle": [[float(v) for v in p.coords] for p in (cfg.U1, cfg.V1, cfg.W1)],

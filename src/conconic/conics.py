@@ -307,10 +307,10 @@ def _form_zero(m, norm: Callable[[], float], coords, eps: float) -> bool:
 # ----- line and conic intersections ------------------------------------
 
 
-def _points_on_line(l: HLine) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
-    """Two independent points spanning the line, as raw triples."""
+def _points_on_line(line: Sequence[Scalar]) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
+    """Two independent points spanning the line of coordinates ``line``, as raw triples."""
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    candidates = [cross(l.coords, e) for e in basis]
+    candidates = [cross(line, e) for e in basis]
     ranked = sorted(candidates, key=lambda c: row_norm(c), reverse=True)
     first = ranked[0]
     for second in ranked[1:]:
@@ -370,6 +370,17 @@ def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Ca
     return [(q, fa), (fc, q)]
 
 
+def _meet_coords(conic: Conic, line: Sequence[Scalar], eps: float):
+    """Raw coordinate triples of the real points where the conic meets the
+    line of coordinates ``line``, for the caller to canonicalize once."""
+    p0, p1 = _points_on_line(line)
+    a = conic.value2(p0)
+    b = conic.bilinear2(p0, p1)
+    c = conic.value2(p1)
+    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * row_norm(p0) * row_norm(p1))
+    return [tuple(lam * u + mu * v for u, v in zip(p0, p1)) for lam, mu in pairs]
+
+
 def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HPoint, ...]:
     """Real intersection points of a conic and a line.
 
@@ -377,16 +388,7 @@ def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HP
     line misses the conic.  In exact mode an intersection at irrational
     coordinates raises ``IrrationalResult`` rather than approximating.
     """
-    p0, p1 = _points_on_line(l)
-    a = conic.value2(p0)
-    b = conic.bilinear2(p0, p1)
-    c = conic.value2(p1)
-    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * row_norm(p0) * row_norm(p1))
-    points = []
-    for lam, mu in pairs:
-        coords = tuple(lam * u + mu * v for u, v in zip(p0, p1))
-        points.append(HPoint(*coords))
-    return tuple(points)
+    return tuple(HPoint(*coords) for coords in _meet_coords(conic, l.coords, eps))
 
 
 def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tuple[HLine, ...]:
@@ -394,12 +396,11 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
 
     Two lines from an exterior point, one from a point on the conic, none
     from an interior point.  Works in the dual plane: lines through ``p``
-    form a line with coordinates ``p``, which is intersected with the dual
-    conic.
+    form a line with coordinates ``p``, which is met with the dual conic.
+    ``p.coords`` is already canonical and canonicalization is idempotent,
+    so each tangent is canonicalized once, straight from the raw meet.
     """
-    dual = conic.dual(eps)
-    dual_points = intersect_line(dual, HLine(*p.coords), eps)
-    return tuple(HLine(*q.coords) for q in dual_points)
+    return tuple(HLine(*coords) for coords in _meet_coords(conic.dual(eps), p.coords, eps))
 
 
 def dual_conic(conic: Conic, eps: float = DEFAULT_EPS) -> Conic:

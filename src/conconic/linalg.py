@@ -4,6 +4,13 @@ Everything here works on plain tuples/lists so both backends share one code
 path.  Determinants take two routes: exact matrices clear each row's
 denominators and go through fraction-free Bareiss elimination in plain
 integers, float matrices through partially pivoted LU.
+
+The triple helpers (``dot``, ``matvec3`` and the triple case of
+``row_norm``) are written out term by term and fix their summation order
+themselves: ``0 + a0*b0 + a1*b1 + a2*b2``, left to right from the int 0.
+That is the order of ``sum`` over the products, so a float result keeps
+its last bit and the sign of a zero (an all ``-0.0`` sum gives ``+0.0``),
+and exact entries stay ``int`` or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ Triple = Tuple[Scalar, Scalar, Scalar]
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return sum(a * b for a, b in zip(u, v))
+    """Dot product of two triples."""
+    return 0 + u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def cross(u: Sequence[Scalar], v: Sequence[Scalar]) -> Triple:
@@ -42,7 +50,13 @@ def transpose3(m):
 
 
 def matvec3(m, v) -> Triple:
-    return tuple(dot(row, v) for row in m)
+    r0, r1, r2 = m
+    x, y, z = v
+    return (
+        0 + r0[0] * x + r0[1] * y + r0[2] * z,
+        0 + r1[0] * x + r1[1] * y + r1[2] * z,
+        0 + r2[0] * x + r2[1] * y + r2[2] * z,
+    )
 
 
 def matmul3(a, b):
@@ -63,6 +77,10 @@ def adjugate3(m):
 
 
 def row_norm(row: Sequence[Scalar]) -> float:
+    """Euclidean norm in float; triples skip the generic loop."""
+    if len(row) == 3:
+        x, y, z = float(row[0]), float(row[1]), float(row[2])
+        return math.sqrt(x * x + y * y + z * z)
     return math.sqrt(sum(float(v) * float(v) for v in row))
 
 

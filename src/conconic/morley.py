@@ -138,7 +138,10 @@ class MorleyData:
     (AA1, BB1, CC1, AA2, BB2, CC2), and ``(config.U1, config.V1,
     config.W1)`` is the equilateral trisector triangle; ``inner_conic``
     passes through the six derived points and ``cevian_conic`` is tangent
-    to all six trisectors.
+    to all six trisectors.  ``trisector_meets`` is the same triangle as
+    ``morley_triangle`` computes it, from adjacent-trisector meets: the
+    labeling self-check matches it to ``(U1, V1, W1)`` within tolerance,
+    not bit for bit.
     """
 
     config: CevianConfig
@@ -146,6 +149,7 @@ class MorleyData:
     centers: MorleyCenters
     inner_conic: Conic
     cevian_conic: Conic
+    trisector_meets: Tuple[HPoint, HPoint, HPoint]
 
 
 def _matches_morley(cfg: CevianConfig, target, tol: float) -> bool:
@@ -203,6 +207,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
         centers=centers,
         inner_conic=inner,
         cevian_conic=cevian_conic,
+        trisector_meets=target,
     )
 
 
@@ -213,8 +218,12 @@ def _normalized_value(conic: Conic, p: HPoint) -> float:
 
 def equilateral_side_spread(tri: Triangle) -> Tuple[float, float]:
     """Mean side length of the trisector triangle and its relative spread."""
-    u1, v1, w1 = morley_triangle(tri)
-    pts = [_affine_xy(p) for p in (u1, v1, w1)]
+    return side_spread(morley_triangle(tri))
+
+
+def side_spread(vertices: Tuple[HPoint, HPoint, HPoint]) -> Tuple[float, float]:
+    """Mean side length of a finite triangle and its relative spread."""
+    pts = [_affine_xy(p) for p in vertices]
     sides = [
         math.dist(pts[i], pts[(i + 1) % 3]) for i in range(3)
     ]

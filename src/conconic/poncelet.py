@@ -54,21 +54,22 @@ def _pencil_lines(base: HPoint) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]
 def _point_on_line_away_from(line_coords, base: HPoint, eps: float):
     """A raw point on the line that is projectively distinct from ``base``."""
     candidates = [cross(line_coords, e) for e in _BASIS]
-    exact = all_exact(line_coords) and base.exact
-
-    def separation(c) -> float:
-        n = row_norm(c) * row_norm(base.coords)
-        return row_norm(cross(c, base.coords)) / n if n else 0.0
-
-    if exact:
+    if all_exact(line_coords) and base.exact:
         for c in candidates:
             if any(v != 0 for v in c) and any(v != 0 for v in cross(c, base.coords)):
                 return c
         raise ValueError("line has a single point")  # unreachable for valid lines
-    best = max(candidates, key=separation)
-    if separation(best) <= eps:
+    base_norm = row_norm(base.coords)
+
+    def separation(c) -> float:
+        n = row_norm(c) * base_norm
+        return row_norm(cross(c, base.coords)) / n if n else 0.0
+
+    separations = [separation(c) for c in candidates]
+    best = max(range(len(candidates)), key=separations.__getitem__)
+    if separations[best] <= eps:
         raise ValueError("line has a single point")  # unreachable for valid lines
-    return best
+    return candidates[best]
 
 
 def second_intersection(conic: Conic, base: HPoint, line_coords, eps: float = DEFAULT_EPS) -> HPoint:

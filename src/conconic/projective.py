@@ -218,13 +218,11 @@ def projective_gap(p: HPoint, q: HPoint) -> float:
     with the sign ambiguity minimized out, so the gap is zero exactly when
     the points coincide and is stable for nearly equal float points.
     """
-    u = [float(c) for c in p.coords]
-    v = [float(c) for c in q.coords]
-    nu, nv = row_norm(u), row_norm(v)
-    u = [c / nu for c in u]
-    v = [c / nv for c in v]
-    minus = math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-    plus = math.sqrt(sum((a + b) ** 2 for a, b in zip(u, v)))
+    nu, nv = row_norm(p.coords), row_norm(q.coords)
+    u0, u1, u2 = (float(c) / nu for c in p.coords)
+    v0, v1, v2 = (float(c) / nv for c in q.coords)
+    minus = math.sqrt((u0 - v0) ** 2 + (u1 - v1) ** 2 + (u2 - v2) ** 2)
+    plus = math.sqrt((u0 + v0) ** 2 + (u1 + v1) ** 2 + (u2 + v2) ** 2)
     return min(minus, plus)
 
 

@@ -92,25 +92,30 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     divide by the gcd, and make the first nonzero entry positive, so
     equality up to scale becomes plain tuple equality.  Float entries:
     divide by the first component of largest magnitude, which pins that
-    component to +1.
+    component to exactly +1.0, so canonicalizing a canonical float tuple
+    returns it bit for bit.  A tuple with any float member is a float
+    tuple; one that starts with a float goes there without the exact scans.
     """
     vals = list(values)
     if not vals:
         raise ValueError("empty coordinate tuple")
-    if all(type(v) is int for v in vals):
-        return _reduced(vals)
-    if all_exact(vals):
-        fracs = [Fraction(v) for v in vals]
-        denom_lcm = math.lcm(*(f.denominator for f in fracs))
-        return _reduced([int(f * denom_lcm) for f in fracs])
-    floats = [float(v) for v in vals]
-    if not all(math.isfinite(v) for v in floats):
+    if type(vals[0]) is not float:
+        if all(type(v) is int for v in vals):
+            return _reduced(vals)
+        if all_exact(vals):
+            fracs = [Fraction(v) for v in vals]
+            denom_lcm = math.lcm(*(f.denominator for f in fracs))
+            return _reduced([int(f * denom_lcm) for f in fracs])
+    floats = list(map(float, vals))
+    if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite homogeneous coordinate")
-    m = max(abs(v) for v in floats)
+    pivot = m = 0.0
+    for v in floats:
+        if abs(v) > m:
+            pivot, m = v, abs(v)
     if m == 0.0:
         raise ValueError("homogeneous coordinates cannot all be zero")
-    pivot = next(v for v in floats if abs(v) == m)
-    return tuple(v / pivot for v in floats)
+    return tuple([v / pivot for v in floats])
 
 
 def _reduced(ints: Sequence[int]) -> tuple:

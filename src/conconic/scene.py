@@ -323,43 +323,52 @@ def _decode_opt(v: Any, exact: bool) -> Optional[Scalar]:
     return None if v is None else decode_value(v, exact)
 
 
-def _decode_verdict(rec: Dict[str, Any], coeffs: Optional[Sequence], exact: bool) -> Verdict:
+def _field(data: Any, *path: str) -> Any:
+    """``data[path[0]][path[1]]...`` of a wire report, or a ``SceneError``
+    naming the first key on the path that is missing."""
+    for depth, key in enumerate(path):
+        if not isinstance(data, dict) or key not in data:
+            raise SceneError(f"report has no field {'.'.join(path[:depth + 1])!r}")
+        data = data[key]
+    return data
+
+
+def _decode_verdict(data: Dict[str, Any], name: str, exact: bool) -> Verdict:
+    # concurrency has no witness; the wire lists none for it
+    coeffs = None if name == "concurrent" else _field(data, "witnesses", name)
     witness = None if coeffs is None else Conic.from_coeffs([decode_value(v, exact) for v in coeffs])
     return Verdict(
-        residual=decode_value(rec["residual"], exact),
-        holds=bool(rec["holds"]),
+        residual=decode_value(_field(data, "verdicts", name, "residual"), exact),
+        holds=bool(_field(data, "verdicts", name, "holds")),
         witness_conic=witness,
-        degenerate=bool(rec["degenerate"]),
+        degenerate=bool(_field(data, "verdicts", name, "degenerate")),
     )
 
 
 def report_from_dict(data: Dict[str, Any]) -> VerifyReport:
-    mode = data["mode"]
+    mode = _field(data, "mode")
     if mode not in MODES:
         raise SceneError(f"mode must be one of {MODES}, got {mode!r}")
     exact = mode == "rational"
-    witnesses = {**data["witnesses"], "concurrent": None}  # concurrency has no witness
-    conditions = ConditionReport(**{
-        name: _decode_verdict(data["verdicts"][name], witnesses[name], exact) for name in CONDITION_NAMES
-    })
-    raw = data["chart"]
-    chart = None if raw["b1"] is None else ProofChart(
-        b1=decode_value(raw["b1"], exact),
-        c2=decode_value(raw["c2"], exact),
-        p=_decode_opt(raw["p"], exact),
-        q=_decode_opt(raw["q"], exact),
-        eps=parse_tolerance(data["provenance"]["epsilon"], "epsilon"),
+    conditions = ConditionReport(**{name: _decode_verdict(data, name, exact) for name in CONDITION_NAMES})
+    b1 = _field(data, "chart", "b1")
+    chart = None if b1 is None else ProofChart(
+        b1=decode_value(b1, exact),
+        c2=decode_value(_field(data, "chart", "c2"), exact),
+        p=_decode_opt(_field(data, "chart", "p"), exact),
+        q=_decode_opt(_field(data, "chart", "q"), exact),
+        eps=parse_tolerance(_field(data, "provenance", "epsilon"), "epsilon"),
     )
     degenerate, criterion = _chart_flags(chart)
     for what, stored, derived in (
-        ("agree", data["agree"], conditions.agree),
-        ("all_hold", data["all_hold"], conditions.all_hold),
-        ("chart degenerate", raw["degenerate"], degenerate),
-        ("chart criterion", raw["criterion"], criterion),
+        ("agree", _field(data, "agree"), conditions.agree),
+        ("all_hold", _field(data, "all_hold"), conditions.all_hold),
+        ("chart degenerate", _field(data, "chart", "degenerate"), degenerate),
+        ("chart criterion", _field(data, "chart", "criterion"), criterion),
     ):
         if stored != derived:
             raise SceneError(f"stored {what} {stored!r} contradicts the decoded report, which gives {derived!r}")
-    return VerifyReport(mode=mode, conditions=conditions, chart=chart, provenance=data["provenance"])
+    return VerifyReport(mode=mode, conditions=conditions, chart=chart, provenance=_field(data, "provenance"))
 
 
 def report_to_json(report: VerifyReport) -> str:

@@ -194,6 +194,16 @@ def test_morley_json_is_pinned(capsys):
     assert digest == "79e0835bd20ca121be289f48a088c108f05ba98ac6647610e1fd88bcd436b33f"
 
 
+def test_morley_builds_the_trisectors_once(monkeypatch, capsys):
+    import conconic.morley as morley
+
+    calls = []
+    original = morley._trisectors_and_meets
+    monkeypatch.setattr(morley, "_trisectors_and_meets", lambda tri: calls.append(tri) or original(tri))
+    assert main(["morley", "--triangle", "0,0 4,0 0,3", "--json"]) == 0
+    assert len(calls) == 1
+
+
 def test_morley_svg_is_pinned(tmp_path):
     svg = tmp_path / "morley.svg"
     assert main(["morley", "--triangle", "0,0 4,0 0,3", "--svg", str(svg)]) == 0

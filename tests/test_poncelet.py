@@ -1,13 +1,18 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conconic import (
     Conic,
+    HLine,
     HPoint,
     ProjectiveMap,
     find_point_on_conic,
+    intersect_line,
+    morley_config,
     poncelet_step,
     porism_check,
     projective_gap,
@@ -19,9 +24,11 @@ from conconic.errors import (
     BaseNotOnConic,
     ChainStuck,
     DegenerateConic,
+    GeometryError,
     NoRealSolution,
     NoTangentLine,
 )
+from conconic.generate import float_triangle
 
 UNIT = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
 OUTER_R2 = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -4.0))
@@ -158,3 +165,63 @@ def test_porism_check_validates_arguments():
         porism_check(OUTER_R2, INNER_R1, expected_n=2, num_samples=5)
     with pytest.raises(ValueError):
         porism_check(OUTER_R2, INNER_R1, expected_n=3, num_samples=0)
+
+
+def chain_digest(chain) -> str:
+    return hashlib.sha256(repr((chain.points, chain.links)).encode()).hexdigest()
+
+
+def trisector_conics(seed: int):
+    data = morley_config(float_triangle(random.Random(seed)))
+    return data.inner_conic, data.cevian_conic
+
+
+def test_trisector_chain_coordinates_are_pinned():
+    # sha256 of the repr of every vertex and link: one changed bit of any
+    # chain coordinate changes the digest
+    inner, cevian = trisector_conics(7)
+    chain = trace_chain(inner, cevian, find_point_on_conic(inner), max_steps=3)
+    assert chain.closure_step == 3
+    assert chain_digest(chain) == "14b967134069daa6bb34287bc9a4ab8421f1490b9d61df3ffd6c3edde664f6e8"
+
+
+def test_perturbed_radius_chain_coordinates_are_pinned():
+    chain = trace_chain(OUTER_R2, circle(1.01), HPoint(2.0, 0.0, 1.0), max_steps=100)
+    assert len(chain.points) == 101
+    assert chain_digest(chain) == "6e50d62c03a837a7c6eeabac866c57d952760abe37f4f4d7c76146417dd2ab18"
+
+
+def dual_plane_tangents(conic, p):
+    """Tangent lines through p as the dual conic met with the line of p's
+    coordinates, each meet canonicalized as a point and then as a line."""
+    try:
+        meets = intersect_line(conic.dual(), HLine(*p.coords))
+    except GeometryError as err:
+        return type(err)
+    return tuple(HLine(*q.coords) for q in meets)
+
+
+def tangents_or_error(conic, p):
+    try:
+        return tangent_lines_from(conic, p)
+    except GeometryError as err:
+        return type(err)
+
+
+def test_tangent_lines_from_is_the_dual_plane_meet():
+    rnd = random.Random(3)
+    inner, cevian = trisector_conics(7)
+    float_cases = [(INNER_R1, HPoint(2.0, 0.0, 1.0)), (INNER_R1, HPoint(1.0, 0.0, 1.0))]
+    for conic in (INNER_R1, circle(1.7), inner, cevian):
+        float_cases += [(conic, HPoint(rnd.uniform(-4, 4), rnd.uniform(-4, 4), 1.0)) for _ in range(40)]
+    exact_cases = [(UNIT, HPoint(5, 0, 4)), (UNIT, HPoint(5, 0, 3)), (UNIT, HPoint(1, 0, 1)),
+                   (UNIT, HPoint(0, 0, 1)), (UNIT, HPoint(1, 1, 0))]
+    exact_cases += [(UNIT, HPoint(Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)),
+                                  Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)), 1)) for _ in range(40)]
+    counts = set()
+    for conic, p in float_cases + exact_cases:
+        got = tangents_or_error(conic, p)
+        want = dual_plane_tangents(conic, p)
+        assert repr(got) == repr(want)
+        counts.add(got if isinstance(got, type) else len(got))
+    assert {0, 1, 2} <= counts

@@ -1,9 +1,11 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conconic import (
     HLine,
@@ -176,3 +178,27 @@ def test_triples_copy_and_pickle_and_refuse_del(item):
     with pytest.raises(AttributeError):
         del item.coords
     assert len(item.coords) == 3
+
+
+def unit_sphere_gap(p, q):
+    """projective_gap as lists and sums over the unit-norm representatives."""
+    u = [float(c) for c in p.coords]
+    v = [float(c) for c in q.coords]
+    nu = math.sqrt(sum(c * c for c in u))
+    nv = math.sqrt(sum(c * c for c in v))
+    u = [c / nu for c in u]
+    v = [c / nv for c in v]
+    minus = math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
+    plus = math.sqrt(sum((a + b) ** 2 for a, b in zip(u, v)))
+    return min(minus, plus)
+
+
+gap_coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e100, 1e100), st.integers(-9, 9))
+
+
+@given(st.tuples(gap_coords, gap_coords, gap_coords), st.tuples(gap_coords, gap_coords, gap_coords))
+def test_projective_gap_matches_the_summed_form(a, b):
+    assume(any(a) and any(b))
+    p, q = HPoint(*a), HPoint(*b)
+    assert repr(projective_gap(p, q)) == repr(unit_sphere_gap(p, q))
+    assert repr(projective_gap(p, p)) == "0.0"

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -133,3 +134,65 @@ def test_canonical_tuple_of_ints_matches_the_fraction_path(vals):
     out = canonical_tuple(vals)
     assert out == canonical_tuple(fracs)
     assert all(type(v) is int for v in out)
+
+
+def branch_order_canonical_tuple(values):
+    """canonical_tuple as three scans in a fixed order: all ints, then all
+    exact, then floats pinned at the first component of largest magnitude."""
+    vals = list(values)
+    if all(type(v) is int for v in vals):
+        g = math.gcd(*vals)
+        g = -g if next(v for v in vals if v != 0) < 0 else g
+        return tuple(v // g for v in vals)
+    if all_exact(vals):
+        lcm = math.lcm(*(Fraction(v).denominator for v in vals))
+        return branch_order_canonical_tuple([int(Fraction(v) * lcm) for v in vals])
+    floats = [float(v) for v in vals]
+    m = max(abs(v) for v in floats)
+    pivot = next(v for v in floats if abs(v) == m)
+    return tuple(v / pivot for v in floats)
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+mixed_entries = st.one_of(
+    st.integers(-50, 50),
+    small_fractions,
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100),
+)
+
+
+@given(st.lists(mixed_entries, min_size=3, max_size=6))
+def test_canonical_tuple_of_mixed_tuples_keeps_the_branch_order(vals):
+    if all(v == 0 for v in vals):
+        return
+    assert repr(canonical_tuple(vals)) == repr(branch_order_canonical_tuple(vals))
+
+
+def test_float_led_and_int_led_mixed_tuples():
+    for vals in ((1.0, 2, Fraction(1, 3)), (2, 3.0, 1), (Fraction(1, 2), -0.0, 4), (-0.0, 0, -3)):
+        out = canonical_tuple(vals)
+        assert all(type(v) is float for v in out)
+        assert repr(out) == repr(branch_order_canonical_tuple(vals))
+    assert canonical_tuple((2, 3.0, 1)) == (2 / 3, 1.0, 1 / 3)
+    assert repr(canonical_tuple((-0.0, 0, -3))) == "(0.0, -0.0, 1.0)"
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=6))
+def test_float_canonicalization_is_bitwise_idempotent(vals):
+    if all(v == 0 for v in vals):
+        return
+    once = canonical_tuple(vals)
+    assert max(map(abs, once)) == 1.0 and 1.0 in once
+    assert bits(canonical_tuple(once)) == bits(once)
+
+
+def test_canonical_tuple_rejects_non_finite_floats():
+    for vals in ((math.inf, 1.0, 0.0), (1.0, math.nan, 2), (0, 1, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_tuple(vals)
+    with pytest.raises(ValueError, match="all be zero"):
+        canonical_tuple((0.0, -0.0, 0))

@@ -163,6 +163,27 @@ def test_report_from_dict_rejects_contradicting_derived_values(key):
         report_from_dict(data)
 
 
+@pytest.mark.parametrize("data, missing", [
+    ({"mode": "rational"}, "'witnesses'"),
+    ({"mode": "rational", "witnesses": {}, "verdicts": {}}, "'witnesses.outer6'"),
+    ({}, "'mode'"),
+])
+def test_report_from_dict_names_a_missing_field(data, missing):
+    with pytest.raises(SceneError, match=missing):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("path", [("chart",), ("provenance",), ("chart", "b1"), ("verdicts", "concurrent", "holds")])
+def test_report_from_dict_names_a_missing_nested_field(path):
+    data = report_to_dict(verify_scene(scene_from_dict(ISOGONAL_SCENE)))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    with pytest.raises(SceneError, match=repr(".".join(path))):
+        report_from_dict(data)
+
+
 def test_median_second_triple_scene_disagrees():
     report = verify_scene(scene_from_dict(EXPLICIT_SCENE))
     # the second triple is the median triple, whose cevians concur: the
