@@ -35,17 +35,27 @@ Families:
     svg
         the sha256 of render_configuration on exact configurations with
         their first two witnesses, of render_morley, and of render_chain on
-        the first of those conic pairs and on every circle pair.
+        the first of those conic pairs and on every circle pair;
+    cli
+        conconic.cli.main run in process over a fixed list of command lines
+        (verify on rational and float scenes in every feet shape, morley,
+        poncelet in porism and start-point mode): the exit code, stdout,
+        stderr and the sha256 of the SVG written.  It does not depend on
+        the seed.
 
 Usage:
     python3 scripts/output_dump.py --seed 1
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import math
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -67,6 +77,7 @@ from conconic import (
     to_chart,
     trace_chain,
 )
+from conconic import cli
 from conconic.errors import GeometryError
 from conconic.poncelet import spread_on_conic
 from conconic.generate import (
@@ -208,6 +219,54 @@ def chain_svg(outer, inner, n):
     return render_chain(outer, inner, chain)
 
 
+TRIANGLE = [["0", "0"], ["4", "0"], ["0", "3"]]
+SCENES = {
+    "params": {"triangle": TRIANGLE, "feet": {"params": ["1/3", "2/5", "3/7", "1/2", "1/2", "1/2"]}},
+    "isogonal": {"triangle": TRIANGLE, "feet": {"generator": "isogonal", "params": ["1/3", "2/5", "1/2"]}},
+    "isotomic": {"triangle": TRIANGLE, "feet": {"generator": "isotomic", "params": ["3/10", "9/20", "61/100"]}},
+    "through_points": {
+        "triangle": TRIANGLE,
+        "feet": {"generator": "through_points", "points": [["1", "1/2"], ["3/2", "1"]]},
+    },
+}
+OUTER, INNER3 = "1,0,1,0,0,-4", "1,0,1,0,0,-1"
+COMMANDS = (
+    [["verify", f"{name}-{mode}.json"] + flags
+     for name in SCENES for mode in ("rational", "float") for flags in ([], ["--json", "--svg", "out.svg"])]
+    + [
+        ["verify", "params-rational.json", "--mode", "float", "--json"],
+        ["morley", "--triangle", "0,0 4,0 0,3", "--json", "--poncelet-samples", "10", "--svg", "out.svg"],
+        ["morley", "--triangle", "0,0 5,1 2,4", "--poncelet-samples", "10"],
+        ["poncelet", "--outer", OUTER, "--inner", INNER3, "--expected-n", "3", "--samples", "5",
+         "--json", "--svg", "out.svg"],
+        ["poncelet", "--outer", OUTER, "--inner", "1,0,1,0,0,-2", "--expected-n", "3", "--samples", "5"],
+        ["poncelet", "--outer", OUTER, "--inner", INNER3, "--start", "2,0", "--json", "--svg", "out.svg"],
+        ["poncelet", "--outer", OUTER, "--inner", "1,0,1,0,0,-2", "--start", "0,2", "--max-steps", "20"],
+        ["poncelet", "--outer", OUTER, "--inner", INNER3],
+        ["morley", "--triangle", "0,0 4,0", "--json"],
+    ]
+)
+
+
+def cli_records():
+    """Exit code, stdout, stderr and SVG digest of each of ``COMMANDS``, run
+    in a scratch directory that holds the scene files."""
+    records = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, scene in SCENES.items():
+            for mode in ("rational", "float"):
+                Path(f"{name}-{mode}.json").write_text(json.dumps({**scene, "mode": mode}))
+        for argv in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            svg = Path("out.svg")
+            digest = sha(svg.read_text()) if svg.exists() else None
+            svg.unlink(missing_ok=True)
+            records.append(repr((code, stdout.getvalue(), stderr.getvalue(), digest)))
+    return records
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -249,6 +308,7 @@ def main(argv=None) -> int:
         out["chain_points"].append(repr(attempt(chain_coords, outer, inner, n)))
     for outer, inner, n in pairs[:1] + circles:
         out["svg"].append(sha(attempt(chain_svg, outer, inner, n)))
+    out["cli"] = cli_records()
     for family, records in out.items():
         digest = sha("\n".join(records))
         print(f"{family:<18} {len(records):>4}  {digest}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cevians import Triangle
@@ -24,6 +23,7 @@ from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
 from .scene import (
     SceneError,
     _verify,
+    decode_value,
     load_scene,
     parse_tolerance,
     report_to_json,
@@ -45,13 +45,6 @@ def _fmt_value(v) -> str:
     return format_scalar(v)
 
 
-def _parse_number(text: str) -> float:
-    try:
-        return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as err:
-        raise SceneError(f"cannot parse {text!r} as a number") from err
-
-
 def _tolerance(text: str) -> float:
     try:
         return parse_tolerance(text, "tolerance")
@@ -68,12 +61,12 @@ def _parse_triangle(text: str) -> Triangle:
         coords = part.split(",")
         if len(coords) != 2:
             raise SceneError(f"vertex {part!r} is not an 'x,y' pair")
-        pts.append(HPoint(_parse_number(coords[0]), _parse_number(coords[1]), 1.0))
+        pts.append(HPoint(*(decode_value(v, exact=False) for v in coords), 1.0))
     return Triangle(*pts)
 
 
 def _parse_conic(text: str) -> Conic:
-    coeffs = [(_parse_number(v)) for v in text.split(",")]
+    coeffs = [decode_value(v, exact=False) for v in text.split(",")]
     if len(coeffs) != 6:
         raise SceneError(
             "a conic needs six coefficients (x^2, xy, y^2, xz, yz, z^2 order)"
@@ -84,9 +77,9 @@ def _parse_conic(text: str) -> Conic:
 def _parse_point(text: str) -> HPoint:
     coords = text.split(",")
     if len(coords) == 2:
-        return HPoint(_parse_number(coords[0]), _parse_number(coords[1]), 1.0)
+        return HPoint(*(decode_value(v, exact=False) for v in coords), 1.0)
     if len(coords) == 3:
-        return HPoint(*(_parse_number(v) for v in coords))
+        return HPoint(*(decode_value(v, exact=False) for v in coords))
     raise SceneError(f"point {text!r} must be 'x,y' or 'x,y,z'")
 
 

@@ -15,7 +15,9 @@ form is carried as the integer-friendly doubled Gram matrix
 
 which evaluates to twice the form; every predicate here only cares about
 values up to scale, so the doubling is harmless and keeps exact arithmetic
-in plain integers.
+in plain integers.  A conic is immutable, so this matrix and the forms
+derived from it (adjugate, norm, rank per ``eps``, dual) are
+``functools.cached_property`` values, each computed once per conic.
 
 Two independent routes to "six points lie on one conic" are provided:
 ``conconic`` (rank of the stacked Veronese images, i.e. a 6x6 determinant)
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -79,38 +82,16 @@ def veronese(coords: Sequence[Scalar]) -> Six:
     return (x * x, x * y, y * y, x * z, y * z, z * z)
 
 
-class _memoized:
-    """Read-only attribute computed on first access and then kept in the
-    instance slot ``_<name>``, for immutable classes with ``__slots__``."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.slot = "_" + compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        try:
-            return getattr(obj, self.slot)
-        except AttributeError:
-            value = self.compute(obj)
-            object.__setattr__(obj, self.slot, value)
-            return value
-
-
 class Conic:
     """A conic of the projective plane, canonical up to scale.
 
-    Conics are immutable, so every form derived from the coefficients is
-    computed on first use and kept on the instance: ``exact``, ``gram``, its
-    ``adjugate`` and Frobenius norm ``gram_norm``, the rank per ``eps`` and
-    the dual conic.  The cache lives in slots that start out empty, so a
-    conic only pays for what is asked of it; a Poncelet chain, which asks
-    the same inner conic for its dual on every step, builds it once.
+    Conics are immutable, so every form derived from the coefficients is a
+    ``functools.cached_property``, computed on first use and kept on the
+    instance: ``exact``, ``gram``, its ``adjugate`` and Frobenius norm
+    ``gram_norm``, the rank per ``eps`` and the dual conic.  A conic only
+    pays for what is asked of it; a Poncelet chain, which asks the same
+    inner conic for its dual on every step, builds it once.
     """
-
-    __slots__ = ("coeffs", "_exact", "_gram", "_adjugate", "_gram_norm", "_ranks", "_dual")
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar, e: Scalar, f: Scalar):
         try:
@@ -138,22 +119,22 @@ class Conic:
         terms = " + ".join(f"{c}*{m}" for c, m in zip(self.coeffs, VERONESE_MONOMIALS) if c != 0)
         return f"Conic({terms} = 0)"
 
-    @_memoized
+    @cached_property
     def exact(self) -> bool:
         return all_exact(self.coeffs)
 
-    @_memoized
+    @cached_property
     def gram(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """Doubled symmetric matrix of the form (twice the classical one)."""
         a, b, c, d, e, f = self.coeffs
         return ((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f))
 
-    @_memoized
+    @cached_property
     def adjugate(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """Adjugate of ``gram``: the dual form, up to scale."""
         return adjugate3(self.gram)
 
-    @_memoized
+    @cached_property
     def gram_norm(self) -> float:
         """Frobenius norm of ``gram``, the scale of float zero tests."""
         return _frob(self.gram)
@@ -205,15 +186,14 @@ class Conic:
 
     def rank(self, eps: float = DEFAULT_EPS) -> int:
         """Rank of ``gram``; float ranks depend on ``eps`` and are kept per value."""
-        try:
-            ranks = self._ranks
-        except AttributeError:
-            ranks = {}
-            object.__setattr__(self, "_ranks", ranks)
-        r = ranks.get(eps)
+        r = self._ranks.get(eps)
         if r is None:
-            r = ranks[eps] = self._rank(eps)
+            r = self._ranks[eps] = self._rank(eps)
         return r
+
+    @cached_property
+    def _ranks(self) -> dict:
+        return {}
 
     def _rank(self, eps: float) -> int:
         g = self.gram
@@ -260,12 +240,11 @@ class Conic:
         """
         if self.is_degenerate(eps):
             raise DegenerateConic("degenerate conic has no dual conic")
-        try:
-            return self._dual
-        except AttributeError:
-            dual = Conic.from_matrix(self.adjugate)
-            object.__setattr__(self, "_dual", dual)
-            return dual
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "Conic":
+        return Conic.from_matrix(self.adjugate)
 
     def polar(self, p: HPoint) -> HLine:
         raw = matvec3(self.gram, p.coords)

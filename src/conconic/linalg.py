@@ -125,15 +125,16 @@ def _det_float(rows) -> float:
 
 
 def det(rows) -> Scalar:
-    """Determinant of a square matrix in the backend of its entries: an
-    ``int`` for integer entries, a ``Fraction`` for other rational ones
-    (each row scaled by the lcm of its denominators before Bareiss; no
-    library caller passes one, as exact coordinates are canonical ints)."""
-    flat = [v for r in rows for v in r]
-    if not all_exact(flat):
-        return _det_float(rows)
-    if all(type(v) is int for v in flat):
+    """Determinant of a square matrix in the backend of its entries, picked
+    from their types in one pass: an ``int`` for integer entries, a
+    ``Fraction`` for other rational ones (each row scaled by the lcm of its
+    denominators before Bareiss; no library caller passes one, as exact
+    coordinates are canonical ints), and a float for anything else."""
+    kinds = {type(v) for r in rows for v in r}
+    if kinds <= {int}:
         return _det_bareiss_int(rows)
+    if not all(issubclass(k, (int, Fraction)) and k is not bool for k in kinds):
+        return _det_float(rows)
     scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
     d = _det_bareiss_int([[int(v * s) for v in r] for r, s in zip(rows, scales)])
     scale = math.prod(scales)

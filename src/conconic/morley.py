@@ -29,13 +29,12 @@ from .cevians import (
     build_config,
     check_conditions,
 )
-from .conics import Conic, conic_through_points, dual_conic
+from .conics import Conic
 from .errors import (
     ConcurrencyViolated,
     LabelingSelfCheckFailed,
     TheoremConsistencyError,
 )
-from .linalg import row_norm
 from .projective import HLine, HPoint, concurrency, join, meet, projective_gap
 from .scalars import DEFAULT_EPS
 
@@ -160,9 +159,12 @@ def _matches_morley(cfg: CevianConfig, target, tol: float) -> bool:
 def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
     """Build the trisector cevian configuration and verify its conics.
 
-    The five-of-six fits certify the configuration: the conic through five
-    derived points must pick up the sixth, and the dual fit through five
-    trisectors must be tangent to the sixth.
+    The two conics of the Poncelet porism are the witnesses of the report's
+    inner6 and tangent6 verdicts: ``inner_conic`` is fitted through five
+    derived points and ``cevian_conic`` is tangent to five trisectors.  Both
+    are self-checked at ``_CHECK_TOL``: ``inner_conic`` must contain Z2 and
+    ``cevian_conic`` must touch CC2, and a missing or failing witness raises
+    ``TheoremConsistencyError``.
     """
     trisectors, target = _trisectors_and_meets(tri)
     triples = [tuple(meet(pair[k], side) for pair, side in zip(trisectors, tri.sides)) for k in (0, 1)]
@@ -173,25 +175,15 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
         )
 
     report = check_conditions(cfg, eps)
-
-    inner = conic_through_points(
-        (cfg.X1, cfg.Y1, cfg.Z1, cfg.X2, cfg.Y2), eps
-    )
-    z2_residual = _normalized_value(inner, cfg.Z2)
-    if z2_residual > _CHECK_TOL:
+    inner = report.inner6.witness_conic
+    if inner is None or not inner.contains(cfg.Z2, _CHECK_TOL):
         raise TheoremConsistencyError(
-            f"conic through five derived points misses the sixth (residual {z2_residual:.3e})",
-            verdicts=report,
+            "no conic through five derived points picks up the sixth", verdicts=report
         )
-
-    duals = tuple(HPoint(*l.coords) for l in cfg.cevians)
-    dual_fit = conic_through_points(duals[:5], eps)
-    cevian_conic = dual_conic(dual_fit, eps)
-    sixth_residual = _normalized_value(dual_fit, duals[5])
-    if sixth_residual > _CHECK_TOL:
+    cevian_conic = report.tangent6.witness_conic
+    if cevian_conic is None or not cevian_conic.is_tangent(cfg.cevians[5], _CHECK_TOL):
         raise TheoremConsistencyError(
-            f"conic tangent to five trisectors misses the sixth (residual {sixth_residual:.3e})",
-            verdicts=report,
+            "no conic tangent to five trisectors touches the sixth", verdicts=report
         )
 
     if not report.concurrent.holds:
@@ -209,11 +201,6 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
         cevian_conic=cevian_conic,
         trisector_meets=target,
     )
-
-
-def _normalized_value(conic: Conic, p: HPoint) -> float:
-    num = abs(float(conic.value2(p.coords)))
-    return num / (conic.gram_norm * row_norm(p.coords) ** 2)
 
 
 def equilateral_side_spread(tri: Triangle) -> Tuple[float, float]:

@@ -68,12 +68,20 @@ def exact_sqrt(x: Scalar) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def parse_scalar(text: str, exact: bool) -> Scalar:
-    """Parse "p/q", integer, or decimal notation into the requested backend."""
-    value = Fraction(text.strip())
+def parse_scalar(text: Union[str, int], exact: bool) -> Scalar:
+    """Parse "p/q", integer, or decimal notation (or an ``int``) into the
+    requested backend.  Raises ``ValueError`` naming ``text`` when it is not
+    a number, or when the float backend cannot hold it."""
+    try:
+        value = Fraction(text.strip() if isinstance(text, str) else text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse {text!r} as a number") from None
     if exact:
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
 
 
 def format_scalar(x: Scalar) -> str:

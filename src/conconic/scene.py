@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .cevians import (
@@ -39,7 +38,7 @@ from .conics import Conic
 from .errors import ChartDegenerate
 from .generate import feet_from_params, foot_point
 from .projective import HPoint, Verdict
-from .scalars import DEFAULT_EPS, Scalar, format_scalar
+from .scalars import DEFAULT_EPS, Scalar, format_scalar, parse_scalar
 
 MODES = ("rational", "float")
 GENERATORS = ("isogonal", "isotomic", "through_points")
@@ -63,14 +62,11 @@ def decode_value(v: Any, exact: bool) -> Scalar:
     """Parse a wire value into the requested arithmetic backend."""
     if isinstance(v, bool):
         raise SceneError(f"expected a number, got {v!r}")
-    if isinstance(v, str):
+    if isinstance(v, (str, int)):
         try:
-            value = Fraction(v.strip())
-        except (ValueError, ZeroDivisionError) as err:
-            raise SceneError(f"cannot parse {v!r} as a rational value") from err
-        return value if exact else float(value)
-    if isinstance(v, int):
-        return Fraction(v) if exact else float(v)
+            return parse_scalar(v, exact)
+        except ValueError as err:
+            raise SceneError(str(err)) from None
     if isinstance(v, float):
         if exact:
             raise SceneError(
@@ -84,7 +80,7 @@ def parse_tolerance(value: Any, name: str) -> float:
     """A tolerance as a float; it must be a finite number in (0, 1)."""
     try:
         tol = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not 0 < tol < 1:
         raise SceneError(f"{name} must be a finite positive number below 1, got {value!r}")

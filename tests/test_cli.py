@@ -165,11 +165,30 @@ def test_verify_svg_bytes_are_pinned(tmp_path):
           "--start", "2,0", "--epsilon", "0"], "--epsilon"),
         (["verify", "scene.json", "--epsilon", "-1"], "--epsilon"),
         (["verify", "scene.json", "--closure-tol", "1e-7"], "--closure-tol"),
+        (["morley", "--triangle", "0,0 1e400,0 0,1"], "1e400"),
+        (["poncelet", "--outer", "1e400,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1", "--start", "2,0"], "1e400"),
     ],
 )
 def test_bad_flags_exit_one_naming_the_flag(argv, needle, capsys):
     assert main(argv) == 1
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scene, flags, needle",
+    [
+        ({"mode": "float", "triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]]}, [], "1e400"),
+        ({"mode": "float", "triangle": [[0, 0], [10**400, 0], [0, 3]]}, [], str(10**400)),
+        ({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]]}, ["--mode", "float"], "1" + "0" * 400),
+        ({"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], "epsilon": 10**400}, [], str(10**400)),
+    ],
+)
+def test_out_of_float_range_scene_values_exit_one_naming_the_value(scene, flags, needle, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**scene, "feet": {"params": ["1/2"] * 6}}))
+    assert main(["verify", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
 def test_morley_command(capsys, tmp_path):

@@ -199,11 +199,28 @@ def test_dual_is_built_once():
 def test_conic_rejects_assignment_to_any_attribute():
     conic = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
     conic.dual()  # fill the cached forms first
-    names = Conic.__slots__ + ("exact", "gram", "adjugate", "gram_norm", "rank", "extra")
+    names = (
+        "coeffs", "_exact", "_gram", "_adjugate", "_gram_norm", "_ranks", "_dual",
+        "exact", "gram", "adjugate", "gram_norm", "rank", "extra",
+    )
     for name in names:
         with pytest.raises(AttributeError):
             setattr(conic, name, None)
     assert conic.coeffs == (1, 0, 1, 0, 0, -1) and conic.rank() == 3
+
+
+def test_adjugate_is_computed_once_per_conic(monkeypatch):
+    calls = []
+    original = conics.adjugate3
+    monkeypatch.setattr(conics, "adjugate3", lambda m: calls.append(m) or original(m))
+    ellipse = Conic.from_coeffs((0.25, 0.0, 1.0, 0.0, 0.0, -1.0))
+    tangent = HLine(1.0, 0.0, -2.0)
+    for _ in range(3):
+        assert ellipse.rank() == ellipse.rank(1e-3) == 3
+        ellipse.dual()
+        ellipse.pole(tangent)
+        assert ellipse.is_tangent(tangent)
+    assert len(calls) == 1
 
 
 def test_polar_pole_round_trip():

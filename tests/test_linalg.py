@@ -76,3 +76,15 @@ def test_det_keeps_integer_matrices_in_int():
     assert integral == 25 and type(integral) is int
     rational = det([[Fraction(1, 2), 0], [0, 4]])
     assert rational == 2 and type(rational) is Fraction
+
+
+def test_det_picks_its_route_from_the_entry_types():
+    class Count(int):
+        pass
+
+    assert type(det([[2, 1], [1, 1]])) is int
+    assert det([[Count(2), 1], [1, 1]]) == 1  # an int subclass is rational, not float
+    assert type(det([[Fraction(1, 3), 1], [1, 1]])) is Fraction
+    assert type(det([[2, 1], [1, 1.0]])) is float
+    assert type(det([[True, 0], [0, 1]])) is float  # a bool is not a number here
+    assert type(det([[Fraction(1, 2), False], [0, 1]])) is float

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +16,9 @@ from conconic import (
     second_morley_center,
 )
 import conconic.morley as morley
-from conconic.errors import LabelingSelfCheckFailed
+from conconic.cli import main
+from conconic.errors import LabelingSelfCheckFailed, TheoremConsistencyError
+from conconic.generate import float_triangle
 from conconic.morley import equilateral_side_spread, first_morley_center
 
 RIGHT_345 = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(0.0, 3.0, 1.0))
@@ -105,6 +109,28 @@ def test_labeling_self_check_failure_raises(monkeypatch):
     monkeypatch.setattr(morley, "_matches_morley", lambda *args: False)
     with pytest.raises(LabelingSelfCheckFailed):
         morley_config(RIGHT_345)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chain_conics_are_the_condition_witnesses(seed):
+    low, high = (15.0, 150.0) if seed % 2 == 0 else (1.0, 178.0)
+    data = morley_config(float_triangle(random.Random(seed), low, high))
+    assert data.inner_conic is data.report.inner6.witness_conic
+    assert data.cevian_conic is data.report.tangent6.witness_conic
+
+
+def test_missing_inner_witness_is_a_consistency_error(monkeypatch, capsys):
+    original = morley.check_conditions
+
+    def without_inner_witness(cfg, eps):
+        report = original(cfg, eps)
+        return replace(report, inner6=replace(report.inner6, witness_conic=None))
+
+    monkeypatch.setattr(morley, "check_conditions", without_inner_witness)
+    with pytest.raises(TheoremConsistencyError):
+        morley_config(RIGHT_345)
+    assert main(["morley", "--triangle", "0,0 4,0 0,3", "--json"]) == 2
+    assert "internal consistency violation" in capsys.readouterr().err
 
 
 def test_morley_centers():

@@ -78,11 +78,22 @@ def test_scene_validation_errors():
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": "inf"}, "epsilon"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": 1}, "epsilon"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "closure_tol": 1e-7}, "unknown"),
+        ({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
+         "'1e400'"),
+        ({"triangle": [[0, 0], [10**400, 0], [0, 3]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
+         str(10**400)),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": 10**400},
+         str(10**400)),
     ]
     for data, needle in cases:
         with pytest.raises(SceneError) as exc:
             scene_from_dict(data)
         assert needle in str(exc.value)
+
+
+def test_rational_mode_keeps_out_of_float_range_values_exact():
+    scene = scene_from_dict({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}})
+    assert scene.triangle[1][0] == 10**400
 
 
 def test_scene_instance_materializes_feet():
