@@ -27,12 +27,10 @@ from .cevians import (
 from .conics import (
     Conic,
     brianchon_concurrent,
-    classify,
     conconic,
     conconic_by_fit,
     conic_through_points,
     cotangent,
-    dual_conic,
     intersect_line,
     pascal_collinear,
     tangent_lines_from,
@@ -114,14 +112,12 @@ __all__ = [
     "build_config",
     "cevians_through_point",
     "check_conditions",
-    "classify",
     "collinearity",
     "concurrency",
     "conconic",
     "conconic_by_fit",
     "conic_through_points",
     "cotangent",
-    "dual_conic",
     "find_point_on_conic",
     "first_morley_center",
     "incident",

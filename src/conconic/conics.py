@@ -262,10 +262,6 @@ class Conic:
         adj = self.adjugate
         return _form_zero(adj, lambda: _frob(adj), l.coords, eps)
 
-    def touch_point(self, l: HLine, eps: float = DEFAULT_EPS) -> HPoint:
-        """Tangency point of a tangent line (the pole of the line)."""
-        return self.pole(l, eps)
-
     def transformed(self, m: ProjectiveMap) -> "Conic":
         """Image conic under the projectivity (push-forward of the zero set)."""
         inv = adjugate3(m.matrix)
@@ -382,16 +378,6 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
     return tuple(HLine(*coords) for coords in _meet_coords(conic.dual(eps), p.coords, eps))
 
 
-def dual_conic(conic: Conic, eps: float = DEFAULT_EPS) -> Conic:
-    """Function form of :meth:`Conic.dual`."""
-    return conic.dual(eps)
-
-
-def classify(conic: Conic, eps: float = DEFAULT_EPS) -> str:
-    """Function form of :meth:`Conic.classify`."""
-    return conic.classify(eps)
-
-
 # ----- six points on a conic --------------------------------------------
 
 
@@ -403,12 +389,8 @@ def _check_distinct(items: Sequence, eps: float, exc=DuplicatePoints) -> None:
 
 
 def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
-    rows = [veronese(c) for c in coord_rows]
-    if all_exact([v for r in rows for v in r]):
-        d = det(rows)
-        return d, d == 0
-    nd = normalized_det(rows)
-    return nd, abs(nd) <= eps
+    r = normalized_det([veronese(c) for c in coord_rows])
+    return r, is_zero(r, eps, lambda: 1.0)
 
 
 def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:

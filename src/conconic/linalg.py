@@ -141,13 +141,16 @@ def det(rows) -> Scalar:
     return d if scale == 1 else Fraction(d, scale)
 
 
-def normalized_det(rows) -> float:
-    """Float determinant divided by the product of Euclidean row norms."""
-    norms = [row_norm(r) for r in rows]
-    scale = math.prod(norms)
-    if scale == 0.0:
-        return 0.0
-    return _det_float(rows) / scale
+def normalized_det(rows) -> Scalar:
+    """Determinant residual of a square matrix, ``det3`` for three rows and
+    ``det`` otherwise: an exact determinant is returned as it is, a float
+    one divided by the product of the Euclidean row norms (``0.0`` when
+    that product is zero), so a float residual is scale invariant."""
+    d = det3(rows) if len(rows) == 3 else det(rows)
+    if not isinstance(d, float):
+        return d
+    scale = math.prod(row_norm(r) for r in rows)
+    return d / scale if scale else 0.0
 
 
 def nullspace(rows, ncols: int, eps: float = 0.0):

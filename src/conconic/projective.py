@@ -22,7 +22,7 @@ from .errors import (
     DuplicatePoints,
     SingularMap,
 )
-from .linalg import adjugate3, cross, det3, dot, matmul3, matvec3, row_norm, transpose3
+from .linalg import adjugate3, cross, det3, dot, matmul3, matvec3, normalized_det, row_norm, transpose3
 from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, div, is_zero
 
 if TYPE_CHECKING:
@@ -184,12 +184,8 @@ class Verdict:
 
 
 def _det_verdict(rows: Sequence[Triple], eps: float) -> Verdict:
-    if all_exact([v for r in rows for v in r]):
-        d = det3(rows)
-        return Verdict(residual=d, holds=(d == 0))
-    scale = math.prod(row_norm(r) for r in rows)
-    nd = float(det3(rows)) / scale if scale else 0.0
-    return Verdict(residual=nd, holds=abs(nd) <= eps)
+    r = normalized_det(rows)
+    return Verdict(residual=r, holds=is_zero(r, eps, lambda: 1.0))
 
 
 def _triple_verdict(items: Sequence[_HTriple], eps: float, exc, noun: str) -> Verdict:

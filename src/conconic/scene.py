@@ -3,7 +3,11 @@
 A scene declares a triangle and six cevian feet; feet are given either as
 six side parameters in the order (a1, b1, c1, a2, b2, c2) — the foot on a
 side with endpoints (P, Q) at parameter t is P + t (Q - P) — or through a
-named generator (``isogonal``, ``isotomic``, ``through_points``).
+named generator (``isogonal``, ``isotomic``, ``through_points``).  A
+``Scene`` keeps that choice as one ``feet = (kind, values)`` pair: kind
+``"params"`` with the six parameters, ``"isogonal"`` or ``"isotomic"``
+with the three parameters of the first triple, or ``"through_points"``
+with the two points as coordinate pairs.
 
 Exact values travel as strings ("3/4", "0.25", "-2"); floats travel as
 JSON numbers.  In rational mode every value is parsed exactly and a report
@@ -72,6 +76,8 @@ def decode_value(v: Any, exact: bool) -> Scalar:
             raise SceneError(
                 f"rational mode requires exact values as strings, got the float {v!r}"
             )
+        if not math.isfinite(v):
+            raise SceneError(f"expected a finite number, got the float {v!r}")
         return v
     raise SceneError(f"expected a number or string, got {type(v).__name__}")
 
@@ -87,8 +93,13 @@ def parse_tolerance(value: Any, name: str) -> float:
     return tol
 
 
+def _is_list(raw: Any, n: int) -> bool:
+    """Whether ``raw`` is a JSON list of ``n`` items (a string is not one)."""
+    return isinstance(raw, Sequence) and not isinstance(raw, str) and len(raw) == n
+
+
 def _decode_pair(pair: Any, exact: bool, what: str) -> Tuple[Scalar, Scalar]:
-    if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
+    if not _is_list(pair, 2):
         raise SceneError(f"{what} must be a pair of coordinates")
     return (decode_value(pair[0], exact), decode_value(pair[1], exact))
 
@@ -98,14 +109,12 @@ def _decode_pair(pair: Any, exact: bool, what: str) -> Tuple[Scalar, Scalar]:
 
 @dataclass(frozen=True)
 class Scene:
-    """Declarative verification input: a triangle plus a feet prescription."""
+    """Declarative verification input: a triangle plus a feet prescription
+    ``feet = (kind, values)``, as the module docstring describes."""
 
     mode: str
     triangle: Tuple[Tuple[Scalar, Scalar], ...]
-    feet_params: Optional[Tuple[Scalar, ...]] = None
-    generator: Optional[str] = None
-    generator_params: Optional[Tuple[Scalar, ...]] = None
-    generator_points: Optional[Tuple[Tuple[Scalar, Scalar], ...]] = None
+    feet: Tuple[str, tuple]
     epsilon: float = DEFAULT_EPS
 
     @property
@@ -125,7 +134,7 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
     exact = mode == "rational"
 
     triangle_raw = data.get("triangle")
-    if not isinstance(triangle_raw, Sequence) or len(triangle_raw) != 3:
+    if not _is_list(triangle_raw, 3):
         raise SceneError("triangle must list exactly three vertices")
     triangle = tuple(
         _decode_pair(pair, exact, f"vertex {i}") for i, pair in enumerate(triangle_raw)
@@ -134,56 +143,45 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
     feet = data.get("feet")
     if not isinstance(feet, dict):
         raise SceneError("feet must be an object with params or a generator")
-    params = generator = gen_params = gen_points = None
     if "generator" in feet:
-        generator = feet["generator"]
-        if generator not in GENERATORS:
-            raise SceneError(f"generator must be one of {GENERATORS}, got {generator!r}")
-        if generator == "through_points":
+        kind = feet["generator"]
+        if kind not in GENERATORS:
+            raise SceneError(f"generator must be one of {GENERATORS}, got {kind!r}")
+        if kind == "through_points":
             pts = feet.get("points")
-            if not isinstance(pts, Sequence) or len(pts) != 2:
+            if not _is_list(pts, 2):
                 raise SceneError("through_points needs exactly two points")
-            gen_points = tuple(
+            values = tuple(
                 _decode_pair(p, exact, f"generator point {i}") for i, p in enumerate(pts)
             )
         else:
             raw = feet.get("params")
-            if not isinstance(raw, Sequence) or len(raw) != 3:
-                raise SceneError(f"{generator} needs exactly three side parameters")
-            gen_params = tuple(decode_value(v, exact) for v in raw)
+            if not _is_list(raw, 3):
+                raise SceneError(f"{kind} needs exactly three side parameters")
+            values = tuple(decode_value(v, exact) for v in raw)
     elif "params" in feet:
-        raw = feet["params"]
-        if not isinstance(raw, Sequence) or len(raw) != 6:
+        kind, raw = "params", feet["params"]
+        if not _is_list(raw, 6):
             raise SceneError("feet params must list exactly six side parameters")
-        params = tuple(decode_value(v, exact) for v in raw)
+        values = tuple(decode_value(v, exact) for v in raw)
     else:
         raise SceneError("feet must carry either params or a generator")
 
     return Scene(
         mode=mode,
         triangle=triangle,
-        feet_params=params,
-        generator=generator,
-        generator_params=gen_params,
-        generator_points=gen_points,
+        feet=(kind, values),
         epsilon=parse_tolerance(data.get("epsilon", DEFAULT_EPS), "epsilon"),
     )
 
 
 def scene_to_dict(scene: Scene) -> Dict[str, Any]:
-    feet: Dict[str, Any]
-    if scene.generator == "through_points":
-        feet = {
-            "generator": scene.generator,
-            "points": [[encode_value(x), encode_value(y)] for x, y in scene.generator_points],
-        }
-    elif scene.generator is not None:
-        feet = {
-            "generator": scene.generator,
-            "params": [encode_value(v) for v in scene.generator_params],
-        }
+    kind, values = scene.feet
+    feet: Dict[str, Any] = {} if kind == "params" else {"generator": kind}
+    if kind == "through_points":
+        feet["points"] = [[encode_value(x), encode_value(y)] for x, y in values]
     else:
-        feet = {"params": [encode_value(v) for v in scene.feet_params]}
+        feet["params"] = [encode_value(v) for v in values]
     return {
         "mode": scene.mode,
         "triangle": [[encode_value(x), encode_value(y)] for x, y in scene.triangle],
@@ -207,21 +205,18 @@ def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:
     The feet are not validated here: ``build_config`` checks them.
     """
     tri = Triangle(*(HPoint(x, y, 1) for x, y in scene.triangle))
-    if scene.generator == "through_points":
-        p1, p2 = (HPoint(x, y, 1) for x, y in scene.generator_points)
-        feet = CevianFeet.from_triples(
+    kind, values = scene.feet
+    if kind == "params":
+        return tri, feet_from_params(tri, values)
+    if kind == "through_points":
+        p1, p2 = (HPoint(x, y, 1) for x, y in values)
+        return tri, CevianFeet.from_triples(
             cevians_through_point(tri, p1, scene.epsilon),
             cevians_through_point(tri, p2, scene.epsilon),
         )
-    elif scene.generator is not None:
-        conjugate = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}[scene.generator]
-        first = tuple(
-            foot_point(tri, side, t) for side, t in zip(SIDES, scene.generator_params)
-        )
-        feet = CevianFeet.from_triples(first, conjugate(tri, first, scene.epsilon))
-    else:
-        feet = feet_from_params(tri, scene.feet_params)
-    return tri, feet
+    conjugate = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}[kind]
+    first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, values))
+    return tri, CevianFeet.from_triples(first, conjugate(tri, first, scene.epsilon))
 
 
 # ----- reports --------------------------------------------------------------

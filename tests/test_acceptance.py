@@ -21,6 +21,7 @@ from conconic import (
     conconic,
     conconic_by_fit,
     concurrency,
+    conic_through_points,
     cotangent,
     join,
     morley_config,
@@ -204,6 +205,10 @@ def test_criterion_8_two_conconicity_routes_agree():
         pts = conconic_sextuple(rnd) if k % 4 == 0 else random_sextuple(rnd)
         verdict = conconic(pts)
         assert verdict.holds == conconic_by_fit(pts)
+        if k % 4 == 0:
+            # the determinant route's witness (signed 5x5 minors) is the
+            # nullspace fit through the same five points
+            assert verdict.witness_conic == conic_through_points(pts[:5])
         agreements += 1
     elapsed = time.perf_counter() - t0
     assert agreements == 1000

@@ -191,6 +191,23 @@ def test_out_of_float_range_scene_values_exit_one_naming_the_value(scene, flags,
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize(
+    "scene, needle",
+    [
+        ('{"mode": "float", "triangle": [[0, 0], [1e400, 0], [0, 3]], "feet": {"params": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}}',
+         "expected a finite number, got the float inf"),
+        ('{"mode": "float", "triangle": [[0, 0], [4, 0], [0, 3]], "feet": {"params": [0.5, 0.5, 0.5, Infinity, 0.5, 0.5]}}',
+         "expected a finite number, got the float inf"),
+        ('{"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], "feet": {"params": "234567"}}',
+         "feet params must list exactly six side parameters"),
+    ],
+)
+def test_non_finite_or_string_scene_values_exit_one(scene, needle, scene_file, capsys):
+    assert main(["verify", scene_file(scene)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
 def test_morley_command(capsys, tmp_path):
     svg = tmp_path / "morley.svg"
     code = main(

@@ -19,7 +19,6 @@ from conconic import (
     conconic_by_fit,
     conic_through_points,
     cotangent,
-    dual_conic,
     intersect_line,
     join,
     pascal_collinear,
@@ -156,9 +155,9 @@ def test_tangent_lines_frozen_oracle():
 
 def test_dual_conic_frozen_oracle():
     ellipse = Conic.from_coeffs((Fraction(1, 4), 0, 1, 0, 0, -1))
-    assert dual_conic(ellipse) == Conic.from_coeffs((4, 0, 1, 0, 0, -1))
+    assert ellipse.dual() == Conic.from_coeffs((4, 0, 1, 0, 0, -1))
     with pytest.raises(DegenerateConic):
-        dual_conic(Conic.from_double_line(HLine(1, 1, 1)))
+        Conic.from_double_line(HLine(1, 1, 1)).dual()
 
 
 def test_rank_and_classification():
@@ -230,7 +229,7 @@ def test_polar_pole_round_trip():
     # the polar of an on-conic point is the tangent there
     assert UNIT_CIRCLE.polar(HPoint(3, 4, 5)) == HLine(3, 4, -5)
     assert UNIT_CIRCLE.is_tangent(HLine(3, 4, -5))
-    assert UNIT_CIRCLE.touch_point(HLine(3, 4, -5)) == HPoint(3, 4, 5)
+    assert UNIT_CIRCLE.pole(HLine(3, 4, -5)) == HPoint(3, 4, 5)
 
 
 def test_conic_transform_covariance():
@@ -395,4 +394,4 @@ def test_dual_of_dual_is_original(rnd):
     for _ in range(20):
         m = random_projective_map(rnd)
         moved = UNIT_CIRCLE.transformed(m)
-        assert dual_conic(dual_conic(moved)) == moved
+        assert moved.dual().dual() == moved

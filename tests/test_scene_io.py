@@ -58,8 +58,10 @@ def test_scene_parses_decimal_strings_exactly():
             "feet": {"params": ["0.25", "0.5", "0.75", "1/3", "2/3", "0.1"]},
         }
     )
-    assert scene.feet_params[0] == Fraction(1, 4)
-    assert scene.feet_params[5] == Fraction(1, 10)
+    kind, params = scene.feet
+    assert kind == "params"
+    assert params[0] == Fraction(1, 4)
+    assert params[5] == Fraction(1, 10)
 
 
 def test_scene_validation_errors():
@@ -84,6 +86,17 @@ def test_scene_validation_errors():
          str(10**400)),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": 10**400},
          str(10**400)),
+        # JSON reads 1e400 as inf; NaN and Infinity are literals it accepts
+        ({"triangle": [[0.0, 0.0], [json.loads("1e400"), 0.0], [0.0, 3.0]], "feet": {"params": [0.5] * 6},
+          "mode": "float"}, "expected a finite number, got the float inf"),
+        ({"triangle": [[0.0, 0.0], [4.0, json.loads("NaN")], [0.0, 3.0]], "feet": {"params": [0.5] * 6},
+          "mode": "float"}, "got the float nan"),
+        ({"triangle": [[0.0, 0.0], [4.0, 0.0], [json.loads("-Infinity"), 3.0]], "feet": {"params": [0.5] * 6},
+          "mode": "float"}, "got the float -inf"),
+        # a string is not a list of parameters, even when its length fits
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": "234567"}}, "six side"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"generator": "isogonal", "params": "234"}},
+         "isogonal needs exactly three side parameters"),
     ]
     for data, needle in cases:
         with pytest.raises(SceneError) as exc:
@@ -208,7 +221,7 @@ def test_load_scene_from_file(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(ISOGONAL_SCENE))
     scene = load_scene(str(path))
-    assert scene.generator == "isogonal"
+    assert scene.feet[0] == "isogonal"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SceneError):
