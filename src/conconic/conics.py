@@ -23,10 +23,11 @@ Two independent routes to "six points lie on one conic" are provided:
 ``conconic`` (rank of the stacked Veronese images, i.e. a 6x6 determinant)
 and ``conconic_by_fit`` (fit a conic through five of the points, test the
 sixth).  They are deliberately separate implementations so each can serve
-as an oracle for the other.  When ``conconic`` holds on exact points, its
-witness is the vector of signed 5x5 minors of five Veronese rows, so the
-exact path stays in integer Bareiss determinants; ``conic_through_points``,
-which ``conconic_by_fit`` and float witnesses use, solves the nullspace.
+as an oracle for the other.  On exact points ``conconic`` makes one
+integer Bareiss pass over the six Veronese rows: its determinant is the
+residual, and when the rank is five its integral kernel is the witness,
+the one conic through all six points; ``conic_through_points``, which
+``conconic_by_fit`` and float witnesses use, solves the nullspace.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .linalg import (
     adjugate3,
+    bareiss,
     cross,
     det,
     dot,
@@ -398,35 +400,42 @@ def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
     pencil of conics (four of them collinear).
 
     Exact points have integer canonical coordinates, so the conic is the
-    vector of signed minors ``(-1)^k det(V without column k)`` of their
-    Veronese rows ``V``, each an integer Bareiss determinant; all six
-    vanish exactly when ``V`` has rank below five.  Float points go through
-    the nullspace fit of ``conic_through_points``.
+    integral kernel of their five Veronese rows from one ``bareiss`` pass;
+    there is none when the rows have rank below five.  Float points go
+    through the nullspace fit of ``conic_through_points``.
     """
     if not all(p.exact for p in pts):
         try:
             return conic_through_points(pts, eps)
         except NonUniqueConic:
             return None
-    rows = [veronese(p.coords) for p in pts]
-    minors = [det([row[:k] + row[k + 1:] for row in rows]) for k in range(6)]
-    if not any(minors):
-        return None
-    return Conic.from_coeffs([-m if k % 2 else m for k, m in enumerate(minors)])
+    _, kernel = bareiss([veronese(p.coords) for p in pts])
+    return None if kernel is None else Conic.from_coeffs(kernel)
 
 
 def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> Verdict:
-    """Determinant verdict on six distinct points.  When it holds, the witness
-    is fitted by ``_fit_five`` through the first five points, or else through
-    the first five-subset (leaving out point 0, 1, ...) that determines one;
-    it is None when none does (the six points then lie on a pencil)."""
-    residual, holds = veronese_residual([p.coords for p in pts], eps)
-    witness = None
-    if holds:
-        for hold_out in (5, 0, 1, 2, 3, 4):
-            witness = _fit_five([p for i, p in enumerate(pts) if i != hold_out], eps)
-            if witness is not None:
-                break
+    """Determinant verdict on six distinct points, with its witness.
+
+    Exact points take one ``bareiss`` pass over their Veronese rows: the
+    determinant is the residual, and the witness is the kernel when the
+    rows have rank five (the one conic through all six) and None at rank
+    four or less (the six points then lie on a pencil).  Float points take
+    ``veronese_residual``, and a holding verdict fits its witness by
+    ``_fit_five`` through the first five points, or else through the first
+    five-subset (leaving out point 0, 1, ...) that determines one.
+    """
+    if all(p.exact for p in pts):
+        residual, kernel = bareiss([veronese(p.coords) for p in pts])
+        holds = residual == 0
+        witness = None if kernel is None else Conic.from_coeffs(kernel)
+    else:
+        residual, holds = veronese_residual([p.coords for p in pts], eps)
+        witness = None
+        if holds:
+            for hold_out in (5, 0, 1, 2, 3, 4):
+                witness = _fit_five([p for i, p in enumerate(pts) if i != hold_out], eps)
+                if witness is not None:
+                    break
     degenerate = holds and (witness is None or witness.is_degenerate(eps))
     return Verdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
 

@@ -3,7 +3,10 @@
 Everything here works on plain tuples/lists so both backends share one code
 path.  Determinants take two routes: exact matrices clear each row's
 denominators and go through fraction-free Bareiss elimination in plain
-integers, float matrices through partially pivoted LU.
+integers, float matrices through partially pivoted LU.  The one integer
+pass, ``bareiss``, also returns the integral null vector of a matrix whose
+rank is one below its column count, so a six-point verdict reads its
+determinant and its witness conic from a single elimination.
 
 The triple helpers (``dot``, ``matvec3`` and the triple case of
 ``row_norm``) are written out term by term and fix their summation order
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .scalars import Scalar, all_exact
 
@@ -84,24 +87,55 @@ def row_norm(row: Sequence[Scalar]) -> float:
     return math.sqrt(sum(float(v) * float(v) for v in row))
 
 
-def _det_bareiss_int(rows: List[List[int]]) -> int:
-    n = len(rows)
+def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """One fraction-free echelon pass over an integer matrix (Bareiss 1968).
+
+    Forward elimination with row swaps; a column with no nonzero pivot left
+    is skipped.  Every entry then stays an integer minor of the row-swapped
+    matrix, so each division by the previous pivot is exact.  Returns
+    ``(d, kernel)``:
+
+    - ``d`` is the determinant of a square matrix: the sign of the swaps
+      times the last pivot at full rank, else 0 (always 0 when not square);
+    - ``kernel`` is the integral null vector when the rank is one below the
+      column count, else None.  It is back-substituted from the free entry
+      set to the last pivot, which makes it the Cramer vector of the pivot
+      columns, so every quotient there is exact too.
+    """
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    nrows, ncols = len(m), len(m[0])
+    sign = prev = 1
+    pivots = []  # pivot column of each echelon row
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        if m[r][c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if m[i][c] != 0), None)
             if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+                continue
+            m[r], m[swap] = m[swap], m[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - a * top[j]) // prev
+            row[c] = 0
+        pivots.append(c)
+        prev = p
+        r += 1
+    d = sign * prev if r == nrows == ncols else 0
+    if r != ncols - 1:
+        return d, None
+    (free,) = set(range(ncols)).difference(pivots)
+    x = [0] * ncols
+    x[free] = prev
+    for row, c in zip(reversed(m[:r]), reversed(pivots)):
+        x[c] = -sum(row[j] * x[j] for j in range(c + 1, ncols)) // row[c]
+    return d, tuple(x)
 
 
 def _det_float(rows) -> float:
@@ -132,11 +166,11 @@ def det(rows) -> Scalar:
     coordinates are canonical ints), and a float for anything else."""
     kinds = {type(v) for r in rows for v in r}
     if kinds <= {int}:
-        return _det_bareiss_int(rows)
+        return bareiss(rows)[0]
     if not all(issubclass(k, (int, Fraction)) and k is not bool for k in kinds):
         return _det_float(rows)
     scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
-    d = _det_bareiss_int([[int(v * s) for v in r] for r, s in zip(rows, scales)])
+    d, _ = bareiss([[int(v * s) for v in r] for r, s in zip(rows, scales)])
     scale = math.prod(scales)
     return d if scale == 1 else Fraction(d, scale)
 

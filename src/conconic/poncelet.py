@@ -34,7 +34,7 @@ from .errors import (
     NoTangentLine,
 )
 from .linalg import cross, det3, matvec3, row_norm
-from .projective import HLine, HPoint, coincident, projective_gap
+from .projective import HLine, HPoint, coincident, projective_gap, sphere_gap, unit_coords
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
 
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -202,6 +202,7 @@ def trace_chain(
     links = []
     incoming = None
     best_gap = math.inf
+    start_unit = unit_coords(start)  # the closure test's fixed end
     for step in range(1, max_steps + 1):
         try:
             nxt, link = poncelet_step(c1, c2, points[-1], incoming, eps)
@@ -211,7 +212,7 @@ def trace_chain(
         links.append(link)
         incoming = link
         if step >= 3:
-            gap = projective_gap(points[0], nxt)
+            gap = sphere_gap(start_unit, unit_coords(nxt))
             best_gap = min(best_gap, gap)
             if gap <= closure_tol:
                 return ChainResult(tuple(points), tuple(links), step, gap)

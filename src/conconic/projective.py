@@ -214,9 +214,23 @@ def projective_gap(p: HPoint, q: HPoint) -> float:
     with the sign ambiguity minimized out, so the gap is zero exactly when
     the points coincide and is stable for nearly equal float points.
     """
-    nu, nv = row_norm(p.coords), row_norm(q.coords)
-    u0, u1, u2 = (float(c) / nu for c in p.coords)
-    v0, v1, v2 = (float(c) / nv for c in q.coords)
+    return sphere_gap(unit_coords(p), unit_coords(q))
+
+
+def unit_coords(p: HPoint) -> Tuple[float, float, float]:
+    """The canonical triple rescaled to unit Euclidean norm, in float: the
+    representative that ``projective_gap`` compares.  A caller that gauges
+    many points against one keeps that one's ``unit_coords`` and calls
+    ``sphere_gap``, which gives ``projective_gap`` bit for bit."""
+    n = row_norm(p.coords)
+    u0, u1, u2 = (float(c) / n for c in p.coords)
+    return u0, u1, u2
+
+
+def sphere_gap(u: Sequence[float], v: Sequence[float]) -> float:
+    """Distance between two unit triples with the sign minimized out."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
     minus = math.sqrt((u0 - v0) ** 2 + (u1 - v1) ** 2 + (u2 - v2) ** 2)
     plus = math.sqrt((u0 + v0) ** 2 + (u1 + v1) ** 2 + (u2 + v2) ** 2)
     return min(minus, plus)

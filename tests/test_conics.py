@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conconic.conics as conics
+import conconic.linalg as linalg
 
 from conconic import (
     Conic,
@@ -15,6 +16,8 @@ from conconic import (
     HPoint,
     ProjectiveMap,
     brianchon_concurrent,
+    build_config,
+    check_conditions,
     conconic,
     conconic_by_fit,
     conic_through_points,
@@ -35,6 +38,7 @@ from conconic.errors import (
     ZeroMatrix,
 )
 from conconic.generate import (
+    concurrency_solved_instance,
     conconic_sextuple,
     cotangent_sextuple,
     random_line_sextuple,
@@ -304,6 +308,30 @@ def test_minor_fit_stays_in_integer_determinants(monkeypatch):
     pencil = [HPoint(i, 0, 1) for i in range(4)] + [HPoint(0, 1, 1)]
     assert conics._fit_five(pencil, 1e-9) is None
     assert conconic(CIRCLE_SEXTUPLE).witness_conic == UNIT_CIRCLE
+
+
+def test_one_integer_elimination_per_exact_six_point_verdict(monkeypatch):
+    # every integer elimination, by the shape of its matrix; the 3x3 ones
+    # are the exact rank tests of the witnesses
+    shapes = []
+    original = linalg.bareiss
+
+    def counting(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "bareiss", counting)
+    monkeypatch.setattr(conics, "bareiss", counting)
+    verdict = conconic(CIRCLE_SEXTUPLE)
+    assert verdict.holds and verdict.witness_conic == UNIT_CIRCLE
+    assert [s for s in shapes if s != (3, 3)] == [(6, 6)]
+
+    cfg = build_config(*concurrency_solved_instance(random.Random(1))[:2])
+    shapes.clear()
+    report = check_conditions(cfg)
+    six_point = (report.outer6, report.inner6, report.tangent6)
+    assert all(v.holds and v.witness_conic is not None for v in six_point)
+    assert [s for s in shapes if s != (3, 3)] == [(6, 6)] * 3
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 1, 0, 0, -1), (0.5, 0.0, 1.0, 0.1, -0.0, -3.0)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conconic.linalg import det, dot, matvec3, row_norm
+from conconic.linalg import bareiss, det, dot, matvec3, row_norm
 
 from conftest import small_fractions
 
@@ -88,3 +88,74 @@ def test_det_picks_its_route_from_the_entry_types():
     assert type(det([[2, 1], [1, 1.0]])) is float
     assert type(det([[True, 0], [0, 1]])) is float  # a bool is not a number here
     assert type(det([[Fraction(1, 2), False], [0, 1]])) is float
+
+
+def _sympy_matrix(sympy, rows):
+    return sympy.Matrix(len(rows), len(rows[0]), [v for r in rows for v in r])
+
+
+def _low_rank_rows(rnd, nrows, ncols, rank, tied_columns):
+    """Integer rows of rank at most ``rank``: ``nrows`` random mixes of
+    ``rank`` random rows.  With ``tied_columns`` column 1 is twice column
+    0, so elimination finds no pivot in column 1 and skips it."""
+    basis = [[rnd.randint(-4, 4) for _ in range(ncols)] for _ in range(rank)]
+    if tied_columns:
+        for b in basis:
+            b[1] = 2 * b[0]
+    return [
+        [sum(w * b[j] for w, b in zip(weights, basis)) for j in range(ncols)]
+        for weights in ([rnd.randint(-3, 3) for _ in range(rank)] for _ in range(nrows))
+    ]
+
+
+def test_bareiss_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(12)
+    seen = set()
+    for n in range(1, 7):
+        for k in range(60):
+            rows = [[rnd.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 1:
+                rows[0][0] = 0  # a zero leading pivot: row swap, or a skipped column
+            if k % 3 == 2:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[(k // 3) % n])]
+            before = [list(r) for r in rows]
+            d, _ = bareiss(rows)
+            assert rows == before
+            assert type(d) is int
+            expected = _sympy_matrix(sympy, rows).det()
+            assert d == int(expected)
+            seen.add((d != 0, rows[0][0] == 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (6, 6)])
+def test_bareiss_kernel_at_rank_one_short_matches_sympy_nullspace(shape):
+    sympy = pytest.importorskip("sympy")
+    nrows, ncols = shape
+    rnd = random.Random(ncols * 10 + nrows)
+    checked = 0
+    for k in range(120):
+        rows = _low_rank_rows(rnd, nrows, ncols, ncols - 1, tied_columns=k % 2 == 1)
+        matrix = _sympy_matrix(sympy, rows)
+        if matrix.rank() != ncols - 1:
+            continue
+        d, kernel = bareiss(rows)
+        assert d == 0
+        assert all(type(v) is int for v in kernel) and any(kernel)
+        (expected,) = matrix.nullspace()
+        assert sympy.Matrix.hstack(sympy.Matrix(kernel), expected).rank() == 1
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 6), (6, 6)])
+def test_bareiss_has_no_kernel_two_short_of_full_rank(shape):
+    sympy = pytest.importorskip("sympy")
+    nrows, ncols = shape
+    rnd = random.Random(ncols * 100 + nrows)
+    for k in range(60):
+        rank = rnd.randint(0, ncols - 2)
+        rows = _low_rank_rows(rnd, nrows, ncols, rank, tied_columns=k % 2 == 1 and rank > 0)
+        assert _sympy_matrix(sympy, rows).rank() <= ncols - 2
+        assert bareiss(rows) == (0, None)
