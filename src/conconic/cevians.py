@@ -27,7 +27,6 @@ p = q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -58,6 +57,7 @@ from .linalg import cross, row_norm
 from .projective import (
     HLine,
     HPoint,
+    Record,
     Verdict,
     coincident,
     collinear,
@@ -75,8 +75,7 @@ SIDES = ("BC", "CA", "AB")
 CONDITION_NAMES = ("outer6", "inner6", "tangent6", "concurrent")
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Three non-collinear vertices."""
 
     A: HPoint
@@ -111,8 +110,7 @@ class Triangle:
         }[side]
 
 
-@dataclass(frozen=True)
-class CevianFeet:
+class CevianFeet(Record):
     """Six cevian feet: A-feet on BC, B-feet on CA, C-feet on AB."""
 
     A1: HPoint
@@ -143,8 +141,7 @@ class CevianFeet:
         raise ValueError("triple index must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class CevianConfig:
+class CevianConfig(Record):
     """A triangle, six feet, the six cevian lines in the order (AA1, BB1,
     CC1, AA2, BB2, CC2), and all nine derived intersection points."""
 
@@ -217,8 +214,7 @@ def build_config(tri: Triangle, feet: CevianFeet, eps: float = DEFAULT_EPS) -> C
 # ----- the four condition predicates --------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """The four condition verdicts for one configuration."""
 
     outer6: Verdict
@@ -276,10 +272,12 @@ def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> V
     configuration through two fixed points, where all six inner points
     collapse onto two and the witness is the doubly covered line through
     them.  On the dual points of the six cevians it decides tangent6, where
-    a shared cevian is the repeated item.
+    a shared cevian is the repeated item.  Exact items with one repeat take
+    the same single ``bareiss`` pass as six distinct ones: the repeated row
+    leaves the determinant 0 and the kernel the conic through the five.
     """
     points, distinct = sextuple
-    if len(distinct) == 6:
+    if len(distinct) == 6 or (len(distinct) == 5 and all(p.exact for p in points)):
         return _six_point_verdict(points, eps)
     residual, _ = veronese_residual([p.coords for p in points], eps)
     if len(distinct) == 5:
@@ -473,8 +471,7 @@ def solve_sixth_foot(
 # ----- the normalized chart ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofChart:
+class ProofChart(Record):
     """Coordinates of the configuration in the normalized chart.
 
     The chart sends B and C to infinity (so both cevian triples become

@@ -33,7 +33,6 @@ the one conic through all six points; ``conic_through_points``, which
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
@@ -414,15 +413,16 @@ def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
 
 
 def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> Verdict:
-    """Determinant verdict on six distinct points, with its witness.
+    """Determinant verdict on six points, with its witness.
 
     Exact points take one ``bareiss`` pass over their Veronese rows: the
     determinant is the residual, and the witness is the kernel when the
     rows have rank five (the one conic through all six) and None at rank
-    four or less (the six points then lie on a pencil).  Float points take
-    ``veronese_residual``, and a holding verdict fits its witness by
-    ``_fit_five`` through the first five points, or else through the first
-    five-subset (leaving out point 0, 1, ...) that determines one.
+    four or less (the six points then lie on a pencil).  Float points,
+    which must be pairwise distinct, take ``veronese_residual``, and a
+    holding verdict fits its witness by ``_fit_five`` through the first
+    five points, or else through the first five-subset (leaving out point
+    0, 1, ...) that determines one.
     """
     if all(p.exact for p in pts):
         residual, kernel = bareiss([veronese(p.coords) for p in pts])
@@ -445,7 +445,7 @@ def dual_verdict(verdict: Verdict) -> Verdict:
     witness is the adjugate of the dual fit, or None when that is degenerate."""
     fit = verdict.witness_conic
     witness = None if verdict.degenerate or fit is None else Conic.from_matrix(fit.adjugate)
-    return replace(verdict, witness_conic=witness)
+    return verdict.replace(witness_conic=witness)
 
 
 def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Verdict:

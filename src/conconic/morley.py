@@ -18,7 +18,6 @@ coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from .cevians import (
@@ -35,7 +34,7 @@ from .errors import (
     LabelingSelfCheckFailed,
     TheoremConsistencyError,
 )
-from .projective import HLine, HPoint, concurrency, join, meet, projective_gap
+from .projective import HLine, HPoint, Record, concurrency, join, meet, projective_gap
 from .scalars import DEFAULT_EPS
 
 # Tolerance for matching computed meets against the equilateral triangle
@@ -121,16 +120,14 @@ def second_morley_center(tri: Triangle, eps: float = DEFAULT_EPS) -> HPoint:
     return meet(la, lb)
 
 
-@dataclass(frozen=True)
-class MorleyCenters:
+class MorleyCenters(Record):
     """The two distinguished concurrence points of the configuration."""
 
     first: HPoint
     second: HPoint
 
 
-@dataclass(frozen=True)
-class MorleyData:
+class MorleyData(Record):
     """Full trisector cevian configuration with its fitted conics.
 
     ``config.cevians`` are the six trisectors as cevian lines in the order

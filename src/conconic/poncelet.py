@@ -21,7 +21,6 @@ input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .conics import Conic, tangent_lines_from
@@ -34,7 +33,7 @@ from .errors import (
     NoTangentLine,
 )
 from .linalg import cross, det3, matvec3, row_norm
-from .projective import HLine, HPoint, coincident, projective_gap, sphere_gap, unit_coords
+from .projective import HLine, HPoint, Record, coincident, projective_gap, sphere_gap, unit_coords
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
 
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -164,8 +163,7 @@ def poncelet_step(
     return nxt, link
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(Record):
     """Trace of a chain: vertices, links, and how (whether) it closed.
 
     ``gap`` is the canonical-coordinate distance between the first vertex
@@ -219,8 +217,7 @@ def trace_chain(
     return ChainResult(tuple(points), tuple(links), None, best_gap)
 
 
-@dataclass(frozen=True)
-class PorismReport:
+class PorismReport(Record):
     """Closure outcomes for chains started at spread-out sample points."""
 
     all_closed: bool

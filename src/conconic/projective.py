@@ -11,7 +11,6 @@ z = 0 are directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .errors import (
@@ -76,6 +75,87 @@ class _HTriple:
     def __repr__(self) -> str:
         body = " : ".join(str(c) for c in self.coords)
         return f"{type(self).__name__}({body})"
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields as class annotations, in order, with
+    optional class-level defaults; ``__init_subclass__`` reads them once.
+    Instances take the fields by position or keyword, store them in
+    ``__dict__`` and then run the class's ``__post_init__``, if any.
+    Equality and hashing follow the type and the field values, ``repr``
+    reads ``Name(field=value, ...)``, and ``replace`` returns a copy with
+    some fields changed.  Fields cannot be set or deleted; there are no
+    ``__slots__``, so ``functools.cached_property`` works on subclasses.
+    """
+
+    _spec = ((), frozenset(), {}, None)  # fields, their set, defaults, __post_init__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields, names, defaults, _ = cls._spec
+        own = tuple(n for n in cls.__dict__.get("__annotations__", {}) if n not in names)
+        defaults = {**defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        fields += own
+        cls._spec = (fields, frozenset(fields), defaults, getattr(cls, "__post_init__", None))
+
+    def __init__(self, *args, **kwargs):
+        fields, names, defaults, post = self._spec
+        values = kwargs
+        if args:
+            # zip drops surplus arguments and dict() keeps one of two values
+            # for a name, so either fault shortens the result
+            values = dict(zip(fields, args), **kwargs)
+            if len(values) != len(args) + len(kwargs):
+                raise self._argument_error(args, kwargs)
+        if len(values) != len(fields):
+            values = {**defaults, **values}
+        if len(values) != len(fields) or not names.issuperset(values):
+            raise self._argument_error(args, kwargs)
+        self.__dict__.update(values)
+        if post is not None:
+            post(self)
+
+    def _argument_error(self, args, kwargs) -> TypeError:
+        fields, names, defaults, _ = self._spec
+        call = f"{type(self).__qualname__}()"
+        if len(args) > len(fields):
+            return TypeError(f"{call} takes {len(fields)} arguments but {len(args)} were given")
+        for name in fields[:len(args)]:
+            if name in kwargs:
+                return TypeError(f"{call} got multiple values for argument {name!r}")
+        for name in kwargs:
+            if name not in names:
+                return TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        missing = [n for n in fields[len(args):] if n not in kwargs and n not in defaults]
+        return TypeError(f"{call} missing required arguments: {', '.join(map(repr, missing))}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        state = self.__dict__
+        return tuple([state[name] for name in self._spec[0]])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._spec[0], self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed (``__post_init__`` runs again)."""
+        return type(self)(**dict(zip(self._spec[0], self._values()), **changes))
 
 
 class HPoint(_HTriple):
@@ -165,8 +245,7 @@ def concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bool:
     return _rank_two(lines, eps)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Signed residual and boolean outcome of an incidence predicate.
 
     In exact mode the residual is the raw determinant; in float mode it is
@@ -236,8 +315,7 @@ def sphere_gap(u: Sequence[float], v: Sequence[float]) -> float:
     return min(minus, plus)
 
 
-@dataclass(frozen=True)
-class ProjectiveMap:
+class ProjectiveMap(Record):
     """An invertible projectivity, stored as a 3x3 matrix up to scale."""
 
     matrix: Tuple[Triple, Triple, Triple]

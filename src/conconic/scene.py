@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .cevians import (
@@ -41,7 +40,7 @@ from .cevians import (
 from .conics import Conic
 from .errors import ChartDegenerate
 from .generate import feet_from_params, foot_point
-from .projective import HPoint, Verdict
+from .projective import HPoint, Record, Verdict
 from .scalars import DEFAULT_EPS, Scalar, format_scalar, parse_scalar
 
 MODES = ("rational", "float")
@@ -107,8 +106,7 @@ def _decode_pair(pair: Any, exact: bool, what: str) -> Tuple[Scalar, Scalar]:
 # ----- scenes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record):
     """Declarative verification input: a triangle plus a feet prescription
     ``feet = (kind, values)``, as the module docstring describes."""
 
@@ -222,8 +220,7 @@ def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:
 # ----- reports --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Everything the verification pipeline concluded about one scene: the
     four verdicts and the normalized chart, None when its frame cannot be
     built."""

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -124,7 +123,7 @@ def test_missing_inner_witness_is_a_consistency_error(monkeypatch, capsys):
 
     def without_inner_witness(cfg, eps):
         report = original(cfg, eps)
-        return replace(report, inner6=replace(report.inner6, witness_conic=None))
+        return report.replace(inner6=report.inner6.replace(witness_conic=None))
 
     monkeypatch.setattr(morley, "check_conditions", without_inner_witness)
     with pytest.raises(TheoremConsistencyError):

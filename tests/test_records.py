@@ -1,0 +1,207 @@
+"""The immutable-record base shared by the package's value types, and the
+start-up cost it keeps out of ``conconic.cli``."""
+
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conconic import (
+    CevianConfig,
+    CevianFeet,
+    ChainResult,
+    ConditionReport,
+    Conic,
+    HPoint,
+    MorleyCenters,
+    MorleyData,
+    PorismReport,
+    ProjectiveMap,
+    ProofChart,
+    Scene,
+    Triangle,
+    Verdict,
+    VerifyReport,
+    build_config,
+    check_conditions,
+    morley_config,
+    porism_check,
+    scene_from_dict,
+    to_chart,
+    trace_chain,
+    verify_scene,
+)
+from conconic.errors import DegenerateTriangle, SingularMap
+from conconic.generate import concurrency_solved_instance
+from conconic.projective import Record
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ISOGONAL = {
+    "triangle": [["0", "0"], ["4", "0"], ["0", "3"]],
+    "mode": "rational",
+    "feet": {"generator": "isogonal", "params": ["1/2", "1/3", "2/5"]},
+}
+RIGHT_345 = Triangle(HPoint(0, 0, 1), HPoint(4, 0, 1), HPoint(0, 3, 1))
+
+
+def _circle(radius: float) -> Conic:
+    return Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -radius * radius))
+
+
+def _samples():
+    """One instance of every record class, built the way the library does."""
+    tri, feet, _ = concurrency_solved_instance(random.Random(3))
+    cfg = build_config(tri, feet)
+    morley = morley_config(Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(1.0, 3.0, 1.0)))
+    outer, inner = _circle(2.0), _circle(1.0)
+    return {
+        Verdict: Verdict(residual=0, holds=True),
+        ProjectiveMap: ProjectiveMap(((1, 2, 0), (0, 1, 0), (0, 0, 3))),
+        Triangle: tri,
+        CevianFeet: feet,
+        CevianConfig: cfg,
+        ConditionReport: check_conditions(cfg),
+        ProofChart: to_chart(cfg),
+        MorleyCenters: morley.centers,
+        MorleyData: morley,
+        ChainResult: trace_chain(outer, inner, HPoint(2.0, 0.0, 1.0)),
+        PorismReport: porism_check(outer, inner, expected_n=3, num_samples=4),
+        Scene: scene_from_dict(ISOGONAL),
+        VerifyReport: verify_scene(scene_from_dict(ISOGONAL)),
+    }
+
+
+SAMPLES = _samples()
+CLASSES = list(SAMPLES)
+
+
+def _fields(obj):
+    return {name: getattr(obj, name) for name in type(obj).__annotations__}
+
+
+def test_every_record_class_is_sampled():
+    assert len(CLASSES) == 13
+    assert all(issubclass(cls, Record) for cls in CLASSES)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_record_semantics(cls):
+    obj = SAMPLES[cls]
+    fields = _fields(obj)
+    names = list(fields)
+
+    # frozen: no field can be set or deleted, and no attribute added
+    for name in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert _fields(obj) == fields
+
+    # equality and hash follow the type and the field values
+    twin = cls(**fields)
+    assert twin == obj and twin is not obj
+    assert cls(*fields.values()) == obj
+    if cls is VerifyReport:  # its provenance is a dict, as in any frozen dataclass
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(twin) == hash(obj)
+    lookalike = type("Lookalike", (Record,), {"__annotations__": dict.fromkeys(names)})
+    assert lookalike(**fields) != obj
+    first = names[0]
+    if cls not in (Triangle, ProjectiveMap):  # their __post_init__ checks the fields
+        changed = obj.replace(**{first: "changed"})
+        assert changed != obj
+        assert _fields(changed) == {**fields, first: "changed"}
+
+    # repr in the dataclass format
+    body = ", ".join(f"{n}={v!r}" for n, v in fields.items())
+    assert repr(obj) == f"{cls.__name__}({body})"
+
+    # a missing, unknown or duplicated argument is a TypeError
+    required = [n for n in names if n not in vars(cls)]  # no class-level default
+    with pytest.raises(TypeError):
+        cls(**{n: v for n, v in fields.items() if n != required[-1]})
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=1)
+    with pytest.raises(TypeError):
+        cls(fields[first], **fields)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), *fields.values())
+    with pytest.raises(TypeError):
+        obj.replace(unknown=1)
+
+    # copies and pickles round-trip to equal objects
+    assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_repr_matches_the_dataclass_format():
+    assert repr(Verdict(residual=0, holds=True)) == (
+        "Verdict(residual=0, holds=True, witness_conic=None, degenerate=False)"
+    )
+    witnessed = Verdict(
+        residual=Fraction(-3, 2), holds=False, witness_conic=Conic(1, 0, 1, 0, 0, -1), degenerate=True
+    )
+    assert repr(witnessed) == (
+        "Verdict(residual=Fraction(-3, 2), holds=False, "
+        "witness_conic=Conic(1*x^2 + 1*y^2 + -1*z^2 = 0), degenerate=True)"
+    )
+    assert repr(ProofChart(b1=Fraction(1, 2), c2=3, p=None, q=-0.25)) == (
+        "ProofChart(b1=Fraction(1, 2), c2=3, p=None, q=-0.25, eps=1e-09)"
+    )
+    assert repr(scene_from_dict(ISOGONAL)) == (
+        "Scene(mode='rational', triangle=((Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(4, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(3, 1))), "
+        "feet=('isogonal', (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))), epsilon=1e-09)"
+    )
+
+
+def test_defaults_apply():
+    verdict = Verdict(residual=1, holds=False)
+    assert verdict.witness_conic is None and verdict.degenerate is False
+    assert Verdict(1, False) == verdict
+    assert ProofChart(b1=1, c2=2, p=3, q=3).eps == 1e-9
+    assert Scene(mode="rational", triangle=(), feet=("params", ())).epsilon == 1e-9
+    assert Verdict(residual=1, holds=False, degenerate=True).witness_conic is None
+
+
+def test_post_init_checks_still_run():
+    with pytest.raises(DegenerateTriangle):
+        Triangle(HPoint(0, 0, 1), HPoint(1, 1, 1), HPoint(2, 2, 1))
+    with pytest.raises(SingularMap):
+        ProjectiveMap(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+    with pytest.raises(DegenerateTriangle):
+        RIGHT_345.replace(C=HPoint(8, 0, 1))
+    assert ProjectiveMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_triangle_sides_are_cached_on_the_frozen_instance():
+    tri = Triangle(*RIGHT_345.vertices)
+    assert "sides" not in vars(tri)
+    sides = tri.sides
+    assert tri.sides is sides
+    assert vars(tri)["sides"] is sides
+    assert tri == RIGHT_345  # the cached value is not a field
+    assert copy.deepcopy(tri).sides == sides
+
+
+def test_cli_import_loads_no_dataclasses():
+    """``conconic.cli`` starts without ``dataclasses`` and the modules it
+    pulls in (``inspect``, ``ast``): each CLI process imports the package."""
+    probe = "import conconic.cli, sys; print(sorted(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
