@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+Runs ``bench/run.py`` (untraced) in each checkout in turn; odd pairs run
+the parent first, even pairs the change.  Each run's result is the last
+JSON line it prints.  For every end-to-end metric of ``BENCHMARK.json``
+(read from the change's checkout) it prints each side's median and
+quartiles, the parent's interquartile range and the pairs each side wins
+in the metric's ``better`` direction; ties count for neither side.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload exact_sweep --seed 7 --pairs 10 --seconds 8
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_bench(checkout, args) -> dict:
+    argv = [sys.executable, "bench/run.py", "--workload", args.workload,
+            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def quartiles(values):
+    """(q1, median, q3), the quartiles interpolated within the sample."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent, change, metrics):
+    """One row per ``(name, better)`` metric over paired runs: the metric,
+    each side's quartiles, the parent's IQR and each side's pair wins."""
+    rows = []
+    for name, better in metrics:
+        p = [run["metrics"][name]["value"] for run in parent]
+        c = [run["metrics"][name]["value"] for run in change]
+        sign = 1 if better == "higher" else -1
+        gains = [sign * (b - a) for a, b in zip(p, c)]
+        pq, cq = quartiles(p), quartiles(c)
+        rows.append({"metric": name, "parent": pq, "change": cq, "parent_iqr": pq[2] - pq[0],
+                     "change_wins": sum(g > 0 for g in gains),
+                     "parent_wins": sum(g < 0 for g in gains), "pairs": len(gains)})
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    runs = {"parent": [], "change": []}
+    for i in range(1, args.pairs + 1):
+        for side in ("parent", "change") if i % 2 else ("change", "parent"):
+            result = run_bench(getattr(args, side), args)
+            runs[side].append(result)
+            values = " ".join(f"{n}={result['metrics'][n]['value']:.4g}" for n, _ in metrics)
+            print(f"pair {i} {side}: failed {result['failed']}/{result['attempted']} {values}", flush=True)
+    for row in summarize(runs["parent"], runs["change"], metrics):
+        p, c = row["parent"], row["change"]
+        print(f"{row['metric']}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "
+              f"[{c[0]:.4g}, {c[2]:.4g}] ({(c[1] - p[1]) / p[1]:+.1%}); parent IQR {row['parent_iqr']:.4g}; "
+              f"wins change {row['change_wins']}/{row['pairs']}, parent {row['parent_wins']}/{row['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

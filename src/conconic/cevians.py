@@ -275,11 +275,18 @@ def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> V
     a shared cevian is the repeated item.  Exact items with one repeat take
     the same single ``bareiss`` pass as six distinct ones: the repeated row
     leaves the determinant 0 and the kernel the conic through the five.
+    Exact items with two or more repeats are equal canonical triples, so
+    their Veronese rows repeat and the residual is the integer 0 without
+    an elimination; float items take ``veronese_residual``.
     """
     points, distinct = sextuple
-    if len(distinct) == 6 or (len(distinct) == 5 and all(p.exact for p in points)):
+    exact = all(p.exact for p in points)
+    if len(distinct) == 6 or (len(distinct) == 5 and exact):
         return _six_point_verdict(points, eps)
-    residual, _ = veronese_residual([p.coords for p in points], eps)
+    if exact:
+        residual = 0
+    else:
+        residual, _ = veronese_residual([p.coords for p in points], eps)
     if len(distinct) == 5:
         witness = _fit_five(distinct, eps)
     else:

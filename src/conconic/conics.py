@@ -50,7 +50,7 @@ from .linalg import (
     adjugate3,
     bareiss,
     cross,
-    det,
+    det3,
     dot,
     matmul3,
     matvec3,
@@ -199,7 +199,7 @@ class Conic:
     def _rank(self, eps: float) -> int:
         g = self.gram
         if self.exact:
-            if det(g) != 0:
+            if det3(g) != 0:
                 return 3
             return 2 if any(v != 0 for row in self.adjugate for v in row) else 1
         m = [[float(v) for v in row] for row in g]

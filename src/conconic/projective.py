@@ -61,7 +61,8 @@ class _HTriple:
 
     @property
     def exact(self) -> bool:
-        return all_exact(self.coords)
+        # canonical triples are all int or all float
+        return type(self.coords[0]) is int
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self.coords == other.coords
@@ -197,8 +198,18 @@ def _coincident(u: Triple, v: Triple, raw: Triple, eps: float) -> bool:
 
 
 def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
-    """Whether two points (or two lines) agree up to scale and tolerance."""
-    return _coincident(a.coords, b.coords, cross(a.coords, b.coords), eps)
+    """Whether two points (or two lines) agree up to scale and tolerance.
+
+    Canonical triples that are equal coincide, and two unequal exact ones
+    (reduced ``int`` triples) do not; any other pair takes the tolerance
+    test on their cross product.
+    """
+    u, v = a.coords, b.coords
+    if u == v:
+        return True
+    if type(u[0]) is int and type(v[0]) is int:
+        return False
+    return _coincident(u, v, cross(u, v), eps)
 
 
 def join(p: HPoint, q: HPoint, eps: float = DEFAULT_EPS) -> HLine:

@@ -96,12 +96,15 @@ def format_scalar(x: Scalar) -> str:
 def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     """Canonical representative of a homogeneous coordinate tuple.
 
-    Rational entries: clear denominators (an all-``int`` tuple has none),
-    divide by the gcd, and make the first nonzero entry positive, so
-    equality up to scale becomes plain tuple equality.  Float entries:
-    divide by the first component of largest magnitude, which pins that
-    component to exactly +1.0, so canonicalizing a canonical float tuple
-    returns it bit for bit.  A tuple with any float member is a float
+    Rational entries: clear denominators in integer arithmetic (an
+    all-``int`` tuple has none), divide by the gcd, and make the first
+    nonzero entry positive, so equality up to scale becomes plain tuple
+    equality.  An exact canonical tuple is therefore all ``int`` and a float
+    one all ``float``: its first entry's type names its backend, and two
+    exact tuples agree up to scale exactly when they are equal.  Float
+    entries: divide by the first component of largest magnitude, which pins
+    that component to exactly +1.0, so canonicalizing a canonical float
+    tuple returns it bit for bit.  A tuple with any float member is a float
     tuple; one that starts with a float goes there without the exact scans.
     """
     vals = list(values)
@@ -111,9 +114,8 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
         if all(type(v) is int for v in vals):
             return _reduced(vals)
         if all_exact(vals):
-            fracs = [Fraction(v) for v in vals]
-            denom_lcm = math.lcm(*(f.denominator for f in fracs))
-            return _reduced([int(f * denom_lcm) for f in fracs])
+            denom_lcm = math.lcm(*(v.denominator for v in vals))
+            return _reduced([v.numerator * (denom_lcm // v.denominator) for v in vals])
     floats = list(map(float, vals))
     if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite homogeneous coordinate")
@@ -131,6 +133,11 @@ def _reduced(ints: Sequence[int]) -> tuple:
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("homogeneous coordinates cannot all be zero")
-    if next(v for v in ints if v != 0) < 0:
+    for lead in ints:
+        if lead:
+            break
+    if lead < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    if g == 1:
+        return tuple(ints)
+    return tuple([v // g for v in ints])

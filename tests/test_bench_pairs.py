@@ -1,0 +1,44 @@
+"""The summary of ``scripts/bench_pairs.py`` on canned paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(**series):
+    length = len(next(iter(series.values())))
+    return [{"metrics": {name: {"value": values[i]} for name, values in series.items()}}
+            for i in range(length)]
+
+
+def test_summary_reads_quartiles_iqr_and_wins_in_the_better_direction():
+    summarize = _load_bench_pairs().summarize
+    parent = _runs(ops_per_s=[100, 110, 90, 105, 95], op_ms_p50=[2.0, 1.8, 2.2, 1.9, 2.1])
+    change = _runs(ops_per_s=[130, 110, 125, 85, 140], op_ms_p50=[1.5, 1.8, 1.6, 2.0, 2.2])
+    ops, p50 = summarize(parent, change, [("ops_per_s", "higher"), ("op_ms_p50", "lower")])
+    assert ops["metric"] == "ops_per_s" and ops["pairs"] == 5
+    assert ops["parent"] == (95, 100, 105) and ops["change"] == (110, 125, 130)
+    assert ops["parent_iqr"] == 10
+    # pair 2 ties (110 and 110) and counts for neither side
+    assert (ops["change_wins"], ops["parent_wins"]) == (3, 1)
+    assert p50["parent"] == pytest.approx((1.9, 2.0, 2.1))
+    assert p50["parent_iqr"] == pytest.approx(0.2)
+    # lower is better: 1.5 < 2.0, 1.6 < 2.2, 2.0 > 1.9 and 2.2 > 2.1
+    assert (p50["change_wins"], p50["parent_wins"]) == (2, 2)
+
+
+def test_summary_of_one_pair():
+    summarize = _load_bench_pairs().summarize
+    (row,) = summarize(_runs(setup_s=[0.1]), _runs(setup_s=[0.1]), [("setup_s", "lower")])
+    assert row["parent"] == row["change"] == (0.1, 0.1, 0.1)
+    assert row["parent_iqr"] == 0 and (row["change_wins"], row["parent_wins"]) == (0, 0)

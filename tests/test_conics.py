@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import conconic.cevians as cevians
 import conconic.conics as conics
 import conconic.linalg as linalg
+import conconic.projective as projective
 
 from conconic import (
     Conic,
@@ -44,6 +46,7 @@ from conconic.generate import (
     random_line_sextuple,
     random_projective_map,
     random_sextuple,
+    through_point_instance,
 )
 from conftest import small_fractions
 
@@ -311,8 +314,8 @@ def test_minor_fit_stays_in_integer_determinants(monkeypatch):
 
 
 def test_one_integer_elimination_per_exact_six_point_verdict(monkeypatch):
-    # every integer elimination, by the shape of its matrix; the 3x3 ones
-    # are the exact rank tests of the witnesses
+    # every integer elimination, by the shape of its matrix; the exact rank
+    # tests of the witnesses take det3 and eliminate nothing
     shapes = []
     original = linalg.bareiss
 
@@ -324,14 +327,48 @@ def test_one_integer_elimination_per_exact_six_point_verdict(monkeypatch):
     monkeypatch.setattr(conics, "bareiss", counting)
     verdict = conconic(CIRCLE_SEXTUPLE)
     assert verdict.holds and verdict.witness_conic == UNIT_CIRCLE
-    assert [s for s in shapes if s != (3, 3)] == [(6, 6)]
+    assert shapes == [(6, 6)]
 
     cfg = build_config(*concurrency_solved_instance(random.Random(1))[:2])
     shapes.clear()
     report = check_conditions(cfg)
     six_point = (report.outer6, report.inner6, report.tangent6)
     assert all(v.holds and v.witness_conic is not None for v in six_point)
-    assert [s for s in shapes if s != (3, 3)] == [(6, 6)] * 3
+    assert shapes == [(6, 6)] * 3
+
+
+def test_exact_conditions_take_no_generic_determinant(monkeypatch):
+    # exact check_conditions on a solved instance and on one whose inner
+    # points collapse onto two: no linalg.det call, and integer
+    # eliminations only on the six Veronese rows of a six-point verdict
+    det_calls, shapes = [], []
+    original_det, original_bareiss = linalg.det, linalg.bareiss
+
+    def counting_det(rows):
+        det_calls.append(len(rows))
+        return original_det(rows)
+
+    def counting_bareiss(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return original_bareiss(rows)
+
+    for module in (linalg, conics, cevians, projective):
+        for name, original, counting in (("det", original_det, counting_det),
+                                         ("bareiss", original_bareiss, counting_bareiss)):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    rnd = random.Random(7)
+    solved = concurrency_solved_instance(rnd)[:2]
+    tri, feet, p1, p2 = through_point_instance(rnd)
+    for instance in (solved, (tri, feet)):
+        det_calls.clear()
+        shapes.clear()
+        report = check_conditions(build_config(*instance))
+        assert report.all_hold
+        assert det_calls == []
+        assert shapes and all(rows == 6 for rows, _ in shapes)
+    assert len({p.coords for p in build_config(tri, feet).inner_points}) == 2
+    assert report.inner6.residual == 0 and type(report.inner6.residual) is int
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 1, 0, 0, -1), (0.5, 0.0, 1.0, 0.1, -0.0, -3.0)])

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,9 @@ from conconic.errors import (
     DuplicatePoints,
     SingularMap,
 )
+from conconic.linalg import cross
 from conconic.projective import coincident
+from conconic.scalars import all_exact
 
 from conftest import exact_points
 
@@ -168,6 +171,50 @@ def test_coincident_tolerates_float_noise():
     q = HPoint(1.0 + 1e-13, 2.0, 3.0)
     assert coincident(p, q)
     assert not coincident(p, HPoint(1.001, 2.0, 3.0))
+
+
+def test_exact_coincidence_matches_the_cross_product():
+    # exact triples coincide exactly when their cross product vanishes;
+    # copies scaled by +-k and by fractions, zero components, unequal pairs
+    rnd = random.Random(14)
+    scales = [k * s for k in (1, 2, 7, 10**12) for s in (1, -1)]
+    scales += [Fraction(3, 7), Fraction(-5, 2), Fraction(1, 10**9)]
+    seen = 0
+    for _ in range(300):
+        raw = [rnd.choice((0, rnd.randint(-9, 9), Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))))
+               for _ in range(3)]
+        if not any(raw):
+            continue
+        k = rnd.choice(scales)
+        scaled = [k * c for c in raw]
+        other = [rnd.choice((c, c + 1, 0)) for c in raw]
+        for cls in (HPoint, HLine):
+            a = cls(*raw)
+            for coords in (scaled, other):
+                if not any(coords):
+                    continue
+                b = cls(*coords)
+                assert coincident(a, b) == (max(map(abs, cross(raw, coords))) == 0)
+                seen += coincident(a, b)
+    assert 300 < seen < 1000  # both answers are exercised
+
+
+def test_identical_float_triples_coincide():
+    for coords in ((1.0, 2.0, 3.0), (0.1, -0.0, 2.0), (1e-300, 0.0, 0.0), (-3.5, 1e300, 7.0)):
+        p = HPoint(*coords)
+        assert coincident(p, HPoint(*p.coords)) and coincident(HLine(*coords), HLine(*coords))
+    assert coincident(HPoint(1, 2, 3), HPoint(1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("coords", [
+    (1, 2, 3), (0, 0, -4), (Fraction(1, 2), 3, Fraction(-2, 3)), (Fraction(4, 2), 0, 0),
+    (1.0, 2.0, 3.0), (-0.0, 0.5, 0), (1, 2.0, Fraction(1, 3)), (Fraction(1, 3), 1, 0.25),
+    (True, 0, 1), (1, False, 2), (True, True, True),
+])
+def test_exact_flag_reads_the_first_canonical_entry(coords):
+    for cls in (HPoint, HLine):
+        item = cls(*coords)
+        assert item.exact == all_exact(coords) == all_exact(item.coords)
 
 
 @pytest.mark.parametrize("item", [HPoint(3, 4, 5), HPoint(0.1, -0.0, 2.0), HLine(1, -2, 3), HLine(0.1, 0.2, -0.3)])

@@ -136,6 +136,26 @@ def test_canonical_tuple_of_ints_matches_the_fraction_path(vals):
     assert all(type(v) is int for v in out)
 
 
+def test_mixed_tuples_with_large_denominators_clear_them_like_fractions():
+    # oracle: each entry as a Fraction, multiplied by the lcm of the
+    # denominators, then canonicalized as an all-int tuple
+    def cleared_by_fractions(vals):
+        lcm = math.lcm(*(Fraction(v).denominator for v in vals))
+        return canonical_tuple([int(Fraction(v) * lcm) for v in vals])
+
+    big = 10**40 + 7
+    for vals in (
+        (Fraction(1, big), 3, Fraction(-5, 2**89 - 1)),
+        (-4, Fraction(2**127 - 1, 6**30), Fraction(-1, 3**50), 0, 9),
+        (0, Fraction(-7, big * 3), Fraction(-7, big * 5)),
+        (Fraction(big, 2**64), -(2**70), Fraction(1, 2**64 * 3)),
+        (Fraction(-1, 7), 0, 0, Fraction(6, 7), Fraction(10**30, 13), 1),
+    ):
+        out = canonical_tuple(vals)
+        assert out == cleared_by_fractions(vals)
+        assert all(type(v) is int for v in out)
+
+
 def branch_order_canonical_tuple(values):
     """canonical_tuple as three scans in a fixed order: all ints, then all
     exact, then floats pinned at the first component of largest magnitude."""
