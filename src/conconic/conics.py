@@ -76,6 +76,8 @@ Six = Tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]
 
 VERONESE_MONOMIALS = ("x^2", "xy", "y^2", "xz", "yz", "z^2")
 
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 
 def veronese(coords: Sequence[Scalar]) -> Six:
     """Image of a coordinate triple under the degree-2 Veronese map."""
@@ -283,15 +285,21 @@ def _form_zero(m, norm: Callable[[], float], coords, eps: float) -> bool:
 # ----- line and conic intersections ------------------------------------
 
 
-def _points_on_line(line: Sequence[Scalar]) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
-    """Two independent points spanning the line of coordinates ``line``, as raw triples."""
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    candidates = [cross(line, e) for e in basis]
-    ranked = sorted(candidates, key=lambda c: row_norm(c), reverse=True)
-    first = ranked[0]
-    for second in ranked[1:]:
+def _points_on_line(line: Sequence[Scalar]):
+    """Two independent points spanning the line of coordinates ``line``, as
+    raw triples, followed by their float norms.
+
+    The candidates are the line's cross products with the basis, tried in
+    decreasing norm (ties in basis order); each norm is taken once.
+    """
+    candidates = [cross(line, e) for e in _BASIS]
+    norms = [row_norm(c) for c in candidates]
+    ranked = sorted(range(3), key=norms.__getitem__, reverse=True)
+    first = candidates[ranked[0]]
+    for k in ranked[1:]:
+        second = candidates[k]
         if any(v != 0 for v in cross(first, second)):
-            return first, second
+            return first, second, norms[ranked[0]], norms[k]
     raise ValueError("line coordinates are degenerate")  # unreachable for valid lines
 
 
@@ -302,7 +310,9 @@ def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Ca
     roots, empty for no real roots.  Raises ``LineOnConic`` when the form
     vanishes identically (in float mode: when its coefficients are below
     ``eps`` relative to ``scale()``) and ``IrrationalResult`` when exact
-    roots exist but are not rational.
+    roots exist but are not rational.  Float roots are solved with the
+    larger of ``|a|`` and ``|c|`` leading, swapping the roles of lam and
+    mu when that is ``c``.
     """
     if all_exact((a, b, c)):
         if a == 0 and b == 0 and c == 0:
@@ -327,34 +337,46 @@ def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Ca
     magnitude = max(abs(fa), abs(fb), abs(fc))
     if near_zero(magnitude, scale(), eps):
         raise LineOnConic("every point of the line lies on the conic")
-    if abs(fa) < abs(fc):
-        return [(mu, lam) for lam, mu in _quadratic_root_pairs(fc, fb, fa, eps, scale)]
+    swap = abs(fa) < abs(fc)
+    if swap:
+        fa, fc = fc, fa
     if near_zero(fa, magnitude, eps):
         # conic essentially passes through the first basis point
         if near_zero(fb, magnitude, eps):
-            return [(1.0, 0.0)]
-        return [(1.0, 0.0), (fc, -2.0 * fb)]
-    disc = fb * fb - fa * fc
-    if near_zero(disc, max(fb * fb, abs(fa * fc)), eps):
-        return [(-fb, fa)]
-    if disc < 0:
-        return []
-    root = math.sqrt(disc)
-    if fb == 0.0:
-        return [(root, fa), (-root, fa)]
-    q = -(fb + math.copysign(root, fb))
-    return [(q, fa), (fc, q)]
+            pairs = [(1.0, 0.0)]
+        else:
+            pairs = [(1.0, 0.0), (fc, -2.0 * fb)]
+    else:
+        disc = fb * fb - fa * fc
+        if near_zero(disc, max(fb * fb, abs(fa * fc)), eps):
+            pairs = [(-fb, fa)]
+        elif disc < 0:
+            pairs = []
+        else:
+            root = math.sqrt(disc)
+            if fb == 0.0:
+                pairs = [(root, fa), (-root, fa)]
+            else:
+                q = -(fb + math.copysign(root, fb))
+                pairs = [(q, fa), (fc, q)]
+    if swap:
+        return [(mu, lam) for lam, mu in pairs]
+    return pairs
 
 
 def _meet_coords(conic: Conic, line: Sequence[Scalar], eps: float):
     """Raw coordinate triples of the real points where the conic meets the
     line of coordinates ``line``, for the caller to canonicalize once."""
-    p0, p1 = _points_on_line(line)
-    a = conic.value2(p0)
-    b = conic.bilinear2(p0, p1)
-    c = conic.value2(p1)
-    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * row_norm(p0) * row_norm(p1))
-    return [tuple(lam * u + mu * v for u, v in zip(p0, p1)) for lam, mu in pairs]
+    p0, p1, n0, n1 = _points_on_line(line)
+    gram = conic.gram
+    g1 = matvec3(gram, p1)
+    a = dot(p0, matvec3(gram, p0))
+    b = dot(p0, g1)
+    c = dot(p1, g1)
+    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * n0 * n1)
+    u0, u1, u2 = p0
+    v0, v1, v2 = p1
+    return [(lam * u0 + mu * v0, lam * u1 + mu * v1, lam * u2 + mu * v2) for lam, mu in pairs]
 
 
 def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HPoint, ...]:

@@ -15,7 +15,10 @@ the same as one on the segment).
 
 Chains need square roots for the tangent construction, so tracing is a
 float-mode affair; ``sample_on_conic`` alone stays rational on rational
-input.
+input.  A spread of samples (``spread_on_conic``) validates its base point
+once and reuses its pencil for every sample.  A chain names a degenerate
+conic before its first step: ``trace_chain`` checks the inner conic,
+``porism_check`` both.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Tuple
 
-from .conics import Conic, tangent_lines_from
+from .conics import _BASIS, Conic, tangent_lines_from
 from .errors import (
     BaseNotOnConic,
     ChainStuck,
@@ -33,10 +36,8 @@ from .errors import (
     NoTangentLine,
 )
 from .linalg import cross, det3, matvec3, row_norm
-from .projective import HLine, HPoint, Record, coincident, projective_gap, sphere_gap, unit_coords
+from .projective import HLine, HPoint, Record, coincident, sphere_gap, unit_coords
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
-
-_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _pencil_lines(base: HPoint) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
@@ -59,16 +60,16 @@ def _point_on_line_away_from(line_coords, base: HPoint, eps: float):
                 return c
         raise ValueError("line has a single point")  # unreachable for valid lines
     base_norm = row_norm(base.coords)
-
-    def separation(c) -> float:
+    # the first largest separation wins, as with ``max``
+    best = best_separation = None
+    for c in candidates:
         n = row_norm(c) * base_norm
-        return row_norm(cross(c, base.coords)) / n if n else 0.0
-
-    separations = [separation(c) for c in candidates]
-    best = max(range(len(candidates)), key=separations.__getitem__)
-    if separations[best] <= eps:
+        separation = row_norm(cross(c, base.coords)) / n if n else 0.0
+        if best is None or separation > best_separation:
+            best, best_separation = c, separation
+    if best_separation <= eps:
         raise ValueError("line has a single point")  # unreachable for valid lines
-    return candidates[best]
+    return best
 
 
 def second_intersection(conic: Conic, base: HPoint, line_coords, eps: float = DEFAULT_EPS) -> HPoint:
@@ -88,7 +89,8 @@ def second_intersection(conic: Conic, base: HPoint, line_coords, eps: float = DE
     s = div(-2 * conic.bilinear2(base.coords, other), a)
     if s == 0:
         return base
-    combined = tuple(u + s * v for u, v in zip(base.coords, other))
+    b0, b1, b2 = base.coords
+    combined = (b0 + s * other[0], b1 + s * other[1], b2 + s * other[2])
     # an infinite or NaN s makes some coordinate non-finite; math.isfinite
     # would overflow on a huge Fraction, so only a float s is checked
     if isinstance(s, float) and not all(map(math.isfinite, combined)):
@@ -107,7 +109,13 @@ def sample_on_conic(conic: Conic, base: HPoint, t: Scalar, eps: float = DEFAULT_
         raise DegenerateConic("sampling needs a nondegenerate conic")
     if not conic.contains(base, eps):
         raise BaseNotOnConic(f"{base} does not lie on the conic")
-    l0, l1 = _pencil_lines(base)
+    return _pencil_point(conic, base, _pencil_lines(base), t, eps)
+
+
+def _pencil_point(conic: Conic, base: HPoint, pencil, t: Scalar, eps: float) -> HPoint:
+    """The point of ``sample_on_conic`` at t, on a checked base with its
+    ``_pencil_lines``."""
+    l0, l1 = pencil
     line = tuple(u + t * v for u, v in zip(l0, l1))
     return second_intersection(conic, base, line, eps)
 
@@ -136,7 +144,8 @@ def poncelet_step(
     if not tangents:
         raise NoTangentLine("chain vertex lies inside the inner conic")
     if incoming is not None:
-        link = max(tangents, key=lambda l: projective_gap(l, incoming))
+        arrived = unit_coords(incoming)
+        link = max(tangents, key=lambda l: sphere_gap(unit_coords(l), arrived))
         if coincident(link, incoming, eps):
             raise ChainStuck("both tangents coincide with the incoming link")
     elif len(tangents) == 1:
@@ -161,6 +170,11 @@ def poncelet_step(
     if coincident(nxt, current, eps):
         raise ChainStuck("link is tangent to the outer conic; the chain cannot advance")
     return nxt, link
+
+
+def _check_nondegenerate(conic: Conic, role: str, eps: float) -> None:
+    if conic.is_degenerate(eps):
+        raise DegenerateConic(f"{role} conic is degenerate")
 
 
 class ChainResult(Record):
@@ -196,6 +210,7 @@ def trace_chain(
     """
     if max_steps < 3:
         raise ValueError("a chain needs at least three steps to close")
+    _check_nondegenerate(c2, "inner", eps)
     points = [start]
     links = []
     incoming = None
@@ -249,11 +264,16 @@ def find_point_on_conic(conic: Conic, eps: float = DEFAULT_EPS) -> HPoint:
 def spread_on_conic(conic: Conic, n: int, eps: float = DEFAULT_EPS) -> Iterator[HPoint]:
     """``n`` points spread over a conic, yielded one at a time: the pencil
     parameters tan(theta_k / 2) with theta_k = -pi + 2 pi (k + 1/2) / n at
-    one base point found by ``find_point_on_conic``."""
+    one base point found by ``find_point_on_conic``.  Each point is
+    ``sample_on_conic(conic, base, tan(theta_k / 2))``; the base is checked
+    and its pencil built once per spread."""
     base = find_point_on_conic(conic, eps)
+    if not conic.contains(base, eps):
+        raise BaseNotOnConic(f"{base} does not lie on the conic")
+    pencil = _pencil_lines(base)
     for k in range(n):
         theta = -math.pi + 2.0 * math.pi * (k + 0.5) / n
-        yield sample_on_conic(conic, base, math.tan(theta / 2.0), eps)
+        yield _pencil_point(conic, base, pencil, math.tan(theta / 2.0), eps)
 
 
 def porism_check(
@@ -274,6 +294,8 @@ def porism_check(
         raise ValueError("closure below three steps is not a chain")
     if num_samples < 1:
         raise ValueError("at least one sample is required")
+    _check_nondegenerate(c1, "outer", eps)
+    _check_nondegenerate(c2, "inner", eps)
     steps = []
     gaps = []
     for start in spread_on_conic(c1, num_samples, eps):

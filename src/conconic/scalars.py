@@ -105,7 +105,9 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     entries: divide by the first component of largest magnitude, which pins
     that component to exactly +1.0, so canonicalizing a canonical float
     tuple returns it bit for bit.  A tuple with any float member is a float
-    tuple; one that starts with a float goes there without the exact scans.
+    tuple; one that starts with a float goes there without the exact scans,
+    and an all-``float`` triple (every point and line of a chain) is
+    checked, pivoted and divided in one pass by the same rule.
     """
     vals = list(values)
     if not vals:
@@ -116,6 +118,19 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
         if all_exact(vals):
             denom_lcm = math.lcm(*(v.denominator for v in vals))
             return _reduced([v.numerator * (denom_lcm // v.denominator) for v in vals])
+    elif len(vals) == 3:
+        x, y, z = vals
+        if type(y) is float and type(z) is float:
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError("non-finite homogeneous coordinate")
+            pivot, m = x, abs(x)
+            if abs(y) > m:
+                pivot, m = y, abs(y)
+            if abs(z) > m:
+                pivot, m = z, abs(z)
+            if m == 0.0:
+                raise ValueError("homogeneous coordinates cannot all be zero")
+            return (x / pivot, y / pivot, z / pivot)
     floats = list(map(float, vals))
     if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite homogeneous coordinate")

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -460,3 +462,69 @@ def test_dual_of_dual_is_original(rnd):
         m = random_projective_map(rnd)
         moved = UNIT_CIRCLE.transformed(m)
         assert moved.dual().dual() == moved
+
+
+def sorted_points_on_line(line):
+    """Two spanning points of a line by the sort written out: the basis
+    cross products in ``sorted(..., key=row_norm, reverse=True)`` order,
+    the first of them with the first independent one after it."""
+    candidates = [linalg.cross(line, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    ranked = sorted(candidates, key=lambda c: linalg.row_norm(c), reverse=True)
+    first = ranked[0]
+    for second in ranked[1:]:
+        if any(v != 0 for v in linalg.cross(first, second)):
+            return first, second
+
+
+def test_points_on_line_keep_the_sorted_order_on_equal_norms():
+    # (1, 1, 0) ties its e1 and e2 candidates at norm 1 behind the e3 one;
+    # (1, 1, 1) ties all three at norm sqrt 2
+    assert conics._points_on_line((1, 1, 0))[:2] == ((1, -1, 0), (0, 0, -1))
+    assert conics._points_on_line((1.0, 1.0, 1.0))[:2] == ((0.0, 1.0, -1.0), (-1.0, 0.0, 1.0))
+    lines = [line for line in itertools.product((-2, -1, 0, 1, 2), repeat=3) if any(line)]
+    for line in lines:
+        for coords in (line, tuple(map(float, line)), tuple(-0.0 if v == 0 else float(v) for v in line)):
+            first, second, n_first, n_second = conics._points_on_line(coords)
+            assert repr((first, second)) == repr(sorted_points_on_line(coords)), coords
+            assert (n_first, n_second) == (linalg.row_norm(first), linalg.row_norm(second))
+
+
+def recursive_root_pairs(a, b, c, eps, scale):
+    """The float branch of ``_quadratic_root_pairs`` with the swap written
+    as a second call on (c, b, a) and the pairs flipped back."""
+    fa, fb, fc = float(a), float(b), float(c)
+    magnitude = max(abs(fa), abs(fb), abs(fc))
+    if conics.near_zero(magnitude, scale(), eps):
+        raise LineOnConic("every point of the line lies on the conic")
+    if abs(fa) < abs(fc):
+        return [(mu, lam) for lam, mu in recursive_root_pairs(fc, fb, fa, eps, scale)]
+    if conics.near_zero(fa, magnitude, eps):
+        if conics.near_zero(fb, magnitude, eps):
+            return [(1.0, 0.0)]
+        return [(1.0, 0.0), (fc, -2.0 * fb)]
+    disc = fb * fb - fa * fc
+    if conics.near_zero(disc, max(fb * fb, abs(fa * fc)), eps):
+        return [(-fb, fa)]
+    if disc < 0:
+        return []
+    root = math.sqrt(disc)
+    if fb == 0.0:
+        return [(root, fa), (-root, fa)]
+    q = -(fb + math.copysign(root, fb))
+    return [(q, fa), (fc, q)]
+
+
+def root_pairs_or_error(solve, a, b, c):
+    try:
+        return repr(solve(a, b, c, 1e-9, lambda: 1.0))
+    except LineOnConic:
+        return "LineOnConic"
+
+
+@given(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-12, 3.0]),
+                             st.floats(-1e6, 1e6))] * 3))
+def test_float_root_pairs_swap_like_a_second_call(abc):
+    a, b, c = abc
+    for coeffs in ((a, b, c), (c, b, a)):
+        assert root_pairs_or_error(conics._quadratic_root_pairs, *coeffs) == \
+            root_pairs_or_error(recursive_root_pairs, *coeffs)

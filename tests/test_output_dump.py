@@ -1,13 +1,18 @@
-"""The exact output families of ``scripts/output_dump.py`` are pinned at
-seed 1, so a change that must leave exact verdicts, residuals, witnesses,
-charts, sextuple oracles and sixth feet byte-identical is checked by
-tier-1.  The float families are left out: their residuals are expected to
-change when the float verdict scale does."""
+"""Output families of ``scripts/output_dump.py`` pinned at seed 1, so a
+change that must leave them byte-identical is checked by tier-1: the exact
+verdicts, residuals, witnesses, charts, sextuple oracles and sixth feet,
+and the float Poncelet chains (closure steps and gaps, and every vertex
+and link coordinate).  The float verdict, residual, witness and chart
+families are left out: their residuals are expected to change when the
+float verdict scale does (ROADMAP item 1).  That re-scales residuals, not
+chains, so the chain digests stay fixed."""
 
 import contextlib
 import importlib.util
 import io
 from pathlib import Path
+
+import pytest
 
 OUTPUT_DUMP = Path(__file__).resolve().parent.parent / "scripts" / "output_dump.py"
 
@@ -20,6 +25,11 @@ EXACT_DIGESTS = {
     "sixth_feet": "ba2881a6e538ff0046ba325ed7554442789c4260d80b2eb143f7768372709fc1",
 }
 
+CHAIN_DIGESTS = {
+    "chains": "9d11cc3a31353412beacf9d626f324989bd83581ceba093e4d6d3d8a46a67c0a",
+    "chain_points": "c50654936be96c5bbde4ff841b03e8f2f2628b718c10c43d3f48e54ed0a22b19",
+}
+
 
 def _load_output_dump():
     spec = importlib.util.spec_from_file_location("output_dump", OUTPUT_DUMP)
@@ -28,7 +38,8 @@ def _load_output_dump():
     return module
 
 
-def test_exact_output_families_keep_their_seed_1_digests():
+@pytest.fixture(scope="module")
+def seed_1_digests():
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert _load_output_dump().main(["--seed", "1"]) == 0
@@ -36,4 +47,12 @@ def test_exact_output_families_keep_their_seed_1_digests():
     for line in stdout.getvalue().splitlines():
         family, _count, digest = line.split()
         digests[family] = digest
-    assert {family: digests.get(family) for family in EXACT_DIGESTS} == EXACT_DIGESTS
+    return digests
+
+
+def test_exact_output_families_keep_their_seed_1_digests(seed_1_digests):
+    assert {family: seed_1_digests.get(family) for family in EXACT_DIGESTS} == EXACT_DIGESTS
+
+
+def test_float_chain_families_keep_their_seed_1_digests(seed_1_digests):
+    assert {family: seed_1_digests.get(family) for family in CHAIN_DIGESTS} == CHAIN_DIGESTS

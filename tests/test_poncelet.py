@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import conconic.poncelet as poncelet
 from conconic import (
     Conic,
     HLine,
@@ -225,3 +226,90 @@ def test_tangent_lines_from_is_the_dual_plane_meet():
         assert repr(got) == repr(want)
         counts.add(got if isinstance(got, type) else len(got))
     assert {0, 1, 2} <= counts
+
+
+def max_separation_point(line_coords, base):
+    """The float branch of ``_point_on_line_away_from`` written with the
+    separations in a list and ``max`` over their indices."""
+    candidates = [poncelet.cross(line_coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    base_norm = poncelet.row_norm(base.coords)
+
+    def separation(c):
+        n = poncelet.row_norm(c) * base_norm
+        return poncelet.row_norm(poncelet.cross(c, base.coords)) / n if n else 0.0
+
+    separations = [separation(c) for c in candidates]
+    return candidates[max(range(3), key=separations.__getitem__)]
+
+
+def test_point_away_from_base_keeps_the_first_of_tied_separations():
+    # on the line at infinity, from (1 : 1 : 0), the e1 and e2 candidates
+    # are equally far: the first wins
+    assert poncelet._point_on_line_away_from((0.0, 0.0, 1.0), HPoint(1.0, 1.0, 0.0), 1e-9) == (0.0, 1.0, 0.0)
+    checked = 0
+    for line in ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (2.0, 2.0, -2.0), (0.0, -1.0, 1.0)):
+        candidates = [poncelet.cross(line, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for sign in (1.0, -1.0):
+                coords = tuple(u + sign * v for u, v in zip(candidates[i], candidates[j]))
+                if not any(coords):
+                    continue
+                base = HPoint(*coords)
+                got = poncelet._point_on_line_away_from(line, base, 1e-9)
+                assert repr(got) == repr(max_separation_point(line, base)), (line, coords)
+                checked += 1
+    assert checked >= 20
+
+
+SPREAD_CONICS = [
+    OUTER_R2,
+    circle(1.7),
+    OUTER_R2.transformed(ProjectiveMap(((1.0, 0.3, 0.7), (0.1, 1.2, -0.4), (0.0, 0.0, 1.0)))),
+    *trisector_conics(7),
+    *trisector_conics(11),
+]
+
+
+@pytest.mark.parametrize("conic", SPREAD_CONICS)
+def test_spread_points_are_the_samples_at_tan_half_angles(conic):
+    n = 13
+    base = find_point_on_conic(conic)
+    spread = list(poncelet.spread_on_conic(conic, n))
+    assert len(spread) == n
+    for k, p in enumerate(spread):
+        theta = -math.pi + 2.0 * math.pi * (k + 0.5) / n
+        assert repr(p.coords) == repr(sample_on_conic(conic, base, math.tan(theta / 2.0)).coords)
+
+
+def test_spread_checks_its_base_and_builds_its_pencil_once(monkeypatch):
+    calls = {"pencil": 0, "contains": 0}
+    pencil_lines, contains = poncelet._pencil_lines, Conic.contains
+
+    def counting_pencil_lines(base):
+        calls["pencil"] += 1
+        return pencil_lines(base)
+
+    def counting_contains(self, p, eps=1e-9):
+        calls["contains"] += 1
+        return contains(self, p, eps)
+
+    monkeypatch.setattr(poncelet, "_pencil_lines", counting_pencil_lines)
+    monkeypatch.setattr(Conic, "contains", counting_contains)
+    assert len(list(poncelet.spread_on_conic(OUTER_R2, 25))) == 25
+    assert calls == {"pencil": 1, "contains": 1}
+
+
+def test_spread_on_a_degenerate_conic_raises():
+    pair = Conic.from_line_pair(HLine(1.0, 0.0, 0.0), HLine(0.0, 1.0, 0.0))
+    with pytest.raises(DegenerateConic):
+        next(poncelet.spread_on_conic(pair, 5))
+
+
+def test_degenerate_conics_are_named_before_the_first_step():
+    pair = Conic.from_line_pair(HLine(1.0, 0.0, 0.0), HLine(0.0, 1.0, 0.0))
+    with pytest.raises(DegenerateConic, match="^inner conic is degenerate$"):
+        trace_chain(OUTER_R2, pair, HPoint(2.0, 0.0, 1.0))
+    with pytest.raises(DegenerateConic, match="^inner conic is degenerate$"):
+        porism_check(OUTER_R2, pair, expected_n=3, num_samples=5)
+    with pytest.raises(DegenerateConic, match="^outer conic is degenerate$"):
+        porism_check(pair, INNER_R1, expected_n=3, num_samples=5)

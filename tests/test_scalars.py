@@ -216,3 +216,79 @@ def test_canonical_tuple_rejects_non_finite_floats():
             canonical_tuple(vals)
     with pytest.raises(ValueError, match="all be zero"):
         canonical_tuple((0.0, -0.0, 0))
+
+
+def loop_float_canonical_tuple(values):
+    """The generic float branch of canonical_tuple written out: convert,
+    reject non-finite entries, pivot on the first component of largest
+    magnitude (strictly larger replaces), then divide by the pivot."""
+    floats = list(map(float, values))
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("non-finite homogeneous coordinate")
+    pivot = m = 0.0
+    for v in floats:
+        if abs(v) > m:
+            pivot, m = v, abs(v)
+    if m == 0.0:
+        raise ValueError("homogeneous coordinates cannot all be zero")
+    return tuple([v / pivot for v in floats])
+
+
+def test_float_triples_with_tied_magnitudes_pivot_on_the_first():
+    assert repr(canonical_tuple((-2.0, 2.0, 1.0))) == "(1.0, -1.0, -0.5)"
+    assert repr(canonical_tuple((1.0, -3.0, 3.0))) == "(-0.3333333333333333, 1.0, -1.0)"
+    for vals in ((-2.0, 2.0, 1.0), (2.0, -2.0, -2.0), (0.5, -4.0, 4.0), (-1.0, -1.0, -1.0),
+                 (3.0, 1.0, -3.0), (0.0, 7.5, -7.5)):
+        assert bits(canonical_tuple(vals)) == bits(loop_float_canonical_tuple(vals))
+
+
+def test_float_triples_keep_the_sign_of_zero():
+    for vals in ((-0.0, 0.0, -3.0), (0.0, -0.0, 2.0), (-0.0, -5.0, 5.0), (4.0, -0.0, 0.0),
+                 (-0.0, -0.0, -1.0), (-6.0, 0.0, -0.0)):
+        out = canonical_tuple(vals)
+        assert bits(out) == bits(loop_float_canonical_tuple(vals)), vals
+    assert repr(canonical_tuple((-0.0, 0.0, -3.0))) == "(0.0, -0.0, 1.0)"
+
+
+@pytest.mark.parametrize("vals", [
+    (math.inf, 1.0, 0.0), (1.0, -math.inf, 2.0), (0.0, 0.0, math.inf),
+    (math.nan, 1.0, 2.0), (1.0, 2.0, math.nan), (math.nan, math.nan, math.nan),
+    (math.inf, math.nan, 1.0),
+])
+def test_non_finite_float_triples_raise(vals):
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_tuple(vals)
+
+
+@pytest.mark.parametrize("vals", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0)])
+def test_all_zero_float_triples_raise(vals):
+    with pytest.raises(ValueError, match="all be zero"):
+        canonical_tuple(vals)
+
+
+@given(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+                             st.floats(allow_nan=False, allow_infinity=False))] * 3))
+def test_float_triples_match_the_loop_bit_for_bit(vals):
+    if all(v == 0 for v in vals):
+        return
+    assert bits(canonical_tuple(vals)) == bits(loop_float_canonical_tuple(vals))
+
+
+def test_mixed_int_float_triples_take_the_generic_path(monkeypatch):
+    import conconic.scalars as scalars
+
+    scans = []
+
+    def counting_all_exact(values):
+        scans.append(tuple(values))
+        return all_exact(values)
+
+    monkeypatch.setattr(scalars, "all_exact", counting_all_exact)
+    for vals in ((2, 3.0, 1.0), (2, -3.0, 3), (0, -0.0, -3.0), (Fraction(1, 2), 1.0, -1.0)):
+        out = canonical_tuple(vals)
+        assert all(type(v) is float for v in out)
+        assert bits(out) == bits(loop_float_canonical_tuple(vals))
+    # an int- or Fraction-led triple reaches the exact scan, as it always did
+    assert len(scans) == 4
+    for vals in ((1.0, 2, 3.0), (-2.0, 2, 1.0), (1.0, True, 0.5)):
+        assert bits(canonical_tuple(vals)) == bits(loop_float_canonical_tuple(vals))
