@@ -15,6 +15,11 @@ Families:
     verdicts, residuals, witnesses, charts
         exact configurations: holds/degenerate flags, residuals, witness
         coefficients, and chart b1/c2/p/q/criterion;
+    feet
+        the triangle and feet of every exact configuration, then per draw
+        a random triangle (every other one pushed through an integer map,
+        so its points have varied last coordinates), three feet on it and
+        their isogonal and isotomic images;
     float_verdicts, float_residuals, float_witnesses, float_charts
         the same records for the float copies;
     sextuples
@@ -62,12 +67,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conconic import (
     Conic,
+    Triangle,
     build_config,
     check_conditions,
     conconic,
     conconic_by_fit,
     cotangent,
     find_point_on_conic,
+    isogonal_feet,
+    isotomic_feet,
     morley_config,
     porism_check,
     render_chain,
@@ -81,15 +89,20 @@ from conconic import cli
 from conconic.errors import GeometryError
 from conconic.poncelet import spread_on_conic
 from conconic.generate import (
+    SIDES,
     concurrency_solved_instance,
     conconic_sextuple,
     conjugate_instance,
     cotangent_sextuple,
     float_copy,
     float_triangle,
+    foot_point,
     perturbed_failing_instance,
+    random_fraction,
     random_line_sextuple,
+    random_projective_map,
     random_sextuple,
+    random_triangle,
     sixth_foot_draw,
     through_point_instance,
 )
@@ -165,6 +178,17 @@ def sextuple_records(rnd: random.Random, i: int, out):
         lines = cotangent_sextuple(rnd) if positive else random_line_sextuple(rnd)
         record = verdict_record(attempt(cotangent, lines))
     out["sextuples"].append(repr(record))
+
+
+def conjugate_record(rnd: random.Random, i: int) -> str:
+    tri = random_triangle(rnd)
+    if i % 2:
+        tri = Triangle(*map(random_projective_map(rnd).apply, tri.vertices))
+    try:
+        triple = tuple(foot_point(tri, side, random_fraction(rnd)) for side in SIDES)
+    except ZeroDivisionError as err:  # a vertex at infinity: every vertex is on some side
+        return repr((tri, type(err).__name__))
+    return repr((tri, triple, attempt(isogonal_feet, tri, triple), attempt(isotomic_feet, tri, triple)))
 
 
 def sixth_foot_record(tri, five, side):
@@ -274,14 +298,16 @@ def main(argv=None) -> int:
 
     names = ("verdicts", "residuals", "witnesses", "charts")
     out = {prefix + name: [] for prefix in ("", "float_") for name in names}
-    out.update(sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], chain_points=[], svg=[])
+    out.update(feet=[], sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], chain_points=[], svg=[])
     for i in range(CONFIGS):
         tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
+        out["feet"].append(repr((tri, feet)))
         config_records(tri, feet, out, "")
         config_records(float_copy(tri), float_copy(feet), out, "float_")
     for i in range(SEXTUPLES):
         sextuple_records(op_rng(args.seed, i), i, out)
     for i in range(DRAWS):
+        out["feet"].append(conjugate_record(op_rng(args.seed, i), i))
         tri, five, side = sixth_foot_draw(op_rng(args.seed, i))
         out["sixth_feet"].append(sixth_foot_record(tri, five, side))
         ffive = tuple(map(float_copy, five))

@@ -364,11 +364,15 @@ def _combine(w1: Scalar, p: Tuple, w2: Scalar, q: Tuple) -> HPoint:
     return HPoint(*(w1 * a + w2 * b for a, b in zip(p, q)))
 
 
-def _squared_side_lengths(a: Tuple, b: Tuple, c: Tuple) -> Tuple[Scalar, Scalar, Scalar]:
-    def sq(u, v):
-        return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
+def _scaled_sq_distance(u: Tuple, v: Tuple) -> Scalar:
+    """``(u0 vz - v0 uz)^2 + (u1 vz - v1 uz)^2``: the squared distance of the
+    affine points of u and v times (uz vz)^2."""
+    return (u[0] * v[2] - v[0] * u[2]) ** 2 + (u[1] * v[2] - v[1] * u[2]) ** 2
 
-    return sq(b, c), sq(c, a), sq(a, b)
+
+def _scaled_one(u: Tuple, v: Tuple) -> Scalar:
+    """``(uz vz)^2``, the isotomic counterpart of ``_scaled_sq_distance``."""
+    return (u[2] * v[2]) ** 2
 
 
 def _validate_triple(tri: Triangle, triple: FeetTriple, eps: float) -> None:
@@ -376,16 +380,28 @@ def _validate_triple(tri: Triangle, triple: FeetTriple, eps: float) -> None:
         _check_foot(tri, foot, side, eps, "foot", f"foot on {side}")
 
 
-def _conjugate_feet(tri: Triangle, triple: FeetTriple, eps: float, vertex_weights) -> FeetTriple:
+def _conjugate_feet(tri: Triangle, triple: FeetTriple, eps: float, weight) -> FeetTriple:
     """Feet under the weighted swap of barycentric side weights.
 
-    With per-vertex weights (wa, wb, wc) = ``vertex_weights(A, B, C)`` of
-    the affine vertex triples, the weights (y : z) of a foot on BC map to
-    (wb*z : wc*y), and cyclically on the other sides.
+    ``weight(U, V)`` is the weight of the side UV, scaled by (uz vz)^2.  On
+    affine-normalized vertices the weights (y : z) of a foot on BC map to
+    (wb*z : wc*y) with wb = weight(C, A), wc = weight(A, B), and
+    cyclically on the other sides.  Exact input stays in integers: for a
+    foot F on side (P, Q) with opposite vertex R, N = P x Q and any k with
+    N[k] != 0, let s = (P x F)[k] and r = (F x Q)[k]; then F ~ r P + s Q
+    and its image is ``weight(Q, R) s P + weight(P, R) r Q``.
     """
     _validate_triple(tri, triple, eps)
+    if tri.exact and all(f.exact for f in triple) and all(v.z for v in tri.vertices):
+        out = []
+        for foot, side, opposite, line in zip(triple, SIDES, tri.vertices, tri.sides):
+            p, q = (v.coords for v in tri.side_endpoints(side))
+            f, o, n = foot.coords, opposite.coords, line.coords  # the side line is P x Q up to scale
+            k = 0 if n[0] else 1 if n[1] else 2
+            out.append(_combine(weight(q, o) * cross(p, f)[k], p, weight(p, o) * cross(f, q)[k], q))
+        return tuple(out)
     av, bv, cv = (_affine_triple(v, "triangle vertex") for v in tri.vertices)
-    wa, wb, wc = vertex_weights(av, bv, cv)
+    wa, wb, wc = weight(bv, cv), weight(cv, av), weight(av, bv)
     fa, fb, fc = triple
     y, z = _side_weights(fa, bv, cv)      # foot on BC: (0 : y : z)
     out_a = _combine(wb * z, bv, wc * y, cv)
@@ -406,12 +422,12 @@ def isogonal_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -
     inputs exact; the equivalent metric description (reflect the cevian
     direction across the bisector direction) needs square roots.
     """
-    return _conjugate_feet(tri, triple, eps, _squared_side_lengths)
+    return _conjugate_feet(tri, triple, eps, _scaled_sq_distance)
 
 
 def isotomic_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -> FeetTriple:
     """Feet reflected across the midpoint of their side (weights swapped)."""
-    return _conjugate_feet(tri, triple, eps, lambda *_: (1, 1, 1))
+    return _conjugate_feet(tri, triple, eps, _scaled_one)
 
 
 def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) -> FeetTriple:

@@ -1,13 +1,14 @@
 """Seeded random instance generators for tests and experiments.
 
 Everything takes an explicit ``random.Random`` so runs are reproducible
-from a seed.  Exact generators draw small rationals and keep all derived
-data in ``Fraction`` arithmetic; the conconic families are constructed,
-not searched: six-point instances come from solving Carnot's criterion
-``prod(t) == prod(1 - t)`` over the six side parameters for the last foot
-(a foot at parameter t on side (P, Q) is P + t (Q - P), and the criterion
-is linear in each parameter), and on-conic sextuples come from pushing
-rational circle points through a random projective map.
+from a seed.  Exact generators draw small rationals and build triangles,
+feet and interior points directly as integer homogeneous triples, with no
+``Fraction`` arithmetic on affine coordinates; the conconic families are
+constructed, not searched: six-point instances come from solving Carnot's
+criterion ``prod(t) == prod(1 - t)`` over the six side parameters for the
+last foot (a foot at parameter t on side (P, Q) is P + t (Q - P), and the
+criterion is linear in each parameter), and on-conic sextuples come from
+pushing rational circle points through a random projective map.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cevians import (
 from .errors import GeometryError
 from .linalg import det3
 from .projective import HLine, HPoint, ProjectiveMap
-from .scalars import Scalar
+from .scalars import Scalar, is_exact
 
 TRIANGLE_SPAN = 6      # random_triangle: coordinates k / d with |k| <= 2 span, d <= 4
 MAP_SPAN = 9           # random_projective_map entries, and _distinct_fractions' range
@@ -52,8 +53,9 @@ def random_triangle(rnd: random.Random) -> Triangle:
     """A nondegenerate triangle with small rational vertices."""
     span = TRIANGLE_SPAN
     while True:
-        coords = [Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4)) for _ in range(6)]
-        pts = tuple(HPoint(coords[2 * i], coords[2 * i + 1], 1) for i in range(3))
+        # each coordinate is num / den, drawn in that order: x = a/b, y = c/d
+        draws = [(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4)) for _ in range(6)]
+        pts = tuple(HPoint(a * d, c * b, b * d) for (a, b), (c, d) in zip(draws[::2], draws[1::2]))
         try:
             return Triangle(*pts)
         except GeometryError:
@@ -85,8 +87,16 @@ def float_triangle(rnd: random.Random, min_angle: float = 15.0, max_angle: float
 
 
 def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
-    """The point P + t (Q - P) on the named side with endpoints (P, Q)."""
+    """The point P + t (Q - P) on the named side with endpoints (P, Q).
+
+    For exact finite endpoints P = (p0, p1, pz), Q = (q0, q1, qz) and an
+    exact t = n/d the foot is the integer triple ``(d - n) qz P + n pz Q``.
+    """
     p, q = tri.side_endpoints(side)
+    pz, qz = p.z, q.z
+    if p.exact and q.exact and is_exact(t) and pz and qz:
+        a, b = (t.denominator - t.numerator) * qz, t.numerator * pz
+        return HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
     px, py = p.to_xy()
     qx, qy = q.to_xy()
     return HPoint(px + t * (qx - px), py + t * (qy - py), 1)
@@ -158,10 +168,17 @@ def conjugate_instance(rnd: random.Random, kind: str) -> Tuple[Triangle, CevianF
 
 
 def random_interior_point(rnd: random.Random, tri: Triangle) -> HPoint:
-    """A rational point strictly inside the triangle (positive barycentrics)."""
-    w = [Fraction(rnd.randint(1, INTERIOR_MAX_DEN), 1) for _ in range(3)]
-    xys = [v.to_xy() for v in tri.vertices]
-    return HPoint(*(sum(wi * xy[k] for wi, xy in zip(w, xys)) / sum(w) for k in range(2)), 1)
+    """A rational point strictly inside the triangle (positive barycentrics).
+
+    The vertices V_i must be exact and finite, with last coordinates z_i;
+    with Z = z0 z1 z2 the point is the integer triple ``sum(w_i (Z / z_i) V_i)``
+    (a vertex at infinity raises ZeroDivisionError).
+    """
+    w = [rnd.randint(1, INTERIOR_MAX_DEN) for _ in range(3)]
+    zs = [v.z for v in tri.vertices]
+    big_z = zs[0] * zs[1] * zs[2]
+    scaled = [wi * (big_z // z) for wi, z in zip(w, zs)]
+    return HPoint(*(sum(c * v.coords[k] for c, v in zip(scaled, tri.vertices)) for k in range(3)))
 
 
 def through_point_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, HPoint, HPoint]:

@@ -210,6 +210,7 @@ def trace_chain(
     """
     if max_steps < 3:
         raise ValueError("a chain needs at least three steps to close")
+    _check_nondegenerate(c1, "outer", eps)
     _check_nondegenerate(c2, "inner", eps)
     points = [start]
     links = []

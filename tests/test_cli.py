@@ -341,12 +341,12 @@ def test_poncelet_porism_degenerate_outer_conic_is_named(capsys):
     assert capsys.readouterr().err == "error: DegenerateConic: outer conic is degenerate\n"
 
 
-def test_poncelet_single_chain_on_a_degenerate_outer_conic_is_traced(capsys):
-    # the line pair x^2 = y^2 is not checked as an outer conic: the chain
-    # from (2, 2) bounces between its lines and closes at step 4
-    code = main(["poncelet", "--outer", "1,0,-1,0,0,0", "--inner", "1,0,1,0,0,-1", "--start", "2,2", "--json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["closure_step"] == 4
-    code = main(["poncelet", "--outer", "1,0,1,0,0,0", "--inner", "1,0,1,0,0,-1", "--start", "0,0"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: NoTangentLine: step 1: chain vertex lies inside the inner conic\n"
+def test_poncelet_single_chain_on_a_degenerate_outer_conic_is_named(capsys):
+    # the real line pair x^2 = y^2 and the point pair x^2 + y^2 = 0 are
+    # rejected before any step, as in porism mode
+    for argv in (
+        ["--outer", "1,0,-1,0,0,0", "--inner", "1,0,1,0,0,-1", "--start", "2,2", "--json"],
+        ["--outer", "1,0,1,0,0,0", "--inner", "1,0,1,0,0,-1", "--start", "0,0"],
+    ):
+        assert main(["poncelet"] + argv) == 1
+        assert capsys.readouterr().err == "error: DegenerateConic: outer conic is degenerate\n"

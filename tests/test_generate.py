@@ -1,0 +1,211 @@
+"""The integer constructors of exact feet, triangles and interior points
+against the ``Fraction`` formulas on affine coordinates that they replace.
+
+Every exact point is canonical, so an integer triple and the ``Fraction``
+construction of the same point are equal tuples; float and mixed inputs
+take the affine formulas themselves and must agree bit for bit (compared
+by ``repr``, which tells -0.0 from 0.0)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import conconic.cevians as cevians
+from conconic import HPoint, Triangle
+from conconic.errors import GeometryError
+from conconic.generate import (
+    INTERIOR_MAX_DEN,
+    SIDES,
+    TRIANGLE_SPAN,
+    conjugate_instance,
+    feet_from_params,
+    float_copy,
+    float_triangle,
+    foot_point,
+    isogonal_feet,
+    isotomic_feet,
+    random_fraction,
+    random_interior_point,
+    random_projective_map,
+    random_triangle,
+    through_point_instance,
+)
+from conconic.linalg import cross
+from conconic.scalars import div
+
+
+# ----- the Fraction formulas on affine coordinates ----------------------------
+
+
+def fraction_foot(tri, side, t):
+    """P + t (Q - P) on the affine coordinates of the side's endpoints."""
+    p, q = tri.side_endpoints(side)
+    px, py = p.to_xy()
+    qx, qy = q.to_xy()
+    return HPoint(px + t * (qx - px), py + t * (qy - py), 1)
+
+
+def fraction_conjugate(tri, triple, kind):
+    """Swap the barycentric weights (y : z) of each foot to (wb z : wc y),
+    cyclically, with squared side lengths (isogonal) or ones (isotomic)."""
+
+    def affine(v):
+        x, y = v.to_xy()
+        return (x, y, 1 if v.exact else 1.0)
+
+    def sq(u, v):
+        return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
+
+    def weights(foot, p, q):  # foot = y p + z q
+        n = cross(p, q)
+        pivot = max(range(3), key=lambda i: abs(float(n[i])))
+        return div(cross(foot.coords, q)[pivot], n[pivot]), div(cross(p, foot.coords)[pivot], n[pivot])
+
+    def combine(w1, p, w2, q):
+        return HPoint(*(w1 * a + w2 * b for a, b in zip(p, q)))
+
+    av, bv, cv = map(affine, tri.vertices)
+    wa, wb, wc = (sq(bv, cv), sq(cv, av), sq(av, bv)) if kind == "isogonal" else (1, 1, 1)
+    fa, fb, fc = triple
+    y, z = weights(fa, bv, cv)
+    x, z2 = weights(fb, av, cv)
+    x2, y2 = weights(fc, av, bv)
+    return (combine(wb * z, bv, wc * y, cv), combine(wa * z2, av, wc * x, cv), combine(wa * y2, av, wb * x2, bv))
+
+
+def fraction_triangle(rnd):
+    span = TRIANGLE_SPAN
+    while True:
+        coords = [Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4)) for _ in range(6)]
+        try:
+            return Triangle(*(HPoint(coords[2 * i], coords[2 * i + 1], 1) for i in range(3)))
+        except GeometryError:
+            continue
+
+
+def fraction_interior_point(rnd, tri):
+    w = [Fraction(rnd.randint(1, INTERIOR_MAX_DEN), 1) for _ in range(3)]
+    xys = [v.to_xy() for v in tri.vertices]
+    return HPoint(*(sum(wi * xy[k] for wi, xy in zip(w, xys)) / sum(w) for k in range(2)), 1)
+
+
+CONJUGATES = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}
+
+
+def bits(points):
+    return repr([p.coords for p in points])
+
+
+def mapped_triangles(count):
+    """Exact triangles pushed through integer maps: varied, often negative,
+    canonical last coordinates; the ones with a vertex at infinity dropped."""
+    out = []
+    for seed in range(count):
+        rnd = random.Random(seed)
+        tri, pmap = random_triangle(rnd), random_projective_map(rnd)
+        image = tuple(map(pmap.apply, tri.vertices))
+        if all(v.z for v in image):
+            out.append((Triangle(*image), rnd))
+    return out
+
+
+# ----- exact feet ------------------------------------------------------------
+
+
+def test_exact_foot_point_matches_the_fraction_formula():
+    ts = (0, 1, 2, -1, Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 2), Fraction(7, 7))
+    zs = set()
+    for tri, rnd in mapped_triangles(120):
+        zs.update(v.z for v in tri.vertices)
+        for side in SIDES:
+            for t in ts + (random_fraction(rnd),):
+                foot = foot_point(tri, side, t)
+                assert foot == fraction_foot(tri, side, t)
+                assert foot.exact
+    assert min(zs) < 0 and max(zs) > 1
+
+
+def test_exact_conjugate_feet_match_the_fraction_formula():
+    checked = 0
+    for tri, rnd in mapped_triangles(120):
+        triple = tuple(foot_point(tri, side, random_fraction(rnd)) for side in SIDES)
+        for kind, conjugate in CONJUGATES.items():
+            try:
+                image = conjugate(tri, triple)
+            except GeometryError:
+                continue
+            assert image == fraction_conjugate(tri, triple, kind)
+            assert all(p.exact for p in image)
+            checked += 1
+    assert checked >= 200
+
+
+def test_generators_match_the_fraction_draws_and_leave_the_stream_in_step():
+    for seed in range(500):
+        new, old = random.Random(seed), random.Random(seed)
+        tri = random_triangle(new)
+        assert tri == fraction_triangle(old)
+        assert random_interior_point(new, tri) == fraction_interior_point(old, tri)
+        assert new.random() == old.random()
+    for tri, rnd in mapped_triangles(120):
+        state = rnd.getstate()
+        point = random_interior_point(rnd, tri)
+        rnd.setstate(state)
+        assert point == fraction_interior_point(rnd, tri)
+
+
+def test_a_vertex_at_infinity_raises_as_the_affine_formulas_do():
+    # A is the direction of the x axis; the sides through it have no affine form
+    tri = Triangle(HPoint(1, 0, 0), HPoint(0, 0, 1), HPoint(0, 1, 1))
+    assert foot_point(tri, "BC", Fraction(1, 2)) == HPoint(0, 1, 2)
+    for side in ("CA", "AB"):
+        with pytest.raises(ZeroDivisionError, match="point at infinity has no affine coordinates"):
+            foot_point(tri, side, Fraction(1, 2))
+    triple = (HPoint(0, 1, 2), HPoint(3, 1, 1), HPoint(2, 0, 1))
+    for conjugate in CONJUGATES.values():
+        with pytest.raises(ValueError, match="^triangle vertex must be a finite point$"):
+            conjugate(tri, triple)
+
+
+def test_float_and_mixed_inputs_take_the_affine_formulas_bit_for_bit():
+    for seed in range(40):
+        rnd = random.Random(seed)
+        exact_tri = random_triangle(rnd)
+        float_tri = float_triangle(rnd)
+        t = random_fraction(rnd)
+        for tri, ts in ((exact_tri, (float(t), 0.5)), (float_tri, (t, 1, float(t)))):
+            for side in SIDES:
+                for s in ts:
+                    assert bits([foot_point(tri, side, s)]) == bits([fraction_foot(tri, side, s)])
+        exact_triple = tuple(foot_point(exact_tri, side, t) for side in SIDES)
+        float_triple = tuple(foot_point(float_tri, side, float(t)) for side in SIDES)
+        cases = [
+            (float_tri, float_triple),
+            (exact_tri, tuple(map(float_copy, exact_triple))),
+            (float_copy(exact_tri), exact_triple),
+            (exact_tri, exact_triple[:2] + (float_copy(exact_triple[2]),)),
+        ]
+        for tri, triple in cases:
+            for kind, conjugate in CONJUGATES.items():
+                try:
+                    image = conjugate(tri, triple)
+                except GeometryError:
+                    continue
+                assert bits(image) == bits(fraction_conjugate(tri, triple, kind))
+
+
+def test_exact_generators_build_feet_without_affine_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an exact foot went through affine coordinates")
+
+    monkeypatch.setattr(cevians, "div", refuse)
+    monkeypatch.setattr(HPoint, "to_xy", refuse)
+    for seed in range(10):
+        rnd = random.Random(seed)
+        tri = random_triangle(rnd)
+        params = [random_fraction(rnd) for _ in range(6)]
+        assert all(p.exact for p in feet_from_params(tri, params).outer)
+        for kind in CONJUGATES:
+            assert all(p.exact for p in conjugate_instance(rnd, kind)[1].outer)
+        assert all(p.exact for p in through_point_instance(rnd)[1].outer)

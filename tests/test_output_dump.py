@@ -1,8 +1,8 @@
 """Output families of ``scripts/output_dump.py`` pinned at seed 1, so a
 change that must leave them byte-identical is checked by tier-1: the exact
-verdicts, residuals, witnesses, charts, sextuple oracles and sixth feet,
-and the float Poncelet chains (closure steps and gaps, and every vertex
-and link coordinate).  The float verdict, residual, witness and chart
+verdicts, residuals, witnesses, charts, generated triangles and feet,
+sextuple oracles and sixth feet, and the float Poncelet chains (closure
+steps and gaps, and every vertex and link coordinate).  The float verdict, residual, witness and chart
 families are left out: their residuals are expected to change when the
 float verdict scale does (ROADMAP item 1).  That re-scales residuals, not
 chains, so the chain digests stay fixed."""
@@ -21,6 +21,7 @@ EXACT_DIGESTS = {
     "residuals": "7881ad8a34f211dd6abae379487f798db3ee529d6cd1456fee4590b9192b80c7",
     "witnesses": "a15ff757080585375cbbb1ec1d4d5e9e63fd3edf54d1c352f2c2200126f0d9af",
     "charts": "25343af3447fb8a3f9fc8c0768fb96f6c3982c69b5fff1f5c53a8d25465a27fb",
+    "feet": "ef486ea3f902a3cd9f8f0071d8b9992be4ee1ddd0156d3471c16aa9ba1c75eb9",
     "sextuples": "e1ae27eda1e863c26acc03ce8a77b4d70aab3916a4fabeab2adeb53349b3b0be",
     "sixth_feet": "ba2881a6e538ff0046ba325ed7554442789c4260d80b2eb143f7768372709fc1",
 }
