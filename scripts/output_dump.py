@@ -86,6 +86,7 @@ from conconic import (
     trace_chain,
 )
 from conconic import cli
+from conconic.cevians import foot_point
 from conconic.errors import GeometryError
 from conconic.poncelet import spread_on_conic
 from conconic.generate import (
@@ -96,7 +97,6 @@ from conconic.generate import (
     cotangent_sextuple,
     float_copy,
     float_triangle,
-    foot_point,
     perturbed_failing_instance,
     random_fraction,
     random_line_sextuple,

@@ -18,11 +18,13 @@ and in exact arithmetic they are provably equivalent; a disagreement of the
 four booleans on exact input is a hard internal-consistency failure, never
 a legitimate answer.
 
-The module also provides the classical cevian generators (isogonal and
-isotomic conjugation of feet, cevians through a common point), a solver
-that completes five feet to a conconic sextuple, and the normalized chart
-that reduces the concurrency condition to a one-parameter comparison
-p = q.
+The module also places feet at side parameters (the foot at t on the
+side with endpoints (P, Q) is P + t (Q - P)), and provides the classical
+cevian generators (isogonal and isotomic conjugation of feet, cevians
+through a common point), a solver that completes five feet to a conconic
+sextuple (the inverse of the side-parameter rule, through a conic), and
+the normalized chart that reduces the concurrency condition to a
+one-parameter comparison p = q.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .projective import (
     map_from_correspondence,
     meet,
 )
-from .scalars import DEFAULT_EPS, Scalar, div, is_zero
+from .scalars import DEFAULT_EPS, Scalar, div, is_exact, is_zero
 
 FeetTriple = Tuple[HPoint, HPoint, HPoint]
 
@@ -439,6 +441,34 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
         if incident(p, line, eps):
             raise PointOnSide(f"point lies on side line {side}")
     return tuple(meet(join(v, p, eps), line, eps) for v, line in zip(tri.vertices, tri.sides))
+
+
+# ----- feet from side parameters ------------------------------------------
+
+
+def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
+    """The point P + t (Q - P) on the named side with endpoints (P, Q).
+
+    For exact finite endpoints P = (p0, p1, pz), Q = (q0, q1, qz) and an
+    exact t = n/d the foot is the integer triple ``(d - n) qz P + n pz Q``.
+    """
+    p, q = tri.side_endpoints(side)
+    pz, qz = p.z, q.z
+    if p.exact and q.exact and is_exact(t) and pz and qz:
+        a, b = (t.denominator - t.numerator) * qz, t.numerator * pz
+        return HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
+    px, py = p.to_xy()
+    qx, qy = q.to_xy()
+    return HPoint(px + t * (qx - px), py + t * (qy - py), 1)
+
+
+def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
+    """Feet from six side parameters in the order (a1, b1, c1, a2, b2, c2)."""
+    if len(params) != 6:
+        raise ValueError("six side parameters are required")
+    first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[:3]))
+    second = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[3:]))
+    return CevianFeet.from_triples(first, second)
 
 
 # ----- completing five feet to a conconic sextuple -------------------------

@@ -2,13 +2,18 @@
 
 Everything takes an explicit ``random.Random`` so runs are reproducible
 from a seed.  Exact generators draw small rationals and build triangles,
-feet and interior points directly as integer homogeneous triples, with no
-``Fraction`` arithmetic on affine coordinates; the conconic families are
+interior points and sextuple points directly as integer homogeneous
+triples; feet come from ``cevians.foot_point`` (re-exported here, with
+``feet_from_params``), which does the same.  The conconic families are
 constructed, not searched: six-point instances come from solving Carnot's
 criterion ``prod(t) == prod(1 - t)`` over the six side parameters for the
-last foot (a foot at parameter t on side (P, Q) is P + t (Q - P), and the
-criterion is linear in each parameter), and on-conic sextuples come from
-pushing rational circle points through a random projective map.
+last foot (the criterion is linear in each parameter), and on-conic
+sextuples come from pushing rational circle points through a random
+projective map.  Instances are not re-checked for what their construction
+guarantees: every foot lies strictly inside its side, so cevians through
+different vertices always meet and each configuration builds.  Only the
+solved and perturbed families run ``check_conditions``, whose verdict
+picks the draw.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .cevians import (
     SIDES,
@@ -26,13 +31,14 @@ from .cevians import (
     build_config,
     cevians_through_point,
     check_conditions,
+    feet_from_params,
+    foot_point,
     isogonal_feet,
     isotomic_feet,
 )
 from .errors import GeometryError
 from .linalg import det3
 from .projective import HLine, HPoint, ProjectiveMap
-from .scalars import Scalar, is_exact
 
 TRIANGLE_SPAN = 6      # random_triangle: coordinates k / d with |k| <= 2 span, d <= 4
 MAP_SPAN = 9           # random_projective_map entries, and _distinct_fractions' range
@@ -86,31 +92,6 @@ def float_triangle(rnd: random.Random, min_angle: float = 15.0, max_angle: float
     return Triangle(*(HPoint(x, y, 1.0) for x, y in pts))
 
 
-def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
-    """The point P + t (Q - P) on the named side with endpoints (P, Q).
-
-    For exact finite endpoints P = (p0, p1, pz), Q = (q0, q1, qz) and an
-    exact t = n/d the foot is the integer triple ``(d - n) qz P + n pz Q``.
-    """
-    p, q = tri.side_endpoints(side)
-    pz, qz = p.z, q.z
-    if p.exact and q.exact and is_exact(t) and pz and qz:
-        a, b = (t.denominator - t.numerator) * qz, t.numerator * pz
-        return HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
-    px, py = p.to_xy()
-    qx, qy = q.to_xy()
-    return HPoint(px + t * (qx - px), py + t * (qy - py), 1)
-
-
-def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
-    """Feet from six side parameters in the order (a1, b1, c1, a2, b2, c2)."""
-    if len(params) != 6:
-        raise ValueError("six side parameters are required")
-    first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[:3]))
-    second = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[3:]))
-    return CevianFeet.from_triples(first, second)
-
-
 # ----- conconic cevian configurations --------------------------------------
 
 
@@ -135,7 +116,7 @@ def solve_concurrent_params(rnd: random.Random) -> Optional[List[Fraction]]:
 def concurrency_solved_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
     """An exact configuration satisfying all four equivalent conditions.
 
-    Every candidate is built and checked before it is returned.
+    Every candidate is checked before it is returned.
     """
     while True:
         tri = random_triangle(rnd)
@@ -143,28 +124,16 @@ def concurrency_solved_instance(rnd: random.Random) -> Tuple[Triangle, CevianFee
         if params is None:
             continue
         feet = feet_from_params(tri, params)
-        try:
-            cfg = build_config(tri, feet)
-        except GeometryError:
-            continue
-        report = check_conditions(cfg)
-        if report.all_hold:
+        if check_conditions(build_config(tri, feet)).all_hold:
             return tri, feet, params
 
 
 def conjugate_instance(rnd: random.Random, kind: str) -> Tuple[Triangle, CevianFeet]:
     """A configuration whose second triple is the named conjugate of the first."""
     conjugate = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}[kind]
-    while True:
-        tri = random_triangle(rnd)
-        first = tuple(foot_point(tri, side, random_fraction(rnd)) for side in SIDES)
-        try:
-            second = conjugate(tri, first)
-            feet = CevianFeet.from_triples(first, second)
-            build_config(tri, feet)
-        except GeometryError:
-            continue
-        return tri, feet
+    tri = random_triangle(rnd)
+    first = tuple(foot_point(tri, side, random_fraction(rnd)) for side in SIDES)
+    return tri, CevianFeet.from_triples(first, conjugate(tri, first))
 
 
 def random_interior_point(rnd: random.Random, tri: Triangle) -> HPoint:
@@ -187,23 +156,17 @@ def through_point_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, HP
         tri = random_triangle(rnd)
         p1 = random_interior_point(rnd, tri)
         p2 = random_interior_point(rnd, tri)
-        if p1 == p2:
-            continue
-        try:
-            first = cevians_through_point(tri, p1)
-            second = cevians_through_point(tri, p2)
-            feet = CevianFeet.from_triples(first, second)
-            build_config(tri, feet)
-        except GeometryError:
-            continue
-        return tri, feet, p1, p2
+        if p1 != p2:
+            feet = CevianFeet.from_triples(cevians_through_point(tri, p1), cevians_through_point(tri, p2))
+            return tri, feet, p1, p2
 
 
 def perturbed_failing_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet]:
     """A conconic instance knocked off by nudging one foot parameter.
 
     The perturbed configuration is re-checked: all four conditions must
-    fail (generic perturbations do; degenerate ones are redrawn).
+    fail (generic perturbations do; degenerate ones are redrawn).  A
+    ``TheoremConsistencyError`` from that check is raised, not redrawn.
     """
     while True:
         tri, _, params = concurrency_solved_instance(rnd)
@@ -214,12 +177,7 @@ def perturbed_failing_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet
         if not 0 < nudged[idx] < 1 or nudged[idx] == nudged[(idx + 3) % 6]:
             continue
         feet = feet_from_params(tri, nudged)
-        try:
-            cfg = build_config(tri, feet)
-            report = check_conditions(cfg)
-        except GeometryError:
-            continue
-        if not any(report.booleans):
+        if not any(check_conditions(build_config(tri, feet)).booleans):
             return tri, feet
 
 
@@ -237,8 +195,10 @@ def random_projective_map(rnd: random.Random) -> ProjectiveMap:
 
 
 def _circle_point(t: Fraction) -> HPoint:
-    """Rational unit-circle point of parameter t."""
-    return HPoint(1 - t * t, 2 * t, 1 + t * t)
+    """Rational unit-circle point (1 - t^2 : 2t : 1 + t^2) of parameter
+    t = n/d, as the integer triple (d^2 - n^2, 2nd, d^2 + n^2)."""
+    n, d = t.numerator, t.denominator
+    return HPoint(d * d - n * n, 2 * n * d, d * d + n * n)
 
 
 def _distinct_fractions(rnd: random.Random, n: int) -> List[Fraction]:
@@ -267,8 +227,10 @@ def cotangent_sextuple(rnd: random.Random) -> Tuple[HLine, ...]:
 
 
 def _random_point(rnd: random.Random, span: int) -> HPoint:
-    """A point with coordinates in [-2 span, 2 span], denominators 1 to 3."""
-    return HPoint(*(Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)) for _ in range(2)), 1)
+    """A point with coordinates x = a/b, y = c/d in [-2 span, 2 span] with
+    denominators 1 to 3, drawn in that order: the triple (a d, c b, b d)."""
+    (a, b), (c, d) = [(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)) for _ in range(2)]
+    return HPoint(a * d, c * b, b * d)
 
 
 def _three_dependent(vectors) -> bool:

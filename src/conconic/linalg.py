@@ -1,9 +1,10 @@
 """Small dense linear algebra over exact rationals or floats.
 
 Everything here works on plain tuples/lists so both backends share one code
-path.  Determinants take two routes: exact matrices clear each row's
-denominators and go through fraction-free Bareiss elimination in plain
-integers, float matrices through partially pivoted LU.  The one integer
+path.  Determinants take two routes: integer matrices go through
+fraction-free Bareiss elimination, any other matrix through partially
+pivoted LU in floats (exact coordinates are canonical ints, so no library
+caller has a ``Fraction`` determinant to take).  The one integer
 pass, ``bareiss``, also returns the integral null vector of a matrix whose
 rank is one below its column count, so a six-point verdict reads its
 determinant and its witness conic from a single elimination.
@@ -159,20 +160,13 @@ def _det_float(rows) -> float:
 
 
 def det(rows) -> Scalar:
-    """Determinant of a square matrix in the backend of its entries, picked
-    from their types in one pass: an ``int`` for integer entries, a
-    ``Fraction`` for other rational ones (each row scaled by the lcm of its
-    denominators before Bareiss; no library caller passes one, as exact
-    coordinates are canonical ints), and a float for anything else."""
+    """Determinant of a square matrix, picked from the entry types in one
+    pass: an ``int`` from Bareiss when every entry is an integer (a ``bool``
+    is not), and a float from LU for anything else, ``Fraction`` included."""
     kinds = {type(v) for r in rows for v in r}
-    if kinds <= {int}:
+    if all(issubclass(k, int) and k is not bool for k in kinds):
         return bareiss(rows)[0]
-    if not all(issubclass(k, (int, Fraction)) and k is not bool for k in kinds):
-        return _det_float(rows)
-    scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
-    d, _ = bareiss([[int(v * s) for v in r] for r, s in zip(rows, scales)])
-    scale = math.prod(scales)
-    return d if scale == 1 else Fraction(d, scale)
+    return _det_float(rows)
 
 
 def normalized_det(rows) -> Scalar:

@@ -2,12 +2,13 @@
 
 A scene declares a triangle and six cevian feet; feet are given either as
 six side parameters in the order (a1, b1, c1, a2, b2, c2) — the foot on a
-side with endpoints (P, Q) at parameter t is P + t (Q - P) — or through a
-named generator (``isogonal``, ``isotomic``, ``through_points``).  A
-``Scene`` keeps that choice as one ``feet = (kind, values)`` pair: kind
-``"params"`` with the six parameters, ``"isogonal"`` or ``"isotomic"``
-with the three parameters of the first triple, or ``"through_points"``
-with the two points as coordinate pairs.
+side with endpoints (P, Q) at parameter t is P + t (Q - P), placed by
+``cevians.foot_point`` — or through a named generator (``isogonal``,
+``isotomic``, ``through_points``).  A ``Scene`` keeps that choice as one
+``feet = (kind, values)`` pair: kind ``"params"`` with the six
+parameters, ``"isogonal"`` or ``"isotomic"`` with the three parameters of
+the first triple, or ``"through_points"`` with the two points as
+coordinate pairs.
 
 Exact values travel as strings ("3/4", "0.25", "-2"); floats travel as
 JSON numbers.  In rational mode every value is parsed exactly and a report
@@ -33,13 +34,14 @@ from .cevians import (
     build_config,
     cevians_through_point,
     check_conditions,
+    feet_from_params,
+    foot_point,
     isogonal_feet,
     isotomic_feet,
     to_chart,
 )
 from .conics import Conic
 from .errors import ChartDegenerate
-from .generate import feet_from_params, foot_point
 from .projective import HPoint, Record, Verdict
 from .scalars import DEFAULT_EPS, Scalar, format_scalar, parse_scalar
 

@@ -1,5 +1,7 @@
-"""The integer constructors of exact feet, triangles and interior points
-against the ``Fraction`` formulas on affine coordinates that they replace.
+"""The integer constructors of exact feet, triangles, interior points and
+sextuple points against the ``Fraction`` formulas on affine coordinates
+that they replace, and the guarantees the generators rest on instead of
+re-checking their instances.
 
 Every exact point is canonical, so an integer triple and the ``Fraction``
 construction of the same point are equal tuples; float and mixed inputs
@@ -12,12 +14,17 @@ from fractions import Fraction
 import pytest
 
 import conconic.cevians as cevians
-from conconic import HPoint, Triangle
-from conconic.errors import GeometryError
+import conconic.generate as generate
+from conconic import HPoint, Triangle, build_config
+from conconic.errors import GeometryError, TheoremConsistencyError
 from conconic.generate import (
     INTERIOR_MAX_DEN,
+    MAP_SPAN,
+    SEXTUPLE_SPAN,
     SIDES,
     TRIANGLE_SPAN,
+    _circle_point,
+    _random_point,
     conjugate_instance,
     feet_from_params,
     float_copy,
@@ -90,6 +97,24 @@ def fraction_interior_point(rnd, tri):
     return HPoint(*(sum(wi * xy[k] for wi, xy in zip(w, xys)) / sum(w) for k in range(2)), 1)
 
 
+def fraction_circle_point(t):
+    return HPoint(1 - t * t, 2 * t, 1 + t * t)
+
+
+def fraction_random_point(rnd, span):
+    return HPoint(*(Fraction(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)) for _ in range(2)), 1)
+
+
+def side_parameter(tri, side, foot):
+    """The t with foot = P + t (Q - P) on the side (P, Q), or None when the
+    foot is off the side line."""
+    (px, py), (qx, qy) = (v.to_xy() for v in tri.side_endpoints(side))
+    fx, fy = foot.to_xy()
+    dx, dy = qx - px, qy - py
+    t = ((fx - px) * dx + (fy - py) * dy) / (dx * dx + dy * dy)
+    return t if (fx, fy) == (px + t * dx, py + t * dy) else None
+
+
 CONJUGATES = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}
 
 
@@ -147,7 +172,11 @@ def test_generators_match_the_fraction_draws_and_leave_the_stream_in_step():
         tri = random_triangle(new)
         assert tri == fraction_triangle(old)
         assert random_interior_point(new, tri) == fraction_interior_point(old, tri)
+        assert _random_point(new, SEXTUPLE_SPAN) == fraction_random_point(old, SEXTUPLE_SPAN)
         assert new.random() == old.random()
+        t = Fraction(new.randint(-4 * MAP_SPAN, 4 * MAP_SPAN), new.randint(1, MAP_SPAN))
+        assert _circle_point(t) == fraction_circle_point(t)
+        assert _circle_point(t).exact
     for tri, rnd in mapped_triangles(120):
         state = rnd.getstate()
         point = random_interior_point(rnd, tri)
@@ -209,3 +238,41 @@ def test_exact_generators_build_feet_without_affine_division(monkeypatch):
         for kind in CONJUGATES:
             assert all(p.exact for p in conjugate_instance(rnd, kind)[1].outer)
         assert all(p.exact for p in through_point_instance(rnd)[1].outer)
+
+
+# ----- what the generators construct instead of re-checking --------------------
+
+
+def test_conjugate_and_through_point_feet_lie_inside_their_sides_and_build():
+    """Every foot of these families is strictly inside its side, so each
+    configuration builds: the generators return them without building."""
+    for seed in range(200):
+        rnd = random.Random(seed)
+        instances = [conjugate_instance(rnd, kind) for kind in CONJUGATES]
+        instances.append(through_point_instance(rnd)[:2])
+        for tri, feet in instances:
+            for which in (1, 2):
+                for side, foot in zip(SIDES, feet.triple(which)):
+                    t = side_parameter(tri, side, foot)
+                    assert t is not None and 0 < t < 1
+            build_config(tri, feet)
+
+
+def test_perturbed_instance_lets_a_consistency_failure_through(monkeypatch):
+    """A ``TheoremConsistencyError`` from the check that picks the draw is a
+    broken implementation, not a bad draw, so it is never redrawn."""
+    solved = generate.concurrency_solved_instance(random.Random(1))
+    monkeypatch.setattr(generate, "concurrency_solved_instance", lambda rnd: solved)
+    real_check = generate.check_conditions
+    calls = []
+
+    def fail_first(cfg, *args):
+        calls.append(cfg)
+        if len(calls) == 1:
+            raise TheoremConsistencyError("planted disagreement")
+        return real_check(cfg, *args)
+
+    monkeypatch.setattr(generate, "check_conditions", fail_first)
+    with pytest.raises(TheoremConsistencyError, match="planted disagreement"):
+        generate.perturbed_failing_instance(random.Random(2))
+    assert len(calls) == 1

@@ -198,8 +198,11 @@ def test_triangle_sides_are_cached_on_the_frozen_instance():
 
 def test_cli_import_loads_no_dataclasses():
     """``conconic.cli`` starts without ``dataclasses`` and the modules it
-    pulls in (``inspect``, ``ast``): each CLI process imports the package."""
-    probe = "import conconic.cli, sys; print(sorted(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
+    pulls in (``inspect``, ``ast``), and without the seeded instance
+    generators of ``conconic.generate``: each CLI process imports the
+    package."""
+    unwanted = ("dataclasses", "inspect", "ast", "conconic.generate")
+    probe = f"import conconic.cli, sys; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
