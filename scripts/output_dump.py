@@ -58,6 +58,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
@@ -276,18 +277,23 @@ def cli_records():
     """Exit code, stdout, stderr and SVG digest of each of ``COMMANDS``, run
     in a scratch directory that holds the scene files."""
     records = []
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, scene in SCENES.items():
-            for mode in ("rational", "float"):
-                Path(f"{name}-{mode}.json").write_text(json.dumps({**scene, "mode": mode}))
-        for argv in COMMANDS:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-            svg = Path("out.svg")
-            digest = sha(svg.read_text()) if svg.exists() else None
-            svg.unlink(missing_ok=True)
-            records.append(repr((code, stdout.getvalue(), stderr.getvalue(), digest)))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, scene in SCENES.items():
+                for mode in ("rational", "float"):
+                    Path(f"{name}-{mode}.json").write_text(json.dumps({**scene, "mode": mode}))
+            for argv in COMMANDS:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+                svg = Path("out.svg")
+                digest = sha(svg.read_text()) if svg.exists() else None
+                svg.unlink(missing_ok=True)
+                records.append(repr((code, stdout.getvalue(), stderr.getvalue(), digest)))
+        finally:
+            os.chdir(cwd)
     return records
 
 

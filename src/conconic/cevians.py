@@ -377,41 +377,34 @@ def _scaled_one(u: Tuple, v: Tuple) -> Scalar:
     return (u[2] * v[2]) ** 2
 
 
-def _validate_triple(tri: Triangle, triple: FeetTriple, eps: float) -> None:
-    for foot, side in zip(triple, SIDES):
-        _check_foot(tri, foot, side, eps, "foot", f"foot on {side}")
-
-
 def _conjugate_feet(tri: Triangle, triple: FeetTriple, eps: float, weight) -> FeetTriple:
     """Feet under the weighted swap of barycentric side weights.
 
-    ``weight(U, V)`` is the weight of the side UV, scaled by (uz vz)^2.  On
-    affine-normalized vertices the weights (y : z) of a foot on BC map to
-    (wb*z : wc*y) with wb = weight(C, A), wc = weight(A, B), and
-    cyclically on the other sides.  Exact input stays in integers: for a
-    foot F on side (P, Q) with opposite vertex R, N = P x Q and any k with
-    N[k] != 0, let s = (P x F)[k] and r = (F x Q)[k]; then F ~ r P + s Q
-    and its image is ``weight(Q, R) s P + weight(P, R) r Q``.
+    ``weight(U, V)`` is the weight of the side UV, scaled by (uz vz)^2.  One
+    rule serves every side and both backends: a foot F on side (P, Q) with
+    opposite vertex R has weights (r, s) with F ~ r P + s Q, and its image
+    is ``weight(Q, R) s P + weight(P, R) r Q``.  Exact input stays in
+    integers: with N = P x Q (the side line up to scale) and any k with
+    N[k] != 0, r = (F x Q)[k] and s = (P x F)[k].  Otherwise P and Q are
+    affine-normalized and ``_side_weights`` solves for (r, s).
     """
-    _validate_triple(tri, triple, eps)
-    if tri.exact and all(f.exact for f in triple) and all(v.z for v in tri.vertices):
-        out = []
-        for foot, side, opposite, line in zip(triple, SIDES, tri.vertices, tri.sides):
-            p, q = (v.coords for v in tri.side_endpoints(side))
-            f, o, n = foot.coords, opposite.coords, line.coords  # the side line is P x Q up to scale
+    for foot, side in zip(triple, SIDES):
+        _check_foot(tri, foot, side, eps, "foot", f"foot on {side}")
+    exact = tri.exact and all(f.exact for f in triple) and all(v.z for v in tri.vertices)
+    if exact:
+        a, b, c = (v.coords for v in tri.vertices)
+    else:
+        a, b, c = (_affine_triple(v, "triangle vertex") for v in tri.vertices)
+    out = []
+    for foot, (p, q, o), line in zip(triple, ((b, c, a), (c, a, b), (a, b, c)), tri.sides):
+        if exact:
+            f, n = foot.coords, line.coords
             k = 0 if n[0] else 1 if n[1] else 2
-            out.append(_combine(weight(q, o) * cross(p, f)[k], p, weight(p, o) * cross(f, q)[k], q))
-        return tuple(out)
-    av, bv, cv = (_affine_triple(v, "triangle vertex") for v in tri.vertices)
-    wa, wb, wc = weight(bv, cv), weight(cv, av), weight(av, bv)
-    fa, fb, fc = triple
-    y, z = _side_weights(fa, bv, cv)      # foot on BC: (0 : y : z)
-    out_a = _combine(wb * z, bv, wc * y, cv)
-    x, z = _side_weights(fb, av, cv)      # foot on CA: (x : 0 : z)
-    out_b = _combine(wa * z, av, wc * x, cv)
-    x, y = _side_weights(fc, av, bv)      # foot on AB: (x : y : 0)
-    out_c = _combine(wa * y, av, wb * x, bv)
-    return (out_a, out_b, out_c)
+            r, s = cross(f, q)[k], cross(p, f)[k]
+        else:
+            r, s = _side_weights(foot, p, q)
+        out.append(_combine(weight(q, o) * s, p, weight(p, o) * r, q))
+    return tuple(out)
 
 
 def isogonal_feet(tri: Triangle, triple: FeetTriple, eps: float = DEFAULT_EPS) -> FeetTriple:

@@ -140,6 +140,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ----- morley ---------------------------------------------------------------
 
 
+def _porism(outer: Conic, inner: Conic, n: int, samples: int, args: argparse.Namespace) -> dict:
+    """The JSON payload of ``porism_check``: closure at exactly ``n`` steps
+    from ``samples`` spread starting points."""
+    report = porism_check(outer, inner, expected_n=n, num_samples=samples,
+                          closure_tol=args.closure_tol, eps=args.epsilon)
+    return {
+        "expected_n": n,
+        "all_closed": report.all_closed,
+        "max_gap": report.max_gap,
+        "steps": list(report.steps),
+    }
+
+
 def _cmd_morley(args: argparse.Namespace) -> int:
     tri = _parse_triangle(args.triangle)
     data = morley_config(tri, args.epsilon)
@@ -162,21 +175,8 @@ def _cmd_morley(args: argparse.Namespace) -> int:
     }
     ok = data.report.all_hold
     if args.poncelet_samples:
-        porism = porism_check(
-            data.inner_conic,
-            data.cevian_conic,
-            expected_n=3,
-            num_samples=args.poncelet_samples,
-            closure_tol=args.closure_tol,
-            eps=args.epsilon,
-        )
-        payload["porism"] = {
-            "expected_n": 3,
-            "all_closed": porism.all_closed,
-            "max_gap": porism.max_gap,
-            "steps": list(porism.steps),
-        }
-        ok = ok and porism.all_closed
+        payload["porism"] = _porism(data.inner_conic, data.cevian_conic, 3, args.poncelet_samples, args)
+        ok = ok and payload["porism"]["all_closed"]
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -203,31 +203,18 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
     outer = _parse_conic(args.outer)
     inner = _parse_conic(args.inner)
     if args.expected_n is not None:
-        report = porism_check(
-            outer,
-            inner,
-            expected_n=args.expected_n,
-            num_samples=args.samples,
-            closure_tol=args.closure_tol,
-            eps=args.epsilon,
-        )
-        payload = {
-            "expected_n": args.expected_n,
-            "samples": args.samples,
-            "all_closed": report.all_closed,
-            "max_gap": report.max_gap,
-            "steps": list(report.steps),
-        }
+        payload = {**_porism(outer, inner, args.expected_n, args.samples, args), "samples": args.samples}
+        closed = payload["all_closed"]
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            state = "all chains closed" if report.all_closed else "some chains did not close"
-            print(f"{state} at n={args.expected_n} over {args.samples} samples (max gap {report.max_gap:.3e})")
+            state = "all chains closed" if closed else "some chains did not close"
+            print(f"{state} at n={args.expected_n} over {args.samples} samples (max gap {payload['max_gap']:.3e})")
         if args.svg:
             chain = trace_chain(outer, inner, find_point_on_conic(outer, args.epsilon),
                                 max(args.expected_n, 3), args.closure_tol, args.epsilon)
             _write_svg(args.svg, render_chain(outer, inner, chain, args.epsilon))
-        return EXIT_OK if report.all_closed else EXIT_DISAGREE
+        return EXIT_OK if closed else EXIT_DISAGREE
 
     if not args.start:
         raise SceneError("either --start or --expected-n with --samples is required")

@@ -28,6 +28,8 @@ integer Bareiss pass over the six Veronese rows: its determinant is the
 residual, and when the rank is five its integral kernel is the witness,
 the one conic through all six points; ``conic_through_points``, which
 ``conconic_by_fit`` and float witnesses use, solves the nullspace.
+Every six-item test and the five-point fit take their inputs through one
+gate, ``_distinct``: the item count, then pairwise distinctness.
 """
 
 from __future__ import annotations
@@ -404,11 +406,18 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
 # ----- six points on a conic --------------------------------------------
 
 
-def _check_distinct(items: Sequence, eps: float, exc=DuplicatePoints) -> None:
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
+def _distinct(items: Sequence, n: int, what: str, eps: float, exc=DuplicatePoints) -> list:
+    """The ``n`` items as a list, after the one input gate of the six-item
+    tests: ``ValueError(what)`` on a wrong count, ``exc`` on the first pair
+    of coincident items."""
+    items = list(items)
+    if len(items) != n:
+        raise ValueError(what)
+    for i in range(n):
+        for j in range(i + 1, n):
             if coincident(items[i], items[j], eps):
                 raise exc(f"inputs {i} and {j} coincide: {items[i]}")
+    return items
 
 
 def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
@@ -477,10 +486,7 @@ def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Verdict:
     some conic passes through all six points; the witness conic is fitted
     through the first five points whenever the verdict holds.
     """
-    pts = list(points)
-    if len(pts) != 6:
-        raise ValueError("the conconicity test needs exactly six points")
-    _check_distinct(pts, eps)
+    pts = _distinct(points, 6, "the conconicity test needs exactly six points", eps)
     return _six_point_verdict(pts, eps)
 
 
@@ -491,10 +497,7 @@ def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
     verdict holds and the dual fit is nondegenerate, the witness is its
     adjugate, a conic tangent to all six lines.
     """
-    ls = list(lines)
-    if len(ls) != 6:
-        raise ValueError("the cotangency test needs exactly six lines")
-    _check_distinct(ls, eps, exc=DuplicateLine)
+    ls = _distinct(lines, 6, "the cotangency test needs exactly six lines", eps, exc=DuplicateLine)
     return dual_verdict(_six_point_verdict([HPoint(*l.coords) for l in ls], eps))
 
 
@@ -506,10 +509,7 @@ def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> 
     whole pencil of conics (four or more collinear) and ``DuplicatePoints``
     on repeats.
     """
-    pts = list(points)
-    if len(pts) != 5:
-        raise ValueError("a conic fit needs exactly five points")
-    _check_distinct(pts, eps)
+    pts = _distinct(points, 5, "a conic fit needs exactly five points", eps)
     rows = [veronese(p.coords) for p in pts]
     if not all(p.exact for p in pts):
         rows = [tuple(v / row_norm(row) for v in row) for row in rows]
@@ -525,10 +525,7 @@ def conconic_by_fit(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
     An independent route to the same answer as ``conconic``; kept separate
     on purpose so the two implementations can cross-validate each other.
     """
-    pts = list(points)
-    if len(pts) != 6:
-        raise ValueError("the conconicity test needs exactly six points")
-    _check_distinct(pts, eps)
+    pts = _distinct(points, 6, "the conconicity test needs exactly six points", eps)
     last_error: Optional[Exception] = None
     for hold_out in range(6):
         five = [p for i, p in enumerate(pts) if i != hold_out]
@@ -553,10 +550,7 @@ def pascal_collinear(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool
     points it fails, which makes it usable as an independent conconicity
     check.
     """
-    pts = list(points)
-    if len(pts) != 6:
-        raise ValueError("a hexagon needs exactly six vertices")
-    _check_distinct(pts, eps)
+    pts = _distinct(points, 6, "a hexagon needs exactly six vertices", eps)
     sides = [join(pts[i], pts[(i + 1) % 6], eps) for i in range(6)]
     meets = [meet(sides[i], sides[i + 3], eps) for i in range(3)]
     return collinear(meets, eps)
@@ -568,10 +562,7 @@ def brianchon_concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bo
     For six tangents of one conic this always holds; it is the dual
     counterpart of the hexagon test on points.
     """
-    ls = list(lines)
-    if len(ls) != 6:
-        raise ValueError("a hexagon needs exactly six sides")
-    _check_distinct(ls, eps, exc=DuplicateLine)
+    ls = _distinct(lines, 6, "a hexagon needs exactly six sides", eps, exc=DuplicateLine)
     vertices = [meet(ls[i], ls[(i + 1) % 6], eps) for i in range(6)]
     diagonals = [join(vertices[i], vertices[i + 3], eps) for i in range(3)]
     return concurrent(diagonals, eps)

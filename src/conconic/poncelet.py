@@ -6,7 +6,9 @@ with the outer conic.  The first step (with no incoming link) picks the
 tangent whose touch point is counterclockwise from the current vertex as
 seen from the inner conic's center; every later step takes the tangent
 that is not the line it arrived on.  Either first choice traces the same
-polygon, just in opposite orders.
+polygon, just in opposite orders.  The center is the pole of the line at
+infinity and a touch point is the pole of its tangent, both taken with
+``Conic.pole``.
 
 Closure is detected on canonicalized coordinates with a sign-insensitive
 gap, and a chain counts as closed only from three links up.  Links are
@@ -35,8 +37,8 @@ from .errors import (
     NoRealSolution,
     NoTangentLine,
 )
-from .linalg import cross, det3, matvec3, row_norm
-from .projective import HLine, HPoint, Record, coincident, sphere_gap, unit_coords
+from .linalg import cross, det3, row_norm
+from .projective import LINE_AT_INFINITY, HLine, HPoint, Record, coincident, sphere_gap, unit_coords
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
 
 
@@ -120,11 +122,6 @@ def _pencil_point(conic: Conic, base: HPoint, pencil, t: Scalar, eps: float) -> 
     return second_intersection(conic, base, line, eps)
 
 
-def conic_center(conic: Conic) -> HPoint:
-    """The pole of the line at infinity (finite for central conics)."""
-    return HPoint(*matvec3(conic.adjugate, (0, 0, 1)))
-
-
 def poncelet_step(
     c1: Conic,
     c2: Conic,
@@ -151,12 +148,12 @@ def poncelet_step(
     elif len(tangents) == 1:
         link = tangents[0]
     else:
-        center = conic_center(c2)
+        center = c2.pole(LINE_AT_INFINITY, eps)  # the center, finite for a central conic
         if center.at_infinity:
             raise ChainStuck("inner conic has no finite center to orient the first step")
         picked = None
         for cand in tangents:
-            touch = HPoint(*matvec3(c2.adjugate, cand.coords))
+            touch = c2.pole(cand, eps)
             if touch.at_infinity:
                 continue
             orientation = det3([(*map(float, p.to_xy()), 1.0) for p in (current, touch, center)])
@@ -246,7 +243,7 @@ def find_point_on_conic(conic: Conic, eps: float = DEFAULT_EPS) -> HPoint:
     """Some real point of a central conic, found by rays from its center."""
     if conic.is_degenerate(eps):
         raise DegenerateConic("point search needs a nondegenerate conic")
-    center = conic_center(conic)
+    center = conic.pole(LINE_AT_INFINITY, eps)
     if center.at_infinity:
         raise DegenerateConic("conic has no finite center to search from")
     cx, cy = map(float, center.to_xy())

@@ -273,18 +273,14 @@ class Verdict(Record):
     degenerate: bool = False
 
 
-def _det_verdict(rows: Sequence[Triple], eps: float) -> Verdict:
-    r = normalized_det(rows)
-    return Verdict(residual=r, holds=is_zero(r, eps, lambda: 1.0))
-
-
 def _triple_verdict(items: Sequence[_HTriple], eps: float, exc, noun: str) -> Verdict:
     """Determinant verdict on three pairwise-distinct triples, stacked in
     the given order so the residual's sign is reproducible."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if coincident(items[i], items[j], eps):
             raise exc(f"{noun} {items[i]} and {items[j]} coincide")
-    return _det_verdict(tuple(t.coords for t in items), eps)
+    r = normalized_det(tuple(t.coords for t in items))
+    return Verdict(residual=r, holds=is_zero(r, eps, lambda: 1.0))
 
 
 def concurrency(l: HLine, m: HLine, n: HLine, eps: float = DEFAULT_EPS) -> Verdict:

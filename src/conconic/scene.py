@@ -8,7 +8,7 @@ side with endpoints (P, Q) at parameter t is P + t (Q - P), placed by
 ``feet = (kind, values)`` pair: kind ``"params"`` with the six
 parameters, ``"isogonal"`` or ``"isotomic"`` with the three parameters of
 the first triple, or ``"through_points"`` with the two points as
-coordinate pairs.
+coordinate pairs.  A feet object carries only the fields its kind reads.
 
 Exact values travel as strings ("3/4", "0.25", "-2"); floats travel as
 JSON numbers.  In rational mode every value is parsed exactly and a report
@@ -47,6 +47,9 @@ from .scalars import DEFAULT_EPS, Scalar, format_scalar, parse_scalar
 
 MODES = ("rational", "float")
 GENERATORS = ("isogonal", "isotomic", "through_points")
+# the fields of a feet object each kind reads; any other field is an error
+_FEET_FIELDS = {"params": {"params"}, "isogonal": {"generator", "params"},
+                "isotomic": {"generator", "params"}, "through_points": {"generator", "points"}}
 
 
 class SceneError(ValueError):
@@ -147,25 +150,30 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         kind = feet["generator"]
         if kind not in GENERATORS:
             raise SceneError(f"generator must be one of {GENERATORS}, got {kind!r}")
-        if kind == "through_points":
-            pts = feet.get("points")
-            if not _is_list(pts, 2):
-                raise SceneError("through_points needs exactly two points")
-            values = tuple(
-                _decode_pair(p, exact, f"generator point {i}") for i, p in enumerate(pts)
-            )
-        else:
-            raw = feet.get("params")
-            if not _is_list(raw, 3):
-                raise SceneError(f"{kind} needs exactly three side parameters")
-            values = tuple(decode_value(v, exact) for v in raw)
     elif "params" in feet:
-        kind, raw = "params", feet["params"]
+        kind = "params"
+    else:
+        raise SceneError("feet must carry either params or a generator")
+    unknown = set(feet) - _FEET_FIELDS[kind]
+    if unknown:
+        raise SceneError(f"unknown feet fields for {kind}: {sorted(unknown)}")
+    if kind == "through_points":
+        pts = feet.get("points")
+        if not _is_list(pts, 2):
+            raise SceneError("through_points needs exactly two points")
+        values = tuple(
+            _decode_pair(p, exact, f"generator point {i}") for i, p in enumerate(pts)
+        )
+    elif kind == "params":
+        raw = feet["params"]
         if not _is_list(raw, 6):
             raise SceneError("feet params must list exactly six side parameters")
         values = tuple(decode_value(v, exact) for v in raw)
     else:
-        raise SceneError("feet must carry either params or a generator")
+        raw = feet.get("params")
+        if not _is_list(raw, 3):
+            raise SceneError(f"{kind} needs exactly three side parameters")
+        values = tuple(decode_value(v, exact) for v in raw)
 
     return Scene(
         mode=mode,

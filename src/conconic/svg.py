@@ -134,18 +134,19 @@ def _clip_line(frame: Frame, line: HLine) -> Optional[Tuple[Tuple[float, float],
 
 
 def conic_polyline_points(conic: Conic, eps: float = 1e-9) -> List[Tuple[float, float]]:
-    """Sample points along a nondegenerate conic for drawing."""
-    samples = map(_affine, spread_on_conic(conic, CONIC_SAMPLES, eps))
+    """Sample points along a nondegenerate conic for drawing; none for a
+    degenerate conic or one that cannot be sampled."""
+    try:
+        samples = [_affine(p) for p in spread_on_conic(conic, CONIC_SAMPLES, eps)]
+    except GeometryError:
+        return []
     return [xy for xy in samples if xy is not None]
 
 
-def _draw_conic(frame: Frame, conic: Conic, color: str, eps: float) -> List[str]:
-    kind = conic.classify(eps)
-    if kind == "nondegenerate":
-        try:
-            pts = conic_polyline_points(conic, eps)
-        except GeometryError:
-            return []
+def _draw_conic(frame: Frame, conic: Conic, color: str, eps: float, pts: List[Tuple[float, float]]) -> List[str]:
+    """A conic's drawing elements: the visible part of its samples ``pts``
+    (from ``conic_polyline_points``), or for a degenerate conic its lines."""
+    if conic.classify(eps) == "nondegenerate":
         visible = [p for p in pts if frame.contains(*p, slack=2 * max(frame.width, frame.height))]
         if len(visible) < 2:
             return []
@@ -198,7 +199,8 @@ def _configuration_body(
                 body.append(_segment(frame, a, b, color, width_scale=0.8))
 
     for i, conic in enumerate(w for w in witnesses if w is not None):
-        body.extend(_draw_conic(frame, conic, _CONIC_COLORS[i % len(_CONIC_COLORS)], eps))
+        color = _CONIC_COLORS[i % len(_CONIC_COLORS)]
+        body.extend(_draw_conic(frame, conic, color, eps, conic_polyline_points(conic, eps)))
 
     for p in cfg.feet.outer:
         xy = _affine(p)
@@ -227,18 +229,14 @@ def render_configuration(
 def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = 1e-9) -> str:
     """SVG of two conics and a chain polygon between them."""
     pts = [xy for xy in (_affine(p) for p in chain.points) if xy is not None]
-    conic_pts = []
-    for conic in (c1, c2):
-        try:
-            conic_pts.extend(conic_polyline_points(conic, eps))
-        except GeometryError:
-            pass
-    xs = [x for x, _ in pts + conic_pts] or [0.0, 1.0]
-    ys = [y for _, y in pts + conic_pts] or [0.0, 1.0]
+    samples = [conic_polyline_points(conic, eps) for conic in (c1, c2)]
+    every = pts + samples[0] + samples[1]
+    xs = [x for x, _ in every] or [0.0, 1.0]
+    ys = [y for _, y in every] or [0.0, 1.0]
     frame = Frame(xs, ys)
     body: List[str] = []
-    for i, conic in enumerate((c1, c2)):
-        body.extend(_draw_conic(frame, conic, _CONIC_COLORS[i % len(_CONIC_COLORS)], eps))
+    for i, (conic, conic_pts) in enumerate(zip((c1, c2), samples)):
+        body.extend(_draw_conic(frame, conic, _CONIC_COLORS[i % len(_CONIC_COLORS)], eps, conic_pts))
     if len(pts) >= 2:
         body.append(_polyline(frame, pts, _CHAIN_COLOR, width_scale=1.2, closed=chain.closed))
     for xy in pts:

@@ -167,6 +167,14 @@ def test_verify_svg_bytes_are_pinned(tmp_path):
         (["verify", "scene.json", "--closure-tol", "1e-7"], "--closure-tol"),
         (["morley", "--triangle", "0,0 1e400,0 0,1"], "1e400"),
         (["poncelet", "--outer", "1e400,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1", "--start", "2,0"], "1e400"),
+        (["morley", "--triangle", "0,0 4 0,3"], "error: vertex '4' is not an 'x,y' pair\n"),
+        (["poncelet", "--outer", "1,0,1,0,0", "--inner", "1,0,1,0,0,-1", "--start", "2,0"],
+         "error: a conic needs six coefficients (x^2, xy, y^2, xz, yz, z^2 order)\n"),
+        (["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1", "--start", "1,2,3,4"],
+         "error: point '1,2,3,4' must be 'x,y' or 'x,y,z'\n"),
+        # the one route into main's ValueError handler
+        (["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1",
+          "--expected-n", "3", "--samples", "0"], "error: at least one sample is required\n"),
     ],
 )
 def test_bad_flags_exit_one_naming_the_flag(argv, needle, capsys):
@@ -200,6 +208,12 @@ def test_out_of_float_range_scene_values_exit_one_naming_the_value(scene, flags,
          "expected a finite number, got the float inf"),
         ('{"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], "feet": {"params": "234567"}}',
          "feet params must list exactly six side parameters"),
+        ('{"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], '
+         '"feet": {"params": ["1/2", "1/2", "1/2", "1/2", "1/2", "1/2"], "generatr": "isogonal"}}',
+         "unknown feet fields for params: ['generatr']"),
+        ('{"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], '
+         '"feet": {"generator": "through_points", "points": [["1", "1"], ["1/2", "1"]], "params": ["x"]}}',
+         "unknown feet fields for through_points: ['params']"),
     ],
 )
 def test_non_finite_or_string_scene_values_exit_one(scene, needle, scene_file, capsys):
@@ -350,3 +364,11 @@ def test_poncelet_single_chain_on_a_degenerate_outer_conic_is_named(capsys):
     ):
         assert main(["poncelet"] + argv) == 1
         assert capsys.readouterr().err == "error: DegenerateConic: outer conic is degenerate\n"
+
+
+def test_poncelet_start_takes_homogeneous_coordinates(capsys):
+    argv = ["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1", "--json", "--start"]
+    assert main(argv + ["2,0"]) == 0
+    affine = capsys.readouterr()
+    assert main(argv + ["2,0,1"]) == 0
+    assert capsys.readouterr() == affine

@@ -448,6 +448,30 @@ def test_hexagon_oracles_reject_repeated_inputs(seed):
                 oracle(repeated)
 
 
+@pytest.mark.parametrize(
+    "test, n, kind, message, exc",
+    [
+        (conconic, 6, HPoint, "the conconicity test needs exactly six points", DuplicatePoints),
+        (cotangent, 6, HLine, "the cotangency test needs exactly six lines", DuplicateLine),
+        (conic_through_points, 5, HPoint, "a conic fit needs exactly five points", DuplicatePoints),
+        (conconic_by_fit, 6, HPoint, "the conconicity test needs exactly six points", DuplicatePoints),
+        (pascal_collinear, 6, HPoint, "a hexagon needs exactly six vertices", DuplicatePoints),
+        (brianchon_concurrent, 6, HLine, "a hexagon needs exactly six sides", DuplicateLine),
+    ],
+)
+def test_six_item_tests_check_the_count_then_distinctness(test, n, kind, message, exc):
+    # items (i, i^2, 1) are pairwise distinct, as points and as lines
+    items = [kind(i, i * i, 1) for i in range(n + 1)]
+    for count in (n - 1, n + 1):
+        with pytest.raises(ValueError) as err:
+            test(iter(items[:count]))
+        assert type(err.value) is ValueError and str(err.value) == message
+    for k in range(1, n):
+        repeated = items[:k] + items[:1] + items[k + 1:n]
+        with pytest.raises(exc, match=f"^inputs 0 and {k} coincide"):
+            test(repeated)
+
+
 def test_float_residual_is_scale_free():
     pts = [HPoint(float(x), float(y), float(z)) for x, y, z in
            [(1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5), (-3, 4, 5), (-4.01, 3, 5)]]

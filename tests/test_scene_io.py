@@ -97,6 +97,15 @@ def test_scene_validation_errors():
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": "234567"}}, "six side"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"generator": "isogonal", "params": "234"}},
          "isogonal needs exactly three side parameters"),
+        # a feet object carries only the fields its kind reads
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6, "generatr": "isogonal"}},
+         "unknown feet fields for params: ['generatr']"),
+        ({"triangle": ISOGONAL_SCENE["triangle"],
+          "feet": {"generator": "through_points", "points": [["1", "1"], ["1/2", "1"]], "params": ["x"]}},
+         "unknown feet fields for through_points: ['params']"),
+        ({"triangle": ISOGONAL_SCENE["triangle"],
+          "feet": {"generator": "isotomic", "params": ["1/2"] * 3, "points": [], "weights": []}},
+         "unknown feet fields for isotomic: ['points', 'weights']"),
     ]
     for data, needle in cases:
         with pytest.raises(SceneError) as exc:

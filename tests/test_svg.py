@@ -1,7 +1,8 @@
-from conconic import Conic, HPoint, Triangle, join
+import conconic.svg as svg
+from conconic import Conic, HPoint, Triangle, join, trace_chain
 from conconic.cevians import build_config
 from conconic.generate import feet_from_params
-from conconic.svg import render_configuration
+from conconic.svg import render_chain, render_configuration
 
 
 def _assert_line_pair_drawn_as_two_lines(offset):
@@ -24,3 +25,28 @@ def test_line_pair_just_beyond_the_rendering_epsilon_is_drawn_as_two_lines():
     # 2e-3 off x = 0, just beyond eps = 1e-3: a probe along x = 0 meets the
     # pair in two points too close for the discriminant test
     _assert_line_pair_drawn_as_two_lines(2e-3)
+
+
+def test_render_chain_samples_each_conic_once(monkeypatch):
+    outer, inner = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -4.0), Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+    chain = trace_chain(outer, inner, HPoint(2.0, 0.0, 1.0))
+    expected = render_chain(outer, inner, chain)
+    calls = []
+    spread = svg.spread_on_conic
+
+    def counting(conic, n, eps):
+        calls.append(conic)
+        return spread(conic, n, eps)
+
+    monkeypatch.setattr(svg, "spread_on_conic", counting)
+    assert render_chain(outer, inner, chain) == expected
+    assert calls == [outer, inner]
+
+
+def test_render_chain_draws_a_degenerate_conic_as_its_lines():
+    outer = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -4.0)
+    chain = trace_chain(outer, Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0), HPoint(2.0, 0.0, 1.0))
+    pair = Conic.from_line_pair(join(HPoint(0.0, 0.0, 1.0), HPoint(1.0, 1.0, 0.0)),
+                                join(HPoint(0.0, 0.0, 1.0), HPoint(1.0, -1.0, 0.0)))
+    drawn = render_chain(outer, pair, chain)
+    assert drawn.count("stroke-dasharray") == 2 and drawn.count("<polygon") == 2
