@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 from .conics import (
     Conic,
+    _distinct,
     _fit_five,
     _six_point_verdict,
     dual_verdict,
@@ -102,14 +103,18 @@ class Triangle(Record):
         return tuple(join(*self.side_endpoints(side)) for side in SIDES)
 
     def side_line(self, side: str) -> HLine:
-        return self.sides[SIDES.index(side)]
+        return self.sides[_side_index(side)]
 
     def side_endpoints(self, side: str) -> Tuple[HPoint, HPoint]:
-        return {
-            "BC": (self.B, self.C),
-            "CA": (self.C, self.A),
-            "AB": (self.A, self.B),
-        }[side]
+        i = _side_index(side)
+        return self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3]
+
+
+def _side_index(side: str) -> int:
+    """The position of a side name in ``SIDES``, after the one name check."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    return SIDES.index(side)
 
 
 class CevianFeet(Record):
@@ -486,14 +491,11 @@ def solve_sixth_foot(
     means the conic meets the side line in no real finite point; exact feet
     that would be irrational raise ``IrrationalResult``.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
-    if len(five_feet) != 5:
-        raise ValueError("exactly five fixed feet are required")
     ends = tri.side_endpoints(side)
     p, q = (_affine_triple(v, "side endpoint") for v in ends)
-    try:  # a float fit raises DuplicatePoints on repeats; an exact one gives a pencil
-        conic = _fit_five(five_feet, eps)  # None for a pencil
+    try:
+        five = _distinct(five_feet, 5, "exactly five fixed feet are required", eps)
+        conic = _fit_five(five, eps)  # None for a pencil
         if conic is None:
             raise LineOnConic("five feet admit a pencil of conics")
         roots = intersect_line(conic, tri.side_line(side), eps)

@@ -26,10 +26,11 @@ sixth).  They are deliberately separate implementations so each can serve
 as an oracle for the other.  On exact points ``conconic`` makes one
 integer Bareiss pass over the six Veronese rows: its determinant is the
 residual, and when the rank is five its integral kernel is the witness,
-the one conic through all six points; ``conic_through_points``, which
-``conconic_by_fit`` and float witnesses use, solves the nullspace.
+the one conic through all six points; ``conconic_by_fit``, float
+witnesses and ``conic_through_points`` solve the nullspace in ``_fit``.
 Every six-item test and the five-point fit take their inputs through one
-gate, ``_distinct``: the item count, then pairwise distinctness.
+gate, ``_distinct``: the item count, then pairwise distinctness, and each
+input passes it once (fits of gated points call the ungated ``_fit``).
 """
 
 from __future__ import annotations
@@ -426,17 +427,17 @@ def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
 
 
 def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
-    """The conic through five distinct points, or None when they admit a
-    pencil of conics (four of them collinear).
+    """The conic through five points that passed the ``_distinct`` gate, or
+    None when they admit a pencil of conics (four of them collinear).
 
     Exact points have integer canonical coordinates, so the conic is the
     integral kernel of their five Veronese rows from one ``bareiss`` pass;
     there is none when the rows have rank below five.  Float points go
-    through the nullspace fit of ``conic_through_points``.
+    through the nullspace ``_fit``.
     """
     if not all(p.exact for p in pts):
         try:
-            return conic_through_points(pts, eps)
+            return _fit(pts, eps)
         except NonUniqueConic:
             return None
     _, kernel = bareiss([veronese(p.coords) for p in pts])
@@ -509,7 +510,11 @@ def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> 
     whole pencil of conics (four or more collinear) and ``DuplicatePoints``
     on repeats.
     """
-    pts = _distinct(points, 5, "a conic fit needs exactly five points", eps)
+    return _fit(_distinct(points, 5, "a conic fit needs exactly five points", eps), eps)
+
+
+def _fit(pts: Sequence[HPoint], eps: float) -> Conic:
+    """``conic_through_points`` on five points that passed the gate."""
     rows = [veronese(p.coords) for p in pts]
     if not all(p.exact for p in pts):
         rows = [tuple(v / row_norm(row) for v in row) for row in rows]
@@ -530,7 +535,7 @@ def conconic_by_fit(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
     for hold_out in range(6):
         five = [p for i, p in enumerate(pts) if i != hold_out]
         try:
-            fitted = conic_through_points(five, eps)
+            fitted = _fit(five, eps)
         except NonUniqueConic as err:
             last_error = err
             continue

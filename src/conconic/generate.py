@@ -11,9 +11,11 @@ last foot (the criterion is linear in each parameter), and on-conic
 sextuples come from pushing rational circle points through a random
 projective map.  Instances are not re-checked for what their construction
 guarantees: every foot lies strictly inside its side, so cevians through
-different vertices always meet and each configuration builds.  Only the
-solved and perturbed families run ``check_conditions``, whose verdict
-picks the draw.
+different vertices always meet and each configuration builds.  A solved
+instance has K = prod(t) - prod(1 - t) = 0, and the concurrency and outer
+six-point determinants are nonzero multiples of K and of (a1 - a2)(b1 - b2)
+(c1 - c2) K, so the four equivalent conditions hold.  Only the perturbed
+family runs ``check_conditions``, whose verdict picks the draw.
 """
 
 from __future__ import annotations
@@ -114,18 +116,13 @@ def solve_concurrent_params(rnd: random.Random) -> Optional[List[Fraction]]:
 
 
 def concurrency_solved_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
-    """An exact configuration satisfying all four equivalent conditions.
-
-    Every candidate is checked before it is returned.
-    """
+    """An exact configuration satisfying all four equivalent conditions,
+    returned unchecked: its parameters solve Carnot's criterion."""
     while True:
         tri = random_triangle(rnd)
         params = solve_concurrent_params(rnd)
-        if params is None:
-            continue
-        feet = feet_from_params(tri, params)
-        if check_conditions(build_config(tri, feet)).all_hold:
-            return tri, feet, params
+        if params is not None:
+            return tri, feet_from_params(tri, params), params
 
 
 def conjugate_instance(rnd: random.Random, kind: str) -> Tuple[Triangle, CevianFeet]:

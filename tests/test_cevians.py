@@ -330,6 +330,43 @@ def test_solve_sixth_foot_maps_line_on_conic_to_side_on_conic(monkeypatch):
         solve_sixth_foot(tri, five, "BC")
 
 
+SIDE_NAME_ERROR = "side must be one of ('BC', 'CA', 'AB')"
+
+
+def test_an_unknown_side_name_is_named_as_such():
+    five = tuple(foot_point(RIGHT_345, side, Fraction(1, 3)) for side in ("BC", "CA", "AB", "BC", "CA"))
+    calls = (
+        lambda: foot_point(RIGHT_345, "XY", Fraction(1, 2)),
+        lambda: RIGHT_345.side_line("XY"),
+        lambda: solve_sixth_foot(RIGHT_345, five, "XY"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == SIDE_NAME_ERROR
+
+
+def test_solve_sixth_foot_takes_repeated_feet_to_side_on_conic_by_one_rule(monkeypatch):
+    # exact and float feet with a repeat stop at the solver's own gate,
+    # before either backend's elimination
+    import conconic.conics as conics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("repeated feet reached the fit")
+
+    monkeypatch.setattr(conics, "bareiss", refuse)
+    monkeypatch.setattr(conics, "nullspace", refuse)
+    feet = [foot_point(RIGHT_345, side, Fraction(k, 5)) for side, k in (("BC", 1), ("CA", 2), ("AB", 3), ("BC", 4))]
+    five = tuple(feet) + (feet[1],)
+    for tri, pts in ((RIGHT_345, five), (float_copy(RIGHT_345), tuple(map(float_copy, five)))):
+        with pytest.raises(SideOnConic):
+            solve_sixth_foot(tri, pts, "AB")
+        for wrong in (pts[:4], pts + (pts[0],)):
+            with pytest.raises(ValueError) as err:
+                solve_sixth_foot(tri, wrong, "AB")
+            assert str(err.value) == "exactly five fixed feet are required"
+
+
 def _side_quadratic(tri, five, side):
     """Coefficients (a, b, c) of f(t) = a t^2 + b t + c, the nullspace-fitted
     conic through the five points at P + t (Q - P) on the side, or None

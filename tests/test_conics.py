@@ -373,6 +373,27 @@ def test_exact_conditions_take_no_generic_determinant(monkeypatch):
     assert report.inner6.residual == 0 and type(report.inner6.residual) is int
 
 
+def test_the_fit_route_gates_its_points_once(monkeypatch):
+    # a float conconic_by_fit and a holding float conconic compare each pair
+    # of the six points once (15 tests); the fits they run behind that gate
+    # compare none again
+    calls = []
+    original = conics.coincident
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(conics, "coincident", counting)
+    pts = [HPoint(*map(float, p.coords)) for p in conconic_sextuple(random.Random(3))]
+    assert conconic_by_fit(pts)
+    assert len(calls) == 15
+    calls.clear()
+    verdict = conconic(pts)
+    assert verdict.holds and verdict.witness_conic is not None
+    assert len(calls) == 15
+
+
 @pytest.mark.parametrize("coeffs", [(1, 0, 1, 0, 0, -1), (0.5, 0.0, 1.0, 0.1, -0.0, -3.0)])
 def test_conic_copies_and_pickles_and_refuses_del(coeffs):
     conic = Conic.from_coeffs(coeffs)

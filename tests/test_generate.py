@@ -276,3 +276,50 @@ def test_perturbed_instance_lets_a_consistency_failure_through(monkeypatch):
     with pytest.raises(TheoremConsistencyError, match="planted disagreement"):
         generate.perturbed_failing_instance(random.Random(2))
     assert len(calls) == 1
+
+
+def test_solved_instances_are_returned_without_building_or_checking(monkeypatch):
+    """Carnot's criterion makes all four conditions hold on a solved draw, so
+    the generator neither builds nor checks it; its draws stay pinned by the
+    seed-1 ``feet`` digest of ``tests/test_output_dump.py``."""
+
+    def refuse(*args):
+        raise AssertionError("a solved instance was built or checked")
+
+    monkeypatch.setattr(generate, "build_config", refuse)
+    monkeypatch.setattr(generate, "check_conditions", refuse)
+    for seed in range(50):
+        tri, feet, params = generate.concurrency_solved_instance(random.Random(seed))
+        assert feet == feet_from_params(tri, params)
+
+
+def test_carnot_criterion_divides_the_concurrency_and_six_point_determinants():
+    """The identities that let solved draws go unchecked, with sympy as the
+    oracle: with K = prod(t) - prod(1 - t) over the six side parameters,
+    det[A x U1, B x V1, C x W1] = K and the determinant of the Veronese rows
+    of (A1, A2, B1, B2, C1, C2) is (a1 - a2)(b1 - b2)(c1 - c2) K, on
+    A = (0, 0), B = (1, 0), C = (0, 1).  An affine map keeps side parameters
+    and incidences and scales both determinants by a nonzero factor, so K = 0
+    makes the cevians AU1, BV1, CW1 concur and the six feet conconic on every
+    finite triangle."""
+    sympy = pytest.importorskip("sympy")
+    a1, a2, b1, b2, c1, c2 = sympy.symbols("a1 a2 b1 b2 c1 c2")
+    a, b, c = (sympy.Matrix(v) for v in ((0, 0, 1), (1, 0, 1), (0, 1, 1)))
+
+    def foot(p, q, t):
+        return p + t * (q - p)
+
+    feet_a = [foot(b, c, t) for t in (a1, a2)]
+    feet_b = [foot(c, a, t) for t in (b1, b2)]
+    feet_c = [foot(a, b, t) for t in (c1, c2)]
+    k = a1 * b1 * c1 * a2 * b2 * c2 - (1 - a1) * (1 - b1) * (1 - c1) * (1 - a2) * (1 - b2) * (1 - c2)
+    # cross products join two points and meet two lines
+    u1 = b.cross(feet_b[0]).cross(c.cross(feet_c[1]))
+    v1 = c.cross(feet_c[0]).cross(a.cross(feet_a[1]))
+    w1 = a.cross(feet_a[0]).cross(b.cross(feet_b[1]))
+    concurrency = sympy.Matrix.hstack(a.cross(u1), b.cross(v1), c.cross(w1)).det()
+    assert sympy.expand(concurrency - k) == 0
+
+    rows = [[x * x, x * y, y * y, x * z, y * z, z * z] for x, y, z in feet_a + feet_b + feet_c]
+    outer6 = sympy.Matrix(rows).det(method="berkowitz")
+    assert sympy.expand(outer6 - (a1 - a2) * (b1 - b2) * (c1 - c2) * k) == 0
