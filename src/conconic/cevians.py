@@ -555,13 +555,16 @@ class ProofChart(Record):
         return is_zero(p - q, self.eps, lambda: max(abs(p), abs(q)))
 
 
+# where to_chart sends B, C, C1 and B2
+_CHART_TARGET = (HPoint(0, 1, 0), HPoint(1, 0, 0), HPoint(0, 1, 1), HPoint(1, 0, 1))
+
+
 def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
     """Normalized-chart coordinates (b1, c2, p, q) of a configuration."""
     tri = cfg.triangle
     feet = cfg.feet
-    dst = (HPoint(0, 1, 0), HPoint(1, 0, 0), HPoint(0, 1, 1), HPoint(1, 0, 1))
     try:
-        chart_map = map_from_correspondence((tri.B, tri.C, feet.C1, feet.B2), dst, eps)
+        chart_map = map_from_correspondence((tri.B, tri.C, feet.C1, feet.B2), _CHART_TARGET, eps)
     except DegenerateQuadruple as err:
         raise ChartDegenerate(f"chart frame cannot be built: {err}") from None
 

@@ -9,12 +9,14 @@ pass, ``bareiss``, also returns the integral null vector of a matrix whose
 rank is one below its column count, so a six-point verdict reads its
 determinant and its witness conic from a single elimination.
 
-The triple helpers (``dot``, ``matvec3`` and the triple case of
-``row_norm``) are written out term by term and fix their summation order
-themselves: ``0 + a0*b0 + a1*b1 + a2*b2``, left to right from the int 0.
-That is the order of ``sum`` over the products, so a float result keeps
-its last bit and the sign of a zero (an all ``-0.0`` sum gives ``+0.0``),
-and exact entries stay ``int`` or ``Fraction``.
+The triple helpers (``dot``, ``cross``, ``det3``, ``matvec3``,
+``transpose3``, ``adjugate3`` and the triple case of ``row_norm``) are
+written out term by term and fix their order themselves.  A sum runs
+``0 + a0*b0 + a1*b1 + a2*b2``, left to right from the int 0, the order of
+``sum`` over the products; an adjugate entry is the minor ``p*q - r*s``
+of the cofactor definition, negated as a whole where its sign is odd.  So
+a float result keeps its last bit and the sign of a zero (an all ``-0.0``
+sum gives ``+0.0``), and exact entries stay ``int`` or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def det3(m: Sequence[Sequence[Scalar]]) -> Scalar:
 
 
 def transpose3(m):
-    return tuple(tuple(m[r][c] for r in range(3)) for c in range(3))
+    r0, r1, r2 = m
+    return ((r0[0], r1[0], r2[0]), (r0[1], r1[1], r2[1]), (r0[2], r1[2], r2[2]))
 
 
 def matvec3(m, v) -> Triple:
@@ -70,14 +73,12 @@ def matmul3(a, b):
 
 def adjugate3(m):
     """Transposed cofactor matrix; equals det(m) * inverse(m)."""
-    c = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            s = [k for k in range(3) if k != j]
-            minor = m[r[0]][s[0]] * m[r[1]][s[1]] - m[r[0]][s[1]] * m[r[1]][s[0]]
-            c[j][i] = minor if (i + j) % 2 == 0 else -minor
-    return tuple(tuple(row) for row in c)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+    return (
+        (b1 * c2 - b2 * c1, -(a1 * c2 - a2 * c1), a1 * b2 - a2 * b1),
+        (-(b0 * c2 - b2 * c0), a0 * c2 - a2 * c0, -(a0 * b2 - a2 * b0)),
+        (b0 * c1 - b1 * c0, -(a0 * c1 - a1 * c0), a0 * b1 - a1 * b0),
+    )
 
 
 def row_norm(row: Sequence[Scalar]) -> float:

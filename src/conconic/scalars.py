@@ -68,6 +68,14 @@ def exact_sqrt(x: Scalar) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+def brief_repr(value) -> str:
+    """``repr(value)``, or past 40 characters its ends and ``len(str(value))``."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:20]}...{text[-6:]} ({len(str(value))} characters)"
+
+
 def parse_scalar(text: Union[str, int], exact: bool) -> Scalar:
     """Parse "p/q", integer, or decimal notation (or an ``int``) into the
     requested backend.  Raises ``ValueError`` naming ``text`` when it is not
@@ -75,13 +83,13 @@ def parse_scalar(text: Union[str, int], exact: bool) -> Scalar:
     try:
         value = Fraction(text.strip() if isinstance(text, str) else text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse {text!r} as a number") from None
+        raise ValueError(f"cannot parse {brief_repr(text)} as a number") from None
     if exact:
         return value
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{text!r} is too large for a float") from None
+        raise ValueError(f"{brief_repr(text)} is too large for a float") from None
 
 
 def format_scalar(x: Scalar) -> str:
@@ -107,12 +115,24 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     tuple returns it bit for bit.  A tuple with any float member is a float
     tuple; one that starts with a float goes there without the exact scans,
     and an all-``float`` triple (every point and line of a chain) is
-    checked, pivoted and divided in one pass by the same rule.
+    checked, pivoted and divided in one pass by the same rule.  Its exact
+    twin is the all-``int`` triple (every exact point and line): three type
+    checks, one gcd, the sign of the first nonzero entry (``x or y or z``),
+    and floor division only when that signed gcd is not 1.
     """
     vals = list(values)
     if not vals:
         raise ValueError("empty coordinate tuple")
     if type(vals[0]) is not float:
+        if len(vals) == 3:
+            x, y, z = vals
+            if type(x) is int and type(y) is int and type(z) is int:
+                g = math.gcd(x, y, z)
+                if g == 0:
+                    raise ValueError("homogeneous coordinates cannot all be zero")
+                if (x or y or z) < 0:
+                    g = -g
+                return (x, y, z) if g == 1 else (x // g, y // g, z // g)
         if all(type(v) is int for v in vals):
             return _reduced(vals)
         if all_exact(vals):

@@ -43,7 +43,7 @@ from .cevians import (
 from .conics import Conic
 from .errors import ChartDegenerate
 from .projective import HPoint, Record, Verdict
-from .scalars import DEFAULT_EPS, Scalar, format_scalar, parse_scalar
+from .scalars import DEFAULT_EPS, Scalar, brief_repr, format_scalar, parse_scalar
 
 MODES = ("rational", "float")
 GENERATORS = ("isogonal", "isotomic", "through_points")
@@ -93,7 +93,7 @@ def parse_tolerance(value: Any, name: str) -> float:
     except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not 0 < tol < 1:
-        raise SceneError(f"{name} must be a finite positive number below 1, got {value!r}")
+        raise SceneError(f"{name} must be a finite positive number below 1, got {brief_repr(value)}")
     return tol
 
 
@@ -102,10 +102,18 @@ def _is_list(raw: Any, n: int) -> bool:
     return isinstance(raw, Sequence) and not isinstance(raw, str) and len(raw) == n
 
 
+def _decode_field(v: Any, exact: bool, what: str) -> Scalar:
+    """``decode_value`` of the scene field ``what``, whose errors name it."""
+    try:
+        return decode_value(v, exact)
+    except SceneError as err:
+        raise SceneError(f"{what}: {err}") from None
+
+
 def _decode_pair(pair: Any, exact: bool, what: str) -> Tuple[Scalar, Scalar]:
     if not _is_list(pair, 2):
         raise SceneError(f"{what} must be a pair of coordinates")
-    return (decode_value(pair[0], exact), decode_value(pair[1], exact))
+    return (_decode_field(pair[0], exact, what), _decode_field(pair[1], exact, what))
 
 
 # ----- scenes ---------------------------------------------------------------
@@ -168,12 +176,12 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         raw = feet["params"]
         if not _is_list(raw, 6):
             raise SceneError("feet params must list exactly six side parameters")
-        values = tuple(decode_value(v, exact) for v in raw)
+        values = tuple(_decode_field(v, exact, f"feet params[{i}]") for i, v in enumerate(raw))
     else:
         raw = feet.get("params")
         if not _is_list(raw, 3):
             raise SceneError(f"{kind} needs exactly three side parameters")
-        values = tuple(decode_value(v, exact) for v in raw)
+        values = tuple(_decode_field(v, exact, f"feet params[{i}]") for i, v in enumerate(raw))
 
     return Scene(
         mode=mode,

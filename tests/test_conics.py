@@ -153,6 +153,24 @@ def test_float_line_on_fitted_conic_raises():
         assert len(intersect_line(conic, across)) in (1, 2)
 
 
+@pytest.mark.parametrize("k, on_conic", [(5.0, True), (6.8, True), (7.0, False), (8.0, False)])
+def test_line_on_conic_threshold_scales_with_the_gram_and_both_span_norms(k, on_conic):
+    # the line x + y + z = 0 lies on the pair (x + y + z)(x - y); a z^2 term
+    # leaves the form k * eps * (lam - mu)^2 on it, against a scale of
+    # gram_norm (2 sqrt 3) times the norms of its two spanning points (sqrt 2
+    # each): about 6.93 * eps, not 3.46 * eps
+    eps = 1e-9
+    conic = Conic(1.0, 0.0, -1.0, 1.0, -1.0, k * eps / 2)
+    line = HLine(1.0, 1.0, 1.0)
+    assert conic.gram_norm == pytest.approx(2 * math.sqrt(3))
+    if on_conic:
+        with pytest.raises(LineOnConic):
+            intersect_line(conic, line, eps)
+    else:
+        points = intersect_line(conic, line, eps)
+        assert points and all(abs(linalg.dot(p.coords, line.coords)) < 1e-12 for p in points)
+
+
 def test_tangent_lines_frozen_oracle():
     lines = tangent_lines_from(UNIT_CIRCLE, HPoint(5, 0, 3))
     assert set(lines) == {HLine(3, 4, -5), HLine(3, -4, -5)}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conconic.linalg import bareiss, det, dot, matvec3, row_norm
+from conconic.linalg import adjugate3, bareiss, det, det3, dot, matmul3, matvec3, row_norm, transpose3
 
 from conftest import small_fractions
 
@@ -51,6 +51,62 @@ def test_dot_keeps_the_sign_of_zero_of_the_sum():
     assert repr(matvec3(((-0.0, 0.0, -1.0),) * 3, (1.0, -1.0, 0.0))) == "(0.0, 0.0, 0.0)"
     assert type(dot((1, 2, 3), (4, 5, 6))) is int
     assert dot((Fraction(1, 2), 0, 0), (3, 1, 1)) == Fraction(3, 2)
+
+
+def cofactor_adjugate(m):
+    """Entry [j][i] is (-1)**(i+j) times the minor of row i and column j,
+    ``m[r0][s0] * m[r1][s1] - m[r0][s1] * m[r1][s0]`` over the remaining
+    rows r0 < r1 and columns s0 < s1, negated as a whole."""
+    def cofactor(i, j):
+        (r0, r1), (s0, s1) = [k for k in range(3) if k != i], [k for k in range(3) if k != j]
+        minor = m[r0][s0] * m[r1][s1] - m[r0][s1] * m[r1][s0]
+        return minor if (i + j) % 2 == 0 else -minor
+    return tuple(tuple(cofactor(i, j) for i in range(3)) for j in range(3))
+
+
+def indexed_transpose(m):
+    return tuple(tuple(m[r][c] for r in range(3)) for c in range(3))
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+matrices = st.one_of(
+    st.tuples(triples, triples, triples),
+    st.tuples(*[st.tuples(*[st.one_of(signed_zeros, st.sampled_from([1.0, -1.0, 2.0]))] * 3)] * 3),
+)
+SINGULAR = [
+    ((0.0, -0.0, 0.0), (-0.0, -0.0, 0.0), (0.0, 0.0, -0.0)),
+    ((1.0, 2.0, -0.0), (2.0, 4.0, 0.0), (-3.0, -6.0, -0.0)),
+    ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9)),
+    ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+    ((2, -4, 6), (-1, 2, -3), (0, 0, 0)),
+    ((Fraction(1, 2), Fraction(1, 3), 1), (1, Fraction(2, 3), 2), (Fraction(-3, 7), 5, 0)),
+]
+
+
+@given(matrices)
+def test_adjugate3_matches_the_cofactor_definition_bit_for_bit(m):
+    assert repr(adjugate3(m)) == repr(cofactor_adjugate(m))
+    assert repr(transpose3(m)) == repr(indexed_transpose(m))
+
+
+@pytest.mark.parametrize("m", SINGULAR)
+def test_adjugate3_of_singular_matrices_matches_the_cofactor_definition(m):
+    assert repr(adjugate3(m)) == repr(cofactor_adjugate(m))
+    assert repr(transpose3(m)) == repr(indexed_transpose(m))
+
+
+def test_adjugate3_keeps_signed_zeros_and_exact_types():
+    # an odd cofactor whose minor is +0.0 comes out -0.0, as -(a*b - c*d)
+    # does (c*d - a*b would give +0.0)
+    eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    assert repr(adjugate3(eye)) == "((1.0, -0.0, 0.0), (-0.0, 1.0, -0.0), (0.0, -0.0, 1.0))"
+    m = ((2, -1, 0), (1, 3, 4), (0, 5, -2))
+    adj = adjugate3(m)
+    assert all(type(v) is int for row in adj for v in row)
+    d = det3(m)
+    assert matmul3(m, adj) == matmul3(adj, m) == ((d, 0, 0), (0, d, 0), (0, 0, d))
+    fm = ((Fraction(1, 2), 1, 0), (0, Fraction(2, 3), 1), (1, 0, 3))
+    assert matmul3(fm, adjugate3(fm)) == tuple(tuple(det3(fm) * (r == c) for c in range(3)) for r in range(3))
 
 
 def test_det_of_a_fraction_matrix_matches_sympy():

@@ -1,0 +1,26 @@
+"""``scripts/op_count.py`` counts the same work on every run."""
+
+import importlib.util
+from pathlib import Path
+
+OP_COUNT = Path(__file__).resolve().parent.parent / "scripts" / "op_count.py"
+
+
+def _load_op_count():
+    spec = importlib.util.spec_from_file_location("op_count", OP_COUNT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_of_exact_sweep_ops_repeat_exactly():
+    count = _load_op_count().count
+    first = count("exact_sweep", 7, 3)
+    second = count("exact_sweep", 7, 3)
+    opcodes, calls, failed = first
+    assert first == second
+    assert failed == 0
+    assert sum(opcodes.values()) > 0 and sum(calls.values()) > 0
+    # the package's own kernels are counted under their module names
+    assert opcodes["conconic.scalars.canonical_tuple"] > 0
+    assert calls["conconic.cevians.to_chart"] == 3

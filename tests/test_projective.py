@@ -173,6 +173,17 @@ def test_coincident_tolerates_float_noise():
     assert not coincident(p, HPoint(1.001, 2.0, 3.0))
 
 
+@pytest.mark.parametrize("k, expected", [(2.0, True), (2.9, True), (3.1, False), (4.0, False)])
+def test_coincidence_threshold_scales_with_the_product_of_the_norms(k, expected):
+    # both triples have norm close to sqrt(3), so the scale of the zero test
+    # on their cross product (max entry k * eps) is about 3, not 1 or 3/3
+    eps = 1e-9
+    u, v = HPoint(1.0, 1.0, 1.0), HPoint(1.0, 1.0 - k * eps, 1.0)
+    assert max(map(abs, cross(u.coords, v.coords))) == pytest.approx(k * eps, rel=1e-6)
+    assert coincident(u, v, eps) is expected
+    assert coincident(HLine(*u.coords), HLine(*v.coords), eps) is expected
+
+
 def test_exact_coincidence_matches_the_cross_product():
     # exact triples coincide exactly when their cross product vanishes;
     # copies scaled by +-k and by fractions, zero components, unequal pairs

@@ -123,7 +123,57 @@ def test_canonical_tuple_rejects_zero():
         canonical_tuple([0, 0, 0])
 
 
-@given(st.lists(st.one_of(st.integers(-6, 6), st.integers(-10**30, 10**30)), min_size=1, max_size=6))
+def reduced_by_formula(vals):
+    """The generic rule for integers: divide by the gcd, signed so that the
+    first nonzero entry comes out positive."""
+    g = math.gcd(*vals)
+    lead = next(v for v in vals if v != 0)
+    return tuple(v // (g if lead > 0 else -g) for v in vals)
+
+
+INT_TRIPLES = [
+    (-3, 4, 5), (-6, -8, 10), (0, -2, 4), (0, 0, -7), (0, 5, 0), (6, 0, -9), (12, 18, 0),
+    (1, 0, 0), (0, 0, 1), (2, 3, 5), (-1, -1, -1), (4, 6, 8), (-2**300, 3 * 2**299, 5),
+    (3**189, -(3**190), 3**188 * 7), (2**299 + 1, 0, -(2**300) - 2),
+]
+
+
+@pytest.mark.parametrize("vals", INT_TRIPLES)
+def test_int_triples_match_the_generic_rule(vals):
+    out = canonical_tuple(vals)
+    assert repr(out) == repr(reduced_by_formula(vals))
+    assert all(type(v) is int for v in out)
+    assert canonical_tuple(list(vals)) == out
+
+
+def test_all_zero_int_triples_raise_the_generic_error():
+    for vals in ((0, 0, 0), [0, 0, 0]):
+        with pytest.raises(ValueError, match="^homogeneous coordinates cannot all be zero$"):
+            canonical_tuple(vals)
+    with pytest.raises(ValueError, match="^homogeneous coordinates cannot all be zero$"):
+        canonical_tuple((0, 0, 0, 0))
+
+
+def test_bool_triples_take_the_float_route(monkeypatch):
+    # a bool is not an exact scalar: a triple holding one is scanned as
+    # exact, rejected, and canonicalized in floats, as it always was
+    import conconic.scalars as scalars
+
+    scans = []
+
+    def counting_all_exact(values):
+        scans.append(tuple(values))
+        return all_exact(values)
+
+    monkeypatch.setattr(scalars, "all_exact", counting_all_exact)
+    for vals in ((True, False, True), (True, 2, 3), (0, -4, False)):
+        out = canonical_tuple(vals)
+        assert all(type(v) is float for v in out)
+        assert bits(out) == bits(loop_float_canonical_tuple(vals))
+    assert len(scans) == 3
+
+
+@given(st.lists(st.one_of(st.integers(-6, 6), st.integers(-2**300, 2**300)), min_size=1, max_size=6))
 def test_canonical_tuple_of_ints_matches_the_fraction_path(vals):
     fracs = [Fraction(v) for v in vals]
     if all(v == 0 for v in vals):

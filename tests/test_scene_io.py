@@ -82,10 +82,26 @@ def test_scene_validation_errors():
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "closure_tol": 1e-7}, "unknown"),
         ({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
          "'1e400'"),
+        # an out-of-range or unparsable value names its field, and a long
+        # one is shortened (the length bound below) with its length stated
         ({"triangle": [[0, 0], [10**400, 0], [0, 3]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
-         str(10**400)),
+         "vertex 1: 10000000000000000000...000000 (401 characters) is too large for a float"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": 10**400},
-         str(10**400)),
+         "epsilon must be a finite positive number below 1, got 10000000000000000000...000000 (401 characters)"),
+        ({"triangle": [["0", "0"], ["1e999", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
+         "vertex 1: '1e999' is too large for a float"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2", "1/2", "1/2", "x", "1/2", "1/2"]}},
+         "feet params[3]: cannot parse 'x' as a number"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"generator": "isotomic", "params": ["1/2", "1/3", "/"]}},
+         "feet params[2]: cannot parse '/' as a number"),
+        ({"triangle": ISOGONAL_SCENE["triangle"],
+          "feet": {"generator": "through_points", "points": [["1", "1e999"], ["1/2", "1"]]}, "mode": "float"},
+         "generator point 0: '1e999' is too large for a float"),
+        ({"triangle": ISOGONAL_SCENE["triangle"],
+          "feet": {"generator": "through_points", "points": [["1", "1"], [True, "1"]]}},
+         "generator point 1: expected a number, got True"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 5 + ["7" * 60 + "x"]}},
+         "feet params[5]: cannot parse '7777777777777777777...7777x' (61 characters) as a number"),
         # JSON reads 1e400 as inf; NaN and Infinity are literals it accepts
         ({"triangle": [[0.0, 0.0], [json.loads("1e400"), 0.0], [0.0, 3.0]], "feet": {"params": [0.5] * 6},
           "mode": "float"}, "expected a finite number, got the float inf"),
@@ -111,6 +127,7 @@ def test_scene_validation_errors():
         with pytest.raises(SceneError) as exc:
             scene_from_dict(data)
         assert needle in str(exc.value)
+        assert len(str(exc.value)) < 120
 
 
 def test_rational_mode_keeps_out_of_float_range_values_exact():
