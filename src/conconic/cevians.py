@@ -62,12 +62,14 @@ from .projective import (
     HPoint,
     Record,
     Verdict,
+    _dual_point,
+    _frame_matrix,
+    _map_between_frames,
     coincident,
     collinear,
     concurrency,
     incident,
     join,
-    map_from_correspondence,
     meet,
 )
 from .scalars import DEFAULT_EPS, Scalar, div, is_exact, is_zero
@@ -248,6 +250,17 @@ class ConditionReport(Record):
 
 
 def _dedupe(items: Sequence, eps: float) -> list:
+    """The items less any that coincide with an earlier one, in input order.
+
+    Exact items coincide exactly when their canonical ``coords`` are equal,
+    so one dict pass keyed by ``coords`` keeps each first occurrence; any
+    other list takes the pairwise tolerance test of ``coincident``.
+    """
+    if all(type(item.coords[0]) is int for item in items):
+        first = {}
+        for item in items:
+            first.setdefault(item.coords, item)
+        return list(first.values())
     kept = []
     for item in items:
         if not any(coincident(item, seen, eps) for seen in kept):
@@ -319,7 +332,7 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
     # a line and its dual point share coordinates, so they coincide alike
     sextuples = [
         (points, _dedupe(points, eps))
-        for points in (cfg.feet.outer, cfg.inner_points, [HPoint(*l.coords) for l in cfg.cevians])
+        for points in (cfg.feet.outer, cfg.inner_points, [_dual_point(l) for l in cfg.cevians])
     ]
     outer6 = _tolerant_conconic(sextuples[0], eps)
     inner6 = _tolerant_conconic(sextuples[1], eps)
@@ -555,18 +568,25 @@ class ProofChart(Record):
         return is_zero(p - q, self.eps, lambda: max(abs(p), abs(q)))
 
 
-# where to_chart sends B, C, C1 and B2
-_CHART_TARGET = (HPoint(0, 1, 0), HPoint(1, 0, 0), HPoint(0, 1, 1), HPoint(1, 0, 1))
+# the frame matrix of the points where to_chart sends B, C, C1 and B2
+_CHART_FRAME = _frame_matrix(((0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1)), DEFAULT_EPS, "target")
 
 
 def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
-    """Normalized-chart coordinates (b1, c2, p, q) of a configuration."""
+    """Normalized-chart coordinates (b1, c2, p, q) of a configuration.
+
+    The chart map sends (B, C, C1, B2) to the fixed frame ((0 : 1 : 0),
+    (1 : 0 : 0), (0 : 1 : 1), (1 : 0 : 1)), whose frame matrix is built once
+    at import; each call builds the source frame's and composes the two, as
+    ``map_from_correspondence`` does.
+    """
     tri = cfg.triangle
     feet = cfg.feet
     try:
-        chart_map = map_from_correspondence((tri.B, tri.C, feet.C1, feet.B2), _CHART_TARGET, eps)
+        source = _frame_matrix((tri.B.coords, tri.C.coords, feet.C1.coords, feet.B2.coords), eps, "source")
     except DegenerateQuadruple as err:
         raise ChartDegenerate(f"chart frame cannot be built: {err}") from None
+    chart_map = _map_between_frames(source, _CHART_FRAME)
 
     b1_pt = _finite_xy(chart_map.apply(feet.B1), eps)
     c2_pt = _finite_xy(chart_map.apply(feet.C2), eps)

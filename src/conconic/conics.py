@@ -67,6 +67,7 @@ from .projective import (
     HPoint,
     ProjectiveMap,
     Verdict,
+    _dual_point,
     coincident,
     collinear,
     concurrent,
@@ -410,10 +411,15 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
 def _distinct(items: Sequence, n: int, what: str, eps: float, exc=DuplicatePoints) -> list:
     """The ``n`` items as a list, after the one input gate of the six-item
     tests: ``ValueError(what)`` on a wrong count, ``exc`` on the first pair
-    of coincident items."""
+    of coincident items.  Exact items coincide exactly when their canonical
+    ``coords`` are equal, so ``n`` distinct ``coords`` pass them at once;
+    a repeat, or any float item, takes the pairwise ``coincident`` scan,
+    which names the first coincident pair."""
     items = list(items)
     if len(items) != n:
         raise ValueError(what)
+    if all(type(item.coords[0]) is int for item in items) and len({item.coords for item in items}) == n:
+        return items
     for i in range(n):
         for j in range(i + 1, n):
             if coincident(items[i], items[j], eps):
@@ -499,7 +505,7 @@ def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
     adjugate, a conic tangent to all six lines.
     """
     ls = _distinct(lines, 6, "the cotangency test needs exactly six lines", eps, exc=DuplicateLine)
-    return dual_verdict(_six_point_verdict([HPoint(*l.coords) for l in ls], eps))
+    return dual_verdict(_six_point_verdict([_dual_point(l) for l in ls], eps))
 
 
 def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Conic:

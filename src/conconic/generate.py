@@ -102,14 +102,15 @@ def solve_concurrent_params(rnd: random.Random) -> Optional[List[Fraction]]:
 
     Five parameters are drawn at random and the last (the second C-foot)
     is solved from Carnot's criterion ``prod(t) == prod(1 - t)``, which is
-    linear in any single parameter.  Every drawn fraction lies strictly
-    inside (0, 1), so the solution does too; returns None only when it
-    repeats the first C-foot.
+    linear in any single parameter: with t = n/d, ``P = prod(d - n)`` and
+    ``Q = prod(n)`` over the five, the last parameter is P / (P + Q).  Every
+    drawn fraction lies strictly inside (0, 1), so the solution does too;
+    returns None only when it repeats the first C-foot.
     """
     five = [random_fraction(rnd) for _ in range(5)]  # a1, b1, c1, a2, b2
-    p = math.prod(1 - t for t in five)
-    q = math.prod(five)
-    t_c2 = p / (p + q)
+    p = math.prod(t.denominator - t.numerator for t in five)
+    q = math.prod(t.numerator for t in five)
+    t_c2 = Fraction(p, p + q)
     if t_c2 == five[2]:
         return None
     return five + [t_c2]

@@ -193,8 +193,23 @@ class HLine(_HTriple):
 LINE_AT_INFINITY = HLine.at_infinity()
 
 
+def _dual_point(l: HLine) -> HPoint:
+    """The point with the coordinates of ``l``, which are canonical already,
+    so they are shared rather than canonicalized again."""
+    p = object.__new__(HPoint)
+    object.__setattr__(p, "coords", l.coords)
+    return p
+
+
 def _coincident(u: Triple, v: Triple, raw: Triple, eps: float) -> bool:
-    return is_zero(max(map(abs, raw)), eps, lambda: row_norm(u) * row_norm(v))
+    """The float zero test of the cross product ``raw`` of ``u`` and ``v``,
+    relative to the product of their norms.  Canonical float triples have
+    norms in [1, sqrt(3)], so for two of them the product is at most 3 and
+    ``max|raw| > 4 * eps`` decides "not coincident" without the norms."""
+    m = max(map(abs, raw))
+    if m > 4 * eps and type(u[0]) is float and type(v[0]) is float:
+        return False
+    return is_zero(m, eps, lambda: row_norm(u) * row_norm(v))
 
 
 def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
@@ -202,7 +217,8 @@ def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
 
     Canonical triples that are equal coincide, and two unequal exact ones
     (reduced ``int`` triples) do not; any other pair takes the tolerance
-    test on their cross product.
+    test on their cross product.  So on exact items coincidence is tuple
+    equality, and a dict or set keyed by ``coords`` groups them.
     """
     u, v = a.coords, b.coords
     if u == v:
@@ -213,17 +229,30 @@ def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
 
 
 def join(p: HPoint, q: HPoint, eps: float = DEFAULT_EPS) -> HLine:
-    """The line through two distinct points."""
-    raw = cross(p.coords, q.coords)
-    if _coincident(p.coords, q.coords, raw, eps):
+    """The line through two distinct points.
+
+    For two exact points the cross product is an ``int`` triple, and the
+    points coincide exactly when it is all zero; any other pair takes the
+    tolerance test of ``coincident``.
+    """
+    u, v = p.coords, q.coords
+    raw = cross(u, v)
+    if type(u[0]) is int and type(v[0]) is int:
+        if not (raw[0] or raw[1] or raw[2]):
+            raise CoincidentPoints(f"cannot join {p} with {q}")
+    elif _coincident(u, v, raw, eps):
         raise CoincidentPoints(f"cannot join {p} with {q}")
     return HLine(*raw)
 
 
 def meet(l: HLine, m: HLine, eps: float = DEFAULT_EPS) -> HPoint:
-    """The intersection point of two distinct lines."""
-    raw = cross(l.coords, m.coords)
-    if _coincident(l.coords, m.coords, raw, eps):
+    """The intersection point of two distinct lines, decided as in ``join``."""
+    u, v = l.coords, m.coords
+    raw = cross(u, v)
+    if type(u[0]) is int and type(v[0]) is int:
+        if not (raw[0] or raw[1] or raw[2]):
+            raise CoincidentLines(f"cannot meet {l} with {m}")
+    elif _coincident(u, v, raw, eps):
         raise CoincidentLines(f"cannot meet {l} with {m}")
     return HPoint(*raw)
 
@@ -353,13 +382,20 @@ def map_from_correspondence(
     """The unique projectivity sending four source points to four targets.
 
     Both quadruples must be projective frames: no three of the four points
-    collinear.  Raises ``DegenerateQuadruple`` otherwise.
+    collinear.  Raises ``DegenerateQuadruple`` otherwise, checking the
+    source first.  A caller with a fixed target keeps its ``_frame_matrix``
+    and calls ``_map_between_frames`` instead, as ``cevians.to_chart`` does.
     """
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("correspondence needs exactly four source and target points")
-    basis = [_frame_matrix(tuple(p.coords for p in src), eps, "source"),
-             _frame_matrix(tuple(p.coords for p in dst), eps, "target")]
-    return ProjectiveMap(matmul3(basis[1], adjugate3(basis[0])))
+    source = _frame_matrix(tuple(p.coords for p in src), eps, "source")
+    return _map_between_frames(source, _frame_matrix(tuple(p.coords for p in dst), eps, "target"))
+
+
+def _map_between_frames(source, target) -> ProjectiveMap:
+    """The map sending the frame of the ``_frame_matrix`` ``source`` to that
+    of ``target``: ``target`` after the inverse of ``source``, up to scale."""
+    return ProjectiveMap(matmul3(target, adjugate3(source)))
 
 
 def _frame_matrix(quad: Sequence[Triple], eps: float, label: str):

@@ -68,8 +68,20 @@ def exact_sqrt(x: Scalar) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+# ints past this many bits (over 3,000 digits) are described, not printed:
+# ``str`` of one past 4,300 digits raises under the interpreter's default limit
+_PRINTABLE_INT_BITS = 10_000
+
+
 def brief_repr(value) -> str:
-    """``repr(value)``, or past 40 characters its ends and ``len(str(value))``."""
+    """``repr(value)``, or past 40 characters its ends and ``len(str(value))``.
+
+    An ``int`` past ``_PRINTABLE_INT_BITS`` bits becomes its sign and its
+    approximate digit count, read from ``bit_length`` without ``str``.
+    """
+    if isinstance(value, int) and value.bit_length() > _PRINTABLE_INT_BITS:
+        digits = int(value.bit_length() * math.log10(2)) + 1
+        return f"{'a negative' if value < 0 else 'an'} integer of about {digits} digits"
     text = repr(value)
     if len(text) <= 40:
         return text

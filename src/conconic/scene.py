@@ -212,6 +212,8 @@ def load_scene(path: str) -> Scene:
             data = json.load(fh)
         except json.JSONDecodeError as err:
             raise SceneError(f"{path} is not valid JSON: {err}") from err
+        except ValueError as err:  # undecodable bytes, or an int past the digit limit
+            raise SceneError(f"{path}: {err}") from err
     return scene_from_dict(data)
 
 

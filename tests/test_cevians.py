@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
+import conconic.cevians as cevians
+import conconic.projective as projective
 from conconic import (
     CevianFeet,
     HPoint,
@@ -22,8 +24,9 @@ from conconic import (
     to_chart,
     validate_feet,
 )
-from conconic.conics import conic_through_points
+from conconic.conics import Conic, conic_through_points
 from conconic.errors import (
+    ChartDegenerate,
     DegenerateTriangle,
     DuplicatePoints,
     FootOffSide,
@@ -274,6 +277,64 @@ def test_exact_duplicate_free_disagreement_raises(monkeypatch):
     monkeypatch.setattr(cevians, "_tolerant_conconic", lying)
     with pytest.raises(TheoremConsistencyError):
         cevians.check_conditions(cfg)
+
+
+def _pairwise_dedupe(items, eps=1e-9):
+    kept = []
+    for item in items:
+        if not any(projective.coincident(item, seen, eps) for seen in kept):
+            kept.append(item)
+    return kept
+
+
+def test_exact_dedupe_keeps_first_occurrences_like_the_pairwise_scan():
+    # scaled copies are equal after canonicalization; the kept items are
+    # the first occurrences themselves, in input order
+    rnd = random.Random(23)
+    pool = [(1, 2, 1), (2, 4, 2), (-3, 0, 1), (0, 0, 1), (5, -1, 7), (-10, 2, -14), (1, 1, 0)]
+    for _ in range(200):
+        items = [HPoint(*rnd.choice(pool)) for _ in range(rnd.randint(1, 9))]
+        got = cevians._dedupe(items, 1e-9)
+        want = _pairwise_dedupe(items)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+def test_dedupe_of_mixed_exact_and_float_items_takes_the_tolerance_route():
+    # the float copy is within tolerance of the exact point but not equal
+    near = HPoint(1.0, 2.0 + 1e-12, 1.0)
+    items = [HPoint(1, 2, 1), HPoint(3, 1, 1), near, HPoint(3.0, 1.0, 1.0)]
+    assert near.coords != HPoint(1, 2, 1).coords
+    got = cevians._dedupe(items, 1e-9)
+    assert got == _pairwise_dedupe(items) == items[:2]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_three_distinct_points_among_six_get_the_line_pair_through_the_first(exact):
+    # P, Q, R not collinear, each twice: the witness is PQ with PR
+    p, q, r = HPoint(0, 0, 1), HPoint(4, 0, 1), HPoint(1, 3, 1)
+    if not exact:
+        p, q, r = (float_copy(x) for x in (p, q, r))
+    points = (p, q, r, q, p, r)
+    distinct = cevians._dedupe(points, 1e-9)
+    assert distinct == [p, q, r]
+    verdict = cevians._tolerant_conconic((points, distinct), 1e-9)
+    assert verdict.holds and verdict.degenerate
+    assert verdict.witness_conic == Conic.from_line_pair(projective.join(p, q), projective.join(p, r))
+    assert verdict.witness_conic.classify() == "line_pair"
+
+
+@pytest.mark.parametrize("params", [
+    [0.5, 1e-6, 0.5, 0.5, 0.5, 0.5],      # B1 next to C
+    [0.5, 0.5, 0.5, 0.5, 0.5, 1 - 1e-6],  # C2 next to B
+])
+def test_a_foot_next_to_a_vertex_escapes_the_chart_at_a_coarse_tolerance(params):
+    # the chart sends B and C to infinity; one foot within 1e-6 of one of
+    # them is finite at the default tolerance and at infinity at 1e-3
+    tri = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(0.0, 3.0, 1.0))
+    cfg = build_config(tri, feet_from_params(tri, params))
+    assert not to_chart(cfg).degenerate
+    with pytest.raises(ChartDegenerate, match="a normalized foot escaped to infinity in the chart"):
+        to_chart(cfg, 1e-3)
 
 
 def test_solve_sixth_foot_recovers_deleted_foot(rnd):

@@ -221,6 +221,10 @@ def test_out_of_float_range_scene_values_exit_one_naming_the_value(scene, flags,
         ('{"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], '
          '"feet": {"generator": "through_points", "points": [["1", "1"], ["1/2", "1"]], "params": ["x"]}}',
          "unknown feet fields for through_points: ['params']"),
+        # json cannot read an integer literal past 4,300 digits; the error names the file
+        pytest.param(
+            '{"triangle": [[0, 0], [1' + "0" * 5000 + ', 0], [0, 3]], "feet": {"params": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}}',
+            "scene.json: Exceeds the limit (4300 digits)", id="int-literal-past-the-digit-limit"),
     ],
 )
 def test_non_finite_or_string_scene_values_exit_one(scene, needle, scene_file, capsys):

@@ -108,6 +108,26 @@ def test_conconic_rejects_duplicates():
         conconic(CIRCLE_SEXTUPLE[:5] + (HPoint(2, 0, 2),))
 
 
+def test_exact_duplicates_name_the_first_coincident_pair():
+    # repeats at (1, 4) and (2, 3), written as scaled copies: the gate
+    # names the pair the pairwise scan meets first
+    c = CIRCLE_SEXTUPLE
+    points = (c[0], c[1], c[2], HPoint(6, 8, 10), HPoint(0, 2, 2), c[5])
+    with pytest.raises(DuplicatePoints, match=r"^inputs 1 and 4 coincide: HPoint\(0 : 1 : 1\)$"):
+        conconic(points)
+    with pytest.raises(DuplicateLine, match=r"^inputs 0 and 5 coincide: "):
+        cotangent(tuple(HLine(*p.coords) for p in CIRCLE_SEXTUPLE[:5]) + (HLine(2, 0, 2),))
+    assert conics._distinct(c, 6, "six", 1e-9) == list(c)
+
+
+def test_mixed_exact_and_float_items_take_the_tolerance_gate():
+    # a float copy within tolerance of an exact point is a duplicate,
+    # though its coordinates differ from the exact ones
+    near = HPoint(3 / 5, 4 / 5 + 1e-12, 1.0)
+    with pytest.raises(DuplicatePoints, match="^inputs 2 and 5 coincide: "):
+        conconic(CIRCLE_SEXTUPLE[:5] + (near,))
+
+
 def test_intersect_line_secant_tangent_missing():
     secant = HLine(0, 1, 0)  # y = 0
     pts = intersect_line(UNIT_CIRCLE, secant)

@@ -24,3 +24,14 @@ def test_counts_of_exact_sweep_ops_repeat_exactly():
     # the package's own kernels are counted under their module names
     assert opcodes["conconic.scalars.canonical_tuple"] > 0
     assert calls["conconic.cevians.to_chart"] == 3
+
+
+def test_exact_sweep_decides_identity_on_integer_triples():
+    # one op per generator family: exact coincidence, join and meet never
+    # reach the float zero test, and to_chart builds one frame matrix, its
+    # source's, against a target frame built at import
+    _, calls, failed = _load_op_count().count("exact_sweep", 7, 5)
+    assert failed == 0
+    assert calls["conconic.projective.coincident"] > 0 and calls["conconic.projective.join"] > 0
+    assert calls["conconic.projective._coincident"] == 0
+    assert calls["conconic.projective._frame_matrix"] == calls["conconic.cevians.to_chart"] == 5

@@ -88,6 +88,11 @@ def test_scene_validation_errors():
          "vertex 1: 10000000000000000000...000000 (401 characters) is too large for a float"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": 10**400},
          "epsilon must be a finite positive number below 1, got 10000000000000000000...000000 (401 characters)"),
+        # str() of an int past 4,300 digits raises: its sign and size stand in
+        ({"triangle": [[0, 0], [10**5000, 0], [0, 3]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
+         "vertex 1: an integer of about 5001 digits is too large for a float"),
+        ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, "epsilon": -(10**5000)},
+         "epsilon must be a finite positive number below 1, got a negative integer of about 5001 digits"),
         ({"triangle": [["0", "0"], ["1e999", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}, "mode": "float"},
          "vertex 1: '1e999' is too large for a float"),
         ({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2", "1/2", "1/2", "x", "1/2", "1/2"]}},
