@@ -7,12 +7,16 @@ JSON line it prints.  For every end-to-end metric of ``BENCHMARK.json``
 (read from the change's checkout) it prints each side's median and
 quartiles, the parent's interquartile range and the pairs each side wins
 in the metric's ``better`` direction; ties count for neither side.
+Before the pairs it prints each checkout's bytecode condition, which
+moves every ``cli_scenes`` reading: whether its children write bytecode
+and how many package modules already have a ``.pyc``.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload exact_sweep --seed 7 --pairs 10 --seconds 8
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -24,6 +28,24 @@ def run_bench(checkout, args) -> dict:
             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def bytecode_condition(checkout, env) -> str:
+    """One line on the bytecode that ``checkout``'s benchmark children see.
+
+    They run ``sys.executable`` without ``-B`` and with ``env``, so they
+    write bytecode unless ``PYTHONDONTWRITEBYTECODE`` is a non-empty string
+    there; a ``.pyc`` counts when ``src/conconic/__pycache__`` holds one
+    for a package module under this interpreter's cache tag.
+    """
+    package = Path(checkout) / "src" / "conconic"
+    tag = sys.implementation.cache_tag
+    modules = sorted(package.glob("*.py"))
+    cached = sum((package / "__pycache__" / f"{m.stem}.{tag}.pyc").is_file() for m in modules)
+    flag = env.get("PYTHONDONTWRITEBYTECODE", "")
+    writes = "do not write" if flag else "write"
+    return (f"bytecode {checkout}: children {writes} bytecode (PYTHONDONTWRITEBYTECODE={flag!r}); "
+            f"{cached}/{len(modules)} package modules have a {tag} .pyc")
 
 
 def quartiles(values):
@@ -61,6 +83,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    for checkout in (args.parent, args.change):
+        print(bytecode_condition(checkout, os.environ), flush=True)
     runs = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         for side in ("parent", "change") if i % 2 else ("change", "parent"):

@@ -91,8 +91,9 @@ class Triangle(Record):
         if collinear((self.A, self.B, self.C)):
             raise DegenerateTriangle("triangle vertices are collinear")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """Whether all three vertices are exact, read once per triangle."""
         return self.A.exact and self.B.exact and self.C.exact
 
     @property
@@ -167,8 +168,10 @@ class CevianConfig(Record):
     V1: HPoint
     W1: HPoint
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """Whether the triangle and all six feet are exact, read once per
+        configuration."""
         return self.triangle.exact and all(p.exact for p in self.feet.outer)
 
     @property
@@ -302,7 +305,7 @@ def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> V
     points, distinct = sextuple
     exact = all(p.exact for p in points)
     if len(distinct) == 6 or (len(distinct) == 5 and exact):
-        return _six_point_verdict(points, eps)
+        return _six_point_verdict(points, eps, exact)
     if exact:
         residual = 0
     else:
@@ -460,12 +463,13 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
 def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
     """The point P + t (Q - P) on the named side with endpoints (P, Q).
 
-    For exact finite endpoints P = (p0, p1, pz), Q = (q0, q1, qz) and an
-    exact t = n/d the foot is the integer triple ``(d - n) qz P + n pz Q``.
+    On an exact triangle, for finite endpoints P = (p0, p1, pz),
+    Q = (q0, q1, qz) and an exact t = n/d, the foot is the integer triple
+    ``(d - n) qz P + n pz Q``.
     """
     p, q = tri.side_endpoints(side)
     pz, qz = p.z, q.z
-    if p.exact and q.exact and is_exact(t) and pz and qz:
+    if tri.exact and is_exact(t) and pz and qz:
         a, b = (t.denominator - t.numerator) * qz, t.numerator * pz
         return HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
     px, py = p.to_xy()

@@ -4,11 +4,19 @@ Exit codes are part of the contract: 0 means the run succeeded and the
 verdicts agree (for chains: the chain closed / the porism held), 1 means
 the input could not be parsed or validated, and 2 means the geometry was
 fine but the verdicts came back negative or inconsistent.
+
+Each run is a fresh process, so a command loads only the modules it runs.
+``morley``, ``poncelet`` and ``svg`` are registered in ``sys.modules`` as
+lazy modules (``importlib.util.LazyLoader``) whose code runs on their first
+attribute access: ``verify`` without ``--svg`` runs none of them,
+``poncelet`` runs no ``morley``, and ``morley`` without ``--svg`` runs no
+``svg``.  Their functions are read as module attributes at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from typing import Optional, Sequence
@@ -16,8 +24,6 @@ from typing import Optional, Sequence
 from .cevians import Triangle
 from .conics import Conic
 from .errors import GeometryError, TheoremConsistencyError
-from .morley import morley_config, side_spread
-from .poncelet import find_point_on_conic, porism_check, trace_chain
 from .projective import HPoint
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
 from .scene import (
@@ -30,7 +36,22 @@ from .scene import (
     scene_from_dict,
     scene_to_dict,
 )
-from .svg import render_chain, render_configuration, render_morley
+
+
+def _lazy_module(name: str):
+    """The module ``name``: the loaded one, or else one registered in
+    ``sys.modules`` whose code runs on its first attribute access."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+morley, poncelet, svg = (_lazy_module(f"{__package__}.{name}") for name in ("morley", "poncelet", "svg"))
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -133,7 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     conditions = report.conditions
     if args.svg:
         witnesses = (conditions.outer6.witness_conic, conditions.inner6.witness_conic)
-        _write_svg(args.svg, render_configuration(cfg, witnesses, scene.epsilon))
+        _write_svg(args.svg, svg.render_configuration(cfg, witnesses, scene.epsilon))
     return EXIT_OK if conditions.agree else EXIT_DISAGREE
 
 
@@ -143,8 +164,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _porism(outer: Conic, inner: Conic, n: int, samples: int, args: argparse.Namespace) -> dict:
     """The JSON payload of ``porism_check``: closure at exactly ``n`` steps
     from ``samples`` spread starting points."""
-    report = porism_check(outer, inner, expected_n=n, num_samples=samples,
-                          closure_tol=args.closure_tol, eps=args.epsilon)
+    report = poncelet.porism_check(outer, inner, expected_n=n, num_samples=samples,
+                                   closure_tol=args.closure_tol, eps=args.epsilon)
     return {
         "expected_n": n,
         "all_closed": report.all_closed,
@@ -155,9 +176,9 @@ def _porism(outer: Conic, inner: Conic, n: int, samples: int, args: argparse.Nam
 
 def _cmd_morley(args: argparse.Namespace) -> int:
     tri = _parse_triangle(args.triangle)
-    data = morley_config(tri, args.epsilon)
+    data = morley.morley_config(tri, args.epsilon)
     cfg = data.config
-    _, spread = side_spread(data.trisector_meets)
+    _, spread = morley.side_spread(data.trisector_meets)
     payload = {
         "triangle": [[float(v) for v in p.coords] for p in tri.vertices],
         "morley_triangle": [[float(v) for v in p.coords] for p in (cfg.U1, cfg.V1, cfg.W1)],
@@ -192,7 +213,7 @@ def _cmd_morley(args: argparse.Namespace) -> int:
             print(f"chains {state} at n=3 over {args.poncelet_samples} samples (max gap {p['max_gap']:.3e})")
 
     if args.svg:
-        _write_svg(args.svg, render_morley(data, args.epsilon))
+        _write_svg(args.svg, svg.render_morley(data, args.epsilon))
     return EXIT_OK if ok else EXIT_DISAGREE
 
 
@@ -211,15 +232,15 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
             state = "all chains closed" if closed else "some chains did not close"
             print(f"{state} at n={args.expected_n} over {args.samples} samples (max gap {payload['max_gap']:.3e})")
         if args.svg:
-            chain = trace_chain(outer, inner, find_point_on_conic(outer, args.epsilon),
-                                max(args.expected_n, 3), args.closure_tol, args.epsilon)
-            _write_svg(args.svg, render_chain(outer, inner, chain, args.epsilon))
+            chain = poncelet.trace_chain(outer, inner, poncelet.find_point_on_conic(outer, args.epsilon),
+                                         max(args.expected_n, 3), args.closure_tol, args.epsilon)
+            _write_svg(args.svg, svg.render_chain(outer, inner, chain, args.epsilon))
         return EXIT_OK if closed else EXIT_DISAGREE
 
     if not args.start:
         raise SceneError("either --start or --expected-n with --samples is required")
     start = _parse_point(args.start)
-    chain = trace_chain(outer, inner, start, args.max_steps, args.closure_tol, args.epsilon)
+    chain = poncelet.trace_chain(outer, inner, start, args.max_steps, args.closure_tol, args.epsilon)
     payload = {
         "closure_step": chain.closure_step,
         "gap": chain.gap,
@@ -233,7 +254,7 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
         else:
             print(f"chain did not close within {args.max_steps} steps (best gap {chain.gap:.3e})")
     if args.svg:
-        _write_svg(args.svg, render_chain(outer, inner, chain, args.epsilon))
+        _write_svg(args.svg, svg.render_chain(outer, inner, chain, args.epsilon))
     return EXIT_OK if chain.closed else EXIT_DISAGREE
 
 
@@ -248,43 +269,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="check the four conditions on a scene file")
-    verify.add_argument("scene", help="path to a scene JSON file")
-    verify.add_argument("--mode", choices=("rational", "float"), default=None,
-                        help="override the scene's arithmetic backend")
-    verify.add_argument("--epsilon", type=_tolerance, default=None,
-                        help="float-mode tolerance for residual predicates")
-    verify.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
-    verify.add_argument("--json", action="store_true", help="emit the report as JSON")
-    verify.set_defaults(func=_cmd_verify)
+    verify_cmd = sub.add_parser("verify", help="check the four conditions on a scene file")
+    verify_cmd.add_argument("scene", help="path to a scene JSON file")
+    verify_cmd.add_argument("--mode", choices=("rational", "float"), default=None,
+                            help="override the scene's arithmetic backend")
+    verify_cmd.add_argument("--epsilon", type=_tolerance, default=None,
+                            help="float-mode tolerance for residual predicates")
+    verify_cmd.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
+    verify_cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
+    verify_cmd.set_defaults(func=_cmd_verify)
 
-    morley = sub.add_parser("morley", help="build and check a trisector configuration")
-    morley.add_argument("--triangle", required=True,
-                        help="three vertices as 'x,y x,y x,y'")
-    morley.add_argument("--poncelet-samples", type=int, default=0, metavar="N",
-                        help="also check chain closure at n=3 from N sample points")
-    morley.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
-    morley.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
-    morley.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
-    morley.add_argument("--json", action="store_true", help="emit the report as JSON")
-    morley.set_defaults(func=_cmd_morley)
+    morley_cmd = sub.add_parser("morley", help="build and check a trisector configuration")
+    morley_cmd.add_argument("--triangle", required=True,
+                            help="three vertices as 'x,y x,y x,y'")
+    morley_cmd.add_argument("--poncelet-samples", type=int, default=0, metavar="N",
+                            help="also check chain closure at n=3 from N sample points")
+    morley_cmd.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
+    morley_cmd.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
+    morley_cmd.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
+    morley_cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
+    morley_cmd.set_defaults(func=_cmd_morley)
 
-    poncelet = sub.add_parser("poncelet", help="trace tangent chains between two conics")
-    poncelet.add_argument("--outer", required=True, metavar="C",
-                          help="outer conic, six comma-separated coefficients")
-    poncelet.add_argument("--inner", required=True, metavar="C",
-                          help="inner conic, six comma-separated coefficients")
-    poncelet.add_argument("--start", metavar="PT", help="chain start 'x,y' on the outer conic")
-    poncelet.add_argument("--max-steps", type=int, default=100)
-    poncelet.add_argument("--expected-n", type=int, default=None,
-                          help="porism mode: require closure at exactly this step")
-    poncelet.add_argument("--samples", type=int, default=20,
-                          help="porism mode: number of starting points")
-    poncelet.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
-    poncelet.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
-    poncelet.add_argument("--svg", metavar="PATH", help="write a drawing of the chain")
-    poncelet.add_argument("--json", action="store_true", help="emit the report as JSON")
-    poncelet.set_defaults(func=_cmd_poncelet)
+    poncelet_cmd = sub.add_parser("poncelet", help="trace tangent chains between two conics")
+    poncelet_cmd.add_argument("--outer", required=True, metavar="C",
+                              help="outer conic, six comma-separated coefficients")
+    poncelet_cmd.add_argument("--inner", required=True, metavar="C",
+                              help="inner conic, six comma-separated coefficients")
+    poncelet_cmd.add_argument("--start", metavar="PT", help="chain start 'x,y' on the outer conic")
+    poncelet_cmd.add_argument("--max-steps", type=int, default=100)
+    poncelet_cmd.add_argument("--expected-n", type=int, default=None,
+                              help="porism mode: require closure at exactly this step")
+    poncelet_cmd.add_argument("--samples", type=int, default=20,
+                              help="porism mode: number of starting points")
+    poncelet_cmd.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
+    poncelet_cmd.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
+    poncelet_cmd.add_argument("--svg", metavar="PATH", help="write a drawing of the chain")
+    poncelet_cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
+    poncelet_cmd.set_defaults(func=_cmd_poncelet)
     return parser
 
 

@@ -450,8 +450,9 @@ def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
     return None if kernel is None else Conic.from_coeffs(kernel)
 
 
-def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> Verdict:
-    """Determinant verdict on six points, with its witness.
+def _six_point_verdict(pts: Sequence[HPoint], eps: float, exact: bool) -> Verdict:
+    """Determinant verdict on six points, with its witness; ``exact`` says
+    whether all six are exact, as the caller has already read.
 
     Exact points take one ``bareiss`` pass over their Veronese rows: the
     determinant is the residual, and the witness is the kernel when the
@@ -462,7 +463,7 @@ def _six_point_verdict(pts: Sequence[HPoint], eps: float) -> Verdict:
     five points, or else through the first five-subset (leaving out point
     0, 1, ...) that determines one.
     """
-    if all(p.exact for p in pts):
+    if exact:
         residual, kernel = bareiss([veronese(p.coords) for p in pts])
         holds = residual == 0
         witness = None if kernel is None else Conic.from_coeffs(kernel)
@@ -494,7 +495,7 @@ def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Verdict:
     through the first five points whenever the verdict holds.
     """
     pts = _distinct(points, 6, "the conconicity test needs exactly six points", eps)
-    return _six_point_verdict(pts, eps)
+    return _six_point_verdict(pts, eps, all(p.exact for p in pts))
 
 
 def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
@@ -505,7 +506,8 @@ def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
     adjugate, a conic tangent to all six lines.
     """
     ls = _distinct(lines, 6, "the cotangency test needs exactly six lines", eps, exc=DuplicateLine)
-    return dual_verdict(_six_point_verdict([_dual_point(l) for l in ls], eps))
+    duals = [_dual_point(l) for l in ls]
+    return dual_verdict(_six_point_verdict(duals, eps, all(p.exact for p in duals)))
 
 
 def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Conic:

@@ -14,6 +14,7 @@ computed on the float path.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -91,10 +92,16 @@ def brief_repr(value) -> str:
 def parse_scalar(text: Union[str, int], exact: bool) -> Scalar:
     """Parse "p/q", integer, or decimal notation (or an ``int``) into the
     requested backend.  Raises ``ValueError`` naming ``text`` when it is not
-    a number, or when the float backend cannot hold it."""
+    a number, when it is one but has a run of more digits than the
+    interpreter converts to an ``int`` (``sys.get_int_max_str_digits``),
+    or when the float backend cannot hold it."""
     try:
         value = Fraction(text.strip() if isinstance(text, str) else text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as err:
+        # the interpreter's digit limit, worded as in its documentation
+        if "for integer string conversion" in str(err):
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{brief_repr(text)} has more digits than the interpreter converts ({limit:,})") from None
         raise ValueError(f"cannot parse {brief_repr(text)} as a number") from None
     if exact:
         return value

@@ -1,6 +1,7 @@
 """The summary of ``scripts/bench_pairs.py`` on canned paired runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,20 @@ def test_summary_of_one_pair():
     (row,) = summarize(_runs(setup_s=[0.1]), _runs(setup_s=[0.1]), [("setup_s", "lower")])
     assert row["parent"] == row["change"] == (0.1, 0.1, 0.1)
     assert row["parent_iqr"] == 0 and (row["change_wins"], row["parent_wins"]) == (0, 0)
+
+
+def test_bytecode_condition_reads_the_environment_and_the_package_cache(tmp_path):
+    bytecode_condition = _load_bench_pairs().bytecode_condition
+    package = tmp_path / "src" / "conconic"
+    (package / "__pycache__").mkdir(parents=True)
+    for stem in ("__init__", "cli", "svg"):
+        (package / f"{stem}.py").write_text("", encoding="utf-8")
+    tag = sys.implementation.cache_tag
+    (package / "__pycache__" / f"cli.{tag}.pyc").write_bytes(b"")
+    (package / "__pycache__" / "svg.cpython-00.pyc").write_bytes(b"")  # another interpreter's
+    line = bytecode_condition(tmp_path, {"PYTHONDONTWRITEBYTECODE": "1"})
+    assert line == (f"bytecode {tmp_path}: children do not write bytecode (PYTHONDONTWRITEBYTECODE='1'); "
+                    f"1/3 package modules have a {tag} .pyc")
+    # unset or empty, the variable lets children write bytecode
+    for env in ({}, {"PYTHONDONTWRITEBYTECODE": ""}):
+        assert "children write bytecode (PYTHONDONTWRITEBYTECODE='')" in bytecode_condition(tmp_path, env)

@@ -1,7 +1,9 @@
-"""The immutable-record base shared by the package's value types, and the
-start-up cost it keeps out of ``conconic.cli``."""
+"""The immutable-record base shared by the package's value types, the
+start-up cost it keeps out of ``conconic.cli``, and the package's lazy
+exports and per-command module loading."""
 
 import copy
+import json
 import os
 import pickle
 import random
@@ -196,6 +198,18 @@ def test_triangle_sides_are_cached_on_the_frozen_instance():
     assert copy.deepcopy(tri).sides == sides
 
 
+def test_triangle_and_config_read_their_backend_once_outside_their_fields():
+    tri = Triangle(*RIGHT_345.vertices)
+    assert "exact" not in vars(tri)
+    assert tri.exact is True and vars(tri)["exact"] is True
+    assert tri == RIGHT_345 and repr(tri) == repr(RIGHT_345)
+    cfg = build_config(*concurrency_solved_instance(random.Random(3))[:2])
+    assert cfg.exact is True and vars(cfg)["exact"] is True
+    assert cfg.replace(feet=cfg.feet) == cfg
+    mixed = Triangle(HPoint(0, 0, 1), HPoint(4.0, 0.0, 1.0), HPoint(0, 3, 1))
+    assert mixed.exact is False
+
+
 def test_cli_import_loads_no_dataclasses():
     """``conconic.cli`` starts without ``dataclasses`` and the modules it
     pulls in (``inspect``, ``ast``), and without the seeded instance
@@ -208,3 +222,82 @@ def test_cli_import_loads_no_dataclasses():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def _run_probe(args):
+    """The JSON printed by ``python -c *args`` in a fresh interpreter with the
+    package on its path.  A module that ``cli`` registered lazily and that
+    never ran is an instance of a ``types.ModuleType`` subclass, so the
+    probes count only plain modules as loaded."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+_CLI_PROBE = """
+import contextlib, io, json, sys, types
+from conconic import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(n for n, m in sys.modules.items()
+                               if n.startswith("conconic.") and type(m) is types.ModuleType)]))
+"""
+
+
+def test_each_cli_command_runs_only_the_modules_it_uses(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"triangle": [["0", "0"], ["4", "0"], ["0", "3"]],
+                                 "feet": {"generator": "isogonal", "params": ["1/2", "1/3", "2/5"]}}),
+                     encoding="utf-8")
+    svg = str(tmp_path / "out.svg")
+    triangle = ["--triangle", "0,0 4,0 1,3"]
+    circles = ["--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1"]
+    lazy = {"conconic.morley", "conconic.poncelet", "conconic.svg"}
+    cases = [
+        (["verify", str(scene)], set()),
+        (["verify", str(scene), "--json", "--mode", "float"], set()),
+        (["verify", str(scene), "--svg", svg], {"conconic.poncelet", "conconic.svg"}),
+        (["morley", *triangle], {"conconic.morley"}),
+        (["morley", *triangle, "--poncelet-samples", "4"], {"conconic.morley", "conconic.poncelet"}),
+        (["morley", *triangle, "--svg", svg], lazy),
+        (["poncelet", *circles, "--expected-n", "3", "--samples", "4"], {"conconic.poncelet"}),
+        (["poncelet", *circles, "--expected-n", "3", "--samples", "4", "--svg", svg],
+         {"conconic.poncelet", "conconic.svg"}),
+        (["poncelet", *circles, "--start", "2,0", "--svg", svg], {"conconic.poncelet", "conconic.svg"}),
+    ]
+    for argv, wanted in cases:
+        code, executed = _run_probe([_CLI_PROBE, *argv])
+        assert code == 0, argv
+        assert lazy & set(executed) == wanted, argv
+        assert "conconic.generate" not in executed
+
+
+def test_every_export_resolves_on_first_use_and_is_kept():
+    import conconic
+
+    package = SRC / "conconic"
+    probe = """
+import json, sys, types
+import conconic
+bare = sorted(n for n in sys.modules if n.startswith("conconic"))
+names = {}
+exec("from conconic import *", names)
+submodules = sorted(n for n in sys.argv[1:] if isinstance(getattr(conconic, n), types.ModuleType))
+print(json.dumps([bare, sorted(n for n in names if not n.startswith("__")), submodules,
+                  sorted(conconic.__all__), sorted(n for n in vars(conconic) if not n.startswith("_"))]))
+"""
+    modules = sorted(p.stem for p in package.glob("*.py") if not p.stem.startswith("_"))
+    bare, star, submodules, exported, kept = _run_probe([probe, *modules])
+    assert bare == ["conconic"]  # a bare import runs no submodule
+    assert star == exported == sorted(set(conconic.__all__)) == sorted(conconic.__all__)
+    assert submodules == modules
+    assert set(exported) | set(modules) == set(kept)
+    for name in conconic.__all__:
+        value = getattr(__import__("conconic", fromlist=[name]), name)
+        assert value is vars(conconic)[name] is vars(getattr(conconic, conconic._ORIGIN[name]))[name]
+    assert set(conconic.__all__) <= set(dir(conconic))
+    assert set(modules) <= set(dir(conconic))
+    assert conconic.HPoint is conconic.projective.HPoint
+    assert conconic.render_chain is conconic.svg.render_chain
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        conconic.no_such_name

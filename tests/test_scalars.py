@@ -84,6 +84,22 @@ def test_parse_and_format_round_trip():
     assert parse_scalar("1/3", exact=False) == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("text", ["1" + "0" * 5000, "1" + "0" * 4300 + "/3", "-2." + "5" * 4301, "7e" + "0" * 4400])
+def test_a_number_past_the_digit_limit_names_the_limit(text):
+    # the same value as "1e5000" parses; only the run of digits is too long
+    assert parse_scalar("1e5000", exact=True) == 10**5000
+    for exact in (True, False):
+        with pytest.raises(ValueError, match=r"characters\) has more digits than the interpreter converts \(4,300\)$"):
+            parse_scalar(text, exact)
+
+
+def test_a_digit_run_at_the_limit_parses_and_a_long_non_number_is_not_a_number():
+    assert parse_scalar("9" * 4300, exact=True) == 10**4300 - 1
+    for text in ("x" + "0" * 5000, "1/2/" + "3" * 5000):
+        with pytest.raises(ValueError, match="^cannot parse .* as a number$"):
+            parse_scalar(text, exact=True)
+
+
 @given(st.lists(small_fractions, min_size=3, max_size=3))
 def test_canonical_tuple_idempotent(vals):
     if all(v == 0 for v in vals):

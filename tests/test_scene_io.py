@@ -135,6 +135,20 @@ def test_scene_validation_errors():
         assert len(str(exc.value)) < 120
 
 
+def test_a_coordinate_past_the_digit_limit_names_its_field_and_the_limit(tmp_path):
+    from conconic import cli
+
+    data = {"triangle": [["0", "0"], ["1" + "0" * 5000, "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}}
+    for mode in ("rational", "float"):
+        with pytest.raises(SceneError) as exc:
+            scene_from_dict(dict(data, mode=mode))
+        assert str(exc.value) == ("vertex 1: '1000000000000000000...00000' (5001 characters) "
+                                  "has more digits than the interpreter converts (4,300)")
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 1
+
+
 def test_rational_mode_keeps_out_of_float_range_values_exact():
     scene = scene_from_dict({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}})
     assert scene.triangle[1][0] == 10**400

@@ -1,5 +1,7 @@
+import math
+
 import conconic.svg as svg
-from conconic import Conic, HPoint, Triangle, join, trace_chain
+from conconic import Conic, HLine, HPoint, Triangle, join, trace_chain
 from conconic.cevians import build_config
 from conconic.generate import feet_from_params
 from conconic.svg import render_chain, render_configuration
@@ -50,3 +52,43 @@ def test_render_chain_draws_a_degenerate_conic_as_its_lines():
                                 join(HPoint(0.0, 0.0, 1.0), HPoint(1.0, -1.0, 0.0)))
     drawn = render_chain(outer, pair, chain)
     assert drawn.count("stroke-dasharray") == 2 and drawn.count("<polygon") == 2
+
+
+def _unit_frame():
+    # the box [0, 1/2]^2 padded by 15%: every bound lies inside (-1, 1), so an
+    # HLine with a unit coefficient keeps its coordinates when canonicalized
+    return svg.Frame([0.0, 0.5], [0.0, 0.5])
+
+
+def test_frame_contains_points_on_its_slackened_edges_and_nothing_beyond():
+    frame, slack = _unit_frame(), 0.25
+    left, right = frame.xmin - slack, frame.xmax + slack
+    low, high = frame.ymin - slack, frame.ymax + slack
+    for x, y in ((left, 0.2), (right, 0.2), (0.2, low), (0.2, high), (left, low), (right, high)):
+        assert frame.contains(x, y, slack)
+    outside = ((math.nextafter(left, -math.inf), 0.2), (math.nextafter(right, math.inf), 0.2),
+               (0.2, math.nextafter(low, -math.inf)), (0.2, math.nextafter(high, math.inf)))
+    for x, y in outside:
+        assert not frame.contains(x, y, slack)
+    # without slack the frame's own edges are the bounds
+    assert frame.contains(frame.xmin, frame.ymax) and not frame.contains(right, 0.2)
+
+
+def test_a_line_grazing_a_frame_edge_within_1e9_is_clipped_to_it():
+    frame = _unit_frame()
+    for bound in (frame.ymin - 1e-9, frame.ymax + 1e-9):
+        # y = bound: hits on the two vertical edges, checked against the y range
+        seg = svg._clip_line(frame, HLine(0.0, 1.0, -bound))
+        assert seg == ((frame.xmin, bound), (frame.xmax, bound))
+    for bound in (frame.xmin - 1e-9, frame.xmax + 1e-9):
+        # x = bound: hits on the two horizontal edges, checked against the x range
+        seg = svg._clip_line(frame, HLine(1.0, 0.0, -bound))
+        assert seg == ((bound, frame.ymin), (bound, frame.ymax))
+
+
+def test_a_line_just_beyond_the_1e9_edge_slack_is_not_drawn():
+    frame = _unit_frame()
+    for bound in (math.nextafter(frame.ymin - 1e-9, -math.inf), math.nextafter(frame.ymax + 1e-9, math.inf)):
+        assert svg._clip_line(frame, HLine(0.0, 1.0, -bound)) is None
+    for bound in (math.nextafter(frame.xmin - 1e-9, -math.inf), math.nextafter(frame.xmax + 1e-9, math.inf)):
+        assert svg._clip_line(frame, HLine(1.0, 0.0, -bound)) is None
