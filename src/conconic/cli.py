@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -309,9 +310,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``poncelet`` options whose values may start with a minus sign
+_SIGNED_VALUE_OPTIONS = ("--outer", "--inner", "--start")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_signed_values(argv: Sequence[str]) -> list:
+    """``poncelet`` arguments with ``--outer -1,0,...`` joined into
+    ``--outer=-1,0,...``.  argparse reads a token that starts with ``-``,
+    unless it is a plain negative number, as an option, which would leave
+    such an option without its value.  Only a value that starts with a
+    minus sign and then a digit or a point is joined; every other token
+    reaches argparse as it is."""
+    argv = list(argv)
+    if argv[:1] != ["poncelet"]:
+        return argv
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _SIGNED_VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is not None and _SIGNED_VALUE.match(value):
+                token = f"{token}={value}"
+            elif value is not None:
+                out.append(token)
+                token = value
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors; invalid input is 1 here
         return EXIT_INVALID if exc.code else EXIT_OK
     try:

@@ -52,7 +52,6 @@ from .errors import (
 from .linalg import (
     adjugate3,
     bareiss,
-    cross,
     det3,
     dot,
     matmul3,
@@ -79,8 +78,6 @@ from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt
 Six = Tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]
 
 VERONESE_MONOMIALS = ("x^2", "xy", "y^2", "xz", "yz", "z^2")
-
-_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def veronese(coords: Sequence[Scalar]) -> Six:
@@ -182,10 +179,6 @@ class Conic:
         """Twice the quadratic form at a coordinate triple."""
         return dot(coords, matvec3(self.gram, coords))
 
-    def bilinear2(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-        """Twice the polar bilinear form."""
-        return dot(u, matvec3(self.gram, v))
-
     def contains(self, p: HPoint, eps: float = DEFAULT_EPS) -> bool:
         return _form_zero(self.gram, lambda: self.gram_norm, p.coords, eps)
 
@@ -281,9 +274,24 @@ def _frob(m) -> float:
 
 def _form_zero(m, norm: Callable[[], float], coords, eps: float) -> bool:
     """Whether the quadratic form of ``m`` vanishes at ``coords``, relative
-    to the form's Frobenius ``norm()`` and the coordinates in float mode."""
-    value = dot(coords, matvec3(m, coords))
-    return is_zero(value, eps, lambda: norm() * row_norm(coords) ** 2)
+    to the form's Frobenius ``norm()`` and ``|coords|^2`` in float mode.
+
+    ``coords`` are canonical: integers, not all zero, or floats with an entry of
+    exactly +-1.0.  So ``|coords|^2 >= 1``, and a float value within
+    ``eps * norm()`` is zero without the coordinate norm.  The form is
+    ``matvec3`` and ``dot`` written out, in their ``0 + ...`` order.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    x, y, z = coords
+    value = (0 + x * (0 + m00 * x + m01 * y + m02 * z)
+             + y * (0 + m10 * x + m11 * y + m12 * z)
+             + z * (0 + m20 * x + m21 * y + m22 * z))
+    if not isinstance(value, float):
+        return value == 0
+    scale = norm()
+    if abs(value) <= eps * max(scale, 1e-300):
+        return True
+    return near_zero(value, scale * row_norm(coords) ** 2, eps)
 
 
 # ----- line and conic intersections ------------------------------------
@@ -294,16 +302,35 @@ def _points_on_line(line: Sequence[Scalar]):
     raw triples, followed by their float norms.
 
     The candidates are the line's cross products with the basis, tried in
-    decreasing norm (ties in basis order); each norm is taken once.
+    decreasing norm (ties in basis order).  This runs once per tangent
+    construction of every chain step, so the crosses, norms and ranking
+    are written out rather than called.  Each candidate is the literal
+    expression ``cross`` evaluates (``l1*0 - l2*0``, ``l2*1 - l0*0``, ...),
+    which keeps the sign of every zero and the type of every entry.  Its
+    squared norm is the sum of the squares of the two line entries it
+    holds, since adding the float square of its zero entry changes
+    nothing; ``row_norm`` gives the same bits.
     """
-    candidates = [cross(line, e) for e in _BASIS]
-    norms = [row_norm(c) for c in candidates]
-    ranked = sorted(range(3), key=norms.__getitem__, reverse=True)
-    first = candidates[ranked[0]]
-    for k in ranked[1:]:
-        second = candidates[k]
-        if any(v != 0 for v in cross(first, second)):
-            return first, second, norms[ranked[0]], norms[k]
+    l0, l1, l2 = line
+    c0 = (l1 * 0 - l2 * 0, l2 * 1 - l0 * 0, l0 * 0 - l1 * 1)
+    c1 = (l1 * 0 - l2 * 1, l2 * 0 - l0 * 0, l0 * 1 - l1 * 0)
+    c2 = (l1 * 1 - l2 * 0, l2 * 0 - l0 * 1, l0 * 0 - l1 * 0)
+    x, y, z = float(l0), float(l1), float(l2)
+    q0, q1, q2 = x * x, y * y, z * z
+    n0, n1, n2 = math.sqrt(q2 + q1), math.sqrt(q2 + q0), math.sqrt(q1 + q0)
+    # ``sorted(..., reverse=True)`` keeps equal norms in basis order
+    if n0 >= n1:
+        ranked = (n0, c0, n1, c1, n2, c2) if n1 >= n2 else (
+            (n0, c0, n2, c2, n1, c1) if n0 >= n2 else (n2, c2, n0, c0, n1, c1))
+    else:
+        ranked = (n1, c1, n0, c0, n2, c2) if n0 >= n2 else (
+            (n1, c1, n2, c2, n0, c0) if n1 >= n2 else (n2, c2, n1, c1, n0, c0))
+    n_first, first, n_second, second, n_third, third = ranked
+    f0, f1, f2 = first
+    for n, c in ((n_second, second), (n_third, third)):
+        s0, s1, s2 = c
+        if f1 * s2 - f2 * s1 != 0 or f2 * s0 - f0 * s2 != 0 or f0 * s1 - f1 * s0 != 0:
+            return first, c, n_first, n
     raise ValueError("line coordinates are degenerate")  # unreachable for valid lines
 
 
@@ -370,16 +397,26 @@ def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Ca
 
 def _meet_coords(conic: Conic, line: Sequence[Scalar], eps: float):
     """Raw coordinate triples of the real points where the conic meets the
-    line of coordinates ``line``, for the caller to canonicalize once."""
+    line of coordinates ``line``, for the caller to canonicalize once.
+
+    The pencil's quadratic takes three Gram forms of the two spanning
+    points; they are ``matvec3`` and ``dot`` written out on the unpacked
+    ``conic.gram``, in the same ``0 + a0*b0 + a1*b1 + a2*b2`` order, so
+    every float keeps its last bit.
+    """
     p0, p1, n0, n1 = _points_on_line(line)
-    gram = conic.gram
-    g1 = matvec3(gram, p1)
-    a = dot(p0, matvec3(gram, p0))
-    b = dot(p0, g1)
-    c = dot(p1, g1)
-    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * n0 * n1)
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = conic.gram
     u0, u1, u2 = p0
     v0, v1, v2 = p1
+    h0 = 0 + g00 * v0 + g01 * v1 + g02 * v2
+    h1 = 0 + g10 * v0 + g11 * v1 + g12 * v2
+    h2 = 0 + g20 * v0 + g21 * v1 + g22 * v2
+    a = (0 + u0 * (0 + g00 * u0 + g01 * u1 + g02 * u2)
+         + u1 * (0 + g10 * u0 + g11 * u1 + g12 * u2)
+         + u2 * (0 + g20 * u0 + g21 * u1 + g22 * u2))
+    b = 0 + u0 * h0 + u1 * h1 + u2 * h2
+    c = 0 + v0 * h0 + v1 * h1 + v2 * h2
+    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * n0 * n1)
     return [(lam * u0 + mu * v0, lam * u1 + mu * v1, lam * u2 + mu * v2) for lam, mu in pairs]
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Tuple
 
-from .conics import _BASIS, Conic, tangent_lines_from
+from .conics import Conic, tangent_lines_from
 from .errors import (
     BaseNotOnConic,
     ChainStuck,
@@ -37,9 +37,11 @@ from .errors import (
     NoRealSolution,
     NoTangentLine,
 )
-from .linalg import cross, det3, row_norm
+from .linalg import cross, det3
 from .projective import LINE_AT_INFINITY, HLine, HPoint, Record, coincident, sphere_gap, unit_coords
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
+
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _pencil_lines(base: HPoint) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
@@ -54,19 +56,46 @@ def _pencil_lines(base: HPoint) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]
 
 
 def _point_on_line_away_from(line_coords, base: HPoint, eps: float):
-    """A raw point on the line that is projectively distinct from ``base``."""
-    candidates = [cross(line_coords, e) for e in _BASIS]
+    """A raw point on the line that is projectively distinct from ``base``.
+
+    The candidates are the line's cross products with the basis, each the
+    literal expression ``cross`` evaluates (``l1*0 - l2*0``, ``l2*1 -
+    l0*0``, ...), so every zero keeps its sign and every entry its type.
+    Exact input takes the first candidate that is nonzero and off the
+    base.  Otherwise the candidate farthest from the base wins, the first
+    on a tie, as with ``max``.  That branch runs on every chain step, so
+    its norms and crosses are written out: a candidate's squared norm is
+    the sum of the squares of the two line entries it holds, and its cross
+    with the base is taken on the base's float coordinates, the values a
+    float product converts an ``int`` to, which gives ``row_norm`` and
+    ``cross`` bit for bit.
+    """
+    l0, l1, l2 = line_coords
+    c0 = (l1 * 0 - l2 * 0, l2 * 1 - l0 * 0, l0 * 0 - l1 * 1)
+    c1 = (l1 * 0 - l2 * 1, l2 * 0 - l0 * 0, l0 * 1 - l1 * 0)
+    c2 = (l1 * 1 - l2 * 0, l2 * 0 - l0 * 1, l0 * 0 - l1 * 0)
+    b0, b1, b2 = base.coords
     if all_exact(line_coords) and base.exact:
-        for c in candidates:
-            if any(v != 0 for v in c) and any(v != 0 for v in cross(c, base.coords)):
+        for c in (c0, c1, c2):
+            x, y, z = c
+            if (x != 0 or y != 0 or z != 0) and (
+                y * b2 - z * b1 != 0 or z * b0 - x * b2 != 0 or x * b1 - y * b0 != 0
+            ):
                 return c
         raise ValueError("line has a single point")  # unreachable for valid lines
-    base_norm = row_norm(base.coords)
-    # the first largest separation wins, as with ``max``
+    b0, b1, b2 = float(b0), float(b1), float(b2)
+    base_norm = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+    x, y, z = float(l0), float(l1), float(l2)
+    q0, q1, q2 = x * x, y * y, z * z
     best = best_separation = None
-    for c in candidates:
-        n = row_norm(c) * base_norm
-        separation = row_norm(cross(c, base.coords)) / n if n else 0.0
+    for c, norm in ((c0, math.sqrt(q2 + q1)), (c1, math.sqrt(q2 + q0)), (c2, math.sqrt(q1 + q0))):
+        n = norm * base_norm
+        if n:
+            x, y, z = c
+            u, v, w = y * b2 - z * b1, z * b0 - x * b2, x * b1 - y * b0
+            separation = math.sqrt(u * u + v * v + w * w) / n
+        else:
+            separation = 0.0
         if best is None or separation > best_separation:
             best, best_separation = c, separation
     if best_separation <= eps:
@@ -83,19 +112,32 @@ def second_intersection(conic: Conic, base: HPoint, line_coords, eps: float = DE
     just makes the pencil parameter large, and the homogeneous combination
     degrades gracefully toward the spanning point while staying on the
     conic to machine precision.
+
+    The two Gram forms share ``matvec3(conic.gram, other)``; it and both
+    ``dot`` products are written out in their ``0 + a0*b0 + a1*b1 + a2*b2``
+    order, so every float keeps its last bit.  A float pencil parameter is
+    a plain quotient, and exact operands keep ``div``.
     """
     other = _point_on_line_away_from(line_coords, base, eps)
-    a = conic.value2(other)
+    o0, o1, o2 = other
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = conic.gram
+    h0 = 0 + g00 * o0 + g01 * o1 + g02 * o2
+    h1 = 0 + g10 * o0 + g11 * o1 + g12 * o2
+    h2 = 0 + g20 * o0 + g21 * o1 + g22 * o2
+    a = 0 + o0 * h0 + o1 * h1 + o2 * h2
     if a == 0:
         return HPoint(*other)
-    s = div(-2 * conic.bilinear2(base.coords, other), a)
+    b0, b1, b2 = base.coords
+    num = -2 * (0 + b0 * h0 + b1 * h1 + b2 * h2)
+    s = num / a if type(a) is float else div(num, a)
     if s == 0:
         return base
-    b0, b1, b2 = base.coords
-    combined = (b0 + s * other[0], b1 + s * other[1], b2 + s * other[2])
+    combined = (b0 + s * o0, b1 + s * o1, b2 + s * o2)
     # an infinite or NaN s makes some coordinate non-finite; math.isfinite
     # would overflow on a huge Fraction, so only a float s is checked
-    if isinstance(s, float) and not all(map(math.isfinite, combined)):
+    if isinstance(s, float) and not (
+        math.isfinite(combined[0]) and math.isfinite(combined[1]) and math.isfinite(combined[2])
+    ):
         return HPoint(*other)
     return HPoint(*combined)
 
@@ -142,7 +184,12 @@ def poncelet_step(
         raise NoTangentLine("chain vertex lies inside the inner conic")
     if incoming is not None:
         arrived = unit_coords(incoming)
-        link = max(tangents, key=lambda l: sphere_gap(unit_coords(l), arrived))
+        # the tangent farther from the arrival, the first on a tie (as ``max``)
+        link = tangents[0]
+        if len(tangents) == 2 and (
+            sphere_gap(unit_coords(tangents[1]), arrived) > sphere_gap(unit_coords(link), arrived)
+        ):
+            link = tangents[1]
         if coincident(link, incoming, eps):
             raise ChainStuck("both tangents coincide with the incoming link")
     elif len(tangents) == 1:
@@ -240,22 +287,51 @@ class PorismReport(Record):
 
 
 def find_point_on_conic(conic: Conic, eps: float = DEFAULT_EPS) -> HPoint:
-    """Some real point of a central conic, found by rays from its center."""
+    """Some real point of a nondegenerate conic.
+
+    A central conic is searched first by 16 rays from its center.  On the
+    ray ``center + s*d`` the form is ``Q(center) + s^2 Q(d)``, so a ray
+    meets the conic exactly when ``Q(d)`` has the sign opposite to
+    ``Q(center)``.  A thin hyperbola keeps those directions in a narrow
+    cone that can fall between two rays; its axis is then the principal
+    axis of the quadratic part with that sign.  A parabola's center is
+    its axis direction ``d`` at infinity, which lies on the conic, so the
+    line through the origin parallel to the axis meets the conic in one
+    finite point, where the form is linear in the line's parameter.
+    Raises ``NoRealSolution`` when the conic has no real point.
+    """
     if conic.is_degenerate(eps):
         raise DegenerateConic("point search needs a nondegenerate conic")
     center = conic.pole(LINE_AT_INFINITY, eps)
     if center.at_infinity:
-        raise DegenerateConic("conic has no finite center to search from")
+        dx, dy = float(center.x), float(center.y)
+        # Q(t*d + origin) = 2t B(d, origin) + Q(origin), B(d, origin) = (G d)_z
+        (_, _, g02), (_, _, g12), (_, _, g22) = conic.gram
+        t = -float(g22) / (2.0 * (float(g02) * dx + float(g12) * dy))
+        return HPoint(t * dx, t * dy, 1.0)
     cx, cy = map(float, center.to_xy())
     c = float(conic.value2((cx, cy, 1.0)))
-    for k in range(16):
-        theta = math.pi * k / 16.0
-        direction = (math.cos(theta), math.sin(theta), 0.0)
+
+    def on_ray(direction) -> Optional[HPoint]:
         a = float(conic.value2(direction))
         if a == 0.0 or c / a > 0.0:
-            continue
+            return None
         s = math.sqrt(-c / a)
         return HPoint(cx + s * direction[0], cy + s * direction[1], 1.0)
+
+    for k in range(16):
+        theta = math.pi * k / 16.0
+        found = on_ray((math.cos(theta), math.sin(theta), 0.0))
+        if found is not None:
+            return found
+    # the principal axes of [[2a, b], [b, 2c]], at theta and theta + pi/2
+    (g00, g01, _), (_, g11, _), _ = conic.gram
+    theta = 0.5 * math.atan2(2.0 * float(g01), float(g00) - float(g11))
+    u, v = math.cos(theta), math.sin(theta)
+    for direction in ((u, v, 0.0), (-v, u, 0.0)):
+        found = on_ray(direction)
+        if found is not None:
+            return found
     raise NoRealSolution("conic appears to have no real points")
 
 

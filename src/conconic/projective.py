@@ -337,9 +337,10 @@ def unit_coords(p: HPoint) -> Tuple[float, float, float]:
     representative that ``projective_gap`` compares.  A caller that gauges
     many points against one keeps that one's ``unit_coords`` and calls
     ``sphere_gap``, which gives ``projective_gap`` bit for bit."""
-    n = row_norm(p.coords)
-    u0, u1, u2 = (float(c) / n for c in p.coords)
-    return u0, u1, u2
+    x, y, z = p.coords
+    x, y, z = float(x), float(y), float(z)
+    n = math.sqrt(x * x + y * y + z * z)  # ``row_norm`` written out
+    return x / n, y / n, z / n
 
 
 def sphere_gap(u: Sequence[float], v: Sequence[float]) -> float:

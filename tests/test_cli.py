@@ -383,3 +383,24 @@ def test_poncelet_start_takes_homogeneous_coordinates(capsys):
     affine = capsys.readouterr()
     assert main(argv + ["2,0,1"]) == 0
     assert capsys.readouterr() == affine
+
+
+def test_poncelet_options_take_values_that_start_with_a_minus_sign(capsys):
+    # argparse reads "-2,0" as an option unless it is joined to its own
+    argv = ["poncelet", "--outer", "-1,0,-1,0,0,4", "--inner", "-1,0,-1,0,0,1", "--json"]
+    assert main(argv + ["--start=-2,0"]) == 0
+    joined = capsys.readouterr()
+    assert json.loads(joined.out)["closure_step"] == 3
+    assert main(argv + ["--start", "-2,0"]) == 0
+    assert capsys.readouterr() == joined
+    # a value may also start with a minus sign and a point
+    argv = ["poncelet", "--outer", "-.25,0,-.25,0,0,.0625", "--inner", "-1,0,-1,0,0,.0625", "--start"]
+    assert main(argv + ["-.5,0"]) == 0
+    assert capsys.readouterr().out.startswith("chain closed at step 3 ")
+
+
+def test_poncelet_option_without_a_value_keeps_the_argparse_error(capsys):
+    for argv in (["--inner", "--start", "2,0"], ["--inner"], ["--inner", "-h"]):
+        code = main(["poncelet", "--outer", "1,0,1,0,0,-4", *argv])
+        assert code == 1
+        assert "argument --inner: expected one argument" in capsys.readouterr().err

@@ -191,6 +191,59 @@ def test_line_on_conic_threshold_scales_with_the_gram_and_both_span_norms(k, on_
         assert points and all(abs(linalg.dot(p.coords, line.coords)) < 1e-12 for p in points)
 
 
+# a point at |p|^2 = 1 and two at |p|^2 = 3 (canonical float triples)
+@pytest.mark.parametrize("coords, norm_sq", [((1.0, 0.0, 0.0), 1), ((1.0, 1.0, 1.0), 3), ((1.0, -1.0, 1.0), 3)])
+@pytest.mark.parametrize("factor, zero", [(1 + 1e-6, True), (1 - 1e-6, False)])
+def test_on_conic_and_tangency_thresholds_scale_with_the_form_norm_and_the_squared_norm(coords, norm_sq, factor, zero):
+    # each form value sits just inside or just outside eps * norm * |p|^2;
+    # at |p|^2 = 3 the inside case is outside eps * norm, so the bounded
+    # "zero" shortcut alone cannot decide it
+    conic = Conic(0.3, 0.2, -1.0, 0.5, 0.1, 0.7)
+    p, l = HPoint(*coords), HLine(*coords)
+    value = conic.value2(p.coords)
+    eps = abs(value) / (conic.gram_norm * norm_sq) * factor
+    assert conic.contains(p, eps) is zero
+    adj = conic.adjugate
+    value = linalg.dot(l.coords, linalg.matvec3(adj, l.coords))
+    eps = abs(value) / (conics._frob(adj) * norm_sq) * factor
+    assert conic.is_tangent(l, eps) is zero
+
+
+UNIT_FLOAT = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+TILTED = Conic(1.0, 0.5, 2.0, -1.0, 0.0, -3.0)
+
+# meets on lines and tangents from points with zero coordinates, by repr,
+# signed zeros included
+PINNED_MEETS = [
+    (UNIT_FLOAT, (1.0, 0.0, -0.5), "(HPoint(0.5 : -0.8660254037844386 : 1.0), HPoint(0.5 : 0.8660254037844386 : 1.0))"),
+    (UNIT_FLOAT, (0.0, 1.0, 0.25),
+     "(HPoint(-0.9682458365518543 : -0.25 : 1.0), HPoint(0.9682458365518543 : -0.25 : 1.0))"),
+    (UNIT_FLOAT, (-0.0, 1.0, 0.0), "(HPoint(1.0 : -0.0 : 1.0), HPoint(1.0 : 0.0 : -1.0))"),
+    (UNIT_FLOAT, (0.0, -0.0, 1.0), "()"),
+    (UNIT_FLOAT, (1.0, 0.0, 0.0), "(HPoint(0.0 : 1.0 : 1.0), HPoint(-0.0 : 1.0 : -1.0))"),
+    (TILTED, (-0.0, 1.0, 0.0), "(HPoint(1.0 : 0.0 : -0.7675918792439982), HPoint(1.0 : 0.0 : 0.4342585459106649))"),
+    (TILTED, (1.0, -1.0, 0.0), "(HPoint(1.0 : 1.0 : 0.9262397540503333), HPoint(-0.793919789186 : -0.793919789186 : 1.0))"),
+    (TILTED, (1.0, 0.0, 0.0), "(HPoint(-0.0 : 1.0 : -0.816496580927726), HPoint(-0.0 : 1.0 : 0.816496580927726))"),
+]
+PINNED_TANGENTS = [
+    (UNIT_FLOAT, (2.0, 0.0, 1.0), "(HLine(-0.5 : -0.8660254037844386 : 1.0), HLine(-0.5 : 0.8660254037844386 : 1.0))"),
+    (UNIT_FLOAT, (1.0, 1.0, 0.0),
+     "(HLine(-0.7071067811865476 : 0.7071067811865476 : 1.0), HLine(0.7071067811865476 : -0.7071067811865476 : 1.0))"),
+    (UNIT_FLOAT, (-0.0, 2.0, 1.0), "(HLine(-0.8660254037844386 : -0.5 : 1.0), HLine(0.8660254037844386 : -0.5 : 1.0))"),
+    (TILTED, (2.0, 0.0, 1.0), "()"),
+    (TILTED, (0.0, -3.0, 1.0),
+     "(HLine(0.7489305682230156 : 0.3333333333333333 : 1.0), HLine(-0.33226390155634905 : 0.3333333333333333 : 1.0))"),
+    (TILTED, (-0.0, 2.0, 1.0), "(HLine(0.5723376052967548 : -0.5 : 1.0), HLine(-0.3640042719634215 : -0.5 : 1.0))"),
+]
+
+
+def test_meets_and_tangents_through_zero_coordinates_keep_their_pinned_reprs():
+    for conic, coords, want in PINNED_MEETS:
+        assert repr(intersect_line(conic, HLine(*coords))) == want, coords
+    for conic, coords, want in PINNED_TANGENTS:
+        assert repr(tangent_lines_from(conic, HPoint(*coords))) == want, coords
+
+
 def test_tangent_lines_frozen_oracle():
     lines = tangent_lines_from(UNIT_CIRCLE, HPoint(5, 0, 3))
     assert set(lines) == {HLine(3, 4, -5), HLine(3, -4, -5)}

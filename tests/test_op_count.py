@@ -35,3 +35,23 @@ def test_exact_sweep_decides_identity_on_integer_triples():
     assert calls["conconic.projective.coincident"] > 0 and calls["conconic.projective.join"] > 0
     assert calls["conconic.projective._coincident"] == 0
     assert calls["conconic.projective._frame_matrix"] == calls["conconic.cevians.to_chart"] == 5
+
+
+def test_float_chain_steps_make_no_helper_calls():
+    # ops 0-3 of float_chains: three trisector porism checks (25 chains of
+    # 3 steps each) and one concentric op (20 chains of 3 steps and one of
+    # 100).  The basis crosses, Gram forms and norms of a step are written
+    # out, so what is left of linalg's triple helpers per step is counted
+    # below (14.09 cross, 6.17 matvec3 and 6.59 dot per step before); a
+    # helper call put back on the step path raises one of these counts.
+    _, calls, failed = _load_op_count().count("float_chains", 7, 4)
+    assert failed == 0
+    steps = 3 * 25 * 3 + 20 * 3 + 100
+    assert calls["conconic.poncelet.poncelet_step"] == steps
+    # each step still goes through the names the benchmark's tracer rebinds
+    assert calls["conconic.conics.tangent_lines_from"] == steps
+    assert calls["conconic.conics.Conic.dual"] == steps
+    assert calls["conconic.linalg.cross"] <= 1005       # 2.61 per step
+    assert calls["conconic.linalg.matvec3"] <= 249      # 0.65 per step
+    assert calls["conconic.linalg.dot"] <= 26           # 0.07 per step
+    assert calls["conconic.linalg.row_norm"] <= 378     # 0.98 per step

@@ -1,16 +1,21 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import conconic.linalg as linalg
 import conconic.poncelet as poncelet
+import conconic.projective as projective
 from conconic import (
     Conic,
     HLine,
     HPoint,
     ProjectiveMap,
+    build_config,
+    check_conditions,
     find_point_on_conic,
     intersect_line,
     morley_config,
@@ -29,7 +34,7 @@ from conconic.errors import (
     NoRealSolution,
     NoTangentLine,
 )
-from conconic.generate import float_triangle
+from conconic.generate import concurrency_solved_instance, float_copy, float_triangle
 
 UNIT = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
 OUTER_R2 = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -4.0))
@@ -63,6 +68,16 @@ def test_sample_on_conic_is_rational_and_injective():
         assert UNIT.contains(p)
         seen.add(p)
     assert len(seen) == 25
+
+
+def test_integer_pencil_parameters_give_exact_points():
+    # integer operands keep ``div``: the pencil parameter is a Fraction,
+    # not a float quotient, and the point stays an integer triple
+    base = HPoint(-1, 0, 1)
+    for t in range(-3, 4):
+        p = sample_on_conic(UNIT, base, t)
+        assert p.exact and UNIT.contains(p), t
+    assert poncelet.second_intersection(UNIT, base, (1, 2, 1)).coords == (3, -4, 5)
 
 
 def test_sample_on_conic_validation():
@@ -159,6 +174,50 @@ def test_find_point_on_conic():
     imaginary = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, 1.0))
     with pytest.raises(NoRealSolution):
         find_point_on_conic(imaginary)
+    with pytest.raises(NoRealSolution):
+        find_point_on_conic(Conic(1, 0, 1, 0, 0, 1))  # x^2 + y^2 + 1, after the axis fallback too
+
+
+THIN_HYPERBOLA = Conic(-2.8525512791522947, 78.23121912846743, -396.14744872084776, 0, 0, -1)
+
+
+def test_a_thin_hyperbola_between_the_search_rays_is_found_on_its_axis():
+    # the real directions of this hyperbola form a cone around the angle
+    # pi/32, which lies halfway between two of the 16 rays from the centre
+    at_centre = THIN_HYPERBOLA.value2((0.0, 0.0, 1.0))
+    for k in range(16):
+        theta = math.pi * k / 16.0
+        assert THIN_HYPERBOLA.value2((math.cos(theta), math.sin(theta), 0.0)) * at_centre > 0
+    p = find_point_on_conic(THIN_HYPERBOLA)
+    assert THIN_HYPERBOLA.contains(p)
+    x, y = p.to_xy()
+    assert math.atan2(y, x) == pytest.approx(math.pi / 32)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 0, 0, -1, 0),            # y = x^2
+    (1.0, 0.0, 0.0, 0.0, -1.0, 0.0),
+    (0, 0, 1, -1, 0, 3),            # x = y^2 + 3, which misses the origin
+    (1, 2, 1, 3, -1, 5),            # an oblique axis
+])
+def test_a_parabola_is_searched_along_its_axis(coeffs):
+    conic = Conic(*coeffs)
+    assert conic.classify() == "nondegenerate"
+    assert conic.pole(HLine(0, 0, 1)).at_infinity
+    p = find_point_on_conic(conic)
+    assert not p.at_infinity and conic.contains(p)
+    assert all(conic.contains(q) for q in poncelet.spread_on_conic(conic, 5))
+
+
+def test_inner_witnesses_of_solved_float_copies_have_a_point():
+    # float copies of solved seeds whose inner6 witness none of the 16 rays
+    # from its centre meets
+    for seed in (20, 21, 29, 35, 55, 88, 92):
+        tri, feet, _ = concurrency_solved_instance(random.Random(seed))
+        report = check_conditions(build_config(float_copy(tri), float_copy(feet)))
+        inner = report.inner6.witness_conic
+        assert not inner.is_degenerate()
+        assert inner.contains(find_point_on_conic(inner)), seed
 
 
 def test_porism_check_validates_arguments():
@@ -231,12 +290,12 @@ def test_tangent_lines_from_is_the_dual_plane_meet():
 def max_separation_point(line_coords, base):
     """The float branch of ``_point_on_line_away_from`` written with the
     separations in a list and ``max`` over their indices."""
-    candidates = [poncelet.cross(line_coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    base_norm = poncelet.row_norm(base.coords)
+    candidates = [linalg.cross(line_coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    base_norm = linalg.row_norm(base.coords)
 
     def separation(c):
-        n = poncelet.row_norm(c) * base_norm
-        return poncelet.row_norm(poncelet.cross(c, base.coords)) / n if n else 0.0
+        n = linalg.row_norm(c) * base_norm
+        return linalg.row_norm(linalg.cross(c, base.coords)) / n if n else 0.0
 
     separations = [separation(c) for c in candidates]
     return candidates[max(range(3), key=separations.__getitem__)]
@@ -248,7 +307,7 @@ def test_point_away_from_base_keeps_the_first_of_tied_separations():
     assert poncelet._point_on_line_away_from((0.0, 0.0, 1.0), HPoint(1.0, 1.0, 0.0), 1e-9) == (0.0, 1.0, 0.0)
     checked = 0
     for line in ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (2.0, 2.0, -2.0), (0.0, -1.0, 1.0)):
-        candidates = [poncelet.cross(line, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        candidates = [linalg.cross(line, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             for sign in (1.0, -1.0):
                 coords = tuple(u + sign * v for u, v in zip(candidates[i], candidates[j]))
@@ -259,6 +318,58 @@ def test_point_away_from_base_keeps_the_first_of_tied_separations():
                 assert repr(got) == repr(max_separation_point(line, base)), (line, coords)
                 checked += 1
     assert checked >= 20
+
+
+# second meets through base points and along lines with zero coordinates,
+# by repr, signed zeros included
+PINNED_SECOND_MEETS = [
+    ((1.0, 0.0, 1.0), (0.0, 1.0, 0.0), "HPoint(1.0 : 0.0 : -1.0)"),
+    ((1.0, 0.0, 1.0), (1.0, 0.0, -1.0), "HPoint(1.0 : 0.0 : 1.0)"),  # the tangent there
+    ((0.0, -1.0, 1.0), (1.0, 0.0, -0.0), "HPoint(0.0 : 1.0 : 1.0)"),
+    ((0.0, -1.0, 1.0), (-0.0, 1.0, 1.0), "HPoint(-0.0 : 1.0 : -1.0)"),
+    ((-1.0, 0.0, 1.0), (1.0, -1.0, 1.0), "HPoint(-0.0 : 1.0 : 1.0)"),
+    ((0.0, 1.0, 1.0), (0.0, 1.0, -1.0), "HPoint(0.0 : 1.0 : 1.0)"),
+]
+
+
+def test_second_meets_through_zero_coordinates_keep_their_pinned_reprs():
+    for base, line, want in PINNED_SECOND_MEETS:
+        assert repr(poncelet.second_intersection(INNER_R1, HPoint(*base), line)) == want, (base, line)
+
+
+def test_a_step_takes_the_first_tangent_when_both_are_equally_far_from_the_arrival(monkeypatch):
+    # from (0, 5) on x^2 + y^2 = 25 the tangents to x^2 + y^2 = 9 are the
+    # mirror images 4x + 3y = 15 and -4x + 3y = 15, and the horizontal link
+    # y = 5 is its own mirror image, so both sphere gaps tie bit for bit
+    outer, inner = Conic(1, 0, 1, 0, 0, -25), Conic(1, 0, 1, 0, 0, -9)
+    current, incoming = HPoint(0, 5, 1), HLine(0, 1, -5)
+    tangents = tangent_lines_from(inner, current)
+    arrived = projective.unit_coords(incoming)
+    gaps = [projective.sphere_gap(projective.unit_coords(t), arrived) for t in tangents]
+    assert len(tangents) == 2 and gaps[0] == gaps[1]
+    assert poncelet_step(outer, inner, current, incoming)[1] == tangents[0]
+    monkeypatch.setattr(poncelet, "tangent_lines_from", lambda conic, p, eps: tangents[::-1])
+    assert poncelet_step(outer, inner, current, incoming)[1] == tangents[1]
+
+
+def test_point_away_from_an_exact_base_is_the_first_candidate_off_it():
+    def first_off_base(line, base):
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            c = linalg.cross(line, e)
+            if any(c) and any(linalg.cross(c, base.coords)):
+                return c
+
+    checked = 0
+    for line in itertools.product((-1, 0, 2), repeat=3):
+        if not any(line):
+            continue
+        candidates = [linalg.cross(line, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for c in candidates:
+            if any(c):
+                base = HPoint(*c)
+                assert poncelet._point_on_line_away_from(line, base, 1e-9) == first_off_base(line, base), line
+                checked += 1
+    assert checked >= 50
 
 
 SPREAD_CONICS = [
