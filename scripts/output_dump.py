@@ -48,8 +48,13 @@ Families:
         stderr and the sha256 of the SVG written.  It does not depend on
         the seed.
 
+With ``--seeds A-B`` it prints one sha256 instead: that of the lines the
+seeds A to B print one after another, which is what piping a loop of
+``--seed`` runs to ``sha256sum`` reads.
+
 Usage:
     python3 scripts/output_dump.py --seed 1
+    python3 scripts/output_dump.py --seeds 1-20
 """
 
 import argparse
@@ -297,29 +302,52 @@ def cli_records():
     return records
 
 
+def seed_range(text: str) -> range:
+    """The seeds of an ``A-B`` argument, both ends included."""
+    first, sep, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not sep or not seeds:
+        raise argparse.ArgumentTypeError(f"expected A-B with integers A <= B, got {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--seed", type=int, help="print each family's digest for this seed (default 1)")
+    group.add_argument("--seeds", type=seed_range, help="A-B: print one digest over seeds A to B")
     args = parser.parse_args(argv)
+    if args.seeds is None:
+        print("\n".join(seed_lines(1 if args.seed is None else args.seed)))
+    else:
+        print(sha("".join(line + "\n" for seed in args.seeds for line in seed_lines(seed))))
+    return 0
 
+
+def seed_lines(seed: int) -> list:
+    """The lines ``--seed seed`` prints: each family, its record count and
+    its digest."""
     names = ("verdicts", "residuals", "witnesses", "charts")
     out = {prefix + name: [] for prefix in ("", "float_") for name in names}
     out.update(feet=[], sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], chain_points=[], svg=[])
     for i in range(CONFIGS):
-        tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
+        tri, feet = instance(op_rng(seed, i), FAMILIES[i % len(FAMILIES)])
         out["feet"].append(repr((tri, feet)))
         config_records(tri, feet, out, "")
         config_records(float_copy(tri), float_copy(feet), out, "float_")
     for i in range(SEXTUPLES):
-        sextuple_records(op_rng(args.seed, i), i, out)
+        sextuple_records(op_rng(seed, i), i, out)
     for i in range(DRAWS):
-        out["feet"].append(conjugate_record(op_rng(args.seed, i), i))
-        tri, five, side = sixth_foot_draw(op_rng(args.seed, i))
+        out["feet"].append(conjugate_record(op_rng(seed, i), i))
+        tri, five, side = sixth_foot_draw(op_rng(seed, i))
         out["sixth_feet"].append(sixth_foot_record(tri, five, side))
         ffive = tuple(map(float_copy, five))
         out["float_sixth_feet"].append(sixth_foot_record(float_copy(tri), ffive, side))
     for i in range(DRAWINGS):
-        tri, feet = instance(op_rng(args.seed, i), FAMILIES[i % len(FAMILIES)])
+        tri, feet = instance(op_rng(seed, i), FAMILIES[i % len(FAMILIES)])
         cfg = build_config(tri, feet)
         report = check_conditions(cfg)
         witnesses = (report.outer6.witness_conic, report.inner6.witness_conic)
@@ -327,13 +355,13 @@ def main(argv=None) -> int:
     pairs = []
     for i in range(TRIANGLES):
         low, high = (15.0, 150.0) if i % 2 == 0 else (1.0, 178.0)
-        data = attempt(morley_config, float_triangle(op_rng(args.seed, i), low, high))
+        data = attempt(morley_config, float_triangle(op_rng(seed, i), low, high))
         out["morley"].append(repr(morley_record(data)))
         if not isinstance(data, str):
             pairs.append((data.inner_conic, data.cevian_conic, 3))
             if len(pairs) <= DRAWINGS:
                 out["svg"].append(sha(render_morley(data)))
-    circles = [circle_pair(op_rng(args.seed, i), n) for i, n in enumerate(range(3, 9))]
+    circles = [circle_pair(op_rng(seed, i), n) for i, n in enumerate(range(3, 9))]
     for outer, inner, n in pairs + circles:
         report = attempt(porism_check, outer, inner, n, SAMPLES)
         out["chains"].append(repr(report if isinstance(report, str) else (report.steps, report.gaps)))
@@ -341,10 +369,11 @@ def main(argv=None) -> int:
     for outer, inner, n in pairs[:1] + circles:
         out["svg"].append(sha(attempt(chain_svg, outer, inner, n)))
     out["cli"] = cli_records()
+    lines = []
     for family, records in out.items():
         digest = sha("\n".join(records))
-        print(f"{family:<18} {len(records):>4}  {digest}")
-    return 0
+        lines.append(f"{family:<18} {len(records):>4}  {digest}")
+    return lines
 
 
 if __name__ == "__main__":

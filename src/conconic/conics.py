@@ -16,7 +16,7 @@ form is carried as the integer-friendly doubled Gram matrix
 which evaluates to twice the form; every predicate here only cares about
 values up to scale, so the doubling is harmless and keeps exact arithmetic
 in plain integers.  A conic is immutable, so this matrix and the forms
-derived from it (adjugate, norm, rank per ``eps``, dual) are
+derived from it (adjugate, norm, rank per ``eps``, dual, centre) are
 ``functools.cached_property`` values, each computed once per conic.
 
 Two independent routes to "six points lie on one conic" are provided:
@@ -62,6 +62,7 @@ from .linalg import (
     transpose3,
 )
 from .projective import (
+    LINE_AT_INFINITY,
     HLine,
     HPoint,
     ProjectiveMap,
@@ -73,7 +74,7 @@ from .projective import (
     join,
     meet,
 )
-from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt, is_zero, near_zero
+from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt, float_scaled, is_zero, near_zero
 
 Six = Tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]
 
@@ -92,9 +93,10 @@ class Conic:
     Conics are immutable, so every form derived from the coefficients is a
     ``functools.cached_property``, computed on first use and kept on the
     instance: ``exact``, ``gram``, its ``adjugate`` and Frobenius norm
-    ``gram_norm``, the rank per ``eps`` and the dual conic.  A conic only
-    pays for what is asked of it; a Poncelet chain, which asks the same
-    inner conic for its dual on every step, builds it once.
+    ``gram_norm``, the rank per ``eps``, the dual conic and the centre.  A
+    conic only pays for what is asked of it; a Poncelet chain, which asks
+    the same inner conic for its dual on every step and for its centre on
+    every first step, builds each once.
     """
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar, e: Scalar, f: Scalar):
@@ -257,6 +259,23 @@ class Conic:
             raise DegenerateConic("pole is only defined for a nondegenerate conic")
         return HPoint(*matvec3(self.adjugate, l.coords))
 
+    def center(self, eps: float = DEFAULT_EPS) -> HPoint:
+        """The pole of the line at infinity, ``pole(LINE_AT_INFINITY, eps)``:
+        the centre of an ellipse or hyperbola, and for a parabola its axis
+        direction, a point at infinity.
+
+        ``pole``'s degeneracy check runs on every call; the point itself
+        does not depend on ``eps``, so like the dual it is built once per
+        conic.  A chain's first step and ``find_point_on_conic`` read it.
+        """
+        if self.is_degenerate(eps):
+            raise DegenerateConic("pole is only defined for a nondegenerate conic")
+        return self._center
+
+    @cached_property
+    def _center(self) -> HPoint:
+        return HPoint(*matvec3(self.adjugate, LINE_AT_INFINITY.coords))
+
     def is_tangent(self, l: HLine, eps: float = DEFAULT_EPS) -> bool:
         """Whether the line meets the conic in a single doubled point."""
         adj = self.adjugate
@@ -266,6 +285,19 @@ class Conic:
         """Image conic under the projectivity (push-forward of the zero set)."""
         inv = adjugate3(m.matrix)
         return Conic.from_matrix(matmul3(transpose3(inv), matmul3(self.gram, inv)))
+
+
+def scaled_for_floats(conic: Conic) -> Conic:
+    """``conic``, or for an exact conic with a coefficient past
+    ``scalars.FLOAT_BITS`` bits, the float conic of its integer tuple
+    divided by one power of two (``scalars.float_scaled``): the same conic,
+    whose Gram norm and forms at float points stay finite.  Float work on
+    an arbitrary conic (``poncelet.find_point_on_conic`` and
+    ``poncelet.spread_on_conic``) takes it first; every other conic is
+    returned as it is, so its floats keep their bits.
+    """
+    coeffs = float_scaled(conic.coeffs)
+    return conic if coeffs is conic.coeffs else Conic(*coeffs)
 
 
 def _frob(m) -> float:
@@ -343,9 +375,10 @@ def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Ca
     ``eps`` relative to ``scale()``) and ``IrrationalResult`` when exact
     roots exist but are not rational.  Float roots are solved with the
     larger of ``|a|`` and ``|c|`` leading, swapping the roles of lam and
-    mu when that is ``c``.
+    mu when that is ``c``.  A float ``a`` (every chain step) goes to the
+    float branch on its type alone, before the exact scan.
     """
-    if all_exact((a, b, c)):
+    if type(a) is not float and all_exact((a, b, c)):
         if a == 0 and b == 0 and c == 0:
             raise LineOnConic("every point of the line lies on the conic")
         if a == 0:
@@ -427,7 +460,7 @@ def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HP
     line misses the conic.  In exact mode an intersection at irrational
     coordinates raises ``IrrationalResult`` rather than approximating.
     """
-    return tuple(HPoint(*coords) for coords in _meet_coords(conic, l.coords, eps))
+    return tuple([HPoint(*coords) for coords in _meet_coords(conic, l.coords, eps)])
 
 
 def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tuple[HLine, ...]:
@@ -439,7 +472,7 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
     ``p.coords`` is already canonical and canonicalization is idempotent,
     so each tangent is canonicalized once, straight from the raw meet.
     """
-    return tuple(HLine(*coords) for coords in _meet_coords(conic.dual(eps), p.coords, eps))
+    return tuple([HLine(*coords) for coords in _meet_coords(conic.dual(eps), p.coords, eps)])
 
 
 # ----- six points on a conic --------------------------------------------

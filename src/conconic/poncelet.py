@@ -4,11 +4,12 @@ A chain is traced by repeatedly drawing a tangent line from the current
 vertex to the inner conic and crossing over to the second intersection
 with the outer conic.  The first step (with no incoming link) picks the
 tangent whose touch point is counterclockwise from the current vertex as
-seen from the inner conic's center; every later step takes the tangent
-that is not the line it arrived on.  Either first choice traces the same
-polygon, just in opposite orders.  The center is the pole of the line at
-infinity and a touch point is the pole of its tangent, both taken with
-``Conic.pole``.
+seen from a point inside the inner conic: its center, or for a parabola,
+whose center is at infinity, the midpoint of the two touch points.  Every
+later step takes the tangent that is not the line it arrived on.  Either
+first choice traces the same polygon, just in opposite orders.  The
+center is the pole of the line at infinity, kept by ``Conic.center``, and
+a touch point is the pole of its tangent, taken with ``Conic.pole``.
 
 Closure is detected on canonicalized coordinates with a sign-insensitive
 gap, and a chain counts as closed only from three links up.  Links are
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Tuple
 
-from .conics import Conic, tangent_lines_from
+from .conics import Conic, scaled_for_floats, tangent_lines_from
 from .errors import (
     BaseNotOnConic,
     ChainStuck,
@@ -38,7 +39,7 @@ from .errors import (
     NoTangentLine,
 )
 from .linalg import cross, det3
-from .projective import LINE_AT_INFINITY, HLine, HPoint, Record, coincident, sphere_gap, unit_coords
+from .projective import HLine, HPoint, Record, coincident, sphere_gap, unit_coords
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, div
 
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -75,7 +76,7 @@ def _point_on_line_away_from(line_coords, base: HPoint, eps: float):
     c1 = (l1 * 0 - l2 * 1, l2 * 0 - l0 * 0, l0 * 1 - l1 * 0)
     c2 = (l1 * 1 - l2 * 0, l2 * 0 - l0 * 1, l0 * 0 - l1 * 0)
     b0, b1, b2 = base.coords
-    if all_exact(line_coords) and base.exact:
+    if type(b0) is int and all_exact(line_coords):  # ``base.exact`` first
         for c in (c0, c1, c2):
             x, y, z = c
             if (x != 0 or y != 0 or z != 0) and (
@@ -174,8 +175,10 @@ def poncelet_step(
     """One link of a chain: the next vertex on c1 and the tangent used.
 
     With an incoming link the step continues along the other tangent; the
-    very first step orients the chain counterclockwise around the inner
-    conic's center.
+    very first step orients the chain counterclockwise around a point
+    inside the inner conic: its cached ``Conic.center``, or for a parabola
+    the midpoint of the two touch points.  That point and ``current`` are
+    converted to affine floats once per step, not once per tangent.
     """
     if not c1.contains(current, eps):
         raise BaseNotOnConic(f"chain vertex {current} does not lie on the outer conic")
@@ -195,15 +198,23 @@ def poncelet_step(
     elif len(tangents) == 1:
         link = tangents[0]
     else:
-        center = c2.pole(LINE_AT_INFINITY, eps)  # the center, finite for a central conic
+        center = c2.center(eps)
         if center.at_infinity:
-            raise ChainStuck("inner conic has no finite center to orient the first step")
+            # a parabola: the midpoint of the two touch points lies inside it
+            first, second = (c2.pole(cand, eps) for cand in tangents)
+            if first.at_infinity or second.at_infinity:
+                raise ChainStuck("inner conic has no finite center to orient the first step")
+            (ax, ay), (bx, by) = first.to_xy(), second.to_xy()
+            inside = (float(ax + bx) / 2.0, float(ay + by) / 2.0, 1.0)
+        else:
+            inside = (*map(float, center.to_xy()), 1.0)
+        here = (*map(float, current.to_xy()), 1.0)
         picked = None
         for cand in tangents:
             touch = c2.pole(cand, eps)
             if touch.at_infinity:
                 continue
-            orientation = det3([(*map(float, p.to_xy()), 1.0) for p in (current, touch, center)])
+            orientation = det3([here, (*map(float, touch.to_xy()), 1.0), inside])
             if orientation > 0:
                 picked = cand
                 break
@@ -297,12 +308,16 @@ def find_point_on_conic(conic: Conic, eps: float = DEFAULT_EPS) -> HPoint:
     axis of the quadratic part with that sign.  A parabola's center is
     its axis direction ``d`` at infinity, which lies on the conic, so the
     line through the origin parallel to the axis meets the conic in one
-    finite point, where the form is linear in the line's parameter.
-    Raises ``NoRealSolution`` when the conic has no real point.
+    finite point, where the form is linear in the line's parameter.  The
+    center is the conic's cached ``Conic.center``.  An exact conic with
+    coefficients past float range is searched as ``scaled_for_floats`` of
+    it, the same conic.  Raises ``NoRealSolution`` when the conic has no
+    real point.
     """
     if conic.is_degenerate(eps):
         raise DegenerateConic("point search needs a nondegenerate conic")
-    center = conic.pole(LINE_AT_INFINITY, eps)
+    conic = scaled_for_floats(conic)
+    center = conic.center(eps)
     if center.at_infinity:
         dx, dy = float(center.x), float(center.y)
         # Q(t*d + origin) = 2t B(d, origin) + Q(origin), B(d, origin) = (G d)_z
@@ -340,7 +355,9 @@ def spread_on_conic(conic: Conic, n: int, eps: float = DEFAULT_EPS) -> Iterator[
     parameters tan(theta_k / 2) with theta_k = -pi + 2 pi (k + 1/2) / n at
     one base point found by ``find_point_on_conic``.  Each point is
     ``sample_on_conic(conic, base, tan(theta_k / 2))``; the base is checked
-    and its pencil built once per spread."""
+    and its pencil built once per spread.  An exact conic past float range
+    is sampled as ``scaled_for_floats`` of it, in floats."""
+    conic = scaled_for_floats(conic)
     base = find_point_on_conic(conic, eps)
     if not conic.contains(base, eps):
         raise BaseNotOnConic(f"{base} does not lie on the conic")

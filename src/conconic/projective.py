@@ -22,7 +22,7 @@ from .errors import (
     SingularMap,
 )
 from .linalg import adjugate3, cross, det3, dot, matmul3, matvec3, normalized_det, row_norm, transpose3
-from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, div, is_zero
+from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_triple, div, is_zero
 
 if TYPE_CHECKING:
     from .conics import Conic
@@ -31,12 +31,18 @@ Triple = Tuple[Scalar, Scalar, Scalar]
 
 
 class _HTriple:
-    """Shared behaviour of homogeneous points and lines."""
+    """Shared behaviour of homogeneous points and lines.
+
+    ``coords`` is the triple as ``scalars.canonical_triple`` returns it,
+    called directly so that building a point or line costs one rule and no
+    generic dispatch: all ``int`` for an exact item, all ``float`` for a
+    float one.
+    """
 
     __slots__ = ("coords",)
 
     def __init__(self, x: Scalar, y: Scalar, z: Scalar):
-        object.__setattr__(self, "coords", canonical_tuple((x, y, z)))
+        object.__setattr__(self, "coords", canonical_triple(x, y, z))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

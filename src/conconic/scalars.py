@@ -23,6 +23,8 @@ Scalar = Union[int, Fraction, float]
 DEFAULT_EPS = 1e-9
 DEFAULT_CLOSURE_TOL = 1e-7
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -111,6 +113,27 @@ def parse_scalar(text: Union[str, int], exact: bool) -> Scalar:
         raise ValueError(f"{brief_repr(text)} is too large for a float") from None
 
 
+# an exact canonical tuple past this many bits is scaled before it meets a
+# float: a float past 2**512 overflows when squared, and a conic's Gram
+# matrix doubles its coefficients
+FLOAT_BITS = 500
+
+
+def float_scaled(values: tuple) -> tuple:
+    """A canonical tuple as it may meet a float: ``values`` itself, unless it
+    is all ``int`` with an entry past ``FLOAT_BITS`` bits.  Such a tuple is
+    divided by one power of two, which brings its largest entry to
+    ``FLOAT_BITS`` bits, and comes back as correctly rounded floats.  That
+    is exact in projective terms: the point, line or conic is the same.
+    """
+    if type(values[0]) is int:
+        bits = max([v.bit_length() for v in values])
+        if bits > FLOAT_BITS:
+            scale = 1 << (bits - FLOAT_BITS)
+            return tuple([v / scale for v in values])
+    return values
+
+
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -118,6 +141,45 @@ def format_scalar(x: Scalar) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def canonical_triple(x: Scalar, y: Scalar, z: Scalar) -> tuple:
+    """Canonical representative of the homogeneous triple (x : y : z).
+
+    The one rule for the coordinates of every point and line.  Three
+    floats are checked finite (each magnitude, taken once, at most the
+    largest float: a comparison that infinity and NaN fail), then divided
+    by the first component of largest magnitude, which pins it to exactly
+    +1.0, so canonicalizing a canonical float triple returns it bit for
+    bit.  Three ints are divided by one gcd, signed so that the first
+    nonzero entry (``x or y or z``) is positive, and floor division only
+    runs when that signed gcd is not 1.  Any other triple (a ``Fraction``,
+    a ``bool``, mixed types) takes the generic rule of ``canonical_tuple``.
+    Raises ``ValueError`` on a non-finite float entry and on an all-zero
+    triple.
+    """
+    tx = type(x)
+    if tx is float:
+        if type(y) is float and type(z) is float:
+            ax, ay, az = abs(x), abs(y), abs(z)
+            if not (ax <= _FLOAT_MAX and ay <= _FLOAT_MAX and az <= _FLOAT_MAX):
+                raise ValueError("non-finite homogeneous coordinate")
+            pivot, m = x, ax
+            if ay > m:
+                pivot, m = y, ay
+            if az > m:
+                pivot, m = z, az
+            if m == 0.0:
+                raise ValueError("homogeneous coordinates cannot all be zero")
+            return (x / pivot, y / pivot, z / pivot)
+    elif tx is int and type(y) is int and type(z) is int:
+        g = math.gcd(x, y, z)
+        if g == 0:
+            raise ValueError("homogeneous coordinates cannot all be zero")
+        if (x or y or z) < 0:
+            g = -g
+        return (x, y, z) if g == 1 else (x // g, y // g, z // g)
+    return _canonical_generic([x, y, z])
 
 
 def canonical_tuple(values: Sequence[Scalar]) -> tuple:
@@ -130,46 +192,27 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     one all ``float``: its first entry's type names its backend, and two
     exact tuples agree up to scale exactly when they are equal.  Float
     entries: divide by the first component of largest magnitude, which pins
-    that component to exactly +1.0, so canonicalizing a canonical float
-    tuple returns it bit for bit.  A tuple with any float member is a float
-    tuple; one that starts with a float goes there without the exact scans,
-    and an all-``float`` triple (every point and line of a chain) is
-    checked, pivoted and divided in one pass by the same rule.  Its exact
-    twin is the all-``int`` triple (every exact point and line): three type
-    checks, one gcd, the sign of the first nonzero entry (``x or y or z``),
-    and floor division only when that signed gcd is not 1.
+    that component to exactly +1.0.  A tuple with any float member is a
+    float tuple; one that starts with a float goes there without the exact
+    scans.  Conic coefficient 6-tuples are its own work; a triple is handed
+    to ``canonical_triple``, the one rule for points and lines.
     """
     vals = list(values)
+    if len(vals) == 3:
+        return canonical_triple(*vals)
+    return _canonical_generic(vals)
+
+
+def _canonical_generic(vals: list) -> tuple:
+    """The generic rule of ``canonical_tuple`` on a list of any length."""
     if not vals:
         raise ValueError("empty coordinate tuple")
     if type(vals[0]) is not float:
-        if len(vals) == 3:
-            x, y, z = vals
-            if type(x) is int and type(y) is int and type(z) is int:
-                g = math.gcd(x, y, z)
-                if g == 0:
-                    raise ValueError("homogeneous coordinates cannot all be zero")
-                if (x or y or z) < 0:
-                    g = -g
-                return (x, y, z) if g == 1 else (x // g, y // g, z // g)
         if all(type(v) is int for v in vals):
             return _reduced(vals)
         if all_exact(vals):
             denom_lcm = math.lcm(*(v.denominator for v in vals))
             return _reduced([v.numerator * (denom_lcm // v.denominator) for v in vals])
-    elif len(vals) == 3:
-        x, y, z = vals
-        if type(y) is float and type(z) is float:
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise ValueError("non-finite homogeneous coordinate")
-            pivot, m = x, abs(x)
-            if abs(y) > m:
-                pivot, m = y, abs(y)
-            if abs(z) > m:
-                pivot, m = z, abs(z)
-            if m == 0.0:
-                raise ValueError("homogeneous coordinates cannot all be zero")
-            return (x / pivot, y / pivot, z / pivot)
     floats = list(map(float, vals))
     if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite homogeneous coordinate")

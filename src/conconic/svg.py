@@ -19,6 +19,7 @@ from .errors import GeometryError
 from .linalg import row_norm
 from .poncelet import ChainResult, spread_on_conic
 from .projective import HLine, HPoint, join
+from .scalars import float_scaled
 
 CONIC_SAMPLES = 256
 MARGIN = 0.15
@@ -33,7 +34,7 @@ _CHAIN_COLOR = "#c0392b"
 
 
 def _affine(p: HPoint) -> Optional[Tuple[float, float]]:
-    x, y, z = (float(v) for v in p.coords)
+    x, y, z = (float(v) for v in float_scaled(p.coords))
     if z == 0.0 or abs(z) < 1e-14 * max(abs(x), abs(y)):
         return None
     return (x / z, y / z)
@@ -111,7 +112,7 @@ def _document(frame: Frame, body: List[str]) -> str:
 
 def _clip_line(frame: Frame, line: HLine) -> Optional[Tuple[Tuple[float, float], Tuple[float, float]]]:
     """Visible segment of an infinite line inside the frame, if any."""
-    a, b, c = (float(v) for v in line.coords)
+    a, b, c = (float(v) for v in float_scaled(line.coords))
     hits: List[Tuple[float, float]] = []
     if b != 0.0:
         for x in (frame.xmin, frame.xmax):
@@ -168,7 +169,7 @@ def _component_lines(conic: Conic, eps: float) -> List[HLine]:
     """The line(s) making up a rank-deficient conic."""
     rank = conic.rank(eps)
     if rank == 1:
-        return [HLine(*max(conic.gram, key=row_norm))]
+        return [HLine(*_lead_row(conic.gram, conic.exact))]
     if rank != 2:
         return []
     # a line pair's singular point is in the kernel; pair = lines joining it
@@ -176,9 +177,19 @@ def _component_lines(conic: Conic, eps: float) -> List[HLine]:
     # A rank-2 form has a rank-1 adjugate whose rows are multiples of that point.
     # The line with the same coordinates as a real point s avoids it (s.s > 0)
     # and lies as far from it as any line can.
-    singular = HPoint(*max(conic.adjugate, key=row_norm))
+    singular = HPoint(*_lead_row(conic.adjugate, conic.exact))
     pts = intersect_line(conic, HLine(*singular.coords), eps)
     return [join(singular, p, eps) for p in pts]
+
+
+def _lead_row(m, exact: bool):
+    """The row of a rank-one symmetric matrix that names its point.  Float
+    rows take the one of largest norm; exact rows are all multiples of one
+    triple, so the first nonzero one canonicalizes to the same point, with
+    no float that an entry past float range could overflow."""
+    if exact:
+        return next(row for row in m if any(row))
+    return max(m, key=row_norm)
 
 
 def _configuration_body(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -404,3 +405,52 @@ def test_poncelet_option_without_a_value_keeps_the_argparse_error(capsys):
         code = main(["poncelet", "--outer", "1,0,1,0,0,-4", *argv])
         assert code == 1
         assert "argument --inner: expected one argument" in capsys.readouterr().err
+
+
+def test_poncelet_porism_runs_on_an_inner_parabola(capsys):
+    # the inner parabola y = x^2 + 1 has its centre at infinity; its chains
+    # are oriented by the midpoint of the touch points and do not close
+    argv = ["poncelet", "--outer=1,0,0,0,-1,0", "--inner", "1,0,0,0,-1,1", "--expected-n", "3", "--samples", "4"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("some chains did not close at n=3 over 4 samples")
+    assert out.err == ""
+
+
+def large_triangle_scene(digits: int, feet) -> dict:
+    """A rational scene on the triangle (0, 0), (N1, 0), (0, N2), N1 and N2
+    random integers of ``digits`` digits drawn by ``Random(1)``; ``feet``
+    maps N1 and N2 to the scene's feet."""
+    rnd = random.Random(1)
+    n1, n2 = (rnd.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(2))
+    return {"triangle": [["0", "0"], [str(n1), "0"], ["0", str(n2)]], "mode": "rational", "feet": feet(n1, n2)}
+
+
+def isogonal_feet(n1, n2):
+    return {"generator": "isogonal", "params": ["1/3", "2/5", "3/7"]}
+
+
+def params_feet(n1, n2):
+    return {"params": ["1/3", "2/5", "3/7", "1/2", "1/2", "1/2"]}
+
+
+def through_feet(n1, n2):
+    return {"generator": "through_points", "points": [[str(n1 // 3), str(n2 // 4)], [str(n1 // 5), str(n2 // 3)]]}
+
+
+@pytest.mark.parametrize("digits, feet", [
+    (40, isogonal_feet), (80, isogonal_feet), (80, params_feet), (150, isogonal_feet), (300, through_feet),
+])
+def test_verify_svg_of_exact_scenes_past_float_range(tmp_path, capsys, digits, feet):
+    # the witness conics' integer coefficients (about 800 bits at 40 digits,
+    # 1,600 to 2,100 at 80) are scaled by one power of two where they meet a
+    # float; the params scene at 80 digits has a degenerate witness, at 150
+    # digits the interior points are past float range, and at 300 digits
+    # so are the lines of the through-points scene's degenerate witness
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(large_triangle_scene(digits, feet)))
+    svg = tmp_path / "out.svg"
+    assert main(["verify", str(path), "--svg", str(svg)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    text = svg.read_text()
+    assert text.startswith("<?xml") and text.endswith("</svg>\n")

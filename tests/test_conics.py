@@ -295,11 +295,38 @@ def test_dual_is_built_once():
     assert ellipse.dual().dual() == ellipse
 
 
+@pytest.mark.parametrize("coeffs", [
+    (Fraction(1, 4), 0, 1, 0, 0, -1),                 # an exact ellipse
+    (1, 0, -1, 4, 2, 0),                              # an exact hyperbola
+    (1, 0, 0, 0, -1, 1),                              # a parabola: centre at infinity
+    (0.37, -0.2, 1.1, 0.45, -0.8, -2.3),              # a float ellipse
+    (2.5, 1.0, -0.75, 0.125, 3.0, 1.0),               # a float hyperbola
+])
+def test_center_is_the_pole_of_the_line_at_infinity_built_once(coeffs):
+    conic = Conic.from_coeffs(coeffs)
+    center = conic.center()
+    assert repr(center) == repr(conic.pole(projective.LINE_AT_INFINITY))
+    assert conic.center() is center and conic.center(1e-3) is center
+    assert center.at_infinity == (coeffs == (1, 0, 0, 0, -1, 1))
+
+
+def test_center_checks_degeneracy_at_the_given_eps_on_every_call():
+    # nondegenerate at 1e-15, a line pair at 1e-9: the cached centre stays
+    # behind the rank check of each call
+    thin = Conic.from_coeffs((1.0, 0.0, 1e-12, 0.0, 0.0, -1.0))
+    for _ in range(2):
+        assert not thin.center(1e-15).at_infinity
+        with pytest.raises(DegenerateConic, match="^pole is only defined for a nondegenerate conic$"):
+            thin.center(1e-9)
+    with pytest.raises(DegenerateConic):
+        Conic.from_coeffs((1, 0, -1, 0, 0, 0)).center()
+
+
 def test_conic_rejects_assignment_to_any_attribute():
     conic = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
     conic.dual()  # fill the cached forms first
     names = (
-        "coeffs", "_exact", "_gram", "_adjugate", "_gram_norm", "_ranks", "_dual",
+        "coeffs", "_exact", "_gram", "_adjugate", "_gram_norm", "_ranks", "_dual", "_center",
         "exact", "gram", "adjugate", "gram_norm", "rank", "extra",
     )
     for name in names:

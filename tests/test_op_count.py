@@ -55,3 +55,18 @@ def test_float_chain_steps_make_no_helper_calls():
     assert calls["conconic.linalg.matvec3"] <= 249      # 0.65 per step
     assert calls["conconic.linalg.dot"] <= 26           # 0.07 per step
     assert calls["conconic.linalg.row_norm"] <= 378     # 0.98 per step
+
+
+def test_float_chain_points_and_lines_skip_the_generic_canonicalizer():
+    # ops 0-3 of float_chains: every point and line is canonicalized by
+    # scalars.canonical_triple, so the generic canonical_tuple sees only the
+    # coefficient 6-tuples of the conics built (a point or line sent through
+    # it raises this count); and the centre of each conic that a chain
+    # orients by or a point search starts from is built once: an outer and
+    # an inner conic per trisector op, one outer and two inner circles in the
+    # concentric op
+    _, calls, failed = _load_op_count().count("float_chains", 7, 4)
+    assert failed == 0
+    assert calls["conconic.scalars.canonical_tuple"] == calls["conconic.conics.Conic.__init__"] <= 20
+    assert calls["conconic.scalars.canonical_triple"] > 0
+    assert calls["conconic.conics.Conic._center"] == 3 * 2 + 3

@@ -8,6 +8,7 @@ float verdict scale does (ROADMAP item 1).  That re-scales residuals, not
 chains, so the chain digests stay fixed."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 from pathlib import Path
@@ -39,13 +40,22 @@ def _load_output_dump():
     return module
 
 
-@pytest.fixture(scope="module")
-def seed_1_digests():
+def _run_output_dump(*argv) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert _load_output_dump().main(["--seed", "1"]) == 0
+        assert _load_output_dump().main(list(argv)) == 0
+    return stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def seed_1_stdout():
+    return _run_output_dump("--seed", "1")
+
+
+@pytest.fixture(scope="module")
+def seed_1_digests(seed_1_stdout):
     digests = {}
-    for line in stdout.getvalue().splitlines():
+    for line in seed_1_stdout.splitlines():
         family, _count, digest = line.split()
         digests[family] = digest
     return digests
@@ -57,3 +67,9 @@ def test_exact_output_families_keep_their_seed_1_digests(seed_1_digests):
 
 def test_float_chain_families_keep_their_seed_1_digests(seed_1_digests):
     assert {family: seed_1_digests.get(family) for family in CHAIN_DIGESTS} == CHAIN_DIGESTS
+
+
+def test_seeds_range_prints_the_digest_of_the_single_seed_runs_in_a_row(seed_1_stdout):
+    # the digest a loop of --seed runs piped to sha256sum reads
+    both = seed_1_stdout + _run_output_dump("--seed", "2")
+    assert _run_output_dump("--seeds", "1-2") == hashlib.sha256(both.encode()).hexdigest() + "\n"

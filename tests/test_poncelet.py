@@ -102,6 +102,36 @@ def test_first_step_orientation_frozen_oracle():
     assert y2 == pytest.approx(-math.sqrt(3.0), abs=1e-12)
 
 
+PARABOLA_OUTER = Conic.from_coeffs((1.0, 0.0, 0.0, 0.0, -1.0, 0.0))  # y = x^2
+PARABOLA_INNER = Conic.from_coeffs((1.0, 0.0, 0.0, 0.0, -1.0, 1.0))  # y = x^2 + 1
+
+
+@pytest.mark.parametrize("x", [0.0, 1.5, -3.0])
+def test_an_inner_parabola_starts_a_chain(x):
+    # its centre is at infinity, so the first step turns counterclockwise
+    # about the midpoint of the two touch points, which lies inside it
+    assert PARABOLA_INNER.center().at_infinity
+    start = HPoint(x, x * x, 1.0)
+    touches = [affine(PARABOLA_INNER.pole(t)) for t in tangent_lines_from(PARABOLA_INNER, start)]
+    inside = tuple((a + b) / 2.0 for a, b in zip(*touches))
+    assert PARABOLA_INNER.value2((*inside, 1.0)) * PARABOLA_INNER.value2((0.0, 2.0, 1.0)) > 0
+    chain = trace_chain(PARABOLA_OUTER, PARABOLA_INNER, start, max_steps=8)
+    assert len(chain.links) == 8 and not chain.closed
+    assert all(PARABOLA_OUTER.contains(p) for p in chain.points)
+    assert all(PARABOLA_INNER.is_tangent(link) for link in chain.links)
+    for p, q, link in zip(chain.points, chain.points[1:], chain.links):
+        assert projective.incident(p, link) and projective.incident(q, link)
+    touch = affine(PARABOLA_INNER.pole(chain.links[0]))
+    assert linalg.det3([(x, x * x, 1.0), (*touch, 1.0), (*inside, 1.0)]) > 0
+    # on these two parabolas every link advances x by 2
+    assert affine(chain.points[1])[0] == pytest.approx(x + 2.0, abs=1e-9)
+
+
+def test_porism_check_runs_on_an_inner_parabola():
+    report = porism_check(PARABOLA_OUTER, PARABOLA_INNER, expected_n=3, num_samples=4)
+    assert report.steps == (None,) * 4 and not report.all_closed
+
+
 def test_step_is_reversible():
     start = HPoint(2.0, 0.0, 1.0)
     nxt, link = poncelet_step(OUTER_R2, INNER_R1, start)
@@ -408,6 +438,18 @@ def test_spread_checks_its_base_and_builds_its_pencil_once(monkeypatch):
     monkeypatch.setattr(Conic, "contains", counting_contains)
     assert len(list(poncelet.spread_on_conic(OUTER_R2, 25))) == 25
     assert calls == {"pencil": 1, "contains": 1}
+
+
+def test_point_search_and_spread_on_an_exact_conic_past_float_range():
+    # coefficients of about 1,100 bits, which no float holds, in ratios near
+    # 1: scaled by one power of two, the same conic is well conditioned
+    n = 2**1100 + 1
+    conic = Conic(n, 0, n + 2, 0, 0, -(n + 4))
+    points = [find_point_on_conic(conic), *poncelet.spread_on_conic(conic, 8)]
+    for p in points:
+        x, y, z = map(Fraction, p.coords)
+        residual = n * x * x + (n + 2) * y * y - (n + 4) * z * z
+        assert abs(residual) <= Fraction(1, 10**12) * n * (x * x + y * y + z * z)
 
 
 def test_spread_on_a_degenerate_conic_raises():

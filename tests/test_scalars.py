@@ -3,14 +3,17 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conconic.scalars import (
+    FLOAT_BITS,
     all_exact,
+    canonical_triple,
     canonical_tuple,
     div,
     exact_sqrt,
+    float_scaled,
     format_scalar,
     is_exact,
     is_zero,
@@ -160,6 +163,7 @@ def test_int_triples_match_the_generic_rule(vals):
     assert repr(out) == repr(reduced_by_formula(vals))
     assert all(type(v) is int for v in out)
     assert canonical_tuple(list(vals)) == out
+    assert repr(canonical_triple(*vals)) == repr(out)
 
 
 def test_all_zero_int_triples_raise_the_generic_error():
@@ -358,3 +362,103 @@ def test_mixed_int_float_triples_take_the_generic_path(monkeypatch):
     assert len(scans) == 4
     for vals in ((1.0, 2, 3.0), (-2.0, 2, 1.0), (1.0, True, 0.5)):
         assert bits(canonical_tuple(vals)) == bits(loop_float_canonical_tuple(vals))
+
+
+# ----- canonical_triple: the one rule for points and lines ------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e300, -1e300,
+                  1.0, -1.0, 2.0, -2.0, 0.5, -3.0, 3.0]
+triple_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+triple_ints = st.one_of(st.sampled_from([0, 0, 1, -1, 2, -6]), st.integers(-2**300, 2**300))
+other_entries = st.one_of(
+    st.booleans(), small_fractions, st.integers(-9, 9), st.sampled_from([0.0, -0.0, -2.0, 1e300])
+)
+
+
+@given(st.tuples(triple_floats, triple_floats, triple_floats))
+@example((-2.0, 2.0, 1.0))
+@example((1e300, -1e300, -1e300))
+@example((-0.0, 5e-324, -5e-324))
+@example((0.0, -0.0, -3.0))
+def test_canonical_triple_of_floats_is_the_generic_rule_bit_for_bit(vals):
+    # signed zeros, subnormals, +-1e300, magnitude ties (the first largest
+    # entry is the pivot) and negative pivots among the draws
+    if all(v == 0 for v in vals):
+        return
+    out = canonical_triple(*vals)
+    assert bits(out) == bits(loop_float_canonical_tuple(vals))
+    assert bits(canonical_tuple(vals)) == bits(out)
+
+
+@given(st.tuples(triple_ints, triple_ints, triple_ints))
+def test_canonical_triple_of_ints_is_the_generic_rule(vals):
+    # a negative lead, zeros in each position and 300-bit entries
+    if all(v == 0 for v in vals):
+        return
+    out = canonical_triple(*vals)
+    assert repr(out) == repr(reduced_by_formula(vals))
+    assert all(type(v) is int for v in out)
+    assert repr(canonical_tuple(vals)) == repr(out)
+
+
+@given(st.tuples(other_entries, other_entries, other_entries))
+def test_bool_fraction_and_mixed_triples_take_the_generic_rule(vals):
+    if all(v == 0 for v in vals):
+        return
+    assert repr(canonical_triple(*vals)) == repr(branch_order_canonical_tuple(vals))
+    assert repr(canonical_tuple(vals)) == repr(canonical_triple(*vals))
+
+
+@pytest.mark.parametrize("vals", [
+    (0, 0, 0), (0.0, -0.0, 0.0), (Fraction(0), 0, 0), (False, 0, False), (0, 0.0, Fraction(0)),
+])
+def test_all_zero_triples_raise_the_generic_error(vals):
+    for canonical in (lambda: canonical_triple(*vals), lambda: canonical_tuple(vals)):
+        with pytest.raises(ValueError, match="^homogeneous coordinates cannot all be zero$"):
+            canonical()
+
+
+@pytest.mark.parametrize("vals", [
+    (math.inf, 1.0, 0.0), (1.0, math.nan, 2.0), (0.0, 0.0, -math.inf), (math.nan, 0.0, 0.0),
+    (-0.0, 1e308, math.nan), (math.inf, -math.inf, math.nan),
+    (1, math.nan, 2), (Fraction(1, 3), 0, math.inf), (True, -math.inf, 1.0),
+])
+def test_non_finite_triples_raise_the_generic_error(vals):
+    for canonical in (lambda: canonical_triple(*vals), lambda: canonical_tuple(vals)):
+        with pytest.raises(ValueError, match="^non-finite homogeneous coordinate$"):
+            canonical()
+
+
+def test_canonical_tuple_hands_triples_to_the_triple_rule(monkeypatch):
+    import conconic.scalars as scalars
+
+    seen = []
+
+    def recording_triple(x, y, z):
+        seen.append((x, y, z))
+        return canonical_triple(x, y, z)
+
+    monkeypatch.setattr(scalars, "canonical_triple", recording_triple)
+    assert canonical_tuple([2, -4, 6]) == (1, -2, 3)
+    assert canonical_tuple((1, 2, 3, 4, 5, 6)) == (1, 2, 3, 4, 5, 6)
+    assert seen == [(2, -4, 6)]
+
+
+# ----- float_scaled: exact tuples past float range --------------------------
+
+
+def test_float_scaled_keeps_tuples_in_range_as_they_are():
+    for vals in ((1, -2, 3), (2**FLOAT_BITS - 1, 0, -1), (0.5, 1.0, -1.0), (Fraction(1, 3), 1, 2)):
+        assert float_scaled(vals) is vals
+
+
+def test_float_scaled_divides_a_large_int_tuple_by_one_power_of_two():
+    out = float_scaled((2**600, 3, -(2**601)))
+    assert out == (2.0**(FLOAT_BITS - 2), 3 / 2**102, -(2.0**(FLOAT_BITS - 1)))
+    assert all(type(v) is float for v in out)
+    # each entry is the correctly rounded quotient, the largest FLOAT_BITS bits long
+    big = 7**1000
+    shift = big.bit_length() - FLOAT_BITS
+    out = float_scaled((5, big, -big // 3))
+    assert out == (5 / 2**shift, big / 2**shift, (-big // 3) / 2**shift)
+    assert 2.0**(FLOAT_BITS - 1) <= out[1] < 2.0**FLOAT_BITS
