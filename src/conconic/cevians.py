@@ -32,15 +32,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .conics import (
-    Conic,
-    _distinct,
-    _fit_five,
-    _six_point_verdict,
-    dual_verdict,
-    intersect_line,
-    veronese_residual,
-)
+from .conics import _dedupe, _distinct, _fit_five, _six_point_verdict, dual_verdict, intersect_line
 from .errors import (
     ChartDegenerate,
     CoincidentCevians,
@@ -252,72 +244,6 @@ class ConditionReport(Record):
         return all(self.booleans)
 
 
-def _dedupe(items: Sequence, eps: float) -> list:
-    """The items less any that coincide with an earlier one, in input order.
-
-    Exact items coincide exactly when their canonical ``coords`` are equal,
-    so one dict pass keyed by ``coords`` keeps each first occurrence; any
-    other list takes the pairwise tolerance test of ``coincident``.
-    """
-    if all(type(item.coords[0]) is int for item in items):
-        first = {}
-        for item in items:
-            first.setdefault(item.coords, item)
-        return list(first.values())
-    kept = []
-    for item in items:
-        if not any(coincident(item, seen, eps) for seen in kept):
-            kept.append(item)
-    return kept
-
-
-def _small_witness(distinct: Sequence[HPoint], eps: float) -> Optional[Conic]:
-    """A degenerate conic through at most four distinct points."""
-    if len(distinct) < 2:
-        return None
-    if collinear(distinct, eps):
-        return Conic.from_double_line(join(distinct[0], distinct[1], eps))
-    if len(distinct) == 3:
-        return Conic.from_line_pair(
-            join(distinct[0], distinct[1], eps), join(distinct[0], distinct[2], eps)
-        )
-    return Conic.from_line_pair(
-        join(distinct[0], distinct[1], eps), join(distinct[2], distinct[3], eps)
-    )
-
-
-def _tolerant_conconic(sextuple: Tuple[Sequence[HPoint], list], eps: float) -> Verdict:
-    """Six-point verdict that allows coincident points.
-
-    ``sextuple`` is the pair ``(points, _dedupe(points, eps))``.  Repeated
-    points make the Veronese determinant vanish identically, so the verdict
-    holds with a degenerate witness: the natural example is the two-triple
-    configuration through two fixed points, where all six inner points
-    collapse onto two and the witness is the doubly covered line through
-    them.  On the dual points of the six cevians it decides tangent6, where
-    a shared cevian is the repeated item.  Exact items with one repeat take
-    the same single ``bareiss`` pass as six distinct ones: the repeated row
-    leaves the determinant 0 and the kernel the conic through the five.
-    Exact items with two or more repeats are equal canonical triples, so
-    their Veronese rows repeat and the residual is the integer 0 without
-    an elimination; float items take ``veronese_residual``.
-    """
-    points, distinct = sextuple
-    exact = all(p.exact for p in points)
-    if len(distinct) == 6 or (len(distinct) == 5 and exact):
-        return _six_point_verdict(points, eps, exact)
-    if exact:
-        residual = 0
-    else:
-        residual, _ = veronese_residual([p.coords for p in points], eps)
-    if len(distinct) == 5:
-        witness = _fit_five(distinct, eps)
-    else:
-        witness = _small_witness(distinct, eps)
-    degenerate = witness is None or witness.is_degenerate(eps)
-    return Verdict(residual=residual, holds=True, witness_conic=witness, degenerate=degenerate)
-
-
 def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionReport:
     """Evaluate the four equivalent conditions on one configuration.
 
@@ -330,6 +256,10 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
     points) some conditions become trivially true while others can still
     fail; the equivalence does not apply to such collapsed inputs, so the
     verdicts are reported as computed without the consistency assertion.
+
+    Each six-item condition is ``conics._six_point_verdict`` on the items
+    and their ``_dedupe``, without the distinctness gate of ``conconic``: a
+    repeated item (for tangent6, a shared cevian) makes it hold identically.
     """
     tri = cfg.triangle
     # a line and its dual point share coordinates, so they coincide alike
@@ -337,9 +267,9 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
         (points, _dedupe(points, eps))
         for points in (cfg.feet.outer, cfg.inner_points, [_dual_point(l) for l in cfg.cevians])
     ]
-    outer6 = _tolerant_conconic(sextuples[0], eps)
-    inner6 = _tolerant_conconic(sextuples[1], eps)
-    tangent6 = dual_verdict(_tolerant_conconic(sextuples[2], eps))
+    outer6 = _six_point_verdict(*sextuples[0], eps)
+    inner6 = _six_point_verdict(*sextuples[1], eps)
+    tangent6 = dual_verdict(_six_point_verdict(*sextuples[2], eps))
     report = ConditionReport(
         outer6=outer6,
         inner6=inner6,

@@ -28,9 +28,12 @@ integer Bareiss pass over the six Veronese rows: its determinant is the
 residual, and when the rank is five its integral kernel is the witness,
 the one conic through all six points; ``conconic_by_fit``, float
 witnesses and ``conic_through_points`` solve the nullspace in ``_fit``.
-Every six-item test and the five-point fit take their inputs through one
-gate, ``_distinct``: the item count, then pairwise distinctness, and each
-input passes it once (fits of gated points call the ungated ``_fit``).
+Every six-item verdict is ``_six_point_verdict`` on the items and their
+``_dedupe``, the one coincidence rule.  The six-item tests and the
+five-point fit take their inputs through the gate ``_distinct`` (the item
+count, then no coincident pair), each input once (fits of gated points call
+the ungated ``_fit``); ``cevians.check_conditions`` skips the gate, as a
+repeated item makes the verdict hold identically.
 """
 
 from __future__ import annotations
@@ -478,23 +481,40 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
 # ----- six points on a conic --------------------------------------------
 
 
+def _dedupe(items: Sequence, eps: float) -> list:
+    """The items less any that coincide with an earlier one, in input order.
+
+    Exact items coincide exactly when their canonical ``coords`` are equal,
+    so one dict pass keyed by ``coords`` keeps each first occurrence; any
+    other list takes the pairwise tolerance test of ``coincident``.
+    """
+    if all(type(item.coords[0]) is int for item in items):
+        first = {}
+        for item in items:
+            first.setdefault(item.coords, item)
+        return list(first.values())
+    kept = []
+    for item in items:
+        if not any(coincident(item, seen, eps) for seen in kept):
+            kept.append(item)
+    return kept
+
+
 def _distinct(items: Sequence, n: int, what: str, eps: float, exc=DuplicatePoints) -> list:
-    """The ``n`` items as a list, after the one input gate of the six-item
-    tests: ``ValueError(what)`` on a wrong count, ``exc`` on the first pair
-    of coincident items.  Exact items coincide exactly when their canonical
-    ``coords`` are equal, so ``n`` distinct ``coords`` pass them at once;
-    a repeat, or any float item, takes the pairwise ``coincident`` scan,
-    which names the first coincident pair."""
+    """The ``n`` items as a list, after the input gate of the six-item tests
+    and the five-point fit: ``ValueError(what)`` on a wrong count, ``exc``
+    when two items coincide.  ``coincident`` is symmetric, so no pair
+    coincides exactly when ``_dedupe`` keeps all ``n``; only a failure runs
+    the pairwise scan, in lexicographic order, to name the first pair."""
     items = list(items)
     if len(items) != n:
         raise ValueError(what)
-    if all(type(item.coords[0]) is int for item in items) and len({item.coords for item in items}) == n:
+    if len(_dedupe(items, eps)) == n:
         return items
     for i in range(n):
         for j in range(i + 1, n):
             if coincident(items[i], items[j], eps):
                 raise exc(f"inputs {i} and {j} coincide: {items[i]}")
-    return items
 
 
 def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
@@ -503,8 +523,8 @@ def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
 
 
 def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
-    """The conic through five points that passed the ``_distinct`` gate, or
-    None when they admit a pencil of conics (four of them collinear).
+    """The conic through five pairwise-distinct points, or None when they
+    admit a pencil of conics (four of them collinear).
 
     Exact points have integer canonical coordinates, so the conic is the
     integral kernel of their five Veronese rows from one ``bareiss`` pass;
@@ -520,31 +540,52 @@ def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
     return None if kernel is None else Conic.from_coeffs(kernel)
 
 
-def _six_point_verdict(pts: Sequence[HPoint], eps: float, exact: bool) -> Verdict:
-    """Determinant verdict on six points, with its witness; ``exact`` says
-    whether all six are exact, as the caller has already read.
+def _small_witness(distinct: Sequence[HPoint], eps: float) -> Optional[Conic]:
+    """A degenerate conic through at most four distinct points."""
+    if len(distinct) < 2:
+        return None
+    if collinear(distinct, eps):
+        return Conic.from_double_line(join(distinct[0], distinct[1], eps))
+    if len(distinct) == 3:
+        return Conic.from_line_pair(
+            join(distinct[0], distinct[1], eps), join(distinct[0], distinct[2], eps)
+        )
+    return Conic.from_line_pair(
+        join(distinct[0], distinct[1], eps), join(distinct[2], distinct[3], eps)
+    )
 
-    Exact points take one ``bareiss`` pass over their Veronese rows: the
-    determinant is the residual, and the witness is the kernel when the
-    rows have rank five (the one conic through all six) and None at rank
-    four or less (the six points then lie on a pencil).  Float points,
-    which must be pairwise distinct, take ``veronese_residual``, and a
-    holding verdict fits its witness by ``_fit_five`` through the first
-    five points, or else through the first five-subset (leaving out point
-    0, 1, ...) that determines one.
+
+def _six_point_verdict(points: Sequence[HPoint], distinct: Sequence[HPoint], eps: float) -> Verdict:
+    """Determinant verdict on six points, with its witness; ``distinct`` is
+    ``_dedupe(points, eps)``, or ``points`` once they passed ``_distinct``.
+
+    Exact points with five or six distinct take one ``bareiss`` pass over
+    their Veronese rows: the determinant is the residual, and the witness is
+    the kernel at rank five and None below (a pencil).  Six distinct float
+    points take ``veronese_residual``; a holding verdict fits its witness by
+    ``_fit_five`` through the first five-subset (leaving out point 5, 0, 1,
+    ...) that determines one.  Any other repeat makes the determinant vanish
+    identically, so the verdict holds: the residual is the integer 0 on
+    exact points and ``veronese_residual``'s on float ones, and the witness
+    is ``_fit_five`` through five distinct points or a ``_small_witness``.
     """
-    if exact:
-        residual, kernel = bareiss([veronese(p.coords) for p in pts])
+    exact = all(p.exact for p in points)
+    if exact and len(distinct) >= 5:
+        residual, kernel = bareiss([veronese(p.coords) for p in points])
         holds = residual == 0
         witness = None if kernel is None else Conic.from_coeffs(kernel)
-    else:
-        residual, holds = veronese_residual([p.coords for p in pts], eps)
+    elif len(distinct) == 6:
+        residual, holds = veronese_residual([p.coords for p in points], eps)
         witness = None
         if holds:
             for hold_out in (5, 0, 1, 2, 3, 4):
-                witness = _fit_five([p for i, p in enumerate(pts) if i != hold_out], eps)
+                witness = _fit_five([p for i, p in enumerate(points) if i != hold_out], eps)
                 if witness is not None:
                     break
+    else:
+        residual = 0 if exact else veronese_residual([p.coords for p in points], eps)[0]
+        holds = True
+        witness = _fit_five(distinct, eps) if len(distinct) == 5 else _small_witness(distinct, eps)
     degenerate = holds and (witness is None or witness.is_degenerate(eps))
     return Verdict(residual=residual, holds=holds, witness_conic=witness, degenerate=degenerate)
 
@@ -565,7 +606,7 @@ def conconic(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Verdict:
     through the first five points whenever the verdict holds.
     """
     pts = _distinct(points, 6, "the conconicity test needs exactly six points", eps)
-    return _six_point_verdict(pts, eps, all(p.exact for p in pts))
+    return _six_point_verdict(pts, pts, eps)
 
 
 def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
@@ -577,7 +618,7 @@ def cotangent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> Verdict:
     """
     ls = _distinct(lines, 6, "the cotangency test needs exactly six lines", eps, exc=DuplicateLine)
     duals = [_dual_point(l) for l in ls]
-    return dual_verdict(_six_point_verdict(duals, eps, all(p.exact for p in duals)))
+    return dual_verdict(_six_point_verdict(duals, duals, eps))
 
 
 def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> Conic:

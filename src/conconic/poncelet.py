@@ -208,7 +208,8 @@ def poncelet_step(
             inside = (float(ax + bx) / 2.0, float(ay + by) / 2.0, 1.0)
         else:
             inside = (*map(float, center.to_xy()), 1.0)
-        here = (*map(float, current.to_xy()), 1.0)
+        here = (tuple(map(float, current.coords)) if current.at_infinity  # ``to_xy`` divides by z
+                else (*map(float, current.to_xy()), 1.0))
         picked = None
         for cand in tangents:
             touch = c2.pole(cand, eps)

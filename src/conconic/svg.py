@@ -19,7 +19,7 @@ from .errors import GeometryError
 from .linalg import row_norm
 from .poncelet import ChainResult, spread_on_conic
 from .projective import HLine, HPoint, join
-from .scalars import float_scaled
+from .scalars import DEFAULT_EPS, float_scaled
 
 CONIC_SAMPLES = 256
 MARGIN = 0.15
@@ -134,7 +134,7 @@ def _clip_line(frame: Frame, line: HLine) -> Optional[Tuple[Tuple[float, float],
     return uniq[0], uniq[-1]
 
 
-def conic_polyline_points(conic: Conic, eps: float = 1e-9) -> List[Tuple[float, float]]:
+def conic_polyline_points(conic: Conic, eps: float = DEFAULT_EPS) -> List[Tuple[float, float]]:
     """Sample points along a nondegenerate conic for drawing; none for a
     degenerate conic or one that cannot be sampled."""
     try:
@@ -231,13 +231,13 @@ def _configuration_body(
 def render_configuration(
     cfg: CevianConfig,
     witnesses: Sequence[Optional[Conic]] = (),
-    eps: float = 1e-9,
+    eps: float = DEFAULT_EPS,
 ) -> str:
     """SVG of a cevian configuration with optional witness conics."""
     return _document(*_configuration_body(cfg, witnesses, eps))
 
 
-def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = 1e-9) -> str:
+def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = DEFAULT_EPS) -> str:
     """SVG of two conics and a chain polygon between them."""
     pts = [xy for xy in (_affine(p) for p in chain.points) if xy is not None]
     samples = [conic_polyline_points(conic, eps) for conic in (c1, c2)]
@@ -255,7 +255,7 @@ def render_chain(c1: Conic, c2: Conic, chain: ChainResult, eps: float = 1e-9) ->
     return _document(frame, body)
 
 
-def render_morley(data, eps: float = 1e-9) -> str:
+def render_morley(data, eps: float = DEFAULT_EPS) -> str:
     """SVG of the trisector configuration with its two conics, and the
     equilateral triangle drawn on top."""
     cfg = data.config

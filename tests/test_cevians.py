@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import conconic.cevians as cevians
+import conconic.conics as conics
 import conconic.projective as projective
 from conconic import (
     CevianFeet,
@@ -267,14 +268,14 @@ def test_exact_duplicate_free_disagreement_raises(monkeypatch):
     tri, feet, _ = concurrency_solved_instance(__import__("random").Random(5))
     cfg = build_config(tri, feet)
 
-    real = cevians._tolerant_conconic
+    real = cevians._six_point_verdict
 
-    def lying(points, eps):
-        verdict = real(points, eps)
+    def lying(points, distinct, eps):
+        verdict = real(points, distinct, eps)
         return type(verdict)(residual=verdict.residual, holds=not verdict.holds,
                              witness_conic=None, degenerate=verdict.degenerate)
 
-    monkeypatch.setattr(cevians, "_tolerant_conconic", lying)
+    monkeypatch.setattr(cevians, "_six_point_verdict", lying)
     with pytest.raises(TheoremConsistencyError):
         cevians.check_conditions(cfg)
 
@@ -294,7 +295,7 @@ def test_exact_dedupe_keeps_first_occurrences_like_the_pairwise_scan():
     pool = [(1, 2, 1), (2, 4, 2), (-3, 0, 1), (0, 0, 1), (5, -1, 7), (-10, 2, -14), (1, 1, 0)]
     for _ in range(200):
         items = [HPoint(*rnd.choice(pool)) for _ in range(rnd.randint(1, 9))]
-        got = cevians._dedupe(items, 1e-9)
+        got = conics._dedupe(items, 1e-9)
         want = _pairwise_dedupe(items)
         assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
@@ -304,7 +305,7 @@ def test_dedupe_of_mixed_exact_and_float_items_takes_the_tolerance_route():
     near = HPoint(1.0, 2.0 + 1e-12, 1.0)
     items = [HPoint(1, 2, 1), HPoint(3, 1, 1), near, HPoint(3.0, 1.0, 1.0)]
     assert near.coords != HPoint(1, 2, 1).coords
-    got = cevians._dedupe(items, 1e-9)
+    got = conics._dedupe(items, 1e-9)
     assert got == _pairwise_dedupe(items) == items[:2]
 
 
@@ -315,9 +316,9 @@ def test_three_distinct_points_among_six_get_the_line_pair_through_the_first(exa
     if not exact:
         p, q, r = (float_copy(x) for x in (p, q, r))
     points = (p, q, r, q, p, r)
-    distinct = cevians._dedupe(points, 1e-9)
+    distinct = conics._dedupe(points, 1e-9)
     assert distinct == [p, q, r]
-    verdict = cevians._tolerant_conconic((points, distinct), 1e-9)
+    verdict = conics._six_point_verdict(points, distinct, 1e-9)
     assert verdict.holds and verdict.degenerate
     assert verdict.witness_conic == Conic.from_line_pair(projective.join(p, q), projective.join(p, r))
     assert verdict.witness_conic.classify() == "line_pair"

@@ -340,6 +340,15 @@ def test_poncelet_open_chain_exits_two(capsys):
     assert "did not close" in capsys.readouterr().out
 
 
+def test_poncelet_chain_from_a_point_at_infinity_runs(capsys):
+    code = main(
+        ["poncelet", "--outer", "1,0,-1,0,0,-1", "--inner", "1,0,1,0,0,-0.25", "--start", "1,1,0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "did not close" in captured.out and captured.err == ""
+
+
 def test_poncelet_requires_start_or_expected_n(capsys):
     code = main(["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1"])
     assert code == 1

@@ -120,6 +120,17 @@ def test_exact_duplicates_name_the_first_coincident_pair():
     assert conics._distinct(c, 6, "six", 1e-9) == list(c)
 
 
+def test_the_gate_names_the_first_coincident_pair_when_coincidence_is_not_transitive():
+    # a ~ b and b ~ c within the tolerance, but a and c are apart: the
+    # pairwise scan in lexicographic order meets (0, 2) first
+    a, b, c = HPoint(0.0, 0.0, 1.0), HPoint(6e-10, 0.0, 1.0), HPoint(1.2e-9, 0.0, 1.0)
+    assert projective.coincident(a, b) and projective.coincident(b, c)
+    assert not projective.coincident(a, c)
+    far = [HPoint(5.0, 1.0, 1.0), HPoint(-3.0, 4.0, 1.0), HPoint(2.0, -6.0, 1.0)]
+    with pytest.raises(DuplicatePoints, match=r"^inputs 0 and 2 coincide: HPoint\(0\.0 : 0\.0 : 1\.0\)$"):
+        conconic([a, c, b] + far)
+
+
 def test_mixed_exact_and_float_items_take_the_tolerance_gate():
     # a float copy within tolerance of an exact point is a duplicate,
     # though its coordinates differ from the exact ones

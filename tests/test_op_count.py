@@ -37,6 +37,16 @@ def test_exact_sweep_decides_identity_on_integer_triples():
     assert calls["conconic.projective._frame_matrix"] == calls["conconic.cevians.to_chart"] == 5
 
 
+def test_every_six_item_condition_takes_the_one_verdict():
+    # ops 0-4 of exact_sweep, one per generator family: outer6, inner6 and
+    # tangent6 of every check_conditions reach conics._six_point_verdict,
+    # the collapsed inner points of the through-point family included
+    _, calls, failed = _load_op_count().count("exact_sweep", 7, 5)
+    assert failed == 0
+    assert calls["conconic.cevians.check_conditions"] == 6
+    assert calls["conconic.conics._six_point_verdict"] == 3 * calls["conconic.cevians.check_conditions"]
+
+
 def test_float_chain_steps_make_no_helper_calls():
     # ops 0-3 of float_chains: three trisector porism checks (25 chains of
     # 3 steps each) and one concentric op (20 chains of 3 steps and one of

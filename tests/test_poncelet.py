@@ -162,6 +162,20 @@ def test_trace_chain_triangle_closure():
     assert len(result.links) == 3
 
 
+def test_a_chain_starts_at_a_point_at_infinity_of_an_outer_hyperbola():
+    # (1 : 1 : 0) lies on x^2 - y^2 = z^2; the first step orients by its
+    # homogeneous triple, as it has no affine coordinates
+    outer = Conic.from_coeffs((1, 0, -1, 0, 0, -1))
+    inner = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -0.25))
+    start = HPoint(1, 1, 0)
+    chain = trace_chain(outer, inner, start, max_steps=10)
+    assert chain.points[0] is start and len(chain.links) == 10
+    assert all(outer.contains(p) for p in chain.points)
+    assert all(inner.is_tangent(link) for link in chain.links)
+    for p, q, link in zip(chain.points, chain.points[1:], chain.links):
+        assert projective.incident(p, link) and projective.incident(q, link)
+
+
 def test_trace_chain_annotates_step_errors():
     with pytest.raises(BaseNotOnConic) as exc:
         trace_chain(OUTER_R2, INNER_R1, HPoint(1.9, 0.0, 1.0))
