@@ -23,11 +23,14 @@ Two independent routes to "six points lie on one conic" are provided:
 ``conconic`` (rank of the stacked Veronese images, i.e. a 6x6 determinant)
 and ``conconic_by_fit`` (fit a conic through five of the points, test the
 sixth).  They are deliberately separate implementations so each can serve
-as an oracle for the other.  On exact points ``conconic`` makes one
-integer Bareiss pass over the six Veronese rows: its determinant is the
-residual, and when the rank is five its integral kernel is the witness,
-the one conic through all six points; ``conconic_by_fit``, float
-witnesses and ``conic_through_points`` solve the nullspace in ``_fit``.
+as an oracle for the other.  On exact points ``conconic`` takes the 6x6
+determinant in brackets ``[ijk] = det(pi, pj, pk)``, ``[124][135][236][456]
+- [123][145][246][356]`` (Pascal's theorem in bracket form), which is the
+bracket conic ``[124][135][23x][45x] - [123][145][24x][35x]`` through the
+first five points evaluated at the sixth: the residual is an integer, and
+when it is zero that conic, or the first nonzero one through another
+five-subset, is the witness; ``conconic_by_fit``, float witnesses and
+``conic_through_points`` solve the nullspace in ``_fit``.
 Every six-item verdict is ``_six_point_verdict`` on the items and their
 ``_dedupe``, the one coincidence rule.  The six-item tests and the
 five-point fit take their inputs through the gate ``_distinct`` (the item
@@ -54,7 +57,7 @@ from .errors import (
 )
 from .linalg import (
     adjugate3,
-    bareiss,
+    cross,
     det3,
     dot,
     matmul3,
@@ -522,22 +525,55 @@ def veronese_residual(coord_rows: Sequence[Sequence[Scalar]], eps: float):
     return r, is_zero(r, eps, lambda: 1.0)
 
 
+def _bracket_parts(p1, p2, p3, p4, p5):
+    """The brackets ``[ijk] = det(pi, pj, pk)`` of ``det V(p1, ..., p5, x)``.
+
+    Returns ``(a, l23, l45, b, l24, l35)``: the lines ``lij = pi x pj``, so
+    that ``[ijx] = lij . x``, and the products ``a = [124][135]`` and
+    ``b = [123][145]`` of their values at ``p1``.  Each bracket is computed
+    once, as a line through two of ``p2, ..., p5`` dotted with a point.
+    """
+    l23, l45, l24, l35 = cross(p2, p3), cross(p4, p5), cross(p2, p4), cross(p3, p5)
+    return dot(l24, p1) * dot(l35, p1), l23, l45, dot(l23, p1) * dot(l45, p1), l24, l35
+
+
+def _bracket_conic(a, l23, l45, b, l24, l35) -> Optional[Conic]:
+    """The bracket conic ``a [23x][45x] - b [24x][35x]`` of ``_bracket_parts``,
+    or None when all six of its coefficients vanish."""
+    u0, u1, u2 = l23
+    v0, v1, v2 = l45
+    s0, s1, s2 = l24
+    t0, t1, t2 = l35
+    coeffs = (
+        a * (u0 * v0) - b * (s0 * t0),
+        a * (u0 * v1 + u1 * v0) - b * (s0 * t1 + s1 * t0),
+        a * (u1 * v1) - b * (s1 * t1),
+        a * (u0 * v2 + u2 * v0) - b * (s0 * t2 + s2 * t0),
+        a * (u1 * v2 + u2 * v1) - b * (s1 * t2 + s2 * t1),
+        a * (u2 * v2) - b * (s2 * t2),
+    )
+    return Conic.from_coeffs(coeffs) if any(coeffs) else None
+
+
 def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
     """The conic through five pairwise-distinct points, or None when they
-    admit a pencil of conics (four of them collinear).
+    admit a pencil of conics (four of them collinear; on exact points also
+    a repeated point, which the six-point hold-out loop can pass).
 
-    Exact points have integer canonical coordinates, so the conic is the
-    integral kernel of their five Veronese rows from one ``bareiss`` pass;
-    there is none when the rows have rank below five.  Float points go
-    through the nullspace ``_fit``.
+    Exact points have integer canonical coordinates, and their conic is the
+    bracket conic ``det V(p1, ..., p5, x) = [124][135][23x][45x] -
+    [123][145][24x][35x]``: the member through ``p1`` of the pencil through
+    ``p2, ..., p5`` spanned by the line pairs ``(p2p3)(p4p5)`` and
+    ``(p2p4)(p3p5)``.  It is the determinant of the five Veronese rows and
+    the row of ``x``, so it vanishes identically exactly when the rows have
+    rank below five.  Float points go through the nullspace ``_fit``.
     """
     if not all(p.exact for p in pts):
         try:
             return _fit(pts, eps)
         except NonUniqueConic:
             return None
-    _, kernel = bareiss([veronese(p.coords) for p in pts])
-    return None if kernel is None else Conic.from_coeffs(kernel)
+    return _bracket_conic(*_bracket_parts(*[p.coords for p in pts]))
 
 
 def _small_witness(distinct: Sequence[HPoint], eps: float) -> Optional[Conic]:
@@ -559,29 +595,35 @@ def _six_point_verdict(points: Sequence[HPoint], distinct: Sequence[HPoint], eps
     """Determinant verdict on six points, with its witness; ``distinct`` is
     ``_dedupe(points, eps)``, or ``points`` once they passed ``_distinct``.
 
-    Exact points with five or six distinct take one ``bareiss`` pass over
-    their Veronese rows: the determinant is the residual, and the witness is
-    the kernel at rank five and None below (a pencil).  Six distinct float
-    points take ``veronese_residual``; a holding verdict fits its witness by
-    ``_fit_five`` through the first five-subset (leaving out point 5, 0, 1,
-    ...) that determines one.  Any other repeat makes the determinant vanish
-    identically, so the verdict holds: the residual is the integer 0 on
-    exact points and ``veronese_residual``'s on float ones, and the witness
-    is ``_fit_five`` through five distinct points or a ``_small_witness``.
+    Exact points with five or six distinct take the bracket form of the
+    Veronese determinant, ``det V = [124][135][236][456] -
+    [123][145][246][356]`` (Pascal's theorem in brackets): it is the bracket
+    conic through the first five points at the sixth, so one set of eight
+    brackets gives the residual and the first witness.  Six distinct float
+    points take ``veronese_residual`` and fit their first witness by
+    ``_fit_five``.  A holding verdict whose first five points determine no
+    conic takes the first five-subset that does, leaving out point 0, 1,
+    ..., 4 in turn, and None when none does (a pencil).  Any other repeat
+    makes the determinant vanish identically, so the verdict holds: the
+    residual is the integer 0 on exact points and ``veronese_residual``'s on
+    float ones, and the witness is ``_fit_five`` through five distinct
+    points or a ``_small_witness``.
     """
     exact = all(p.exact for p in points)
-    if exact and len(distinct) >= 5:
-        residual, kernel = bareiss([veronese(p.coords) for p in points])
-        holds = residual == 0
-        witness = None if kernel is None else Conic.from_coeffs(kernel)
-    elif len(distinct) == 6:
-        residual, holds = veronese_residual([p.coords for p in points], eps)
-        witness = None
-        if holds:
-            for hold_out in (5, 0, 1, 2, 3, 4):
-                witness = _fit_five([p for i, p in enumerate(points) if i != hold_out], eps)
-                if witness is not None:
-                    break
+    if len(distinct) == 6 or exact and len(distinct) == 5:
+        if exact:
+            coords = [p.coords for p in points]
+            parts = a, l23, l45, b, l24, l35 = _bracket_parts(*coords[:5])
+            p6 = coords[5]
+            residual = a * dot(l23, p6) * dot(l45, p6) - b * dot(l24, p6) * dot(l35, p6)
+            holds = residual == 0
+            witness = _bracket_conic(*parts) if holds else None
+        else:
+            residual, holds = veronese_residual([p.coords for p in points], eps)
+            witness = _fit_five(points[:5], eps) if holds else None
+        if holds and witness is None:
+            fits = (_fit_five([p for i, p in enumerate(points) if i != hold_out], eps) for hold_out in range(5))
+            witness = next(filter(None, fits), None)
     else:
         residual = 0 if exact else veronese_residual([p.coords for p in points], eps)[0]
         holds = True

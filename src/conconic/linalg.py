@@ -4,10 +4,11 @@ Everything here works on plain tuples/lists so both backends share one code
 path.  Determinants take two routes: integer matrices go through
 fraction-free Bareiss elimination, any other matrix through partially
 pivoted LU in floats (exact coordinates are canonical ints, so no library
-caller has a ``Fraction`` determinant to take).  The one integer
-pass, ``bareiss``, also returns the integral null vector of a matrix whose
-rank is one below its column count, so a six-point verdict reads its
-determinant and its witness conic from a single elimination.
+caller has a ``Fraction`` determinant to take).  The integer pass,
+``bareiss``, also returns the integral null vector of a matrix whose rank
+is one below its column count.  No verdict of the package runs it: exact
+six-point verdicts take their 6x6 determinant and witness from 3x3
+brackets (``conics._bracket_parts``).
 
 The triple helpers (``dot``, ``cross``, ``det3``, ``matvec3``,
 ``transpose3``, ``adjugate3`` and the triple case of ``row_norm``) are

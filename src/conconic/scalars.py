@@ -14,6 +14,7 @@ computed on the float path.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -93,24 +94,65 @@ def brief_repr(value) -> str:
 
 def parse_scalar(text: Union[str, int], exact: bool) -> Scalar:
     """Parse "p/q", integer, or decimal notation (or an ``int``) into the
-    requested backend.  Raises ``ValueError`` naming ``text`` when it is not
-    a number, when it is one but has a run of more digits than the
-    interpreter converts to an ``int`` (``sys.get_int_max_str_digits``),
-    or when the float backend cannot hold it."""
+    requested backend.  An integer or "p/q" with runs of more digits than
+    the interpreter converts to an ``int`` (``sys.get_int_max_str_digits``),
+    as ``format_scalar`` writes them, is read by ``_int_from_digits``.
+    Raises ``ValueError`` naming ``text`` when it is not a number, when it
+    is a decimal or exponent form past that limit, or when the float
+    backend cannot hold it."""
     try:
         value = Fraction(text.strip() if isinstance(text, str) else text)
     except (ValueError, ZeroDivisionError) as err:
         # the interpreter's digit limit, worded as in its documentation
-        if "for integer string conversion" in str(err):
+        if "for integer string conversion" not in str(err):
+            raise ValueError(f"cannot parse {brief_repr(text)} as a number") from None
+        match = _LONG_RATIONAL.fullmatch(text.strip())
+        if match is None:
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"{brief_repr(text)} has more digits than the interpreter converts ({limit:,})") from None
-        raise ValueError(f"cannot parse {brief_repr(text)} as a number") from None
+        sign, num, den = match.groups()
+        try:
+            value = Fraction(_int_from_digits(num), _int_from_digits(den or "1"))
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse {brief_repr(text)} as a number") from None
+        if sign == "-":
+            value = -value
     if exact:
         return value
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{brief_repr(text)} is too large for a float") from None
+
+
+# an integer or "p/q" as format_scalar writes it
+_LONG_RATIONAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_from_digits(digits: str) -> int:
+    """``int(digits)`` of a run of decimal digits of any length: past the
+    interpreter's digit limit, the high and low halves are read apart and
+    joined by a power of 10 (divide and conquer, Knuth TAOCP 2, 4.4)."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _int_from_digits(digits[:-half]) * 10**half + _int_from_digits(digits[-half:])
+
+
+def _int_to_digits(n: int) -> str:
+    """``str(n)`` of an ``int`` of any size: past the interpreter's digit
+    limit, the quotient and remainder by a power of 10 of about half its
+    digits are written apart, the low half padded with zeros to that power
+    (divide and conquer, Knuth TAOCP 2, 4.4).  Never lifts the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_to_digits(-n)
+        half = int(n.bit_length() * math.log10(2)) // 2
+        high, low = divmod(n, 10**half)
+        return _int_to_digits(high) + _int_to_digits(low).rjust(half, "0")
 
 
 # an exact canonical tuple past this many bits is scaled before it meets a
@@ -139,8 +181,8 @@ def format_scalar(x: Scalar) -> str:
         return repr(x)
     f = Fraction(x)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _int_to_digits(f.numerator)
+    return f"{_int_to_digits(f.numerator)}/{_int_to_digits(f.denominator)}"
 
 
 def canonical_triple(x: Scalar, y: Scalar, z: Scalar) -> tuple:

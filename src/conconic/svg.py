@@ -34,10 +34,24 @@ _CHAIN_COLOR = "#c0392b"
 
 
 def _affine(p: HPoint) -> Optional[Tuple[float, float]]:
-    x, y, z = (float(v) for v in float_scaled(p.coords))
-    if z == 0.0 or abs(z) < 1e-14 * max(abs(x), abs(y)):
-        return None
-    return (x / z, y / z)
+    """Affine float coordinates of a point, or None for a point that is not
+    drawn: an exact point at infinity (z == 0), a float point whose z is
+    below 1e-14 of its largest coordinate, or any point whose coordinates
+    are not finite floats.  Exact coordinates are divided as integers, which
+    rounds each quotient once, whatever the size of the integers."""
+    x, y, z = p.coords
+    if type(z) is int:
+        if z == 0:
+            return None
+        try:
+            xy = (x / z, y / z)
+        except OverflowError:
+            return None
+    else:
+        if z == 0.0 or abs(z) < 1e-14 * max(abs(x), abs(y)):
+            return None
+        xy = (x / z, y / z)
+    return xy if math.isfinite(xy[0]) and math.isfinite(xy[1]) else None
 
 
 class Frame:

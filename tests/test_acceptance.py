@@ -206,8 +206,8 @@ def test_criterion_8_two_conconicity_routes_agree():
         verdict = conconic(pts)
         assert verdict.holds == conconic_by_fit(pts)
         if k % 4 == 0:
-            # the determinant route's witness (the integer kernel of its
-            # Bareiss pass) is the nullspace fit through the same five points
+            # the determinant route's witness (the bracket conic through
+            # five of the points) is the nullspace fit through the same five
             assert verdict.witness_conic == conic_through_points(pts[:5])
         agreements += 1
     elapsed = time.perf_counter() - t0

@@ -410,13 +410,13 @@ def test_an_unknown_side_name_is_named_as_such():
 
 def test_solve_sixth_foot_takes_repeated_feet_to_side_on_conic_by_one_rule(monkeypatch):
     # exact and float feet with a repeat stop at the solver's own gate,
-    # before either backend's elimination
+    # before either backend's fit: the brackets or the elimination
     import conconic.conics as conics
 
     def refuse(*args, **kwargs):
         raise AssertionError("repeated feet reached the fit")
 
-    monkeypatch.setattr(conics, "bareiss", refuse)
+    monkeypatch.setattr(conics, "_bracket_parts", refuse)
     monkeypatch.setattr(conics, "nullspace", refuse)
     feet = [foot_point(RIGHT_345, side, Fraction(k, 5)) for side, k in (("BC", 1), ("CA", 2), ("AB", 3), ("BC", 4))]
     five = tuple(feet) + (feet[1],)

@@ -463,3 +463,40 @@ def test_verify_svg_of_exact_scenes_past_float_range(tmp_path, capsys, digits, f
     assert capsys.readouterr().err == ""
     text = svg.read_text()
     assert text.startswith("<?xml") and text.endswith("</svg>\n")
+
+
+def long_residual_feet(n1, n2):
+    return {"params": [f"1/{n1}", "1/3", f"{n1}/{3 * max(n1, n2)}", "2/5", "1/2", f"1/{n2}"]}
+
+
+def test_verify_writes_a_residual_past_the_digit_limit(tmp_path, capsys):
+    # at 216 digits the tangent6 residual has about 4,318 digits, more than
+    # str() converts: text and JSON reports write it, and the JSON report
+    # reads back to the same report
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(large_triangle_scene(216, long_residual_feet)))
+    assert main(["verify", str(path)]) in (0, 2)
+    text = capsys.readouterr()
+    assert text.err == ""
+    assert main(["verify", str(path), "--json"]) in (0, 2)
+    out = capsys.readouterr()
+    assert out.err == ""
+    data = json.loads(out.out)
+    assert max(len(v["residual"]) for v in data["verdicts"].values()) > 4300
+    assert scene.report_to_dict(report_from_dict(data)) == data
+    tangent = data["verdicts"]["tangent6"]["residual"]
+    assert f"tangent6    fails  residual {tangent}\n" in text.out
+
+
+def test_svg_of_a_40_digit_scene_draws_its_triangle(tmp_path, capsys):
+    # exact points past 1e14 from the origin are finite points, not points
+    # at infinity: the three vertices are drawn in a frame of nonzero size
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(large_triangle_scene(40, isogonal_feet)))
+    svg = tmp_path / "out.svg"
+    assert main(["verify", str(path), "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    text = svg.read_text()
+    _, _, width, height = (float(v) for v in text.split('viewBox="')[1].split('"')[0].split())
+    assert width > 1e39 and height > 1e39
+    assert text.count("<polygon") == 1 and text.count("<circle") >= 3

@@ -444,34 +444,9 @@ def test_minor_fit_stays_in_integer_determinants(monkeypatch):
     assert conconic(CIRCLE_SEXTUPLE).witness_conic == UNIT_CIRCLE
 
 
-def test_one_integer_elimination_per_exact_six_point_verdict(monkeypatch):
-    # every integer elimination, by the shape of its matrix; the exact rank
-    # tests of the witnesses take det3 and eliminate nothing
-    shapes = []
-    original = linalg.bareiss
-
-    def counting(rows):
-        shapes.append((len(rows), len(rows[0])))
-        return original(rows)
-
-    monkeypatch.setattr(linalg, "bareiss", counting)
-    monkeypatch.setattr(conics, "bareiss", counting)
-    verdict = conconic(CIRCLE_SEXTUPLE)
-    assert verdict.holds and verdict.witness_conic == UNIT_CIRCLE
-    assert shapes == [(6, 6)]
-
-    cfg = build_config(*concurrency_solved_instance(random.Random(1))[:2])
-    shapes.clear()
-    report = check_conditions(cfg)
-    six_point = (report.outer6, report.inner6, report.tangent6)
-    assert all(v.holds and v.witness_conic is not None for v in six_point)
-    assert shapes == [(6, 6)] * 3
-
-
-def test_exact_conditions_take_no_generic_determinant(monkeypatch):
-    # exact check_conditions on a solved instance and on one whose inner
-    # points collapse onto two: no linalg.det call, and integer
-    # eliminations only on the six Veronese rows of a six-point verdict
+def _counting_determinants(monkeypatch):
+    """Record every ``linalg.det`` call (its row count) and every integer
+    elimination (its matrix shape), under each name the package binds."""
     det_calls, shapes = [], []
     original_det, original_bareiss = linalg.det, linalg.bareiss
 
@@ -488,18 +463,100 @@ def test_exact_conditions_take_no_generic_determinant(monkeypatch):
                                          ("bareiss", original_bareiss, counting_bareiss)):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
+    return det_calls, shapes
+
+
+def test_exact_six_point_verdicts_take_brackets_and_no_elimination(monkeypatch):
+    # the residual and the witness of an exact verdict come from 3x3
+    # brackets: no integer elimination and no generic determinant
+    det_calls, shapes = _counting_determinants(monkeypatch)
+    verdict = conconic(CIRCLE_SEXTUPLE)
+    assert verdict.holds and verdict.witness_conic == UNIT_CIRCLE
+    assert shapes == [] and det_calls == []
+
+    cfg = build_config(*concurrency_solved_instance(random.Random(1))[:2])
+    report = check_conditions(cfg)
+    six_point = (report.outer6, report.inner6, report.tangent6)
+    assert all(v.holds and v.witness_conic is not None for v in six_point)
+    assert shapes == [] and det_calls == []
+
+
+def test_exact_conditions_take_no_generic_determinant(monkeypatch):
+    # exact check_conditions on a solved instance and on one whose inner
+    # points collapse onto two: no linalg.det call and no integer elimination
+    det_calls, shapes = _counting_determinants(monkeypatch)
     rnd = random.Random(7)
     solved = concurrency_solved_instance(rnd)[:2]
     tri, feet, p1, p2 = through_point_instance(rnd)
     for instance in (solved, (tri, feet)):
-        det_calls.clear()
-        shapes.clear()
         report = check_conditions(build_config(*instance))
         assert report.all_hold
-        assert det_calls == []
-        assert shapes and all(rows == 6 for rows, _ in shapes)
+        assert det_calls == [] and shapes == []
     assert len({p.coords for p in build_config(tri, feet).inner_points}) == 2
     assert report.inner6.residual == 0 and type(report.inner6.residual) is int
+
+
+def test_the_veronese_determinant_is_eight_brackets():
+    # det V = [124][135][236][456] - [123][145][246][356] as polynomials in
+    # the 18 coordinates, [ijk] = det(pi, pj, pk), expanded over ZZ[x1..z6]
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.ZZ[sympy.symbols(" ".join(f"x{i} y{i} z{i}" for i in range(1, 7)))]
+    gens = ring.gens
+    pts = [gens[3 * i:3 * i + 3] for i in range(6)]
+
+    def bracket(i, j, k):
+        return DomainMatrix([list(pts[i - 1]), list(pts[j - 1]), list(pts[k - 1])], (3, 3), ring).det()
+
+    det_v = DomainMatrix([list(veronese(p)) for p in pts], (6, 6), ring).det()
+    brackets = (bracket(1, 2, 4) * bracket(1, 3, 5) * bracket(2, 3, 6) * bracket(4, 5, 6)
+                - bracket(1, 2, 3) * bracket(1, 4, 5) * bracket(2, 4, 6) * bracket(3, 5, 6))
+    assert det_v != 0 and det_v == brackets
+
+
+def _bareiss_verdict(pts):
+    """The determinant and the conic of the integral kernel (or None) of one
+    ``linalg.bareiss`` pass over the Veronese rows of ``pts``."""
+    d, kernel = linalg.bareiss([veronese(p.coords) for p in pts])
+    return d, None if kernel is None else Conic.from_coeffs(kernel)
+
+
+def test_bracket_verdicts_match_bareiss_on_small_sextuples():
+    # seeded sextuples with coordinates in -2..2, some points drawn on one
+    # line, one pair sometimes repeated, shuffled: the exact verdict's
+    # residual is Bareiss's determinant and its witness Bareiss's kernel
+    # (both None below rank five), and the five-point bracket conic of the
+    # first five is their kernel; every rank from 3 to 6 occurs, with six
+    # distinct points and with one repeat, and so do witnesses that the
+    # first five points do not determine
+    rnd = random.Random(28)
+    pool = [c for c in itertools.product(range(-2, 3), repeat=3) if any(c)]
+    lines = [l for l in itertools.product(range(-1, 2), repeat=3) if any(l)]
+    seen = set()
+    for _ in range(800):
+        line = rnd.choice(lines)
+        on_line = [c for c in pool if sum(a * b for a, b in zip(c, line)) == 0]
+        coords = rnd.sample(on_line, rnd.choice((0, 3, 4, 5, 6))) + rnd.sample(pool, 6)
+        coords = coords[:6]
+        if rnd.random() < 0.2:
+            i, j = rnd.sample(range(6), 2)
+            coords[i] = coords[j]
+        rnd.shuffle(coords)
+        pts = [HPoint(*c) for c in coords]
+        distinct = conics._dedupe(pts, 1e-9)
+        if len(distinct) < 5:
+            continue
+        verdict = conics._six_point_verdict(pts, distinct, 1e-9)
+        d, kernel = _bareiss_verdict(pts)
+        assert type(verdict.residual) is int and verdict.residual == d
+        assert verdict.holds == (d == 0) and verdict.witness_conic == kernel
+        first_five = _bareiss_verdict(pts[:5])[1]
+        assert conics._fit_five(pts[:5], 1e-9) == first_five
+        rank = 6 - len(linalg.nullspace([veronese(p.coords) for p in pts], 6))
+        seen.add((rank, len(distinct)))
+        seen.add(kernel is not None and first_five is None)
+    assert seen >= {(rank, n) for rank in (3, 4, 5) for n in (5, 6)} | {(6, 6), True}
 
 
 def test_the_fit_route_gates_its_points_once(monkeypatch):

@@ -47,6 +47,18 @@ def test_every_six_item_condition_takes_the_one_verdict():
     assert calls["conconic.conics._six_point_verdict"] == 3 * calls["conconic.cevians.check_conditions"]
 
 
+def test_exact_six_point_verdicts_make_no_integer_elimination():
+    # ops 0-4 of exact_sweep (18 verdicts) and ops 0-7 of sextuple_oracles
+    # (8 verdicts): every exact residual and witness comes from brackets,
+    # so linalg.bareiss, linalg.det's integer backend, is never called
+    for workload, n_ops in (("exact_sweep", 5), ("sextuple_oracles", 8)):
+        _, calls, failed = _load_op_count().count(workload, 7, n_ops)
+        assert failed == 0
+        assert calls["conconic.conics._six_point_verdict"] > 0
+        assert calls["conconic.conics._bracket_parts"] > 0
+        assert calls["conconic.linalg.bareiss"] == 0
+
+
 def test_float_chain_steps_make_no_helper_calls():
     # ops 0-3 of float_chains: three trisector porism checks (25 chains of
     # 3 steps each) and one concentric op (20 chains of 3 steps and one of

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,13 +88,45 @@ def test_parse_and_format_round_trip():
     assert parse_scalar("1/3", exact=False) == pytest.approx(1 / 3)
 
 
-@pytest.mark.parametrize("text", ["1" + "0" * 5000, "1" + "0" * 4300 + "/3", "-2." + "5" * 4301, "7e" + "0" * 4400])
+@pytest.mark.parametrize("text", ["-2." + "5" * 4301, "7e" + "0" * 4400])
 def test_a_number_past_the_digit_limit_names_the_limit(text):
-    # the same value as "1e5000" parses; only the run of digits is too long
+    # a decimal or exponent form past the limit is refused; the same value
+    # as "1e5000" parses, and so does an integer or "p/q" of any length
     assert parse_scalar("1e5000", exact=True) == 10**5000
     for exact in (True, False):
         with pytest.raises(ValueError, match=r"characters\) has more digits than the interpreter converts \(4,300\)$"):
             parse_scalar(text, exact)
+
+
+@pytest.mark.parametrize("value", [
+    10**5000, -(10**5000) + 7, Fraction(10**4300, 3), Fraction(-3 * 10**6000 + 1, 7**7000), Fraction(5, 10**9000),
+], ids=["int", "negative-int", "numerator", "both", "denominator"])
+def test_an_integer_or_fraction_past_the_digit_limit_round_trips(value):
+    # format_scalar writes the digits str() would write without the limit,
+    # parse_scalar reads them back, and neither lifts the limit
+    limit = sys.get_int_max_str_digits()
+    text = format_scalar(value)
+    assert sys.get_int_max_str_digits() == limit
+    assert parse_scalar(text, exact=True) == value
+    assert parse_scalar(f"  {text} ", exact=True) == value
+    try:
+        sys.set_int_max_str_digits(0)
+        assert text == str(Fraction(value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_long_integer_is_too_large_for_a_float_and_a_long_zero_denominator_is_not_a_number():
+    with pytest.raises(ValueError, match=r"\(5001 characters\) is too large for a float$"):
+        parse_scalar("1" + "0" * 5000, exact=False)
+    with pytest.raises(ValueError, match="^cannot parse .* as a number$"):
+        parse_scalar("1/" + "0" * 5000, exact=True)
+
+
+def test_values_under_the_digit_limit_keep_their_bytes():
+    for value in (0, -1, 10**4300 - 1, -(10**4300) + 1, Fraction(10**4299, 10**4300 - 1)):
+        assert format_scalar(value) == str(Fraction(value))
 
 
 def test_a_digit_run_at_the_limit_parses_and_a_long_non_number_is_not_a_number():

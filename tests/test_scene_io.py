@@ -136,17 +136,33 @@ def test_scene_validation_errors():
 
 
 def test_a_coordinate_past_the_digit_limit_names_its_field_and_the_limit(tmp_path):
+    # a decimal form past the limit is refused; an integer one is read
+    # (the next test)
     from conconic import cli
 
-    data = {"triangle": [["0", "0"], ["1" + "0" * 5000, "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}}
+    data = {"triangle": [["0", "0"], ["1." + "0" * 5000, "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}}
     for mode in ("rational", "float"):
         with pytest.raises(SceneError) as exc:
             scene_from_dict(dict(data, mode=mode))
-        assert str(exc.value) == ("vertex 1: '1000000000000000000...00000' (5001 characters) "
+        assert str(exc.value) == ("vertex 1: '1.00000000000000000...00000' (5002 characters) "
                                   "has more digits than the interpreter converts (4,300)")
     path = tmp_path / "long.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(["verify", str(path)]) == 1
+
+
+def test_an_integer_coordinate_past_the_digit_limit_is_read_exactly(tmp_path, capsys):
+    from conconic import cli
+
+    data = {"triangle": [["0", "0"], ["1" + "0" * 5000, "0"], ["0", "3"]], "feet": {"params": ["1/2"] * 6}}
+    assert scene_from_dict(data).triangle[1][0] == 10**5000
+    with pytest.raises(SceneError) as exc:
+        scene_from_dict(dict(data, mode="float"))
+    assert str(exc.value) == "vertex 1: '1000000000000000000...00000' (5001 characters) is too large for a float"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) in (0, 2)
+    assert capsys.readouterr().err == ""
 
 
 def test_rational_mode_keeps_out_of_float_range_values_exact():
