@@ -29,6 +29,7 @@ one-parameter comparison p = q.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -48,7 +49,7 @@ from .errors import (
     SideOnConic,
     TheoremConsistencyError,
 )
-from .linalg import cross, row_norm
+from .linalg import cross, dot, row_norm
 from .projective import (
     HLine,
     HPoint,
@@ -502,7 +503,7 @@ class ProofChart(Record):
         return is_zero(p - q, self.eps, lambda: max(abs(p), abs(q)))
 
 
-# the frame matrix of the points where to_chart sends B, C, C1 and B2
+# the frame matrix of the points where the float chart sends B, C, C1 and B2
 _CHART_FRAME = _frame_matrix(((0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1)), DEFAULT_EPS, "target")
 
 
@@ -510,10 +511,55 @@ def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
     """Normalized-chart coordinates (b1, c2, p, q) of a configuration.
 
     The chart map sends (B, C, C1, B2) to the fixed frame ((0 : 1 : 0),
-    (1 : 0 : 0), (0 : 1 : 1), (1 : 0 : 1)), whose frame matrix is built once
-    at import; each call builds the source frame's and composes the two, as
-    ``map_from_correspondence`` does.
+    (1 : 0 : 0), (0 : 1 : 1), (1 : 0 : 1)), so the line BC goes to
+    infinity, BC1 (the side AB) to x = 0 and CB2 (the side CA) to y = 0.
+    A float configuration takes ``_map_chart``, which builds that map.  On
+    an exact one each chart value is a cross-ratio in the pencil of lines
+    at B or at C, a quotient of integer 3x3 brackets [XYZ] = (X x Y) . Z:
+
+        x(X) = [B C1 X] [B C B2] / ([B C1 B2] [B C X]),
+        y(X) = [C B2 X] [B C C1] / ([C B2 C1] [B C X]),
+
+        b1 = x(B1),  c2 = y(C2),  p = -y(P),  q = -x(Q)
+
+    with P = AB x A2B1 and Q = CA x A1C2, each one ``Fraction``.  Before
+    that the route tests the four brackets ``_frame_matrix`` tests, and a
+    zero [B C X] is the point X at infinity in the chart, so the two routes
+    give the same values, types and errors on every exact configuration.
     """
+    if not cfg.exact:
+        return _map_chart(cfg, eps)
+    tri, feet = cfg.triangle, cfg.feet
+    bc, ca, ab = (side.coords for side in tri.sides)  # BC up to scale, which cancels
+    bc1 = cross(tri.B.coords, feet.C1.coords)
+    cb2 = cross(tri.C.coords, feet.B2.coords)
+    # the frame's brackets: [B C C1], [B C B2], [B C1 B2], [C B2 C1]
+    bc_c1, bc_b2 = dot(bc, feet.C1.coords), dot(bc, feet.B2.coords)
+    bc1_b2, cb2_c1 = dot(bc1, feet.B2.coords), dot(cb2, feet.C1.coords)
+    if not (bc_c1 and bc_b2 and bc1_b2 and cb2_c1):
+        raise ChartDegenerate("chart frame cannot be built: three of the four source points are collinear")
+    bc_b1, bc_c2 = dot(bc, feet.B1.coords), dot(bc, feet.C2.coords)
+    if not (bc_b1 and bc_c2):
+        raise ChartDegenerate("a normalized foot escaped to infinity in the chart")
+    b1 = Fraction(dot(bc1, feet.B1.coords) * bc_b2, bc1_b2 * bc_b1)
+    c2 = Fraction(dot(cb2, feet.C2.coords) * bc_c1, cb2_c1 * bc_c2)
+
+    point_p = cross(ab, cross(feet.A2.coords, feet.B1.coords))
+    if not (point_p[0] or point_p[1] or point_p[2]):
+        meet(tri.sides[2], join(feet.A2, feet.B1))  # raises the float route's error
+    point_q = cross(ca, cross(feet.A1.coords, feet.C2.coords))
+    if not (point_q[0] or point_q[1] or point_q[2]):
+        meet(tri.sides[1], join(feet.A1, feet.C2))
+    bc_p, bc_q = dot(bc, point_p), dot(bc, point_q)
+    p = Fraction(-dot(cb2, point_p) * bc_c1, cb2_c1 * bc_p) if bc_p else None
+    q = Fraction(-dot(bc1, point_q) * bc_b2, bc1_b2 * bc_q) if bc_q else None
+    return ProofChart(b1=b1, c2=c2, p=p, q=q, eps=eps)
+
+
+def _map_chart(cfg: CevianConfig, eps: float) -> ProofChart:
+    """``to_chart`` by the chart map itself: the target frame matrix is
+    built once at import; each call builds the source frame's and composes
+    the two, as ``map_from_correspondence`` does."""
     tri = cfg.triangle
     feet = cfg.feet
     try:

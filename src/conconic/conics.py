@@ -678,7 +678,7 @@ def _fit(pts: Sequence[HPoint], eps: float) -> Conic:
     """``conic_through_points`` on five points that passed the gate."""
     rows = [veronese(p.coords) for p in pts]
     if not all(p.exact for p in pts):
-        rows = [tuple(v / row_norm(row) for v in row) for row in rows]
+        rows = [tuple(v / n for v in row) for row, n in zip(rows, map(row_norm, rows))]
     basis = nullspace(rows, 6, eps)
     if len(basis) != 1:
         raise NonUniqueConic(f"five points admit a {len(basis)}-dimensional family of conics")

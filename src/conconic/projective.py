@@ -391,7 +391,8 @@ def map_from_correspondence(
     Both quadruples must be projective frames: no three of the four points
     collinear.  Raises ``DegenerateQuadruple`` otherwise, checking the
     source first.  A caller with a fixed target keeps its ``_frame_matrix``
-    and calls ``_map_between_frames`` instead, as ``cevians.to_chart`` does.
+    and calls ``_map_between_frames`` instead, as ``cevians.to_chart`` does
+    on float input (exact input takes its bracket route).
     """
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("correspondence needs exactly four source and target points")

@@ -43,7 +43,7 @@ from .cevians import (
 from .conics import Conic
 from .errors import ChartDegenerate
 from .projective import HPoint, Record, Verdict
-from .scalars import DEFAULT_EPS, Scalar, brief_repr, format_scalar, parse_scalar
+from .scalars import DEFAULT_EPS, Scalar, _int_from_digits, brief_repr, format_scalar, parse_scalar
 
 MODES = ("rational", "float")
 GENERATORS = ("isogonal", "isotomic", "through_points")
@@ -209,12 +209,20 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
 def load_scene(path: str) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
         except json.JSONDecodeError as err:
             raise SceneError(f"{path} is not valid JSON: {err}") from err
-        except ValueError as err:  # undecodable bytes, or an int past the digit limit
+        except ValueError as err:  # undecodable bytes
             raise SceneError(f"{path}: {err}") from err
     return scene_from_dict(data)
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal of any length: its digits go through
+    ``_int_from_digits``, which reads past the interpreter's digit limit."""
+    if text[0] == "-":
+        return -_int_from_digits(text[1:])
+    return _int_from_digits(text)
 
 
 def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:

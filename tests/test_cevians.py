@@ -31,6 +31,7 @@ from conconic.errors import (
     DegenerateTriangle,
     DuplicatePoints,
     FootOffSide,
+    GeometryError,
     IrrationalResult,
     LineOnConic,
     NoRealSolution,
@@ -54,7 +55,7 @@ from conconic.generate import (
 )
 from conconic.scalars import exact_sqrt
 
-from conftest import exact_triangles, unit_interval_fractions
+from conftest import EXACT_FAMILIES, exact_family_instance, exact_triangles, unit_interval_fractions
 
 RIGHT_345 = Triangle(HPoint(0, 0, 1), HPoint(4, 0, 1), HPoint(0, 3, 1))
 
@@ -531,3 +532,78 @@ def test_chart_criterion_tracks_concurrency(rnd):
             if chart.degenerate:
                 continue
             assert not chart.criterion
+
+
+def _chart_outcome(route, cfg):
+    """The chart's four values with their types, or its error's type and message."""
+    try:
+        chart = route(cfg, 1e-9)
+    except GeometryError as err:
+        return type(err).__name__, str(err)
+    return [(value, type(value)) for value in (chart.b1, chart.c2, chart.p, chart.q)]
+
+
+def test_exact_chart_from_brackets_matches_the_map_route_on_the_five_families():
+    # to_chart reads an exact configuration's chart from 3x3 brackets; the
+    # float route, the chart map itself, is the reference on the same input
+    for seed in range(200):
+        rnd = random.Random(seed)
+        for family in EXACT_FAMILIES:
+            cfg = build_config(*exact_family_instance(rnd, family))
+            assert cfg.exact
+            want = _chart_outcome(cevians._map_chart, cfg)
+            assert _chart_outcome(to_chart, cfg) == want, (seed, family)
+            assert [type(value) for value, _ in want] == [Fraction] * 4
+
+
+def test_exact_chart_from_brackets_matches_the_map_route_on_small_denominator_params():
+    compared = 0
+    for seed in range(300):
+        rnd = random.Random(seed)
+        tri = random_triangle(rnd)
+        params = [Fraction(rnd.randint(-4, 7), rnd.randint(1, 3)) for _ in range(6)]
+        try:
+            cfg = build_config(tri, feet_from_params(tri, params))
+        except GeometryError:
+            continue
+        assert _chart_outcome(to_chart, cfg) == _chart_outcome(cevians._map_chart, cfg), seed
+        compared += 1
+    assert compared > 100
+
+
+def test_exact_chart_from_brackets_raises_the_map_route_error_on_a_collinear_frame():
+    first = median_feet(RIGHT_345)
+    cfg = build_config(RIGHT_345, CevianFeet.from_triples(first, isogonal_feet(RIGHT_345, first)))
+    # C1 moved onto BC: B, C and C1 are collinear
+    cfg = cfg.replace(feet=cfg.feet.replace(C1=HPoint(4, 3, 2)))
+    message = "chart frame cannot be built: three of the four source points are collinear"
+    for route in (to_chart, cevians._map_chart):
+        with pytest.raises(ChartDegenerate) as exc:
+            route(cfg, 1e-9)
+        assert str(exc.value) == message
+
+
+def test_exact_chart_from_brackets_matches_the_map_route_on_hand_built_configurations():
+    # small integer points with no foot on its side: every way the chart can
+    # fail or put p or q at infinity occurs, and both routes agree on each
+    first = median_feet(RIGHT_345)
+    base = build_config(RIGHT_345, CevianFeet.from_triples(first, isogonal_feet(RIGHT_345, first)))
+    rnd = random.Random(5)
+    seen = Counter()
+    for _ in range(2000):
+        coords = [tuple(rnd.randint(-2, 2) for _ in range(3)) for _ in range(9)]
+        if not all(any(c) for c in coords):
+            continue
+        points = [HPoint(*c) for c in coords]
+        try:
+            tri = Triangle(*points[:3])
+        except DegenerateTriangle:
+            continue
+        cfg = base.replace(triangle=tri, feet=CevianFeet(*points[3:]))
+        want = _chart_outcome(cevians._map_chart, cfg)
+        assert _chart_outcome(to_chart, cfg) == want, (tri, cfg.feet)
+        if isinstance(want, tuple):
+            seen[want[0] if want[0] != "ChartDegenerate" else want[1]] += 1
+        else:
+            seen["p or q at infinity" if None in (want[2][0], want[3][0]) else "finite"] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen

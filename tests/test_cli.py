@@ -222,16 +222,30 @@ def test_out_of_float_range_scene_values_exit_one_naming_the_value(scene, flags,
         ('{"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], '
          '"feet": {"generator": "through_points", "points": [["1", "1"], ["1/2", "1"]], "params": ["x"]}}',
          "unknown feet fields for through_points: ['params']"),
-        # json cannot read an integer literal past 4,300 digits; the error names the file
-        pytest.param(
-            '{"triangle": [[0, 0], [1' + "0" * 5000 + ', 0], [0, 3]], "feet": {"params": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}}',
-            "scene.json: Exceeds the limit (4300 digits)", id="int-literal-past-the-digit-limit"),
     ],
 )
 def test_non_finite_or_string_scene_values_exit_one(scene, needle, scene_file, capsys):
     assert main(["verify", scene_file(scene)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        pytest.param("1" + "0" * 5000, id="int-literal-past-the-digit-limit"),
+        pytest.param("-" + "9" * 5000, id="negative-int-literal-past-the-digit-limit"),
+    ],
+)
+def test_an_int_literal_past_the_digit_limit_is_read_exactly(literal, scene_file, capsys):
+    # a JSON integer literal past 4,300 digits is read exactly, like the same
+    # number written as a string
+    path = scene_file('{"triangle": [[0, 0], [' + literal + ', 0], [0, 3]], "feet": {"params": ["1/2", "1/3", '
+                      '"1/2", "2/3", "1/2", "1/4"]}}')
+    value = load_scene(path).triangle[1][0]
+    assert value == (10**5000 if literal[0] == "1" else 1 - 10**5000)
+    assert main(["verify", path]) in (0, 2)
+    assert capsys.readouterr().err == ""
 
 
 def test_morley_command(capsys, tmp_path):

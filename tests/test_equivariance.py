@@ -20,30 +20,17 @@ import pytest
 from conconic import CevianFeet, Triangle, build_config, check_conditions, conconic, cotangent, to_chart
 from conconic.errors import GeometryError
 from conconic.generate import (
-    concurrency_solved_instance,
     conconic_sextuple,
-    conjugate_instance,
     cotangent_sextuple,
-    perturbed_failing_instance,
     random_line_sextuple,
     random_projective_map,
     random_sextuple,
-    through_point_instance,
 )
 
-FAMILIES = ("solved", "isogonal", "isotomic", "through", "perturbed")
+from conftest import EXACT_FAMILIES, exact_family_instance
+
 SEEDS = range(60)
 MAPS = 2
-
-
-def instance(rnd, family):
-    if family == "solved":
-        return concurrency_solved_instance(rnd)[:2]
-    if family == "through":
-        return through_point_instance(rnd)[:2]
-    if family == "perturbed":
-        return perturbed_failing_instance(rnd)
-    return conjugate_instance(rnd, family)
 
 
 def assert_equivariant(before, after, pmap, label):
@@ -64,11 +51,11 @@ def chart_record(cfg):
     return (chart.b1, chart.c2, chart.p, chart.q, None if chart.degenerate else chart.criterion)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
 def test_exact_verdicts_witnesses_and_charts_are_projectively_equivariant(family):
     for seed in SEEDS:
         rnd = random.Random(seed)
-        tri, feet = instance(rnd, family)
+        tri, feet = exact_family_instance(rnd, family)
         cfg = build_config(tri, feet)
         report = check_conditions(cfg)
         chart = chart_record(cfg)

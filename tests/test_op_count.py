@@ -1,6 +1,9 @@
 """``scripts/op_count.py`` counts the same work on every run."""
 
 import importlib.util
+import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 OP_COUNT = Path(__file__).resolve().parent.parent / "scripts" / "op_count.py"
@@ -26,15 +29,51 @@ def test_counts_of_exact_sweep_ops_repeat_exactly():
     assert calls["conconic.cevians.to_chart"] == 3
 
 
+def _calls_during(fn) -> Counter:
+    """Calls (frame entries) made while ``fn()`` runs, keyed by
+    ``module.name``."""
+    calls = Counter()
+
+    def on_call(frame, event, arg):
+        calls[f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"] += 1
+
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return calls
+
+
 def test_exact_sweep_decides_identity_on_integer_triples():
     # one op per generator family: exact coincidence, join and meet never
-    # reach the float zero test, and to_chart builds one frame matrix, its
-    # source's, against a target frame built at import
+    # reach the float zero test, and to_chart reads the chart from integer
+    # brackets: no frame matrix, no composed map, no scalars.div
     _, calls, failed = _load_op_count().count("exact_sweep", 7, 5)
     assert failed == 0
     assert calls["conconic.projective.coincident"] > 0 and calls["conconic.projective.join"] > 0
     assert calls["conconic.projective._coincident"] == 0
-    assert calls["conconic.projective._frame_matrix"] == calls["conconic.cevians.to_chart"] == 5
+    assert calls["conconic.cevians.to_chart"] == 5
+    assert calls["conconic.projective._frame_matrix"] == 0
+    assert calls["conconic.projective._map_between_frames"] == 0
+    assert calls["conconic.scalars.div"] == 0
+
+
+def test_float_chart_builds_one_frame_and_a_float_fit_one_norm_per_row():
+    # a float to_chart builds one frame matrix, its source's, against a
+    # target frame built at import; a float _fit scales each Veronese row
+    # by one row_norm
+    from conconic import cevians, conics, generate
+    from conconic.projective import HPoint
+
+    tri, feet = generate.conjugate_instance(random.Random(3), "isogonal")
+    cfg = cevians.build_config(generate.float_copy(tri), generate.float_copy(feet))
+    calls = _calls_during(lambda: cevians.to_chart(cfg))
+    assert calls["conconic.projective._frame_matrix"] == calls["conconic.projective._map_between_frames"] == 1
+    five = [HPoint(x, y, 1.0) for x, y in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8))]
+    calls = _calls_during(lambda: conics._fit(five, 1e-9))
+    assert calls["conconic.conics._fit"] == 1
+    assert calls["conconic.linalg.row_norm"] == 5
 
 
 def test_every_six_item_condition_takes_the_one_verdict():
