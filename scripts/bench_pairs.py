@@ -9,7 +9,11 @@ quartiles, the parent's interquartile range and the pairs each side wins
 in the metric's ``better`` direction; ties count for neither side.
 Before the pairs it prints each checkout's bytecode condition, which
 moves every ``cli_scenes`` reading: whether its children write bytecode
-and how many package modules already have a ``.pyc``.
+and how many package modules already have a ``.pyc``.  After them it
+times 15 alternating ``bench/run.py --setup-only`` children per checkout
+and prints each side's unscaled median wall time and IQR: a check on
+``setup_s``, which scales each child by reference samples that can fall
+in two modes and so split the sides by chance.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload exact_sweep --seed 7 --pairs 10 --seconds 8
 """
@@ -20,7 +24,10 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+SETUP_RUNS = 15  # --setup-only children per checkout
 
 
 def run_bench(checkout, args) -> dict:
@@ -28,6 +35,32 @@ def run_bench(checkout, args) -> dict:
             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def setup_walls(parent, change, args, runs=SETUP_RUNS) -> dict:
+    """Unscaled wall times in seconds of ``runs`` ``bench/run.py
+    --setup-only`` children per checkout, keyed "parent" and "change": the
+    process that ``setup_s`` times, run in alternating order as the pairs
+    are (parent first in odd rounds)."""
+    argv = [sys.executable, "bench/run.py", "--workload", args.workload,
+            "--seed", str(args.seed), "--setup-only"]
+    checkouts = {"parent": parent, "change": change}
+    walls = {"parent": [], "change": []}
+    for i in range(1, runs + 1):
+        for side in ("parent", "change") if i % 2 else ("change", "parent"):
+            start = time.perf_counter()
+            subprocess.run(argv, cwd=checkouts[side], capture_output=True, check=True)
+            walls[side].append(time.perf_counter() - start)
+    return walls
+
+
+def setup_line(walls) -> str:
+    """One line on ``setup_walls``: each side's median and IQR in ms and the
+    change's median against the parent's."""
+    (p1, p, p3), (c1, c, c3) = quartiles(walls["parent"]), quartiles(walls["change"])
+    return (f"setup raw ({len(walls['parent'])} --setup-only children per side, unscaled wall): "
+            f"parent {p * 1e3:.1f} ms (IQR {(p3 - p1) * 1e3:.1f}) -> change {c * 1e3:.1f} ms "
+            f"(IQR {(c3 - c1) * 1e3:.1f}) ({(c - p) / p:+.1%})")
 
 
 def bytecode_condition(checkout, env) -> str:
@@ -97,6 +130,7 @@ def main(argv=None) -> int:
         print(f"{row['metric']}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "
               f"[{c[0]:.4g}, {c[2]:.4g}] ({(c[1] - p[1]) / p[1]:+.1%}); parent IQR {row['parent_iqr']:.4g}; "
               f"wins change {row['change_wins']}/{row['pairs']}, parent {row['parent_wins']}/{row['pairs']}")
+    print(setup_line(setup_walls(args.parent, args.change, args)), flush=True)
     return 0
 
 

@@ -30,7 +30,6 @@ one-parameter comparison p = q.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .conics import _dedupe, _distinct, _fit_five, _six_point_verdict, dual_verdict, intersect_line
@@ -58,11 +57,13 @@ from .projective import (
     _dual_point,
     _frame_matrix,
     _map_between_frames,
+    all_exact_items,
     coincident,
     collinear,
     concurrency,
     incident,
     join,
+    lazy,
     meet,
 )
 from .scalars import DEFAULT_EPS, Scalar, div, is_exact, is_zero
@@ -84,16 +85,16 @@ class Triangle(Record):
         if collinear((self.A, self.B, self.C)):
             raise DegenerateTriangle("triangle vertices are collinear")
 
-    @cached_property
+    @lazy
     def exact(self) -> bool:
         """Whether all three vertices are exact, read once per triangle."""
-        return self.A.exact and self.B.exact and self.C.exact
+        return all_exact_items((self.A, self.B, self.C))
 
     @property
     def vertices(self) -> Tuple[HPoint, HPoint, HPoint]:
         return (self.A, self.B, self.C)
 
-    @cached_property
+    @lazy
     def sides(self) -> Tuple[HLine, HLine, HLine]:
         """The side lines in ``SIDES`` order, joined once per triangle."""
         return tuple(join(*self.side_endpoints(side)) for side in SIDES)
@@ -161,31 +162,63 @@ class CevianConfig(Record):
     V1: HPoint
     W1: HPoint
 
-    @cached_property
+    @lazy
     def exact(self) -> bool:
         """Whether the triangle and all six feet are exact, read once per
         configuration."""
-        return self.triangle.exact and all(p.exact for p in self.feet.outer)
+        return self.triangle.exact and all_exact_items(self.feet.outer)
 
     @property
     def inner_points(self) -> Tuple[HPoint, ...]:
         return (self.X1, self.X2, self.Y1, self.Y2, self.Z1, self.Z2)
 
 
-def _check_foot(tri: Triangle, foot: HPoint, side: str, eps: float, off: str, at: str) -> None:
+def _check_foot(foot: HPoint, side: int, tri: Triangle, corners, eps: float, off: str, at: str) -> None:
     """Raise ``FootOffSide`` (naming the foot as ``off`` or ``at``) unless the
-    foot sits on its side line and away from the vertices."""
-    if not incident(foot, tri.side_line(side), eps):
-        raise FootOffSide(f"{off} does not lie on side {side}")
+    foot sits on the side line ``tri.sides[side]`` and away from the vertices
+    A, B, C, tested in that order.
+
+    ``corners`` is the vertices' triples on an exact triangle and None on
+    any other.  An exact foot there is decided on its integer triple by the
+    rules ``incident`` and ``coincident`` apply to exact items: it is on the
+    line when its dot product with the line is 0, and at a vertex when its
+    canonical triple is that vertex's.  Any other foot takes their
+    tolerance tests.
+    """
+    line = tri.sides[side]
+    f = foot.coords
+    if corners is not None and type(f[0]) is int:
+        l0, l1, l2 = line.coords
+        if f[0] * l0 + f[1] * l1 + f[2] * l2:
+            raise FootOffSide(f"{off} does not lie on side {SIDES[side]}")
+        if f in corners:
+            raise FootOffSide(f"{at} coincides with vertex {'ABC'[corners.index(f)]}")
+        return
+    if not incident(foot, line, eps):
+        raise FootOffSide(f"{off} does not lie on side {SIDES[side]}")
     for vertex, vname in zip(tri.vertices, "ABC"):
         if coincident(foot, vertex, eps):
             raise FootOffSide(f"{at} coincides with vertex {vname}")
 
 
+def _corners(tri: Triangle):
+    """The vertex triples that ``_check_foot`` takes: on an exact triangle
+    ``(A, B, C)``'s canonical triples, on any other None."""
+    return (tri.A.coords, tri.B.coords, tri.C.coords) if tri.exact else None
+
+
+# each foot's side index in SIDES and its name in messages, in CevianFeet.outer order
+_FEET = tuple(("ABC".index(name[0]), f"foot {name}") for name in ("A1", "A2", "B1", "B2", "C1", "C2"))
+
+
 def validate_feet(tri: Triangle, feet: CevianFeet, eps: float = DEFAULT_EPS) -> None:
-    """Check every foot sits on its side line and away from the vertices."""
-    for name, side in zip(("A1", "A2", "B1", "B2", "C1", "C2"), ("BC", "BC", "CA", "CA", "AB", "AB")):
-        _check_foot(tri, getattr(feet, name), side, eps, f"foot {name}", f"foot {name}")
+    """Check every foot sits on its side line and away from the vertices, in
+    the order A1, A2, B1, B2, C1, C2, by ``_check_foot``: the vertex
+    triples are read once, and exact feet on an exact triangle are decided
+    by tuple tests."""
+    corners = _corners(tri)
+    for foot, (side, name) in zip(feet.outer, _FEET):
+        _check_foot(foot, side, tri, corners, eps, name, name)
 
 
 def _cevian_meet(l: HLine, m: HLine, label: str, eps: float) -> HPoint:
@@ -340,9 +373,10 @@ def _conjugate_feet(tri: Triangle, triple: FeetTriple, eps: float, weight) -> Fe
     N[k] != 0, r = (F x Q)[k] and s = (P x F)[k].  Otherwise P and Q are
     affine-normalized and ``_side_weights`` solves for (r, s).
     """
-    for foot, side in zip(triple, SIDES):
-        _check_foot(tri, foot, side, eps, "foot", f"foot on {side}")
-    exact = tri.exact and all(f.exact for f in triple) and all(v.z for v in tri.vertices)
+    corners = _corners(tri)
+    for side, foot in enumerate(triple):
+        _check_foot(foot, side, tri, corners, eps, "foot", f"foot on {SIDES[side]}")
+    exact = tri.exact and all_exact_items(triple) and all(v.z for v in tri.vertices)
     if exact:
         a, b, c = (v.coords for v in tri.vertices)
     else:
@@ -394,24 +428,52 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
 def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
     """The point P + t (Q - P) on the named side with endpoints (P, Q).
 
-    On an exact triangle, for finite endpoints P = (p0, p1, pz),
-    Q = (q0, q1, qz) and an exact t = n/d, the foot is the integer triple
-    ``(d - n) qz P + n pz Q``.
+    On an exact triangle with finite endpoints and an exact t, the foot is
+    the integer triple of ``_exact_foot``.
     """
     p, q = tri.side_endpoints(side)
     pz, qz = p.z, q.z
     if tri.exact and is_exact(t) and pz and qz:
-        a, b = (t.denominator - t.numerator) * qz, t.numerator * pz
-        return HPoint(*(a * u + b * v for u, v in zip(p.coords, q.coords)))
+        return _exact_foot(p.coords, q.coords, t)
     px, py = p.to_xy()
     qx, qy = q.to_xy()
     return HPoint(px + t * (qx - px), py + t * (qy - py), 1)
 
 
+def _exact_foot(p: Tuple[int, int, int], q: Tuple[int, int, int], t) -> HPoint:
+    """The foot at an exact t = n/d on the side from P = (p0, p1, pz) to
+    Q = (q0, q1, qz), integer triples with pz and qz nonzero: the integer
+    triple ``(d - n) qz P + n pz Q``."""
+    p0, p1, pz = p
+    q0, q1, qz = q
+    n = t.numerator
+    a, b = (t.denominator - n) * qz, n * pz
+    return HPoint(a * p0 + b * q0, a * p1 + b * q1, a * pz + b * qz)
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
 def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
-    """Feet from six side parameters in the order (a1, b1, c1, a2, b2, c2)."""
+    """Feet from six side parameters in the order (a1, b1, c1, a2, b2, c2).
+
+    On an exact triangle with finite vertices and six ``int`` or
+    ``Fraction`` parameters, the vertex triples are read once and every
+    foot is ``_exact_foot``, the integer rule of ``foot_point``.  Any other
+    input (float or mixed parameters, a vertex at infinity) takes
+    ``foot_point`` foot by foot, with its values and errors.
+    """
     if len(params) != 6:
         raise ValueError("six side parameters are required")
+    if tri.exact and _RATIONAL_TYPES.issuperset(map(type, params)):
+        a, b, c = tri.A.coords, tri.B.coords, tri.C.coords
+        if a[2] and b[2] and c[2]:
+            a1, b1, c1, a2, b2, c2 = params
+            return CevianFeet(
+                _exact_foot(b, c, a1), _exact_foot(b, c, a2),
+                _exact_foot(c, a, b1), _exact_foot(c, a, b2),
+                _exact_foot(a, b, c1), _exact_foot(a, b, c2),
+            )
     first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[:3]))
     second = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[3:]))
     return CevianFeet.from_triples(first, second)

@@ -17,7 +17,7 @@ which evaluates to twice the form; every predicate here only cares about
 values up to scale, so the doubling is harmless and keeps exact arithmetic
 in plain integers.  A conic is immutable, so this matrix and the forms
 derived from it (adjugate, norm, rank per ``eps``, dual, centre) are
-``functools.cached_property`` values, each computed once per conic.
+``projective.lazy`` attributes, each computed once per conic.
 
 Two independent routes to "six points lie on one conic" are provided:
 ``conconic`` (rank of the stacked Veronese images, i.e. a 6x6 determinant)
@@ -42,7 +42,6 @@ repeated item makes the verdict hold identically.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -74,10 +73,12 @@ from .projective import (
     ProjectiveMap,
     Verdict,
     _dual_point,
+    all_exact_items,
     coincident,
     collinear,
     concurrent,
     join,
+    lazy,
     meet,
 )
 from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt, float_scaled, is_zero, near_zero
@@ -97,8 +98,8 @@ class Conic:
     """A conic of the projective plane, canonical up to scale.
 
     Conics are immutable, so every form derived from the coefficients is a
-    ``functools.cached_property``, computed on first use and kept on the
-    instance: ``exact``, ``gram``, its ``adjugate`` and Frobenius norm
+    ``projective.lazy`` attribute, computed on first use and kept in the
+    instance's ``__dict__``: ``gram``, its ``adjugate`` and Frobenius norm
     ``gram_norm``, the rank per ``eps``, the dual conic and the centre.  A
     conic only pays for what is asked of it; a Poncelet chain, which asks
     the same inner conic for its dual on every step and for its centre on
@@ -131,22 +132,23 @@ class Conic:
         terms = " + ".join(f"{c}*{m}" for c, m in zip(self.coeffs, VERONESE_MONOMIALS) if c != 0)
         return f"Conic({terms} = 0)"
 
-    @cached_property
+    @property
     def exact(self) -> bool:
-        return all_exact(self.coeffs)
+        # canonical tuples are all int or all float
+        return type(self.coeffs[0]) is int
 
-    @cached_property
+    @lazy
     def gram(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """Doubled symmetric matrix of the form (twice the classical one)."""
         a, b, c, d, e, f = self.coeffs
         return ((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f))
 
-    @cached_property
+    @lazy
     def adjugate(self) -> Tuple[Tuple[Scalar, ...], ...]:
         """Adjugate of ``gram``: the dual form, up to scale."""
         return adjugate3(self.gram)
 
-    @cached_property
+    @lazy
     def gram_norm(self) -> float:
         """Frobenius norm of ``gram``, the scale of float zero tests."""
         return _frob(self.gram)
@@ -199,7 +201,7 @@ class Conic:
             r = self._ranks[eps] = self._rank(eps)
         return r
 
-    @cached_property
+    @lazy
     def _ranks(self) -> dict:
         return {}
 
@@ -250,7 +252,7 @@ class Conic:
             raise DegenerateConic("degenerate conic has no dual conic")
         return self._dual
 
-    @cached_property
+    @lazy
     def _dual(self) -> "Conic":
         return Conic.from_matrix(self.adjugate)
 
@@ -278,7 +280,7 @@ class Conic:
             raise DegenerateConic("pole is only defined for a nondegenerate conic")
         return self._center
 
-    @cached_property
+    @lazy
     def _center(self) -> HPoint:
         return HPoint(*matvec3(self.adjugate, LINE_AT_INFINITY.coords))
 
@@ -347,13 +349,18 @@ def _points_on_line(line: Sequence[Scalar]):
     which keeps the sign of every zero and the type of every entry.  Its
     squared norm is the sum of the squares of the two line entries it
     holds, since adding the float square of its zero entry changes
-    nothing; ``row_norm`` gives the same bits.
+    nothing; ``row_norm`` gives the same bits.  An exact line is ranked
+    on its ``scalars.float_scaled`` copy, whose floats stay finite at any
+    size; dividing by one power of two leaves the ranking as it is.
     """
     l0, l1, l2 = line
     c0 = (l1 * 0 - l2 * 0, l2 * 1 - l0 * 0, l0 * 0 - l1 * 1)
     c1 = (l1 * 0 - l2 * 1, l2 * 0 - l0 * 0, l0 * 1 - l1 * 0)
     c2 = (l1 * 1 - l2 * 0, l2 * 0 - l0 * 1, l0 * 0 - l1 * 0)
-    x, y, z = float(l0), float(l1), float(l2)
+    if type(l0) is float:
+        x, y, z = l0, l1, l2
+    else:
+        x, y, z = map(float, float_scaled(line))
     q0, q1, q2 = x * x, y * y, z * z
     n0, n1, n2 = math.sqrt(q2 + q1), math.sqrt(q2 + q0), math.sqrt(q1 + q0)
     # ``sorted(..., reverse=True)`` keeps equal norms in basis order
@@ -491,7 +498,7 @@ def _dedupe(items: Sequence, eps: float) -> list:
     so one dict pass keyed by ``coords`` keeps each first occurrence; any
     other list takes the pairwise tolerance test of ``coincident``.
     """
-    if all(type(item.coords[0]) is int for item in items):
+    if all_exact_items(items):
         first = {}
         for item in items:
             first.setdefault(item.coords, item)
@@ -568,7 +575,7 @@ def _fit_five(pts: Sequence[HPoint], eps: float) -> Optional[Conic]:
     the row of ``x``, so it vanishes identically exactly when the rows have
     rank below five.  Float points go through the nullspace ``_fit``.
     """
-    if not all(p.exact for p in pts):
+    if not all_exact_items(pts):
         try:
             return _fit(pts, eps)
         except NonUniqueConic:
@@ -609,7 +616,7 @@ def _six_point_verdict(points: Sequence[HPoint], distinct: Sequence[HPoint], eps
     float ones, and the witness is ``_fit_five`` through five distinct
     points or a ``_small_witness``.
     """
-    exact = all(p.exact for p in points)
+    exact = all_exact_items(points)
     if len(distinct) == 6 or exact and len(distinct) == 5:
         if exact:
             coords = [p.coords for p in points]
@@ -677,7 +684,7 @@ def conic_through_points(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> 
 def _fit(pts: Sequence[HPoint], eps: float) -> Conic:
     """``conic_through_points`` on five points that passed the gate."""
     rows = [veronese(p.coords) for p in pts]
-    if not all(p.exact for p in pts):
+    if not all_exact_items(pts):
         rows = [tuple(v / n for v in row) for row, n in zip(rows, map(row_norm, rows))]
     basis = nullspace(rows, 6, eps)
     if len(basis) != 1:

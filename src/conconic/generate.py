@@ -3,16 +3,19 @@
 Everything takes an explicit ``random.Random`` so runs are reproducible
 from a seed.  Exact generators draw small rationals and build triangles,
 interior points and sextuple points directly as integer homogeneous
-triples; feet come from ``cevians.foot_point`` (re-exported here, with
-``feet_from_params``), which does the same.  The conconic families are
-constructed, not searched: six-point instances come from solving Carnot's
-criterion ``prod(t) == prod(1 - t)`` over the six side parameters for the
-last foot (the criterion is linear in each parameter), and on-conic
-sextuples come from pushing rational circle points through a random
-projective map.  Instances are not re-checked for what their construction
-guarantees: every foot lies strictly inside its side, so cevians through
-different vertices always meet and each configuration builds.  A solved
-instance has K = prod(t) - prod(1 - t) = 0, and the concurrency and outer
+triples.  Feet come from ``cevians.foot_point``, which does the same, and
+``feet_from_params``, which builds six exact feet in one pass (both
+re-exported here).  The solved and perturbed families share one draw of a
+triangle and solved parameters, so a perturbed draw builds only its
+nudged feet.  The conconic families are constructed, not searched:
+six-point instances come from solving Carnot's criterion
+``prod(t) == prod(1 - t)`` over the six side parameters for the last foot
+(the criterion is linear in each parameter), and on-conic sextuples come
+from pushing rational circle points through a random projective map.
+Instances are not re-checked for what their construction guarantees:
+every foot lies strictly inside its side, so cevians through different
+vertices always meet and each configuration builds.  A solved instance
+has K = prod(t) - prod(1 - t) = 0, and the concurrency and outer
 six-point determinants are nonzero multiples of K and of (a1 - a2)(b1 - b2)
 (c1 - c2) K, so the four equivalent conditions hold.  Only the perturbed
 family runs ``check_conditions``, whose verdict picks the draw.
@@ -116,14 +119,23 @@ def solve_concurrent_params(rnd: random.Random) -> Optional[List[Fraction]]:
     return five + [t_c2]
 
 
-def concurrency_solved_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
-    """An exact configuration satisfying all four equivalent conditions,
-    returned unchecked: its parameters solve Carnot's criterion."""
+def _solved_draw(rnd: random.Random) -> Tuple[Triangle, List[Fraction]]:
+    """A random triangle and six parameters solving Carnot's criterion,
+    redrawn together until the solve succeeds: the draw that
+    ``concurrency_solved_instance`` and ``perturbed_failing_instance``
+    share."""
     while True:
         tri = random_triangle(rnd)
         params = solve_concurrent_params(rnd)
         if params is not None:
-            return tri, feet_from_params(tri, params), params
+            return tri, params
+
+
+def concurrency_solved_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, List[Fraction]]:
+    """An exact configuration satisfying all four equivalent conditions,
+    returned unchecked: its parameters solve Carnot's criterion."""
+    tri, params = _solved_draw(rnd)
+    return tri, feet_from_params(tri, params), params
 
 
 def conjugate_instance(rnd: random.Random, kind: str) -> Tuple[Triangle, CevianFeet]:
@@ -162,12 +174,14 @@ def through_point_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet, HP
 def perturbed_failing_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet]:
     """A conconic instance knocked off by nudging one foot parameter.
 
-    The perturbed configuration is re-checked: all four conditions must
-    fail (generic perturbations do; degenerate ones are redrawn).  A
+    It starts from the draw of ``concurrency_solved_instance``, without
+    building that instance's feet, and makes the same random calls.  The
+    perturbed configuration is re-checked: all four conditions must fail
+    (generic perturbations do; degenerate ones are redrawn).  A
     ``TheoremConsistencyError`` from that check is raised, not redrawn.
     """
     while True:
-        tri, _, params = concurrency_solved_instance(rnd)
+        tri, params = _solved_draw(rnd)
         idx = rnd.randrange(6)
         delta = Fraction(rnd.choice([-1, 1]), rnd.randint(7, 40))
         nudged = list(params)

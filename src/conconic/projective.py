@@ -94,7 +94,7 @@ class Record:
     Equality and hashing follow the type and the field values, ``repr``
     reads ``Name(field=value, ...)``, and ``replace`` returns a copy with
     some fields changed.  Fields cannot be set or deleted; there are no
-    ``__slots__``, so ``functools.cached_property`` works on subclasses.
+    ``__slots__``, so ``lazy`` attributes work on subclasses.
     """
 
     _spec = ((), frozenset(), {}, None)  # fields, their set, defaults, __post_init__
@@ -165,6 +165,27 @@ class Record:
         return type(self)(**dict(zip(self._spec[0], self._values()), **changes))
 
 
+class lazy:
+    """A read-only attribute computed on first read and stored in the
+    instance's ``__dict__`` under its own name, which later reads find
+    first: ``functools.cached_property`` as Python 3.12 has it, without the
+    per-instance lock that 3.11 takes on every first read.  It has no
+    ``__set__``, and the classes that use it refuse ``setattr``, so the
+    value cannot be set."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class HPoint(_HTriple):
     """A point of the projective plane as a homogeneous triple."""
 
@@ -216,6 +237,16 @@ def _coincident(u: Triple, v: Triple, raw: Triple, eps: float) -> bool:
     if m > 4 * eps and type(u[0]) is float and type(v[0]) is float:
         return False
     return is_zero(m, eps, lambda: row_norm(u) * row_norm(v))
+
+
+def all_exact_items(items: Sequence[_HTriple]) -> bool:
+    """Whether every point or line of ``items`` is exact, read off the type
+    of each canonical triple's first entry (``_HTriple.exact`` without a
+    call per item)."""
+    for item in items:
+        if type(item.coords[0]) is not int:
+            return False
+    return True
 
 
 def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:

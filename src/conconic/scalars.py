@@ -245,12 +245,15 @@ def canonical_tuple(values: Sequence[Scalar]) -> tuple:
     return _canonical_generic(vals)
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _canonical_generic(vals: list) -> tuple:
     """The generic rule of ``canonical_tuple`` on a list of any length."""
     if not vals:
         raise ValueError("empty coordinate tuple")
     if type(vals[0]) is not float:
-        if all(type(v) is int for v in vals):
+        if set(map(type, vals)) == _INT_ONLY:
             return _reduced(vals)
         if all_exact(vals):
             denom_lcm = math.lcm(*(v.denominator for v in vals))

@@ -1,5 +1,7 @@
-"""The summary of ``scripts/bench_pairs.py`` on canned paired runs."""
+"""The summary of ``scripts/bench_pairs.py`` on canned paired runs, and its
+raw setup timing on fake checkouts."""
 
+import argparse
 import importlib.util
 import sys
 from pathlib import Path
@@ -60,3 +62,30 @@ def test_bytecode_condition_reads_the_environment_and_the_package_cache(tmp_path
     # unset or empty, the variable lets children write bytecode
     for env in ({}, {"PYTHONDONTWRITEBYTECODE": ""}):
         assert "children write bytecode (PYTHONDONTWRITEBYTECODE='')" in bytecode_condition(tmp_path, env)
+
+
+def test_setup_line_reads_unscaled_medians_and_iqrs_in_ms():
+    setup_line = _load_bench_pairs().setup_line
+    walls = {"parent": [0.140, 0.130, 0.136, 0.150, 0.135], "change": [0.139, 0.137, 0.160, 0.138, 0.133]}
+    assert setup_line(walls) == ("setup raw (5 --setup-only children per side, unscaled wall): "
+                                 "parent 136.0 ms (IQR 5.0) -> change 138.0 ms (IQR 2.0) (+1.5%)")
+
+
+def test_setup_walls_alternate_setup_only_children_between_checkouts(tmp_path):
+    # each fake checkout's bench/run.py logs its checkout and arguments
+    log = tmp_path / "log.txt"
+    for side in ("parent", "change"):
+        bench = tmp_path / side / "bench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text(
+            "import sys\n"
+            f"with open({str(log)!r}, 'a') as fh:\n"
+            f"    fh.write({side!r} + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n",
+            encoding="utf-8")
+    args = argparse.Namespace(workload="exact_sweep", seed=7)
+    walls = _load_bench_pairs().setup_walls(tmp_path / "parent", tmp_path / "change", args, runs=3)
+    assert [len(walls[side]) for side in ("parent", "change")] == [3, 3]
+    assert all(t > 0 for side in walls.values() for t in side)
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert [line.split()[0] for line in lines] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert set(line.split(" ", 1)[1] for line in lines) == {"--workload exact_sweep --seed 7 --setup-only"}

@@ -86,6 +86,70 @@ def test_validate_feet_catches_off_side_and_vertices():
         validate_feet(RIGHT_345, at_vertex)
 
 
+FOOT_SIDES = {"A": "BC", "B": "CA", "C": "AB"}
+
+
+def per_foot_error(tri, checks, eps=1e-9):
+    """The ``FootOffSide`` message of the per-foot rule on ``(foot, side,
+    off, at)`` checks in order: each foot on its side line by ``incident``,
+    then away from A, B and C by ``coincident``; None when all pass."""
+    for foot, side, off, at in checks:
+        if not incident(foot, tri.side_line(side), eps):
+            return f"{off} does not lie on side {side}"
+        for vertex, vname in zip(tri.vertices, "ABC"):
+            if projective.coincident(foot, vertex, eps):
+                return f"{at} coincides with vertex {vname}"
+    return None
+
+
+def bad_foot(rnd, tri, foot):
+    """A seeded replacement for ``foot``: a random point (mostly off the
+    side) or a vertex, exact or float, or a float point within 1e-13 of a
+    vertex or of the foot."""
+    kind = rnd.choice(("off", "vertex", "near vertex", "near foot"))
+    if kind == "off":
+        p = HPoint(rnd.randint(-20, 20), rnd.randint(-20, 20), rnd.randint(1, 5))
+    elif kind == "vertex":
+        p = rnd.choice(tri.vertices)
+    else:
+        base = rnd.choice(tri.vertices) if kind == "near vertex" else foot
+        x, y, z = map(float, base.coords)
+        return HPoint(x * (1 + 1e-13) + 1e-14, y, z)
+    return rnd.choice((p, float_copy(p)))
+
+
+def test_validate_feet_names_the_first_offending_foot_as_the_per_foot_rule():
+    names = ("A1", "A2", "B1", "B2", "C1", "C2")
+    outcomes = Counter()
+    for seed in range(80):
+        rnd = random.Random(seed)
+        tri, feet, _ = concurrency_solved_instance(rnd)
+        ftri, ffeet = float_copy(tri), float_copy(feet)
+        for t, f in ((tri, feet), (ftri, ffeet), (tri, ffeet), (ftri, feet)):
+            replaced = rnd.sample(names, rnd.randint(0, 2))
+            changed = f.replace(**{n: bad_foot(rnd, t, getattr(f, n)) for n in replaced})
+            checks = [(getattr(changed, n), FOOT_SIDES[n[0]], f"foot {n}", f"foot {n}") for n in names]
+            expected = per_foot_error(t, checks)
+            if expected is None:
+                validate_feet(t, changed)
+            else:
+                with pytest.raises(FootOffSide) as err:
+                    validate_feet(t, changed)
+                assert str(err.value) == expected
+            outcomes[expected and expected.split()[2]] += 1  # None, "does" (not lie) or "coincides"
+            # the conjugate generators check their three feet by the same rule
+            triple = changed.triple(1)
+            expected = per_foot_error(t, [(p, s, "foot", f"foot on {s}") for p, s in zip(triple, ("BC", "CA", "AB"))])
+            if expected is None:
+                isotomic_feet(t, triple)
+            else:
+                with pytest.raises(FootOffSide) as err:
+                    isotomic_feet(t, triple)
+                assert str(err.value) == expected
+    # passing feet, feet off their side and feet at a vertex all occur
+    assert set(outcomes) == {None, "does", "coincides"}
+
+
 def test_median_feet_oracle():
     a1, b1, c1 = median_feet(RIGHT_345)
     assert a1 == HPoint(2, Fraction(3, 2), 1)

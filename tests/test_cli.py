@@ -453,6 +453,10 @@ def isogonal_feet(n1, n2):
     return {"generator": "isogonal", "params": ["1/3", "2/5", "3/7"]}
 
 
+def isotomic_feet(n1, n2):
+    return {"generator": "isotomic", "params": ["1/3", "2/5", "3/7"]}
+
+
 def params_feet(n1, n2):
     return {"params": ["1/3", "2/5", "3/7", "1/2", "1/2", "1/2"]}
 
@@ -477,6 +481,40 @@ def test_verify_svg_of_exact_scenes_past_float_range(tmp_path, capsys, digits, f
     assert capsys.readouterr().err == ""
     text = svg.read_text()
     assert text.startswith("<?xml") and text.endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("digits", [350, 400])
+def test_verify_svg_of_a_params_scene_past_float_range(tmp_path, capsys, digits):
+    # the degenerate witness's exact line has entries past float range:
+    # its basis candidates are ranked on the line's scaled float copy
+    # rather than converting each entry to a float, which overflowed
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(large_triangle_scene(digits, params_feet)))
+    svg = tmp_path / "out.svg"
+    assert main(["verify", str(path), "--svg", str(svg)]) == 2
+    assert capsys.readouterr().err == ""
+    assert svg.read_text().endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("feet", [params_feet, isogonal_feet, isotomic_feet, through_feet])
+@pytest.mark.parametrize("digits", [10, 40, 150, 400])
+def test_large_exact_scenes_run_in_every_output_mode(tmp_path, capsys, digits, feet):
+    # a seeded family of exact scenes from 10 to 400 digits in every feet
+    # shape: text, JSON and SVG runs exit 0 or 2 with nothing on stderr,
+    # the JSON report reads back to itself and the SVG is complete
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(large_triangle_scene(digits, feet)))
+    assert main(["verify", str(path)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    assert main(["verify", str(path), "--json"]) in (0, 2)
+    out = capsys.readouterr()
+    assert out.err == ""
+    data = json.loads(out.out)
+    assert scene.report_to_dict(report_from_dict(data)) == data
+    svg = tmp_path / "out.svg"
+    assert main(["verify", str(path), "--svg", str(svg)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    assert svg.read_text().endswith("</svg>\n")
 
 
 def long_residual_feet(n1, n2):

@@ -3,6 +3,7 @@
 import importlib.util
 import random
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +44,47 @@ def _calls_during(fn) -> Counter:
     finally:
         sys.settrace(None)
     return calls
+
+
+def _edges_of_ops(workload: str, seed: int, n_ops: int) -> Counter:
+    """Calls (frame entries) over operations ``0 .. n_ops-1`` of a workload,
+    after its warm-up, keyed by (caller, callee) ``module.name`` pairs."""
+    edges = Counter()
+
+    def name(frame):
+        return f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"
+
+    def on_call(frame, event, arg):
+        edges[name(frame.f_back), name(frame)] += 1
+
+    with tempfile.TemporaryDirectory() as workdir:
+        wl = _load_op_count().load_workloads().WORKLOADS[workload](seed, Path(workdir))
+        wl.setup()
+        try:
+            for i in range(wl.warmup_ops):
+                wl.traced_op(i)
+            sys.settrace(on_call)
+            try:
+                for i in range(n_ops):
+                    wl.traced_op(i)
+            finally:
+                sys.settrace(None)
+        finally:
+            wl.close()
+    return edges
+
+
+def test_exact_feet_are_built_in_one_pass_and_lazy_attributes_run_no_functools_frame():
+    # ops 0-4 of exact_sweep, one per generator family: feet_from_params
+    # builds each exact foot from the vertex triples without foot_point,
+    # and no functools frame (such as cached_property.__get__) runs
+    edges = _edges_of_ops("exact_sweep", 7, 5)
+    one_pass = edges["conconic.cevians.feet_from_params", "conconic.cevians._exact_foot"]
+    assert one_pass > 0 and one_pass % 6 == 0
+    assert edges["conconic.cevians.feet_from_params", "conconic.cevians.foot_point"] == 0
+    assert [callee for _, callee in edges if callee.startswith("functools.")] == []
+    # the triangles' and configurations' exactness is computed by projective.lazy
+    assert edges["conconic.projective.__get__", "conconic.cevians.exact"] > 0
 
 
 def test_exact_sweep_decides_identity_on_integer_triples():
