@@ -6,7 +6,9 @@ the parent first, even pairs the change.  Each run's result is the last
 JSON line it prints.  For every end-to-end metric of ``BENCHMARK.json``
 (read from the change's checkout) it prints each side's median and
 quartiles, the parent's interquartile range and the pairs each side wins
-in the metric's ``better`` direction; ties count for neither side.
+in the metric's ``better`` direction; ties count for neither side.  Each
+row ends with the metric's verdict (``verdict``): ``gain``, ``worse``,
+``unresolved`` or ``within bound``.
 Before the pairs it prints each checkout's bytecode condition, which
 moves every ``cli_scenes`` reading: whether its children write bytecode
 and how many package modules already have a ``.pyc``.  After them it
@@ -105,6 +107,29 @@ def summarize(parent, change, metrics):
     return rows
 
 
+def verdict(row, better: str, bound: float) -> str:
+    """The verdict on one ``summarize`` row, by the rule for claiming a gain
+    and for bounding a regression.
+
+    ``gain``: the change wins at least 9/10 of the pairs, and its median is
+    better than the parent's by more than the parent's IQR.  ``worse``: its
+    median is worse than the parent's by more than ``bound`` times the
+    parent's median.  ``unresolved``: the parent's IQR is wider than that
+    bound and the change does not win every pair.  Otherwise ``within
+    bound``.
+    """
+    parent = row["parent"][1]
+    gain = (row["change"][1] - parent) * (1 if better == "higher" else -1)
+    limit = bound * abs(parent)
+    if 10 * row["change_wins"] >= 9 * row["pairs"] and gain > row["parent_iqr"]:
+        return "gain"
+    if -gain > limit:
+        return "worse"
+    if row["parent_iqr"] > limit and row["change_wins"] < row["pairs"]:
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -116,6 +141,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    specs = {m["name"]: m for m in spec["end_to_end"]}
     for checkout in (args.parent, args.change):
         print(bytecode_condition(checkout, os.environ), flush=True)
     runs = {"parent": [], "change": []}
@@ -126,10 +152,11 @@ def main(argv=None) -> int:
             values = " ".join(f"{n}={result['metrics'][n]['value']:.4g}" for n, _ in metrics)
             print(f"pair {i} {side}: failed {result['failed']}/{result['attempted']} {values}", flush=True)
     for row in summarize(runs["parent"], runs["change"], metrics):
-        p, c = row["parent"], row["change"]
+        p, c, m = row["parent"], row["change"], specs[row["metric"]]
         print(f"{row['metric']}: parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> change {c[1]:.4g} "
               f"[{c[0]:.4g}, {c[2]:.4g}] ({(c[1] - p[1]) / p[1]:+.1%}); parent IQR {row['parent_iqr']:.4g}; "
-              f"wins change {row['change_wins']}/{row['pairs']}, parent {row['parent_wins']}/{row['pairs']}")
+              f"wins change {row['change_wins']}/{row['pairs']}, parent {row['parent_wins']}/{row['pairs']}; "
+              f"{verdict(row, m['better'], m['bound'])}")
     print(setup_line(setup_walls(args.parent, args.change, args)), flush=True)
     return 0
 

@@ -47,6 +47,41 @@ def test_summary_of_one_pair():
     assert row["parent_iqr"] == 0 and (row["change_wins"], row["parent_wins"]) == (0, 0)
 
 
+def _verdict(parent, change, better="higher", bound=0.2):
+    bench_pairs = _load_bench_pairs()
+    (row,) = bench_pairs.summarize(_runs(m=parent), _runs(m=change), [("m", better)])
+    return bench_pairs.verdict(row, better, bound)
+
+
+def test_a_gain_wins_nine_tenths_of_the_pairs_by_more_than_the_parent_iqr():
+    parent = [100, 110, 90, 105, 95, 101, 99, 103, 97, 100]   # median 100, IQR 5.5
+    assert _verdict(parent, [v + 20 for v in parent]) == "gain"
+    # 9 of 10 pairs won is enough, 8 is not
+    nine = [v + 20 for v in parent[:9]] + [parent[9] - 1]
+    eight = [v + 20 for v in parent[:8]] + [parent[8] - 1, parent[9] - 1]
+    assert _verdict(parent, nine) == "gain"
+    assert _verdict(parent, eight) == "within bound"
+    # every pair won, by less than the parent's IQR: no gain
+    assert _verdict(parent, [v + 5 for v in parent]) == "within bound"
+    # lower is better
+    assert _verdict([2.0, 2.1, 1.9, 2.0, 2.05], [1.5, 1.6, 1.4, 1.5, 1.55], better="lower", bound=0.25) == "gain"
+
+
+def test_a_median_worse_past_the_bound_is_worse():
+    parent = [2.0, 2.1, 1.9, 2.0, 2.05]
+    assert _verdict(parent, [2.6, 2.7, 2.5, 2.6, 2.65], better="lower", bound=0.25) == "worse"
+    assert _verdict(parent, [2.4, 2.5, 2.3, 2.4, 2.45], better="lower", bound=0.25) == "within bound"
+    assert _verdict([100, 101, 99, 100, 100], [79, 80, 78, 79, 79]) == "worse"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_change_wins_every_pair():
+    parent = [60, 80, 100, 120, 140]    # median 100, IQR 40 > 0.2 * 100
+    assert _verdict(parent, [61, 79, 101, 119, 141]) == "unresolved"
+    assert _verdict(parent, [v + 1 for v in parent]) == "within bound"
+    # a median worse past the bound is worse, whatever the spread
+    assert _verdict(parent, [v - 30 for v in parent]) == "worse"
+
+
 def test_bytecode_condition_reads_the_environment_and_the_package_cache(tmp_path):
     bytecode_condition = _load_bench_pairs().bytecode_condition
     package = tmp_path / "src" / "conconic"

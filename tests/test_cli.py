@@ -363,6 +363,17 @@ def test_poncelet_chain_from_a_point_at_infinity_runs(capsys):
     assert "did not close" in captured.out and captured.err == ""
 
 
+@pytest.mark.parametrize("mode", [["--expected-n", "3", "--samples", "4"],
+                                  ["--start", "1.4142135623730951,1.4142135623730951", "--max-steps", "20"]])
+def test_poncelet_chains_on_an_inner_hyperbola_step_along_its_asymptote(mode, capsys):
+    # a first step whose one finite touch point turns clockwise takes the
+    # tangent that touches at infinity, the asymptote, and does not stick
+    code = main(["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,-1,0,0,-1", *mode])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "did not close" in captured.out and captured.err == ""
+
+
 def test_poncelet_requires_start_or_expected_n(capsys):
     code = main(["poncelet", "--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1"])
     assert code == 1

@@ -143,21 +143,31 @@ def test_exact_six_point_verdicts_make_no_integer_elimination():
 def test_float_chain_steps_make_no_helper_calls():
     # ops 0-3 of float_chains: three trisector porism checks (25 chains of
     # 3 steps each) and one concentric op (20 chains of 3 steps and one of
-    # 100).  The basis crosses, Gram forms and norms of a step are written
-    # out, so what is left of linalg's triple helpers per step is counted
-    # below (14.09 cross, 6.17 matvec3 and 6.59 dot per step before); a
-    # helper call put back on the step path raises one of these counts.
+    # 100).  Every step is one _ChainKernel.step: the basis crosses, Gram
+    # forms, norms and coincidence tests of a step are written out, and a
+    # first step reads its touch points off the inner adjugate rows, so
+    # what is left of linalg's triple helpers is counted below; a helper
+    # call put back on the step path raises one of these counts.
     _, calls, failed = _load_op_count().count("float_chains", 7, 4)
     assert failed == 0
     steps = 3 * 25 * 3 + 20 * 3 + 100
-    assert calls["conconic.poncelet.poncelet_step"] == steps
-    # each step still goes through the names the benchmark's tracer rebinds
+    assert calls["conconic.poncelet._ChainKernel.step"] == steps
+    assert calls["conconic.poncelet.poncelet_step"] == 0
+    # each step still goes through the names the benchmark's tracer
+    # rebinds, and the kernel reads no dual conic when it is built
     assert calls["conconic.conics.tangent_lines_from"] == steps
     assert calls["conconic.conics.Conic.dual"] == steps
-    assert calls["conconic.linalg.cross"] <= 1005       # 2.61 per step
-    assert calls["conconic.linalg.matvec3"] <= 249      # 0.65 per step
-    assert calls["conconic.linalg.dot"] <= 26           # 0.07 per step
-    assert calls["conconic.linalg.row_norm"] <= 378     # 0.98 per step
+    assert calls["conconic.poncelet.second_intersection"] >= steps
+    # no first step takes a pole or divides through scalars.div: the only
+    # divisions are the two of to_xy on the centre of each porism check's
+    # point search
+    assert calls["conconic.conics.Conic.pole"] == 0
+    assert calls["conconic.projective.HPoint.to_xy"] == 4
+    assert calls["conconic.scalars.div"] == 2 * 4
+    assert calls["conconic.linalg.cross"] <= 331       # 0.86 per step
+    assert calls["conconic.linalg.matvec3"] <= 17      # 0.04 per step
+    assert calls["conconic.linalg.dot"] <= 26          # 0.07 per step
+    assert calls["conconic.linalg.row_norm"] <= 153    # 0.40 per step
 
 
 def test_float_chain_points_and_lines_skip_the_generic_canonicalizer():

@@ -31,10 +31,12 @@ from conconic.errors import (
     ChainStuck,
     DegenerateConic,
     GeometryError,
+    LineOnConic,
     NoRealSolution,
     NoTangentLine,
 )
 from conconic.generate import concurrency_solved_instance, float_copy, float_triangle
+from conftest import exact_family_instance
 
 UNIT = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
 OUTER_R2 = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -4.0))
@@ -480,3 +482,140 @@ def test_degenerate_conics_are_named_before_the_first_step():
         porism_check(OUTER_R2, pair, expected_n=3, num_samples=5)
     with pytest.raises(DegenerateConic, match="^outer conic is degenerate$"):
         porism_check(pair, INNER_R1, expected_n=3, num_samples=5)
+
+
+def test_an_inner_hyperbola_asymptote_does_not_stick_the_first_step():
+    # from (sqrt2, sqrt2) on x^2 + y^2 = 4 one tangent to x^2 - y^2 = 1 is
+    # the asymptote y = x, which touches at infinity, and the other touches
+    # at a finite point that turns clockwise about the centre, which lies
+    # outside a hyperbola: the first step takes the asymptote
+    r = math.sqrt(2.0)
+    outer, inner = circle(2.0), Conic(1.0, 0.0, -1.0, 0.0, 0.0, -1.0)
+    start = HPoint(r, r, 1.0)
+    touches = [inner.pole(t) for t in tangent_lines_from(inner, start)]
+    assert sorted(t.at_infinity for t in touches) == [False, True]
+    nxt, link = poncelet_step(outer, inner, start)
+    assert repr(link) == "HLine(1.0 : -1.0 : 0.0)"
+    assert affine(nxt) == pytest.approx((-r, -r), abs=1e-12)
+    chain = trace_chain(outer, inner, start, max_steps=20)
+    assert len(chain.links) == 20 and chain.links[0] == link
+    assert all(inner.is_tangent(link) for link in chain.links)
+    report = porism_check(outer, inner, expected_n=3, num_samples=4)
+    assert len(report.steps) == 4 and not report.all_closed
+
+
+def witness_pairs():
+    """(family, seed, config, inner6 witness, tangent6 witness) of the exact
+    solved, isogonal and isotomic instances of seeds 0-19 whose two
+    witnesses are nondegenerate, and the number of instances skipped."""
+    pairs, skipped = [], 0
+    for family in ("solved", "isogonal", "isotomic"):
+        for seed in range(20):
+            cfg = build_config(*exact_family_instance(random.Random(seed), family))
+            report = check_conditions(cfg)
+            inner, tangent = report.inner6.witness_conic, report.tangent6.witness_conic
+            if inner is None or tangent is None or inner.is_degenerate() or tangent.is_degenerate():
+                skipped += 1
+            else:
+                pairs.append((family, seed, cfg, inner, tangent))
+    return pairs, skipped
+
+
+def test_exact_chains_on_the_witness_pairs_close_on_the_cevian_triangle():
+    # the cevian triangle X1Y1Z1 has its vertices on the inner6 conic and
+    # its sides along cevians, which touch the tangent6 conic: from X1 the
+    # exact chain stays on integer triples and is back at X1 after 3 steps
+    pairs, skipped = witness_pairs()
+    assert (len(pairs), skipped) == (47, 13)
+    for family, seed, cfg, inner, tangent in pairs:
+        chain = trace_chain(inner, tangent, cfg.X1, max_steps=6)
+        assert chain.closure_step == 3 and chain.gap == 0.0, (family, seed)
+        assert chain.points[3] == chain.points[0]
+        assert all(p.exact for p in chain.points) and all(link.exact for link in chain.links)
+
+
+def assert_steps_replay_the_chain(outer, inner, chain):
+    """``poncelet_step`` from each vertex along its incoming link gives the
+    chain's next link and vertex, by repr (signed zeros included)."""
+    incoming = None
+    for k, link in enumerate(chain.links):
+        nxt, got = poncelet_step(outer, inner, chain.points[k], incoming)
+        assert (repr(nxt), repr(got)) == (repr(chain.points[k + 1]), repr(link)), k
+        incoming = got
+
+
+def _chain_pairs():
+    _, _, cfg, inner6, tangent6 = witness_pairs()[0][0]
+    trisector_outer, trisector_inner = trisector_conics(7)
+    hyperbola = Conic(1, 0, -1, 0, 0, -1)
+    return {
+        "float trisectors": (trisector_outer, trisector_inner, find_point_on_conic(trisector_outer)),
+        "exact witnesses": (inner6, tangent6, cfg.X1),
+        "exact outer, float inner": (Conic(1, 0, 1, 0, 0, -4), INNER_R1, HPoint(2, 0, 1)),
+        "float outer, exact inner": (OUTER_R2, Conic(4, 0, 4, 0, 0, -1), HPoint(2.0, 0.0, 1.0)),
+        "inner parabola": (PARABOLA_OUTER, PARABOLA_INNER, HPoint(1.5, 2.25, 1.0)),
+        "start at infinity": (hyperbola, circle(0.5), HPoint(1, 1, 0)),
+        "inner hyperbola asymptote": (circle(2.0), hyperbola, HPoint(math.sqrt(2.0), math.sqrt(2.0), 1.0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_chain_pairs()))
+def test_a_step_and_a_chain_agree_link_by_link(name):
+    outer, inner, start = _chain_pairs()[name]
+    chain = trace_chain(outer, inner, start, max_steps=12)
+    assert len(chain.links) >= 3
+    assert_steps_replay_the_chain(outer, inner, chain)
+
+
+LINE_ON_CONIC_INNER = Conic(850.5, -1699.0, 850.5, 0.0, 0.0, -1700.0)  # x'^2 + 1700 y'^2 = 1700, rotated 45 deg
+
+# (outer, inner, start, eps, error, message, step): each failure of a chain
+# step, raised by ``poncelet_step`` as it is and by ``trace_chain`` with the
+# number of the step in front of its message
+STEP_FAILURES = [
+    (OUTER_R2, INNER_R1, HPoint(1.9, 0.0, 1.0), 1e-9, BaseNotOnConic,
+     "chain vertex HPoint(1.0 : 0.0 : 0.5263157894736842) does not lie on the outer conic", 1),
+    (OUTER_R2, circle(3.0), HPoint(2.0, 0.0, 1.0), 1e-9, NoTangentLine, "chain vertex lies inside the inner conic", 1),
+    # every line through the start, the long axis's point at infinity, is
+    # within eps of tangent to the thin inner ellipse
+    (Conic(1.0, 0.0, -1.0, 0.0, 0.0, -1.0), LINE_ON_CONIC_INNER, HPoint(1.0, 1.0, 0.0), 1e-3, LineOnConic,
+     "every point of the line lies on the conic", 1),
+    # the first link touches the inner circle at (3, 4), on the outer one,
+    # where the only tangent is the link the chain arrived on
+    (Conic(1, 0, 1, 0, 0, -25), Conic(1, 0, 1, -6, 0, -7), HPoint(-3, -4, 1), 1e-9, ChainStuck,
+     "both tangents coincide with the incoming link", 2),
+    # the inner ellipse touches the outer circle at the start
+    (Conic(1, 0, 1, 0, 0, -4), Conic(1, 0, 4, 0, 0, -4), HPoint(2, 0, 1), 1e-9, ChainStuck,
+     "link is tangent to the outer conic; the chain cannot advance", 1),
+    # from (1 : 0 : 0) one tangent to the parabola is the line at infinity
+    (Conic(0, 1, 0, 0, 0, -1), PARABOLA_INNER, HPoint(1, 0, 0), 1e-9, ChainStuck,
+     "inner conic has no finite center to orient the first step", 1),
+]
+
+
+@pytest.mark.parametrize("outer, inner, start, eps, error, message, step", STEP_FAILURES)
+def test_a_step_failure_keeps_its_type_and_message_and_a_chain_names_its_step(
+    outer, inner, start, eps, error, message, step
+):
+    with pytest.raises(error) as raised:
+        trace_chain(outer, inner, start, eps=eps)
+    assert type(raised.value) is error and str(raised.value) == f"step {step}: {message}"
+    current, incoming = start, None
+    for _ in range(step - 1):
+        current, incoming = poncelet_step(outer, inner, current, incoming, eps)
+    with pytest.raises(error) as raised:
+        poncelet_step(outer, inner, current, incoming, eps)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_a_first_step_with_no_tangent_turning_counterclockwise_is_stuck(monkeypatch):
+    # the lower tangent from (2, 0) to the unit circle touches clockwise
+    # about its centre; offered twice, and finite, it gives no first link
+    start = HPoint(2.0, 0.0, 1.0)
+    upper, lower = sorted(tangent_lines_from(INNER_R1, start), key=lambda t: affine(INNER_R1.pole(t))[1], reverse=True)
+    assert poncelet_step(OUTER_R2, INNER_R1, start)[1] == upper
+    monkeypatch.setattr(poncelet, "tangent_lines_from", lambda conic, p, eps: (lower, lower))
+    with pytest.raises(ChainStuck, match="^no tangent advances the chain counterclockwise$"):
+        poncelet_step(OUTER_R2, INNER_R1, start)
+    with pytest.raises(ChainStuck, match="^step 1: no tangent advances the chain counterclockwise$"):
+        trace_chain(OUTER_R2, INNER_R1, start)
