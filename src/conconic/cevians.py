@@ -322,13 +322,16 @@ def check_conditions(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ConditionRe
 # ----- conjugate feet generators ------------------------------------------
 
 
-def _finite_xy(p: HPoint, eps: float) -> Optional[Tuple[Scalar, Scalar]]:
-    """Affine coordinates of ``p``, or None when it lies at infinity (in float
-    mode: when its last coordinate is below ``eps`` relative to its norm)."""
-    x, y, z = p.coords
-    if is_zero(z, eps, lambda: row_norm(p.coords)):
-        return None
-    return div(x, z), div(y, z)
+def _at_infinity(p: HPoint, eps: float) -> bool:
+    """Whether ``p`` lies at infinity (in float mode: whether its last
+    coordinate is below ``eps`` relative to its norm)."""
+    return is_zero(p.coords[2], eps, lambda: row_norm(p.coords))
+
+
+def _affine_coordinate(p: HPoint, i: int, eps: float) -> Optional[Scalar]:
+    """Affine coordinate ``i`` of ``p`` (0 for x, 1 for y), or None when it
+    lies at infinity; the other coordinate is not divided."""
+    return None if _at_infinity(p, eps) else div(p.coords[i], p.coords[2])
 
 
 def _affine_triple(p: HPoint, what: str) -> Tuple[Scalar, Scalar, Scalar]:
@@ -514,7 +517,7 @@ def solve_sixth_foot(
             f"five feet already force a conic containing side {side}; "
             "every foot satisfies the determinant"
         ) from None
-    finite = [r for r in roots if _finite_xy(r, eps) is not None]
+    finite = [r for r in roots if not _at_infinity(r, eps)]
     if not finite:
         raise NoRealSolution(f"the conic through the five feet meets side {side} in no real point")
     feet = []
@@ -621,7 +624,8 @@ def to_chart(cfg: CevianConfig, eps: float = DEFAULT_EPS) -> ProofChart:
 def _map_chart(cfg: CevianConfig, eps: float) -> ProofChart:
     """``to_chart`` by the chart map itself: the target frame matrix is
     built once at import; each call builds the source frame's and composes
-    the two, as ``map_from_correspondence`` does."""
+    the two, as ``map_from_correspondence`` does.  Of each image it divides
+    only the affine coordinate the chart keeps."""
     tri = cfg.triangle
     feet = cfg.feet
     try:
@@ -630,16 +634,14 @@ def _map_chart(cfg: CevianConfig, eps: float) -> ProofChart:
         raise ChartDegenerate(f"chart frame cannot be built: {err}") from None
     chart_map = _map_between_frames(source, _CHART_FRAME)
 
-    b1_pt = _finite_xy(chart_map.apply(feet.B1), eps)
-    c2_pt = _finite_xy(chart_map.apply(feet.C2), eps)
-    if b1_pt is None or c2_pt is None:
+    b1 = _affine_coordinate(chart_map.apply(feet.B1), 0, eps)
+    c2 = _affine_coordinate(chart_map.apply(feet.C2), 1, eps)
+    if b1 is None or c2 is None:
         raise ChartDegenerate("a normalized foot escaped to infinity in the chart")
-    b1 = b1_pt[0]
-    c2 = c2_pt[1]
 
     _, ca, ab = tri.sides
-    p_pt = _finite_xy(chart_map.apply(meet(ab, join(feet.A2, feet.B1, eps), eps)), eps)
-    q_pt = _finite_xy(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)), eps)
-    p = None if p_pt is None else -p_pt[1]
-    q = None if q_pt is None else -q_pt[0]
+    y_p = _affine_coordinate(chart_map.apply(meet(ab, join(feet.A2, feet.B1, eps), eps)), 1, eps)
+    x_q = _affine_coordinate(chart_map.apply(meet(ca, join(feet.A1, feet.C2, eps), eps)), 0, eps)
+    p = None if y_p is None else -y_p
+    q = None if x_q is None else -x_q
     return ProofChart(b1=b1, c2=c2, p=p, q=q, eps=eps)

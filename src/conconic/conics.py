@@ -37,6 +37,13 @@ five-point fit take their inputs through the gate ``_distinct`` (the item
 count, then no coincident pair), each input once (fits of gated points call
 the ungated ``_fit``); ``cevians.check_conditions`` skips the gate, as a
 repeated item makes the verdict hold identically.
+
+A conic meets a line (``intersect_line``, and ``tangent_lines_from`` in
+the dual plane) in one frame, ``_meet_coords``, which every chain step
+runs twice: it spans the line by two basis crosses, takes the pencil's
+quadratic from the Gram forms and solves a float quadratic in place.  Only
+an exact quadratic leaves it, for ``_quadratic_root_pairs``, whose roots
+stay rational or raise ``IrrationalResult``.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ from .projective import (
     lazy,
     meet,
 )
-from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_tuple, exact_sqrt, float_scaled, is_zero, near_zero
+from .scalars import DEFAULT_EPS, Scalar, canonical_tuple, exact_sqrt, float_scaled, is_zero, near_zero
 
 Six = Tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]
 
@@ -337,21 +344,63 @@ def _form_zero(m, norm: Callable[[], float], coords, eps: float) -> bool:
 # ----- line and conic intersections ------------------------------------
 
 
-def _points_on_line(line: Sequence[Scalar]):
-    """Two independent points spanning the line of coordinates ``line``, as
-    raw triples, followed by their float norms.
+def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar):
+    """Exact projective roots (lam : mu) of a lam^2 + 2 b lam mu + c mu^2 = 0.
 
-    The candidates are the line's cross products with the basis, tried in
-    decreasing norm (ties in basis order).  This runs once per tangent
-    construction of every chain step, so the crosses, norms and ranking
-    are written out rather than called.  Each candidate is the literal
-    expression ``cross`` evaluates (``l1*0 - l2*0``, ``l2*1 - l0*0``, ...),
-    which keeps the sign of every zero and the type of every entry.  Its
-    squared norm is the sum of the squares of the two line entries it
-    holds, since adding the float square of its zero entry changes
-    nothing; ``row_norm`` gives the same bits.  An exact line is ranked
-    on its ``scalars.float_scaled`` copy, whose floats stay finite at any
-    size; dividing by one power of two leaves the ranking as it is.
+    The exact half of ``_meet_coords``'s root pair, on integer or rational
+    coefficients: a list of one pair for a double root, two pairs for
+    distinct roots, empty for no real roots.  Raises ``LineOnConic`` when
+    the form vanishes identically and ``IrrationalResult`` when the roots
+    exist but are not rational.
+    """
+    if a == 0 and b == 0 and c == 0:
+        raise LineOnConic("every point of the line lies on the conic")
+    if a == 0:
+        if b == 0:
+            return [(1, 0)]
+        return [(1, 0), (Fraction(c), Fraction(-2 * b))]
+    disc = b * b - a * c
+    if disc < 0:
+        return []
+    root = exact_sqrt(disc)
+    if root is None:
+        raise IrrationalResult(
+            "intersection exists but has irrational coordinates; "
+            "use float inputs to get a numeric answer"
+        )
+    if root == 0:
+        return [(Fraction(-b), Fraction(a))]
+    return [(-b + root, Fraction(a)), (-b - root, Fraction(a))]
+
+
+def _meet_coords(conic: Conic, line: Sequence[Scalar], eps: float):
+    """Raw coordinate triples of the real points where the conic meets the
+    line of coordinates ``line``, for the caller to canonicalize once.
+
+    One frame, which every tangent construction of a chain step runs, so
+    its three parts are written out rather than called:
+
+    - The spanning points ``u, v`` of the line are its cross products with
+      the basis, the first two in decreasing norm (ties in basis order, as
+      ``sorted(..., reverse=True)`` keeps them).  Each is the literal
+      expression ``cross`` evaluates (``l1*0 - l2*0``, ``l2*1 - l0*0``,
+      ...), which keeps the sign of every zero and the type of every
+      entry; its norm is the root of the two squared line entries it
+      holds, the bits of ``row_norm``.  An exact line is ranked on its
+      ``scalars.float_scaled`` copy, whose floats stay finite at any size.
+      The two leading crosses are independent: their cross is the line
+      times the entry the third cross leaves out, and a zero entry gives
+      the cross that leaves it out the largest norm.
+    - The pencil's quadratic ``a lam^2 + 2 b lam mu + c mu^2`` takes the
+      Gram forms of ``u, v``: ``matvec3`` and ``dot`` on the unpacked
+      ``conic.gram``, in their ``0 + a0*b0 + a1*b1 + a2*b2`` order, so
+      every float keeps its last bit.
+    - Exact coefficients go to ``_quadratic_root_pairs``.  Float ones are
+      solved here with ``near_zero``'s test ``abs(x) <= eps * max(scale,
+      1e-300)`` written out: the form vanishes on the line (``LineOnConic``)
+      below ``conic.gram_norm |u| |v|``, read only here, so an exact conic
+      past float range never makes a float norm.  The larger of ``|a|``
+      and ``|c|`` leads, by swapping ``u`` with ``v``.
     """
     l0, l1, l2 = line
     c0 = (l1 * 0 - l2 * 0, l2 * 1 - l0 * 0, l0 * 0 - l1 * 1)
@@ -363,97 +412,12 @@ def _points_on_line(line: Sequence[Scalar]):
         x, y, z = map(float, float_scaled(line))
     q0, q1, q2 = x * x, y * y, z * z
     n0, n1, n2 = math.sqrt(q2 + q1), math.sqrt(q2 + q0), math.sqrt(q1 + q0)
-    # ``sorted(..., reverse=True)`` keeps equal norms in basis order
     if n0 >= n1:
-        ranked = (n0, c0, n1, c1, n2, c2) if n1 >= n2 else (
-            (n0, c0, n2, c2, n1, c1) if n0 >= n2 else (n2, c2, n0, c0, n1, c1))
+        ranked = (n0, c0, n1, c1) if n1 >= n2 else ((n0, c0, n2, c2) if n0 >= n2 else (n2, c2, n0, c0))
     else:
-        ranked = (n1, c1, n0, c0, n2, c2) if n0 >= n2 else (
-            (n1, c1, n2, c2, n0, c0) if n1 >= n2 else (n2, c2, n1, c1, n0, c0))
-    n_first, first, n_second, second, n_third, third = ranked
-    f0, f1, f2 = first
-    for n, c in ((n_second, second), (n_third, third)):
-        s0, s1, s2 = c
-        if f1 * s2 - f2 * s1 != 0 or f2 * s0 - f0 * s2 != 0 or f0 * s1 - f1 * s0 != 0:
-            return first, c, n_first, n
-    raise ValueError("line coordinates are degenerate")  # unreachable for valid lines
-
-
-def _quadratic_root_pairs(a: Scalar, b: Scalar, c: Scalar, eps: float, scale: Callable[[], float]):
-    """Projective roots (lam : mu) of a lam^2 + 2 b lam mu + c mu^2 = 0.
-
-    Returns a list of one pair for a double root, two pairs for distinct
-    roots, empty for no real roots.  Raises ``LineOnConic`` when the form
-    vanishes identically (in float mode: when its coefficients are below
-    ``eps`` relative to ``scale()``) and ``IrrationalResult`` when exact
-    roots exist but are not rational.  Float roots are solved with the
-    larger of ``|a|`` and ``|c|`` leading, swapping the roles of lam and
-    mu when that is ``c``.  A float ``a`` (every chain step) goes to the
-    float branch on its type alone, before the exact scan.
-    """
-    if type(a) is not float and all_exact((a, b, c)):
-        if a == 0 and b == 0 and c == 0:
-            raise LineOnConic("every point of the line lies on the conic")
-        if a == 0:
-            if b == 0:
-                return [(1, 0)]
-            return [(1, 0), (Fraction(c), Fraction(-2 * b))]
-        disc = b * b - a * c
-        if disc < 0:
-            return []
-        root = exact_sqrt(disc)
-        if root is None:
-            raise IrrationalResult(
-                "intersection exists but has irrational coordinates; "
-                "use float inputs to get a numeric answer"
-            )
-        if root == 0:
-            return [(Fraction(-b), Fraction(a))]
-        return [(-b + root, Fraction(a)), (-b - root, Fraction(a))]
-    fa, fb, fc = float(a), float(b), float(c)
-    magnitude = max(abs(fa), abs(fb), abs(fc))
-    if near_zero(magnitude, scale(), eps):
-        raise LineOnConic("every point of the line lies on the conic")
-    swap = abs(fa) < abs(fc)
-    if swap:
-        fa, fc = fc, fa
-    if near_zero(fa, magnitude, eps):
-        # conic essentially passes through the first basis point
-        if near_zero(fb, magnitude, eps):
-            pairs = [(1.0, 0.0)]
-        else:
-            pairs = [(1.0, 0.0), (fc, -2.0 * fb)]
-    else:
-        disc = fb * fb - fa * fc
-        if near_zero(disc, max(fb * fb, abs(fa * fc)), eps):
-            pairs = [(-fb, fa)]
-        elif disc < 0:
-            pairs = []
-        else:
-            root = math.sqrt(disc)
-            if fb == 0.0:
-                pairs = [(root, fa), (-root, fa)]
-            else:
-                q = -(fb + math.copysign(root, fb))
-                pairs = [(q, fa), (fc, q)]
-    if swap:
-        return [(mu, lam) for lam, mu in pairs]
-    return pairs
-
-
-def _meet_coords(conic: Conic, line: Sequence[Scalar], eps: float):
-    """Raw coordinate triples of the real points where the conic meets the
-    line of coordinates ``line``, for the caller to canonicalize once.
-
-    The pencil's quadratic takes three Gram forms of the two spanning
-    points; they are ``matvec3`` and ``dot`` written out on the unpacked
-    ``conic.gram``, in the same ``0 + a0*b0 + a1*b1 + a2*b2`` order, so
-    every float keeps its last bit.
-    """
-    p0, p1, n0, n1 = _points_on_line(line)
+        ranked = (n1, c1, n0, c0) if n0 >= n2 else ((n1, c1, n2, c2) if n1 >= n2 else (n2, c2, n1, c1))
+    nu, (u0, u1, u2), nv, (v0, v1, v2) = ranked
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = conic.gram
-    u0, u1, u2 = p0
-    v0, v1, v2 = p1
     h0 = 0 + g00 * v0 + g01 * v1 + g02 * v2
     h1 = 0 + g10 * v0 + g11 * v1 + g12 * v2
     h2 = 0 + g20 * v0 + g21 * v1 + g22 * v2
@@ -462,8 +426,37 @@ def _meet_coords(conic: Conic, line: Sequence[Scalar], eps: float):
          + u2 * (0 + g20 * u0 + g21 * u1 + g22 * u2))
     b = 0 + u0 * h0 + u1 * h1 + u2 * h2
     c = 0 + v0 * h0 + v1 * h1 + v2 * h2
-    pairs = _quadratic_root_pairs(a, b, c, eps, lambda: conic.gram_norm * n0 * n1)
-    return [(lam * u0 + mu * v0, lam * u1 + mu * v1, lam * u2 + mu * v2) for lam, mu in pairs]
+    if type(a) is not float:
+        pairs = _quadratic_root_pairs(a, b, c)
+    else:
+        magnitude = max(abs(a), abs(b), abs(c))
+        if magnitude <= eps * max(conic.gram_norm * nu * nv, 1e-300):
+            raise LineOnConic("every point of the line lies on the conic")
+        if abs(a) < abs(c):
+            # a root (lam : mu) of (c, b, a) is the root (mu : lam) of (a, b, c)
+            a, c, u0, u1, u2, v0, v1, v2 = c, a, v0, v1, v2, u0, u1, u2
+        small = eps * max(magnitude, 1e-300)
+        if abs(a) <= small:
+            # the conic essentially passes through u, simply: |c| <= |a|, so
+            # for eps < 1 the magnitude is |b|, above ``small``
+            pairs = ((1.0, 0.0), (c, -2.0 * b))
+        else:
+            disc = b * b - a * c
+            if abs(disc) <= eps * max(b * b, abs(a * c), 1e-300):
+                pairs = ((-b, a),)
+            elif disc < 0:
+                pairs = ()
+            else:
+                root = math.sqrt(disc)
+                if b == 0.0:
+                    pairs = ((root, a), (-root, a))
+                else:
+                    q = -(b + math.copysign(root, b))
+                    pairs = ((q, a), (c, q))
+    meets = []
+    for lam, mu in pairs:
+        meets.append((lam * u0 + mu * v0, lam * u1 + mu * v1, lam * u2 + mu * v2))
+    return meets
 
 
 def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HPoint, ...]:
@@ -472,6 +465,7 @@ def intersect_line(conic: Conic, l: HLine, eps: float = DEFAULT_EPS) -> Tuple[HP
     Two points for a proper chord, one for a tangent line, none when the
     line misses the conic.  In exact mode an intersection at irrational
     coordinates raises ``IrrationalResult`` rather than approximating.
+    ``eps`` must lie in (0, 1), the range scenes and the CLI enforce.
     """
     return tuple([HPoint(*coords) for coords in _meet_coords(conic, l.coords, eps)])
 
@@ -484,6 +478,7 @@ def tangent_lines_from(conic: Conic, p: HPoint, eps: float = DEFAULT_EPS) -> Tup
     form a line with coordinates ``p``, which is met with the dual conic.
     ``p.coords`` is already canonical and canonicalization is idempotent,
     so each tangent is canonicalized once, straight from the raw meet.
+    ``eps`` must lie in (0, 1), as for ``intersect_line``.
     """
     return tuple([HLine(*coords) for coords in _meet_coords(conic.dual(eps), p.coords, eps)])
 

@@ -21,7 +21,7 @@ sum gives ``+0.0``), and exact entries stay ``int`` or ``Fraction``.
 
 A float chain step runs these forms a few dozen times, and there the
 cost of a call exceeds its arithmetic.  So the helpers on the chain path
-(``conics._points_on_line``, ``_meet_coords`` and ``_form_zero``,
+(``conics._meet_coords`` and ``_form_zero``,
 ``poncelet._point_on_line_away_from`` and ``second_intersection``,
 ``projective.unit_coords``) write the crosses, Gram forms and norms out in
 place, in exactly the order fixed here: a form is ``0 + a0*b0 + a1*b1 +

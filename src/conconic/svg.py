@@ -209,10 +209,12 @@ def _lead_row(m, exact: bool):
 def _configuration_body(
     cfg: CevianConfig, witnesses: Sequence[Optional[Conic]], eps: float
 ) -> Tuple[Frame, List[str]]:
-    """The frame and the drawing elements of a configuration."""
+    """The frame and the drawing elements of a configuration: the window of
+    the drawable vertices, or the unit window when none is (every vertex at
+    infinity or past float range)."""
     tri = cfg.triangle
     corners = [xy for xy in (_affine(v) for v in tri.vertices) if xy is not None]
-    frame = Frame([x for x, _ in corners], [y for _, y in corners])
+    frame = Frame([x for x, _ in corners] or [0.0, 1.0], [y for _, y in corners] or [0.0, 1.0])
     body: List[str] = []
     body.append(_polyline(frame, corners, _TRIANGLE_COLOR, width_scale=1.4, closed=True))
 

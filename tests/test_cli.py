@@ -563,3 +563,28 @@ def test_svg_of_a_40_digit_scene_draws_its_triangle(tmp_path, capsys):
     _, _, width, height = (float(v) for v in text.split('viewBox="')[1].split('"')[0].split())
     assert width > 1e39 and height > 1e39
     assert text.count("<polygon") == 1 and text.count("<circle") >= 3
+
+
+def test_a_scene_with_every_vertex_past_float_range_runs_in_every_output_mode(tmp_path, capsys):
+    # N and M of 350 digits: no vertex of the triangle (N, N), (M, N), (N, M)
+    # has float coordinates, so the SVG takes the unit frame (it built its
+    # frame from no corners and exited 1), and every mode exits as the text
+    # verdicts do
+    rnd = random.Random(1)
+    n, m = (str(rnd.randrange(10 ** 349, 10 ** 350)) for _ in range(2))
+    data = {"triangle": [[n, n], [m, n], [n, m]], "feet": {"params": ["1/3", "2/5", "1/2", "1/4", "3/7", "2/9"]}}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", str(path), "--json"]) == 0
+    report = capsys.readouterr().out
+    svg = tmp_path / "out.svg"
+    for argv in (["--svg", str(svg)], ["--json", "--svg", str(svg)]):
+        svg.unlink(missing_ok=True)
+        assert main(["verify", str(path), *argv]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == report or "--json" not in argv
+        text = svg.read_text()
+        assert 'viewBox="-0.1500 -0.1500 1.3000 1.3000"' in text and text.endswith("</svg>\n")

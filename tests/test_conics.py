@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conconic.cevians as cevians
 import conconic.conics as conics
 import conconic.linalg as linalg
 import conconic.projective as projective
+import conconic.scalars as scalars
 
 from conconic import (
     Conic,
@@ -707,17 +708,52 @@ def sorted_points_on_line(line):
             return first, second
 
 
+def reference_meet(conic, line, eps):
+    """The meet with each part called: the spanning points of
+    ``sorted_points_on_line``, the Gram forms through ``linalg.matvec3`` and
+    ``linalg.dot``, and ``recursive_root_pairs`` on float forms against
+    ``gram_norm`` times the ``row_norm`` of both points (exact forms take
+    ``conics._quadratic_root_pairs``)."""
+    u, v = sorted_points_on_line(line)
+    g = conic.gram
+    h = linalg.matvec3(g, v)
+    a, b, c = linalg.dot(u, linalg.matvec3(g, u)), linalg.dot(u, h), linalg.dot(v, h)
+    if type(a) is float:
+        pairs = recursive_root_pairs(a, b, c, eps, lambda: conic.gram_norm * linalg.row_norm(u) * linalg.row_norm(v))
+    else:
+        pairs = conics._quadratic_root_pairs(a, b, c)
+    return [(lam * u[0] + mu * v[0], lam * u[1] + mu * v[1], lam * u[2] + mu * v[2]) for lam, mu in pairs]
+
+
+def meet_or_error(meet, conic, line, eps=1e-9):
+    try:
+        return repr(meet(conic, line, eps))
+    except (LineOnConic, IrrationalResult) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+# exact and float conics whose meets with the small lines below take every
+# branch: two points, one, none, an irrational pair, a line on the conic
+MEET_CONICS = [
+    UNIT_CIRCLE,
+    Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0),
+    Conic(1.0, 0.5, 2.0, -1.0, 0.0, -3.0),
+    Conic(2, -3, 0, 1, 4, -5),
+    Conic.from_line_pair(HLine(1, 1, 0), HLine(0, 1, -1)),
+    Conic.from_line_pair(HLine(1.0, 1.0, 0.0), HLine(0.0, 1.0, -1.0)),
+]
+
+
 def test_points_on_line_keep_the_sorted_order_on_equal_norms():
-    # (1, 1, 0) ties its e1 and e2 candidates at norm 1 behind the e3 one;
-    # (1, 1, 1) ties all three at norm sqrt 2
-    assert conics._points_on_line((1, 1, 0))[:2] == ((1, -1, 0), (0, 0, -1))
-    assert conics._points_on_line((1.0, 1.0, 1.0))[:2] == ((0.0, 1.0, -1.0), (-1.0, 0.0, 1.0))
+    # (1, 1, 0) ties its e1 and e2 crosses at norm 1 behind the e3 one, and
+    # (1, 1, 1) ties all three at norm sqrt 2; every small line, as ints,
+    # floats and floats with -0.0, spans its pencil by the sorted crosses
     lines = [line for line in itertools.product((-2, -1, 0, 1, 2), repeat=3) if any(line)]
-    for line in lines:
-        for coords in (line, tuple(map(float, line)), tuple(-0.0 if v == 0 else float(v) for v in line)):
-            first, second, n_first, n_second = conics._points_on_line(coords)
-            assert repr((first, second)) == repr(sorted_points_on_line(coords)), coords
-            assert (n_first, n_second) == (linalg.row_norm(first), linalg.row_norm(second))
+    for conic in MEET_CONICS:
+        for line in lines:
+            for coords in (line, tuple(map(float, line)), tuple(-0.0 if v == 0 else float(v) for v in line)):
+                assert meet_or_error(conics._meet_coords, conic, coords) == \
+                    meet_or_error(reference_meet, conic, coords), (conic, coords)
 
 
 def recursive_root_pairs(a, b, c, eps, scale):
@@ -745,17 +781,191 @@ def recursive_root_pairs(a, b, c, eps, scale):
     return [(q, fa), (fc, q)]
 
 
-def root_pairs_or_error(solve, a, b, c):
-    try:
-        return repr(solve(a, b, c, 1e-9, lambda: 1.0))
-    except LineOnConic:
-        return "LineOnConic"
-
-
 @given(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-12, 3.0]),
                              st.floats(-1e6, 1e6))] * 3))
+@example((5e-324, 0.0, 0.0))  # halving the subnormal leaves no coefficient
 def test_float_root_pairs_swap_like_a_second_call(abc):
+    # the line z = 0 is spanned by u = (0, 1, 0) and v = (-1, 0, 0), so the
+    # conic (C/2) x^2 - B xy + (A/2) y^2 + f z^2 has the forms (A, B, C) on
+    # it; f = 1 puts a vanishing form below the conic's norm (LineOnConic)
     a, b, c = abc
-    for coeffs in ((a, b, c), (c, b, a)):
-        assert root_pairs_or_error(conics._quadratic_root_pairs, *coeffs) == \
-            root_pairs_or_error(recursive_root_pairs, *coeffs)
+    for A, B, C in ((a, b, c), (c, b, a)):
+        for f in (0.0, 1.0):
+            coeffs = (C / 2, -B, A / 2, 0.0, 0.0, f)
+            if any(coeffs):
+                conic = Conic(*coeffs)
+                assert meet_or_error(conics._meet_coords, conic, (0, 0, 1)) == \
+                    meet_or_error(reference_meet, conic, (0, 0, 1))
+
+
+@pytest.mark.parametrize("conic, eps, at_eps, at_half_eps", [
+    # |b| = 2^-30 on z = 0 against eps * gram_norm = 2^-31 * 2: the line
+    # lies on the conic
+    (Conic(0.0, 2.0 ** -30, 0.0, 0.0, 0.0, 1.0), 2.0 ** -31,
+     "LineOnConic: every point of the line lies on the conic",
+     "(HPoint(0.0 : 1.0 : 0.0), HPoint(1.0 : -0.0 : -0.0))"),
+    # the leading form a = 2^-30 against eps * |b| = 2^-30: the conic
+    # passes through the spanning point (0 : 1 : 0)
+    (Conic(0.0, 1.0, 2.0 ** -31, 0.0, 0.0, 0.0), 2.0 ** -30,
+     "(HPoint(0.0 : 1.0 : 0.0), HPoint(1.0 : -0.0 : -0.0))",
+     "(HPoint(-4.656612873077393e-10 : 1.0 : 0.0), HPoint(1.0 : -0.0 : -0.0))"),
+    # the discriminant 2^-30 against eps * b^2 = 2^-30: a double root
+    (Conic((1 - 2.0 ** -30) / 2, -1.0, 0.5, 0.0, 0.0, 0.0), 2.0 ** -30,
+     "(HPoint(1.0 : 1.0 : 0.0),)",
+     "(HPoint(0.9999694833531692 : 1.0 : 0.0), HPoint(1.0 : 0.999969482421875 : -0.0))"),
+])
+def test_float_zero_tests_of_the_meet_hold_at_equality(conic, eps, at_eps, at_half_eps):
+    # each value sits exactly on its threshold at eps and outside it at
+    # eps / 2: the meet's zero tests are near_zero's, which hold at equality
+    for e, want in ((eps, at_eps), (eps / 2, at_half_eps)):
+        assert outcome(lambda: intersect_line(conic, HLine(0, 0, 1), e)) == want
+
+
+# ----- the conic-line meet as three functions, for the differential below --
+
+
+def three_function_points_on_line(line):
+    l0, l1, l2 = line
+    c0 = (l1 * 0 - l2 * 0, l2 * 1 - l0 * 0, l0 * 0 - l1 * 1)
+    c1 = (l1 * 0 - l2 * 1, l2 * 0 - l0 * 0, l0 * 1 - l1 * 0)
+    c2 = (l1 * 1 - l2 * 0, l2 * 0 - l0 * 1, l0 * 0 - l1 * 0)
+    if type(l0) is float:
+        x, y, z = l0, l1, l2
+    else:
+        x, y, z = map(float, scalars.float_scaled(line))
+    q0, q1, q2 = x * x, y * y, z * z
+    n0, n1, n2 = math.sqrt(q2 + q1), math.sqrt(q2 + q0), math.sqrt(q1 + q0)
+    if n0 >= n1:
+        ranked = (n0, c0, n1, c1, n2, c2) if n1 >= n2 else (
+            (n0, c0, n2, c2, n1, c1) if n0 >= n2 else (n2, c2, n0, c0, n1, c1))
+    else:
+        ranked = (n1, c1, n0, c0, n2, c2) if n0 >= n2 else (
+            (n1, c1, n2, c2, n0, c0) if n1 >= n2 else (n2, c2, n1, c1, n0, c0))
+    n_first, first, n_second, second, n_third, third = ranked
+    f0, f1, f2 = first
+    for n, c in ((n_second, second), (n_third, third)):
+        s0, s1, s2 = c
+        if f1 * s2 - f2 * s1 != 0 or f2 * s0 - f0 * s2 != 0 or f0 * s1 - f1 * s0 != 0:
+            return first, c, n_first, n
+    raise ValueError("line coordinates are degenerate")
+
+
+def three_function_root_pairs(a, b, c, eps, scale):
+    if type(a) is not float and scalars.all_exact((a, b, c)):
+        if a == 0 and b == 0 and c == 0:
+            raise LineOnConic("every point of the line lies on the conic")
+        if a == 0:
+            if b == 0:
+                return [(1, 0)]
+            return [(1, 0), (Fraction(c), Fraction(-2 * b))]
+        disc = b * b - a * c
+        if disc < 0:
+            return []
+        root = scalars.exact_sqrt(disc)
+        if root is None:
+            raise IrrationalResult(
+                "intersection exists but has irrational coordinates; "
+                "use float inputs to get a numeric answer"
+            )
+        if root == 0:
+            return [(Fraction(-b), Fraction(a))]
+        return [(-b + root, Fraction(a)), (-b - root, Fraction(a))]
+    fa, fb, fc = float(a), float(b), float(c)
+    magnitude = max(abs(fa), abs(fb), abs(fc))
+    if scalars.near_zero(magnitude, scale(), eps):
+        raise LineOnConic("every point of the line lies on the conic")
+    swap = abs(fa) < abs(fc)
+    if swap:
+        fa, fc = fc, fa
+    if scalars.near_zero(fa, magnitude, eps):
+        if scalars.near_zero(fb, magnitude, eps):
+            pairs = [(1.0, 0.0)]
+        else:
+            pairs = [(1.0, 0.0), (fc, -2.0 * fb)]
+    else:
+        disc = fb * fb - fa * fc
+        if scalars.near_zero(disc, max(fb * fb, abs(fa * fc)), eps):
+            pairs = [(-fb, fa)]
+        elif disc < 0:
+            pairs = []
+        else:
+            root = math.sqrt(disc)
+            if fb == 0.0:
+                pairs = [(root, fa), (-root, fa)]
+            else:
+                q = -(fb + math.copysign(root, fb))
+                pairs = [(q, fa), (fc, q)]
+    if swap:
+        return [(mu, lam) for lam, mu in pairs]
+    return pairs
+
+
+def three_function_meet(conic, line, eps):
+    """The meet as ``_points_on_line``, Gram forms and ``_quadratic_root_pairs``
+    in three frames, the route the one-frame ``_meet_coords`` replaced."""
+    p0, p1, n0, n1 = three_function_points_on_line(line)
+    g = conic.gram
+    h = linalg.matvec3(g, p1)
+    a, b, c = linalg.dot(p0, linalg.matvec3(g, p0)), linalg.dot(p0, h), linalg.dot(p1, h)
+    pairs = three_function_root_pairs(a, b, c, eps, lambda: conic.gram_norm * n0 * n1)
+    return [tuple(lam * s + mu * t for s, t in zip(p0, p1)) for lam, mu in pairs]
+
+
+def outcome(fn):
+    """``repr`` of the result, or the error's type and message."""
+    try:
+        return repr(fn())
+    except Exception as err:  # the routes must fail alike, whatever the error
+        return f"{type(err).__name__}: {err}"
+
+
+def circle_point(t):
+    """The rational point ((1 - t^2) : 2t : (1 + t^2)) of the unit circle."""
+    return HPoint(1 - t * t, 2 * t, 1 + t * t)
+
+
+def meet_differential_cases(rnd):
+    """Conics and lines (or points) of one seed: exact, float and mixed,
+    chords of the unit circle between rational points, small random lines,
+    and exact chords and lines with entries of 350 digits."""
+    def small(k):
+        return [rnd.randint(-k, k) for _ in range(3)]
+
+    def tiny_ints(k):
+        while True:
+            coords = small(k)
+            if any(coords):
+                return coords
+
+    exact = Conic(*[rnd.randint(-4, 4) for _ in range(5)], rnd.randint(1, 4))
+    ts = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(2)]
+    big = [rnd.randrange(10 ** 349, 10 ** 350) for _ in range(2)]
+    chord = join(circle_point(ts[0]), circle_point(ts[1])) if ts[0] != ts[1] else HLine(0, 1, 0)
+    big_chord = join(circle_point(big[0]), circle_point(big[1]))
+    lines = [chord, HLine(*tiny_ints(3)), HLine(*tiny_ints(3)), big_chord,
+             HLine(rnd.randrange(10 ** 349, 10 ** 350), rnd.randint(-9, 9), 1)]
+    pair = Conic.from_line_pair(lines[1], HLine(*tiny_ints(2)))
+    conics_ = [UNIT_CIRCLE, exact, pair, Conic(*map(float, exact.coeffs)), Conic(*map(float, pair.coeffs)),
+               Conic(*[rnd.uniform(-2, 2) for _ in range(6)])]
+    lines += [HLine(*map(float, l.coords)) for l in lines[:3]]
+    return conics_, lines
+
+
+def test_meet_matches_the_three_function_route():
+    # 60 seeds of conics and lines: the one-frame meet and HEAD's three
+    # frames give the same points, tangents and errors, by repr and message
+    seen = set()
+    for seed in range(60):
+        conics_, lines = meet_differential_cases(random.Random(seed))
+        for conic in conics_:
+            for line in lines:
+                want = outcome(lambda: tuple(HPoint(*c) for c in three_function_meet(conic, line.coords, 1e-9)))
+                assert outcome(lambda: intersect_line(conic, line)) == want, (seed, conic, line)
+                seen.add(want.split(":")[0] if want[0] != "(" else f"{want.count('HPoint')} points")
+            if conic.is_degenerate():
+                continue
+            for line in lines:
+                p = projective._dual_point(line)
+                want = outcome(lambda: tuple(HLine(*c) for c in three_function_meet(conic.dual(), p.coords, 1e-9)))
+                assert outcome(lambda: tangent_lines_from(conic, p)) == want, (seed, conic, p)
+    assert {"0 points", "1 points", "2 points", "LineOnConic", "IrrationalResult", "OverflowError"} <= seen

@@ -103,8 +103,9 @@ def test_exact_sweep_decides_identity_on_integer_triples():
 
 def test_float_chart_builds_one_frame_and_a_float_fit_one_norm_per_row():
     # a float to_chart builds one frame matrix, its source's, against a
-    # target frame built at import; a float _fit scales each Veronese row
-    # by one row_norm
+    # target frame built at import, and divides only the kept coordinate of
+    # each of its four images; a float _fit scales each Veronese row by one
+    # row_norm
     from conconic import cevians, conics, generate
     from conconic.projective import HPoint
 
@@ -112,6 +113,7 @@ def test_float_chart_builds_one_frame_and_a_float_fit_one_norm_per_row():
     cfg = cevians.build_config(generate.float_copy(tri), generate.float_copy(feet))
     calls = _calls_during(lambda: cevians.to_chart(cfg))
     assert calls["conconic.projective._frame_matrix"] == calls["conconic.projective._map_between_frames"] == 1
+    assert calls["conconic.scalars.div"] == 4
     five = [HPoint(x, y, 1.0) for x, y in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8))]
     calls = _calls_during(lambda: conics._fit(five, 1e-9))
     assert calls["conconic.conics._fit"] == 1
@@ -157,6 +159,11 @@ def test_float_chain_steps_make_no_helper_calls():
     # rebinds, and the kernel reads no dual conic when it is built
     assert calls["conconic.conics.tangent_lines_from"] == steps
     assert calls["conconic.conics.Conic.dual"] == steps
+    # each tangent construction is one _meet_coords frame: it spans the
+    # pencil, takes the Gram forms and solves the float root pair itself
+    assert calls["conconic.conics._meet_coords"] == steps
+    assert calls["conconic.conics._points_on_line"] == 0
+    assert calls["conconic.conics._quadratic_root_pairs"] == 0
     assert calls["conconic.poncelet.second_intersection"] >= steps
     # no first step takes a pole or divides through scalars.div: the only
     # divisions are the two of to_xy on the centre of each porism check's
