@@ -23,12 +23,12 @@ A float chain step runs these forms a few dozen times, and there the
 cost of a call exceeds its arithmetic.  So the helpers on the chain path
 (``conics._meet_coords`` and ``_form_zero``,
 ``poncelet._point_on_line_away_from`` and ``second_intersection``,
-``projective.unit_coords``) write the crosses, Gram forms and norms out in
-place, in exactly the order fixed here: a form is ``0 + a0*b0 + a1*b1 +
-a2*b2``, and a cross with a basis vector keeps its literal ``*0`` and
-``*1`` products (``l1*0 - l2*0``), which give each zero its sign.  A chain
-therefore keeps its last bits and signed zeros, and an exact triple takes
-the same lines and stays exact.
+``projective.unit_coords`` and ``coincident``) write the crosses, Gram
+forms and norms out in place, in exactly the order fixed here: a form is
+``0 + a0*b0 + a1*b1 + a2*b2``, and a cross with a basis vector keeps its
+literal ``*0`` and ``*1`` products (``l1*0 - l2*0``), which give each
+zero its sign.  A chain therefore keeps its last bits and signed zeros,
+and an exact triple takes the same lines and stays exact.
 """
 
 from __future__ import annotations

@@ -12,16 +12,17 @@ center lies outside it.  Every later step takes the tangent that is not
 the line it arrived on.  Either first choice traces the same polygon,
 just in opposite orders.
 
-Every step is taken by a ``_ChainKernel`` of the (outer, inner, eps)
-pair.  It reads the outer Gram rows and the inner adjugate rows once,
-from the conics' ``lazy`` attributes; the adjugate rows times a tangent
-give its touch point, the pole that ``Conic.pole`` takes.  A first step
-reads the inner center (the pole of the line at infinity,
-``Conic.center``) and orients with no pole, affine or determinant call.
-A step returns the unit triple of the link it took, and the next step
-gauges its tangents against that triple instead of computing it again.
-``trace_chain`` builds one kernel per chain, after its nondegeneracy
-checks, and ``poncelet_step`` builds one for its single step.
+Every step is the function ``_step`` of the (outer, inner) pair.  It tests
+the vertex with ``Conic.contains`` and its coincidences with
+``projective.coincident``, the package's one copy of each rule.  A first
+step (``_first_link``) reads the inner adjugate rows, whose product with
+a tangent is its touch point (the pole that ``Conic.pole`` takes), and
+the inner center (the pole of the line at infinity, ``Conic.center``),
+both ``lazy`` attributes of the conic, and orients with no pole, affine
+or determinant call.  A step returns the unit triple of the link it
+took, and the next step gauges its tangents against that triple instead
+of computing it again.  ``trace_chain`` calls ``_step`` once per link,
+after its nondegeneracy checks, and ``poncelet_step`` calls it once.
 
 Closure is detected on canonicalized coordinates with a sign-insensitive
 gap, and a chain counts as closed only from three links up.  Links are
@@ -51,9 +52,9 @@ from .errors import (
     NoRealSolution,
     NoTangentLine,
 )
-from .linalg import cross, row_norm
-from .projective import HLine, HPoint, Record, _coincident, sphere_gap, unit_coords
-from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, canonical_triple, div, near_zero
+from .linalg import cross
+from .projective import HLine, HPoint, Record, coincident, sphere_gap, unit_coords
+from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, Scalar, all_exact, canonical_triple, div
 
 _BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -63,10 +64,11 @@ def _pencil_lines(base: HPoint) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]
     candidates = [cross(base.coords, e) for e in _BASIS]
     nonzero = [c for c in candidates if any(v != 0 for v in c)]
     first = nonzero[0]
+    # with c_i = base x e_i, c_k x c_l = +-b_j base (j the third index), so
+    # for a nonzero base some later candidate is independent of the first
     for second in nonzero[1:]:
         if any(v != 0 for v in cross(first, second)):
             return first, second
-    raise ValueError("point coordinates are degenerate")  # unreachable
 
 
 def _point_on_line_away_from(line_coords, base: HPoint, eps: float):
@@ -191,144 +193,104 @@ def poncelet_step(
     very first step orients the chain counterclockwise around a point
     inside the inner conic: its center, or for a parabola the midpoint of
     the two touch points, and falls back to a tangent that touches at
-    infinity.  This is ``trace_chain``'s step, taken by a ``_ChainKernel``
-    of the pair built for this one call.
+    infinity.  This is ``trace_chain``'s step, ``_step``, less the unit
+    triple it carries.
     """
     arrived = None if incoming is None else unit_coords(incoming)
-    nxt, link, _ = _ChainKernel(c1, c2, eps).step(current, incoming, arrived)
-    return nxt, link
+    return _step(c1, c2, current, incoming, arrived, eps)[:2]
 
 
-def _coincide(u, v, eps: float) -> bool:
-    """``projective.coincident`` on two canonical triples, with its cross
-    product and its float fast path written out."""
-    if u == v:
-        return True
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    if type(u0) is int and type(v0) is int:
-        return False
-    raw = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-    if type(u0) is float and type(v0) is float and max(abs(raw[0]), abs(raw[1]), abs(raw[2])) > 4 * eps:
-        return False
-    return _coincident(u, v, raw, eps)
+def _step(
+    outer: Conic,
+    inner: Conic,
+    current: HPoint,
+    incoming: Optional[HLine],
+    arrived: Optional[Tuple[float, float, float]],
+    eps: float,
+) -> Tuple[HPoint, HLine, Tuple[float, float, float]]:
+    """``(next, link, unit)`` from ``current``: the next vertex, the tangent
+    taken and its ``unit_coords``.  ``incoming`` is the link the chain
+    arrived on and ``arrived`` its ``unit_coords``, both None on a first
+    step.
 
-
-class _ChainKernel:
-    """The chain step on one (outer, inner, eps) pair.
-
-    The outer Gram rows and the inner adjugate rows are read when the
-    kernel is built, which raises nothing, so a step's faults are named in
-    the step's own order.  The outer zero-test scale, ``gram_norm``, is
-    only read for a float form value (it overflows on an exact conic past
-    float range), and the inner center only by a first step, of an inner
-    conic that ``tangent_lines_from`` has found nondegenerate.
+    The vertex is tested by ``Conic.contains``, which reads the outer
+    ``gram_norm`` only for a float form value (so an exact conic past float
+    range builds no float norm), and both coincidence tests are
+    ``projective.coincident``.  Tangents and the next vertex come from
+    ``tangent_lines_from`` and ``second_intersection``, looked up in this
+    module's globals on every step.
     """
+    if not outer.contains(current, eps):
+        raise BaseNotOnConic(f"chain vertex {current} does not lie on the outer conic")
+    tangents = tangent_lines_from(inner, current, eps)
+    if not tangents:
+        raise NoTangentLine("chain vertex lies inside the inner conic")
+    if incoming is not None:
+        # the tangent farther from the arrival, the first on a tie (as ``max``)
+        link = tangents[0]
+        unit = unit_coords(link)
+        if len(tangents) == 2:
+            other = unit_coords(tangents[1])
+            if sphere_gap(other, arrived) > sphere_gap(unit, arrived):
+                link, unit = tangents[1], other
+        if coincident(link, incoming, eps):
+            raise ChainStuck("both tangents coincide with the incoming link")
+    else:
+        link = tangents[0] if len(tangents) == 1 else _first_link(inner, current.coords, tangents, eps)
+        unit = unit_coords(link)
+    nxt = second_intersection(outer, current, link.coords, eps)
+    if coincident(nxt, current, eps):
+        raise ChainStuck("link is tangent to the outer conic; the chain cannot advance")
+    return nxt, link, unit
 
-    def __init__(self, outer: Conic, inner: Conic, eps: float):
-        self.outer, self.inner, self.eps = outer, inner, eps
-        self.gram = outer.gram
-        self.adjugate = inner.adjugate
 
-    def step(
-        self, current: HPoint, incoming: Optional[HLine], arrived: Optional[Tuple[float, float, float]]
-    ) -> Tuple[HPoint, HLine, Tuple[float, float, float]]:
-        """``(next, link, unit)`` from ``current``: the next vertex, the
-        tangent taken and its ``unit_coords``.  ``incoming`` is the link
-        the chain arrived on and ``arrived`` its ``unit_coords``, both None
-        on a first step.
+def _first_link(inner: Conic, here, tangents, eps: float) -> HLine:
+    """The first of two tangents from the vertex of canonical triple
+    ``here`` whose touch point turns counterclockwise about a point inside
+    the inner conic, else the first whose touch point is at infinity.
 
-        The on-conic test is ``Conic.contains`` written out under
-        ``_form_zero``'s rule: a float value is zero within ``eps`` times
-        the scale (or the scale times ``|coords|^2``), any other value only
-        when it is 0.  Tangents and the next vertex come
-        from ``tangent_lines_from`` and ``second_intersection``, looked up
-        in this module's globals on every step.
-        """
-        eps = self.eps
-        x, y, z = coords = current.coords
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.gram
-        value = (0 + x * (0 + m00 * x + m01 * y + m02 * z)
-                 + y * (0 + m10 * x + m11 * y + m12 * z)
-                 + z * (0 + m20 * x + m21 * y + m22 * z))
-        if isinstance(value, float):
-            scale = self.outer.gram_norm
-            on_outer = (abs(value) <= eps * max(scale, 1e-300)
-                        or near_zero(value, scale * row_norm(coords) ** 2, eps))
+    A touch point is the canonical triple of the adjugate rows times the
+    tangent, as ``Conic.pole`` builds it.  Its affine floats, like the
+    center's, are ``x / z``: ``HPoint.to_xy``'s value, which on integers
+    is ``float(Fraction(x, z))`` but for the sign of a zero quotient, and
+    that leaves every orientation's sign as it is.  The orientation is
+    ``det3``'s expression in ``det3``'s order, less its factors of 1.0.
+    """
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = inner.adjugate
+    touches = []
+    for cand in tangents:
+        l0, l1, l2 = cand.coords
+        touches.append(canonical_triple(0 + a00 * l0 + a01 * l1 + a02 * l2,
+                                        0 + a10 * l0 + a11 * l1 + a12 * l2,
+                                        0 + a20 * l0 + a21 * l1 + a22 * l2))
+    x, y, z = inner.center(eps).coords
+    if z != 0:
+        i0, i1 = x / z, y / z
+    else:
+        # a parabola: the midpoint of the two touch points lies inside it
+        (ax, ay, az), (bx, by, bz) = touches
+        if az == 0 or bz == 0:
+            raise ChainStuck("inner conic has no finite center to orient the first step")
+        if type(az) is int:  # ``to_xy``'s exact sum, rounded once
+            sx, sy = float(Fraction(ax, az) + Fraction(bx, bz)), float(Fraction(ay, az) + Fraction(by, bz))
         else:
-            on_outer = value == 0
-        if not on_outer:
-            raise BaseNotOnConic(f"chain vertex {current} does not lie on the outer conic")
-        tangents = tangent_lines_from(self.inner, current, eps)
-        if not tangents:
-            raise NoTangentLine("chain vertex lies inside the inner conic")
-        if incoming is not None:
-            # the tangent farther from the arrival, the first on a tie (as ``max``)
-            link = tangents[0]
-            unit = unit_coords(link)
-            if len(tangents) == 2:
-                other = unit_coords(tangents[1])
-                if sphere_gap(other, arrived) > sphere_gap(unit, arrived):
-                    link, unit = tangents[1], other
-            if _coincide(link.coords, incoming.coords, eps):
-                raise ChainStuck("both tangents coincide with the incoming link")
-        else:
-            link = tangents[0] if len(tangents) == 1 else self._first_link(coords, tangents)
-            unit = unit_coords(link)
-        nxt = second_intersection(self.outer, current, link.coords, eps)
-        if _coincide(nxt.coords, coords, eps):
-            raise ChainStuck("link is tangent to the outer conic; the chain cannot advance")
-        return nxt, link, unit
-
-    def _first_link(self, here, tangents) -> HLine:
-        """The first of two tangents from the vertex of canonical triple
-        ``here`` whose touch point turns counterclockwise about a point
-        inside the inner conic, else the first whose touch point is at
-        infinity.
-
-        A touch point is the canonical triple of the adjugate rows times
-        the tangent, as ``Conic.pole`` builds it.  Its affine floats, like
-        the center's, are ``x / z``: ``HPoint.to_xy``'s value, which on
-        integers is ``float(Fraction(x, z))`` but for the sign of a zero
-        quotient, and that leaves every orientation's sign as it is.  The
-        orientation is ``det3``'s expression in ``det3``'s order, less its
-        factors of 1.0.
-        """
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.adjugate
-        touches = []
-        for cand in tangents:
-            l0, l1, l2 = cand.coords
-            touches.append(canonical_triple(0 + a00 * l0 + a01 * l1 + a02 * l2,
-                                            0 + a10 * l0 + a11 * l1 + a12 * l2,
-                                            0 + a20 * l0 + a21 * l1 + a22 * l2))
-        x, y, z = self.inner.center(self.eps).coords
-        if z != 0:
-            i0, i1 = x / z, y / z
-        else:
-            # a parabola: the midpoint of the two touch points lies inside it
-            (ax, ay, az), (bx, by, bz) = touches
-            if az == 0 or bz == 0:
-                raise ChainStuck("inner conic has no finite center to orient the first step")
-            if type(az) is int:  # ``to_xy``'s exact sum, rounded once
-                sx, sy = float(Fraction(ax, az) + Fraction(bx, bz)), float(Fraction(ay, az) + Fraction(by, bz))
-            else:
-                sx, sy = ax / az + bx / bz, ay / az + by / bz
-            i0, i1 = sx / 2.0, sy / 2.0
-        h0, h1, h2 = here
-        # the homogeneous triple of a start at infinity, as ``to_xy`` divides by z
-        h0, h1, h2 = (float(h0), float(h1), float(h2)) if h2 == 0 else (h0 / h2, h1 / h2, 1.0)
-        at_infinity = None
-        for cand, (t0, t1, t2) in zip(tangents, touches):
-            if t2 == 0:
-                if at_infinity is None:
-                    at_infinity = cand
-                continue
-            t0, t1 = t0 / t2, t1 / t2
-            if h0 * (t1 - i1) - h1 * (t0 - i0) + h2 * (t0 * i1 - t1 * i0) > 0:
-                return cand
-        if at_infinity is None:
-            raise ChainStuck("no tangent advances the chain counterclockwise")
-        return at_infinity
+            sx, sy = ax / az + bx / bz, ay / az + by / bz
+        i0, i1 = sx / 2.0, sy / 2.0
+    h0, h1, h2 = here
+    # the homogeneous triple of a start at infinity, as ``to_xy`` divides by z
+    h0, h1, h2 = (float(h0), float(h1), float(h2)) if h2 == 0 else (h0 / h2, h1 / h2, 1.0)
+    at_infinity = None
+    for cand, (t0, t1, t2) in zip(tangents, touches):
+        if t2 == 0:
+            if at_infinity is None:
+                at_infinity = cand
+            continue
+        t0, t1 = t0 / t2, t1 / t2
+        if h0 * (t1 - i1) - h1 * (t0 - i0) + h2 * (t0 * i1 - t1 * i0) > 0:
+            return cand
+    if at_infinity is None:
+        raise ChainStuck("no tangent advances the chain counterclockwise")
+    return at_infinity
 
 
 def _check_nondegenerate(conic: Conic, role: str, eps: float) -> None:
@@ -366,16 +328,15 @@ def trace_chain(
 
     Closure at step n means the n-th vertex returns to the start within
     ``closure_tol``; steps below three never count as closure.  Once both
-    conics are checked nondegenerate, every step is taken by one
-    ``_ChainKernel`` of the pair, which carries each link's unit triple
-    into the next step.  A step's error is raised again with the step
+    conics are checked nondegenerate, every step is a ``_step`` call,
+    which returns each link's unit triple for the next step to gauge its
+    tangents against.  A step's error is raised again with the step
     number in front of its message.
     """
     if max_steps < 3:
         raise ValueError("a chain needs at least three steps to close")
     _check_nondegenerate(c1, "outer", eps)
     _check_nondegenerate(c2, "inner", eps)
-    step = _ChainKernel(c1, c2, eps).step
     points = [start]
     links = []
     nxt, link, arrived = start, None, None
@@ -383,7 +344,7 @@ def trace_chain(
     start_unit = unit_coords(start)  # the closure test's fixed end
     for k in range(1, max_steps + 1):
         try:
-            nxt, link, arrived = step(nxt, link, arrived)
+            nxt, link, arrived = _step(c1, c2, nxt, link, arrived, eps)
         except GeometryError as err:
             raise type(err)(f"step {k}: {err}") from err
         points.append(nxt)
@@ -488,9 +449,9 @@ def porism_check(
     Sample vertices are spread over the outer conic through the rational
     parametrization at a found base point; each chain must close at exactly
     ``expected_n`` (an earlier closure also fails the check).  Each chain
-    is ``trace_chain``'s, with its own ``_ChainKernel``: the pair's forms
-    are the conics' ``lazy`` attributes, built once for all samples, so a
-    kernel costs a few attribute reads per chain.
+    is ``trace_chain``'s; the forms its steps read (the outer Gram matrix
+    and its norm, the inner dual and adjugate and center) are the conics'
+    ``lazy`` attributes, built once for all samples.
     """
     if expected_n < 3:
         raise ValueError("closure below three steps is not a chain")

@@ -255,14 +255,22 @@ def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
     Canonical triples that are equal coincide, and two unequal exact ones
     (reduced ``int`` triples) do not; any other pair takes the tolerance
     test on their cross product.  So on exact items coincidence is tuple
-    equality, and a dict or set keyed by ``coords`` groups them.
+    equality, and a dict or set keyed by ``coords`` groups them.  Every
+    chain step runs this test, so the cross product is ``cross`` written
+    out, and two float triples whose cross product has an entry above
+    ``4 * eps`` are told apart before ``_coincident`` is called.
     """
     u, v = a.coords, b.coords
     if u == v:
         return True
-    if type(u[0]) is int and type(v[0]) is int:
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    if type(u0) is int and type(v0) is int:
         return False
-    return _coincident(u, v, cross(u, v), eps)
+    raw = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    if type(u0) is float and type(v0) is float and max(abs(raw[0]), abs(raw[1]), abs(raw[2])) > 4 * eps:
+        return False
+    return _coincident(u, v, raw, eps)
 
 
 def join(p: HPoint, q: HPoint, eps: float = DEFAULT_EPS) -> HLine:

@@ -180,12 +180,11 @@ def _draw_conic(frame: Frame, conic: Conic, color: str, eps: float, pts: List[Tu
 
 
 def _component_lines(conic: Conic, eps: float) -> List[HLine]:
-    """The line(s) making up a rank-deficient conic."""
-    rank = conic.rank(eps)
-    if rank == 1:
+    """The line(s) making up a rank-deficient conic, of rank 1 or 2 (its
+    one caller, ``_draw_conic``, sends it only conics that ``classify`` does
+    not call nondegenerate)."""
+    if conic.rank(eps) == 1:
         return [HLine(*_lead_row(conic.gram, conic.exact))]
-    if rank != 2:
-        return []
     # a line pair's singular point is in the kernel; pair = lines joining it
     # to the two intersections with any line avoiding the singular point.
     # A rank-2 form has a rank-1 adjugate whose rows are multiples of that point.

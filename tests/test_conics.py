@@ -392,6 +392,37 @@ def test_conic_through_points_collinear_cases():
         conic_through_points([HPoint(i, 0, 1) for i in range(4)] + [HPoint(0, 1, 1)])
 
 
+def test_the_fit_route_holds_out_each_point_until_a_subset_fits(monkeypatch):
+    # four collinear points at indices 1-4: leaving out index 0 fits a
+    # pencil, so index 1 is held out next and tested on the line pair fitted
+    # to the other five
+    fit, fits = conics._fit, []
+
+    def recording_fit(five, eps):
+        try:
+            fitted = fit(five, eps)
+        except NonUniqueConic:
+            fits.append(None)
+            raise
+        fits.append(fitted)
+        return fitted
+
+    pts = [HPoint(0, 1, 1)] + [HPoint(k, 0, 1) for k in range(4)] + [HPoint(1, 2, 1)]
+    assert conconic(pts).holds
+    monkeypatch.setattr(conics, "_fit", recording_fit)
+    assert conconic_by_fit(pts) is True
+    assert len(fits) == 2 and fits[0] is None and fits[1].is_degenerate()
+
+
+def test_the_fit_route_names_a_pencil_when_no_five_points_fit():
+    # five collinear points: every five-point subset keeps four of them
+    pts = [HPoint(k, 0, 1) for k in range(5)] + [HPoint(1, 2, 1)]
+    with pytest.raises(NonUniqueConic) as raised:
+        conconic_by_fit(pts)
+    assert str(raised.value) == "every five-point subset is degenerate; the six points lie on a pencil"
+    assert type(raised.value.__cause__) is NonUniqueConic
+
+
 _FIVE_POINT_COORDS = st.tuples(*[small_fractions] * 3).filter(any)
 _FIVE_POINT_WEIGHTS = st.tuples(small_fractions, small_fractions).filter(any)
 

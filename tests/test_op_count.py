@@ -145,7 +145,7 @@ def test_exact_six_point_verdicts_make_no_integer_elimination():
 def test_float_chain_steps_make_no_helper_calls():
     # ops 0-3 of float_chains: three trisector porism checks (25 chains of
     # 3 steps each) and one concentric op (20 chains of 3 steps and one of
-    # 100).  Every step is one _ChainKernel.step: the basis crosses, Gram
+    # 100).  Every step is one poncelet._step: the basis crosses, Gram
     # forms, norms and coincidence tests of a step are written out, and a
     # first step reads its touch points off the inner adjugate rows, so
     # what is left of linalg's triple helpers is counted below; a helper
@@ -153,10 +153,10 @@ def test_float_chain_steps_make_no_helper_calls():
     _, calls, failed = _load_op_count().count("float_chains", 7, 4)
     assert failed == 0
     steps = 3 * 25 * 3 + 20 * 3 + 100
-    assert calls["conconic.poncelet._ChainKernel.step"] == steps
+    assert calls["conconic.poncelet._step"] == steps
     assert calls["conconic.poncelet.poncelet_step"] == 0
     # each step still goes through the names the benchmark's tracer
-    # rebinds, and the kernel reads no dual conic when it is built
+    # rebinds, and reads the inner dual only through tangent_lines_from
     assert calls["conconic.conics.tangent_lines_from"] == steps
     assert calls["conconic.conics.Conic.dual"] == steps
     # each tangent construction is one _meet_coords frame: it spans the
@@ -175,6 +175,19 @@ def test_float_chain_steps_make_no_helper_calls():
     assert calls["conconic.linalg.matvec3"] <= 17      # 0.04 per step
     assert calls["conconic.linalg.dot"] <= 26          # 0.07 per step
     assert calls["conconic.linalg.row_norm"] <= 153    # 0.40 per step
+
+
+def test_float_chain_steps_take_the_shared_predicates():
+    # ops 0-3 of float_chains: a step tests its vertex on the outer conic
+    # with Conic.contains, whose form is conics._form_zero, and its
+    # coincidence tests (one on a first step, two on any later one) are
+    # projective.coincident, with no private copy of either rule
+    edges = _edges_of_ops("float_chains", 7, 4)
+    chains = 3 * 25 + 20 + 1
+    steps = 3 * 25 * 3 + 20 * 3 + 100
+    assert edges["conconic.poncelet._step", "conconic.conics.contains"] == steps
+    assert edges["conconic.conics.contains", "conconic.conics._form_zero"] >= steps
+    assert edges["conconic.poncelet._step", "conconic.projective.coincident"] == 2 * steps - chains
 
 
 def test_float_chain_points_and_lines_skip_the_generic_canonicalizer():

@@ -129,6 +129,33 @@ def test_an_inner_parabola_starts_a_chain(x):
     assert affine(chain.points[1])[0] == pytest.approx(x + 2.0, abs=1e-9)
 
 
+# (outer, inner parabola, start, next, link): an inner parabola's centre is
+# at infinity, so a first step turns counterclockwise about the midpoint of
+# its two touch points, summed in fractions on exact input
+EXACT_PARABOLA_FIRST_STEPS = [
+    # the tangents from (0, -1) to y = x^2 touch at (1, 1) and (-1, 1), so
+    # the midpoint is (0, 1), and 2x - y = 1 leads to (4/5, 3/5)
+    (Conic(1, 0, 1, 0, 0, -1), Conic(1, 0, 0, 0, -1, 0), HPoint(0, -1, 1), HPoint(4, 3, 5), HLine(2, -1, -1)),
+    # from (6, 5) to y^2 = 4x: touches (4, 4) and (9, 6), midpoint (13/2, 5)
+    (Conic(1, 0, 1, 0, 0, -61), Conic(0, 0, 1, -4, 0, 0), HPoint(6, 5, 1), HPoint(38, 9, -5), HLine(1, -2, 4)),
+    # from (3, 2) to x^2 = 4y: touches (4, 4) and (2, 1), midpoint (3, 5/2)
+    (Conic(1, 0, 1, 0, 0, -13), Conic(1, 0, 0, 0, -4, 0), HPoint(3, 2, 1), HPoint(1, -18, 5), HLine(2, -1, -4)),
+]
+
+
+@pytest.mark.parametrize("outer, inner, start, want_next, want_link", EXACT_PARABOLA_FIRST_STEPS)
+def test_an_exact_inner_parabola_orients_the_first_step_about_the_touch_midpoint(
+    outer, inner, start, want_next, want_link
+):
+    assert inner.center().at_infinity
+    assert poncelet_step(outer, inner, start) == (want_next, want_link)
+    # the float copy takes the same link, about the float midpoint
+    as_float = [Conic(*map(float, c.coeffs)) for c in (outer, inner)]
+    nxt, link = poncelet_step(*as_float, float_copy(start))
+    assert projective_gap(nxt, want_next) < 1e-12
+    assert projective_gap(HPoint(*link.coords), HPoint(*want_link.coords)) < 1e-12
+
+
 def test_porism_check_runs_on_an_inner_parabola():
     report = porism_check(PARABOLA_OUTER, PARABOLA_INNER, expected_n=3, num_samples=4)
     assert report.steps == (None,) * 4 and not report.all_closed
@@ -381,6 +408,16 @@ PINNED_SECOND_MEETS = [
 def test_second_meets_through_zero_coordinates_keep_their_pinned_reprs():
     for base, line, want in PINNED_SECOND_MEETS:
         assert repr(poncelet.second_intersection(INNER_R1, HPoint(*base), line)) == want, (base, line)
+
+
+def test_a_pencil_parameter_past_float_range_falls_back_to_the_spanning_point():
+    # on x = 1 the conic xy + 1e-320 y^2 = z^2 meets (1, 1) and a point near
+    # (0 : 1 : 0); the quadratic coefficient a = 2e-320 makes the pencil
+    # parameter -2 / a overflow, so the combination is not finite and the
+    # spanning point off the base is returned
+    conic = Conic(0.0, 1.0, 1e-320, 0.0, 0.0, -1.0)
+    got = poncelet.second_intersection(conic, HPoint(1.0, 1.0, 1.0), (-1.0, 0.0, 1.0))
+    assert repr(got) == "HPoint(0.0 : 1.0 : -0.0)"
 
 
 def test_a_step_takes_the_first_tangent_when_both_are_equally_far_from_the_arrival(monkeypatch):

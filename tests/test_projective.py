@@ -184,6 +184,18 @@ def test_coincidence_threshold_scales_with_the_product_of_the_norms(k, expected)
     assert coincident(HLine(*u.coords), HLine(*v.coords), eps) is expected
 
 
+def test_an_exact_and_a_float_triple_coincide_relative_to_the_exact_norm():
+    # the cross product of (1000, 1, 0) with (1, 0.0010000001, 0) has an
+    # entry 1e-7, far above 4 * eps, but below eps times the product of the
+    # norms, about 1000: the float-only early "no" does not apply to a pair
+    # with an exact triple, in either order
+    u, v = HPoint(1000, 1, 0), HPoint(1.0, 0.0010000001, 0.0)
+    assert max(map(abs, cross(u.coords, v.coords))) > 4 * 1e-9
+    assert coincident(u, v) and coincident(v, u)
+    assert coincident(HLine(*u.coords), HLine(*v.coords)) and coincident(HLine(*v.coords), HLine(*u.coords))
+    assert not coincident(u, HPoint(1.0, 0.00101, 0.0))
+
+
 def test_exact_coincidence_matches_the_cross_product():
     # exact triples coincide exactly when their cross product vanishes;
     # copies scaled by +-k and by fractions, zero components, unequal pairs
