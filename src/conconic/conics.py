@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -79,6 +80,7 @@ from .projective import (
     HPoint,
     ProjectiveMap,
     Verdict,
+    _Frozen,
     _dual_point,
     all_exact_items,
     coincident,
@@ -101,7 +103,7 @@ def veronese(coords: Sequence[Scalar]) -> Six:
     return (x * x, x * y, y * y, x * z, y * z, z * z)
 
 
-class Conic:
+class Conic(_Frozen):
     """A conic of the projective plane, canonical up to scale.
 
     Conics are immutable, so every form derived from the coefficients is a
@@ -119,21 +121,7 @@ class Conic:
         except ValueError:
             raise ZeroMatrix("conic coefficients are all zero") from None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Conic is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Conic is immutable")
-
-    def __reduce__(self):
-        # rebuild from the coefficients (copy, pickle); caches refill lazily
-        return (Conic, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Conic) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("Conic", self.coeffs))
+    _key = property(attrgetter("coeffs"))
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*{m}" for c, m in zip(self.coeffs, VERONESE_MONOMIALS) if c != 0)
@@ -316,7 +304,11 @@ def scaled_for_floats(conic: Conic) -> Conic:
 
 
 def _frob(m) -> float:
-    return math.sqrt(sum(float(v) ** 2 for row in m for v in row))
+    total = 0
+    for row in m:
+        for v in row:
+            total += float(v) ** 2
+    return math.sqrt(total)
 
 
 def _form_zero(m, norm: Callable[[], float], coords, eps: float) -> bool:

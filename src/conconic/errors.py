@@ -79,7 +79,11 @@ class SideOnConic(GeometryError):
 
 
 class ChartDegenerate(GeometryError):
-    """Chart auxiliary point landed at infinity (reported, never raised)."""
+    """The chart cannot be built: its source frame is degenerate, or a
+    normalized foot lands at infinity.  ``cevians.to_chart`` raises it, and
+    ``scene.report_from_conditions`` reports it as ``chart=None``.  An
+    auxiliary point at infinity is not an error: the chart reports it as
+    ``p`` or ``q`` being None."""
 
 
 class DegenerateTriangle(GeometryError):

@@ -13,11 +13,14 @@ brackets (``conics._bracket_parts``).
 The triple helpers (``dot``, ``cross``, ``det3``, ``matvec3``,
 ``transpose3``, ``adjugate3`` and the triple case of ``row_norm``) are
 written out term by term and fix their order themselves.  A sum runs
-``0 + a0*b0 + a1*b1 + a2*b2``, left to right from the int 0, the order of
-``sum`` over the products; an adjugate entry is the minor ``p*q - r*s``
-of the cofactor definition, negated as a whole where its sign is odd.  So
-a float result keeps its last bit and the sign of a zero (an all ``-0.0``
-sum gives ``+0.0``), and exact entries stay ``int`` or ``Fraction``.
+``0 + a0*b0 + a1*b1 + a2*b2``, one left fold from the int 0, and a longer
+``row_norm`` loops in that order.  The builtin ``sum`` keeps that order
+only up to Python 3.11 (from 3.12 it compensates float rounding), so no
+float sum of the package calls it.  An adjugate entry is the minor
+``p*q - r*s`` of the cofactor definition, negated as a whole where its
+sign is odd.  So a float result keeps its last bit on every Python version
+and the sign of a zero (an all ``-0.0`` sum gives ``+0.0``), and exact
+entries stay ``int`` or ``Fraction``.
 
 A float chain step runs these forms a few dozen times, and there the
 cost of a call exceeds its arithmetic.  So the helpers on the chain path
@@ -98,7 +101,10 @@ def row_norm(row: Sequence[Scalar]) -> float:
     if len(row) == 3:
         x, y, z = float(row[0]), float(row[1]), float(row[2])
         return math.sqrt(x * x + y * y + z * z)
-    return math.sqrt(sum(float(v) * float(v) for v in row))
+    total = 0
+    for v in row:
+        total += float(v) * float(v)
+    return math.sqrt(total)
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[int, ...]]]:

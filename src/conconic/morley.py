@@ -93,8 +93,8 @@ def morley_triangle(tri: Triangle) -> Tuple[HPoint, HPoint, HPoint]:
 
 
 def _centroid(pts: Tuple[HPoint, HPoint, HPoint]) -> HPoint:
-    xs = [_affine_xy(p) for p in pts]
-    return HPoint(sum(x for x, _ in xs) / 3.0, sum(y for _, y in xs) / 3.0, 1.0)
+    (x0, y0), (x1, y1), (x2, y2) = [_affine_xy(p) for p in pts]
+    return HPoint((0 + x0 + x1 + x2) / 3.0, (0 + y0 + y1 + y2) / 3.0, 1.0)
 
 
 def first_morley_center(tri: Triangle) -> HPoint:
@@ -211,6 +211,6 @@ def side_spread(vertices: Tuple[HPoint, HPoint, HPoint]) -> Tuple[float, float]:
     sides = [
         math.dist(pts[i], pts[(i + 1) % 3]) for i in range(3)
     ]
-    mean = sum(sides) / 3.0
+    mean = (0 + sides[0] + sides[1] + sides[2]) / 3.0
     spread = (max(sides) - min(sides)) / mean
     return mean, spread

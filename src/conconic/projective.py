@@ -11,6 +11,7 @@ z = 0 are directions.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .errors import (
@@ -30,7 +31,34 @@ if TYPE_CHECKING:
 Triple = Tuple[Scalar, Scalar, Scalar]
 
 
-class _HTriple:
+class _Frozen:
+    """Base of the immutable values (points, lines, conics, records).  A
+    subclass's ``_key`` property is the tuple of values that is the
+    instance: equality asks for the same class and key, the hash reads the
+    class name and key, and copies and pickles call the class on the key.
+    Nothing can be set or deleted; constructors use ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._key))
+
+    def __reduce__(self):
+        return (type(self), self._key)
+
+
+class _HTriple(_Frozen):
     """Shared behaviour of homogeneous points and lines.
 
     ``coords`` is the triple as ``scalars.canonical_triple`` returns it,
@@ -44,14 +72,7 @@ class _HTriple:
     def __init__(self, x: Scalar, y: Scalar, z: Scalar):
         object.__setattr__(self, "coords", canonical_triple(x, y, z))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return (type(self), self.coords)
+    _key = property(attrgetter("coords"))  # a C getter: no frame per comparison
 
     @property
     def x(self) -> Scalar:
@@ -70,12 +91,6 @@ class _HTriple:
         # canonical triples are all int or all float
         return type(self.coords[0]) is int
 
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coords))
-
     def __iter__(self):
         return iter(self.coords)
 
@@ -84,17 +99,17 @@ class _HTriple:
         return f"{type(self).__name__}({body})"
 
 
-class Record:
-    """Base of the package's immutable value types.
+class Record(_Frozen):
+    """Base of the package's records, immutable values with named fields.
 
     A subclass lists its fields as class annotations, in order, with
     optional class-level defaults; ``__init_subclass__`` reads them once.
     Instances take the fields by position or keyword, store them in
-    ``__dict__`` and then run the class's ``__post_init__``, if any.
-    Equality and hashing follow the type and the field values, ``repr``
-    reads ``Name(field=value, ...)``, and ``replace`` returns a copy with
-    some fields changed.  Fields cannot be set or deleted; there are no
-    ``__slots__``, so ``lazy`` attributes work on subclasses.
+    ``__dict__`` and then run the class's ``__post_init__``, if any.  The
+    ``_Frozen`` key is the field values (a copy runs ``__post_init__``
+    again), ``repr`` reads ``Name(field=value, ...)``, and ``replace``
+    returns a copy with some fields changed.  There are no ``__slots__``,
+    so ``lazy`` attributes work on subclasses.
     """
 
     _spec = ((), frozenset(), {}, None)  # fields, their set, defaults, __post_init__
@@ -138,31 +153,18 @@ class Record:
         missing = [n for n in fields[len(args):] if n not in kwargs and n not in defaults]
         return TypeError(f"{call} missing required arguments: {', '.join(map(repr, missing))}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _values(self) -> tuple:
+    @property
+    def _key(self) -> tuple:
         state = self.__dict__
         return tuple([state[name] for name in self._spec[0]])
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._spec[0], self._values()))
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._spec[0], self._key))
         return f"{type(self).__qualname__}({body})"
 
     def replace(self, **changes):
         """A copy with the given fields changed (``__post_init__`` runs again)."""
-        return type(self)(**dict(zip(self._spec[0], self._values()), **changes))
+        return type(self)(**dict(zip(self._spec[0], self._key), **changes))
 
 
 class lazy:

@@ -12,6 +12,7 @@ import conconic.projective as projective
 from conconic import (
     CevianFeet,
     HPoint,
+    ProofChart,
     incident,
     projective_gap,
     Triangle,
@@ -579,6 +580,11 @@ def test_chart_frozen_oracle():
     assert chart.c2 == Fraction(9, 25)
     assert chart.p == chart.q == Fraction(9, 16)
     assert chart.criterion
+
+
+def test_a_chart_with_an_auxiliary_point_at_infinity_meets_the_criterion_when_both_are():
+    assert ProofChart(b1=1, c2=2, p=None, q=None).criterion
+    assert not ProofChart(b1=1, c2=2, p=None, q=3).criterion
 
 
 def test_chart_criterion_tracks_concurrency(rnd):

@@ -263,6 +263,15 @@ def test_morley_command(capsys, tmp_path):
     assert svg.exists()
 
 
+def test_morley_exits_two_when_the_chains_miss_a_tight_closure_tolerance(capsys):
+    argv = ["morley", "--triangle", "0,0 4,0 0,3", "--poncelet-samples", "5", "--closure-tol", "1e-18", "--json"]
+    code = main(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert all(rec["holds"] for rec in data["verdicts"].values())
+    assert data["porism"]["all_closed"] is False
+    assert code == 2
+
+
 def test_morley_json_is_pinned(capsys):
     argv = ["morley", "--triangle", "0,0 4,0 0,3", "--poncelet-samples", "25", "--json"]
     assert main(argv) == 0

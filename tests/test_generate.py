@@ -320,6 +320,50 @@ def test_perturbed_instance_lets_a_consistency_failure_through(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("a, b", [(100.0, 65.0), (15.0, 15.0)])
+def test_a_float_triangle_keeps_a_third_angle_on_either_bound(a, b):
+    """180 - a - b is exactly 15 or exactly 150 degrees, and the first draw
+    is kept: base 2, no rotation or shift, no swap."""
+    values = iter([a, b, 2.0, 0.0, 0.0, 0.0])
+
+    class Scripted:
+        def uniform(self, low, high):
+            return next(values)
+
+        def random(self):
+            return 0.9
+
+    tri = generate.float_triangle(Scripted())
+    assert list(values) == []
+    assert (tri.A, tri.B) == (HPoint(0.0, 0.0, 1.0), HPoint(2.0, 0.0, 1.0))
+
+
+def test_a_perturbed_parameter_nudged_onto_a_vertex_is_redrawn(monkeypatch):
+    """A nudge that lands a parameter on 1 (a vertex) is redrawn, not built."""
+    tri, _, params = generate.concurrency_solved_instance(random.Random(1))
+    params = [Fraction(6, 7), *params[1:]]
+    monkeypatch.setattr(generate, "_solved_draw", lambda rnd: (tri, params))
+    built = []
+    real_feet = generate.feet_from_params
+    monkeypatch.setattr(generate, "feet_from_params", lambda t, p: built.append(p) or real_feet(t, p))
+
+    class Scripted:
+        """Nudges the first parameter up by 1/7, then by 1/40."""
+        denominators = iter([7, 40])
+
+        def randrange(self, n):
+            return 0
+
+        def choice(self, seq):
+            return 1
+
+        def randint(self, a, b):
+            return next(self.denominators)
+
+    generate.perturbed_failing_instance(Scripted())
+    assert built == [[Fraction(6, 7) + Fraction(1, 40), *params[1:]]]
+
+
 def test_solved_instances_are_returned_without_building_or_checking(monkeypatch):
     """Carnot's criterion makes all four conditions hold on a solved draw, so
     the generator neither builds nor checks it; its draws stay pinned by the

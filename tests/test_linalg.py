@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conconic.conics import Conic
 from conconic.linalg import adjugate3, bareiss, det, det3, dot, matmul3, matvec3, row_norm, transpose3
 
 from conftest import small_fractions
@@ -26,8 +29,15 @@ same_backend = st.one_of(
 triples = st.one_of(same_backend, st.tuples(entries, entries, entries))
 
 
+def left_sum(terms):
+    """The sum as one left fold from the int 0: the order that ``sum``
+    takes up to Python 3.11 and that the package keeps on every version
+    (from 3.12 ``sum`` compensates float rounding)."""
+    return functools.reduce(operator.add, terms, 0)
+
+
 def sum_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return left_sum(a * b for a, b in zip(u, v))
 
 
 @given(triples, triples)
@@ -42,11 +52,18 @@ def test_matvec3_matches_the_sum_of_products(m, v):
 
 @given(st.one_of(triples, st.lists(entries, min_size=6, max_size=6)))
 def test_row_norm_matches_the_sum_of_squares(row):
-    assert repr(row_norm(row)) == repr(math.sqrt(sum(float(v) * float(v) for v in row)))
+    assert repr(row_norm(row)) == repr(math.sqrt(left_sum(float(v) * float(v) for v in row)))
+
+
+def test_float_sums_fold_left_on_every_python_version():
+    # Python 3.12's compensated ``sum`` reads 1.0000000000000002 and
+    # 2.0000000000000004 here
+    assert repr(row_norm((1.0, 1e-8, 1e-8, 1e-8, 1e-8, 0.0))) == "1.0"
+    assert repr(Conic(1.0, 1e-8, 1e-8, 1e-8, 1e-8, 1e-8).gram_norm) == "2.0"
 
 
 def test_dot_keeps_the_sign_of_zero_of_the_sum():
-    # sum starts from the int 0, so an all -0.0 sum is +0.0
+    # the sum starts from the int 0, so an all -0.0 sum is +0.0
     assert repr(dot((-0.0, -0.0, -0.0), (1.0, 1.0, 1.0))) == "0.0"
     assert repr(matvec3(((-0.0, 0.0, -1.0),) * 3, (1.0, -1.0, 0.0))) == "(0.0, 0.0, 0.0)"
     assert type(dot((1, 2, 3), (4, 5, 6))) is int

@@ -132,6 +132,25 @@ def test_missing_inner_witness_is_a_consistency_error(monkeypatch, capsys):
     assert "internal consistency violation" in capsys.readouterr().err
 
 
+def test_missing_cevian_witness_is_a_consistency_error(monkeypatch):
+    original = morley.check_conditions
+
+    def without_cevian_witness(cfg, eps):
+        report = original(cfg, eps)
+        return report.replace(tangent6=report.tangent6.replace(witness_conic=None))
+
+    monkeypatch.setattr(morley, "check_conditions", without_cevian_witness)
+    with pytest.raises(TheoremConsistencyError, match="touches the sixth"):
+        morley_config(RIGHT_345)
+
+
+def test_side_spread_sums_the_sides_in_their_order():
+    # the sides AB, BC, CA add in that order, from the int 0; another order
+    # changes the mean's last bit here
+    vertices = (HPoint(0.0, 0.0, 1.0), HPoint(0.0, 0.1, 1.0), HPoint(0.4, 0.1, 1.0))
+    assert morley.side_spread(vertices) == (0.304103520853922, 1.0269876576397363)
+
+
 def test_morley_centers():
     data = morley_config(RIGHT_345)
     centroid = first_morley_center(RIGHT_345)

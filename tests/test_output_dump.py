@@ -1,11 +1,12 @@
 """Output families of ``scripts/output_dump.py`` pinned at seed 1, so a
 change that must leave them byte-identical is checked by tier-1: the exact
 verdicts, residuals, witnesses, charts, generated triangles and feet,
-sextuple oracles and sixth feet, and the float Poncelet chains (closure
-steps and gaps, and every vertex and link coordinate).  The float verdict, residual, witness and chart
+sextuple oracles and sixth feet, the float Poncelet chains (closure
+steps and gaps, and every vertex and link coordinate), the float sixth feet
+and the SVG bytes.  The float verdict, residual, witness and chart
 families are left out: their residuals are expected to change when the
 float verdict scale does (ROADMAP item 1).  That re-scales residuals, not
-chains, so the chain digests stay fixed."""
+chains, sixth feet or drawings, so those digests stay fixed."""
 
 import contextlib
 import hashlib
@@ -30,6 +31,11 @@ EXACT_DIGESTS = {
 CHAIN_DIGESTS = {
     "chains": "9d11cc3a31353412beacf9d626f324989bd83581ceba093e4d6d3d8a46a67c0a",
     "chain_points": "c50654936be96c5bbde4ff841b03e8f2f2628b718c10c43d3f48e54ed0a22b19",
+}
+
+FLOAT_DIGESTS = {
+    "float_sixth_feet": "654a0b56ccccd9116d967f4645e1045d8271f53c14ff18fa1cc70be35d06578d",
+    "svg": "62199775f30a2ff09d7e5499c431284da7a8fc7b08deea03068e91763cc3ac1d",
 }
 
 
@@ -67,6 +73,10 @@ def test_exact_output_families_keep_their_seed_1_digests(seed_1_digests):
 
 def test_float_chain_families_keep_their_seed_1_digests(seed_1_digests):
     assert {family: seed_1_digests.get(family) for family in CHAIN_DIGESTS} == CHAIN_DIGESTS
+
+
+def test_float_sixth_feet_and_svg_families_keep_their_seed_1_digests(seed_1_digests):
+    assert {family: seed_1_digests.get(family) for family in FLOAT_DIGESTS} == FLOAT_DIGESTS
 
 
 def test_seeds_range_prints_the_digest_of_the_single_seed_runs_in_a_row(seed_1_stdout):

@@ -44,6 +44,35 @@ def test_canonical_equality_up_to_scale():
     assert hash(HPoint(2, 4, 6)) == hash(HPoint(1, 2, 3))
 
 
+def test_a_triple_verdict_refuses_its_first_item_repeated_third():
+    p, q = HPoint(0, 0, 1), HPoint(1, 0, 1)
+    with pytest.raises(DuplicatePoints, match="coincide"):
+        collinearity(p, q, p)
+    l, m = HLine(1, 0, 0), HLine(0, 1, 0)
+    with pytest.raises(DuplicateLine, match="coincide"):
+        concurrency(l, m, l)
+
+
+def test_a_float_direction_lies_at_infinity():
+    d = HPoint.direction(1.0, 2.0)
+    assert d.at_infinity and d == HPoint(0.5, 1.0, 0.0)
+
+
+def test_an_exact_and_a_nearly_equal_float_item_neither_join_nor_meet():
+    with pytest.raises(CoincidentPoints):
+        join(HPoint(1, 0, 0), HPoint(1.0, 1e-12, 0.0))
+    with pytest.raises(CoincidentLines):
+        meet(HLine(1, 0, 0), HLine(1.0, 1e-12, 0.0))
+
+
+def test_float_incidence_is_relative_to_the_product_of_the_norms():
+    # |p| |l| = sqrt(3) sqrt(2) ~ 2.45, so a dot product of 2e-9 is zero at
+    # eps = 1e-9 and one of 3e-9 is not
+    p = HPoint(1.0, 1.0, 1.0)
+    assert incident(p, HLine(1.0, -1.0, 2e-9))
+    assert not incident(p, HLine(1.0, -1.0, 3e-9))
+
+
 def test_points_and_lines_are_distinct_types():
     assert HPoint(1, 2, 3) != HLine(1, 2, 3)
 

@@ -20,6 +20,7 @@ from conconic import (
     ChainResult,
     ConditionReport,
     Conic,
+    HLine,
     HPoint,
     MorleyCenters,
     MorleyData,
@@ -41,7 +42,7 @@ from conconic import (
 )
 from conconic.errors import DegenerateTriangle, SingularMap
 from conconic.generate import concurrency_solved_instance
-from conconic.projective import Record
+from conconic.projective import Record, _Frozen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,6 +149,43 @@ def test_record_semantics(cls):
     assert pickle.loads(pickle.dumps(obj)) == obj
 
 
+class Lookalike(Record):
+    """A record class that is no other record's class."""
+
+
+VALUES = [HPoint(3, 4, 5), HPoint(0.1, -0.0, 2.0), HLine(1, -2, 3), HLine(0.1, 0.2, -0.3),
+          Conic(1, 0, 1, 0, 0, -1), Conic(0.5, 0.0, 1.0, 0.1, -0.0, -3.0), *SAMPLES.values()]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_every_value_type_freezes_compares_hashes_and_copies_by_one_rule(value):
+    """Points, lines, conics and records take their value protocol from
+    ``_Frozen`` alone, keyed by ``_key``: coordinates, coefficients or
+    field values."""
+    cls = type(value)
+    for name in ("__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"):
+        assert getattr(cls, name) is getattr(_Frozen, name), name
+    key = value._key
+    assert type(key) is tuple
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        value.extra = 1
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        del value.extra
+    assert value._key == key
+    assert value.__reduce__() == (cls, key)
+    assert cls(*key) == value
+    assert value.__eq__(key) is NotImplemented and value != key
+    assert value.__eq__(object.__new__(Lookalike)) is NotImplemented
+    if cls is VerifyReport:  # its provenance is a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash((cls.__name__, key))
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and twin is not value
+        assert repr(twin) == repr(value)
+
+
 def test_repr_matches_the_dataclass_format():
     assert repr(Verdict(residual=0, holds=True)) == (
         "Verdict(residual=0, holds=True, witness_conic=None, degenerate=False)"
@@ -167,6 +205,24 @@ def test_repr_matches_the_dataclass_format():
         "(Fraction(4, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(3, 1))), "
         "feet=('isogonal', (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))), epsilon=1e-09)"
     )
+
+
+def test_positional_and_keyword_arguments_fill_distinct_fields():
+    assert Verdict(0, holds=True) == Verdict(residual=0, holds=True)
+    assert ProofChart(1, 2, q=4, p=3) == ProofChart(b1=1, c2=2, p=3, q=4)
+
+
+def test_each_argument_fault_is_named():
+    cases = [
+        (lambda: Verdict(1, True, None, False, 5), "Verdict() takes 4 arguments but 5 were given"),
+        (lambda: Verdict(1, residual=2, holds=True), "Verdict() got multiple values for argument 'residual'"),
+        (lambda: Verdict(1, True, bogus=1), "Verdict() got an unexpected keyword argument 'bogus'"),
+        (lambda: Verdict(holds=True), "Verdict() missing required arguments: 'residual'"),
+    ]
+    for build, message in cases:
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_defaults_apply():

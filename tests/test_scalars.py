@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conconic.scalars import (
     FLOAT_BITS,
     all_exact,
+    brief_repr,
     canonical_triple,
     canonical_tuple,
     div,
@@ -495,3 +496,8 @@ def test_float_scaled_divides_a_large_int_tuple_by_one_power_of_two():
     out = float_scaled((5, big, -big // 3))
     assert out == (5 / 2**shift, big / 2**shift, (-big // 3) / 2**shift)
     assert 2.0**(FLOAT_BITS - 1) <= out[1] < 2.0**FLOAT_BITS
+
+
+def test_brief_repr_prints_an_int_of_exactly_the_printable_bits_and_describes_a_longer_one():
+    assert brief_repr(2**9999).endswith("(3010 characters)")  # 10,000 bits
+    assert brief_repr(-2**10000) == "a negative integer of about 3011 digits"

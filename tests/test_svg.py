@@ -4,6 +4,7 @@ import conconic.svg as svg
 from conconic import Conic, HLine, HPoint, Triangle, join, trace_chain
 from conconic.cevians import build_config
 from conconic.generate import feet_from_params
+from conconic.poncelet import ChainResult
 from conconic.svg import render_chain, render_configuration
 
 
@@ -92,3 +93,23 @@ def test_a_line_just_beyond_the_1e9_edge_slack_is_not_drawn():
         assert svg._clip_line(frame, HLine(0.0, 1.0, -bound)) is None
     for bound in (math.nextafter(frame.xmin - 1e-9, -math.inf), math.nextafter(frame.xmax + 1e-9, math.inf)):
         assert svg._clip_line(frame, HLine(1.0, 0.0, -bound)) is None
+
+
+def test_a_clipped_line_crosses_the_padded_frame_where_its_equation_says():
+    # x + 3y = 5 leaves the frame of [0, 4] x [0, 3] (padded to [-0.6, 4.6]
+    # x [-0.6, 3.6]) through its left and right edges
+    frame = svg.Frame([0.0, 4.0], [0.0, 3.0])
+    assert svg._clip_line(frame, HLine(1, 3, -5)) == ((-0.6, 1.8666666666666665), (4.6, 0.13333333333333344))
+
+
+def test_a_line_grazing_a_frame_corner_is_one_point_and_not_drawn():
+    # x + y = xmin + ymin + 1e-9 meets the left and bottom edges about
+    # 1.4e-9 apart, under the 1e-9 * 5.2 at which two hits count as one
+    frame = svg.Frame([0.0, 4.0], [0.0, 3.0])
+    assert svg._clip_line(frame, HLine(1.0, 1.0, -(frame.xmin + frame.ymin + 1e-9))) is None
+
+
+def test_a_chain_drawing_with_nothing_finite_to_show_frames_the_unit_square():
+    empty = ChainResult(points=(), links=(), closure_step=None, gap=0.0)
+    out = render_chain(Conic(1, 0, 1, 0, 0, 1), Conic(1, 0, 1, 0, 0, 2), empty)  # no real points
+    assert f'viewBox="{svg.Frame([0.0, 1.0], [0.0, 1.0]).viewbox()}"' in out
