@@ -194,8 +194,11 @@ def main(argv=None) -> int:
     parser.add_argument("--module", help="comma-separated module names, e.g. conics,poncelet")
     parser.add_argument("--function", help="comma-separated qualified function names")
     parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest paths, run with -x")
-    parser.add_argument("--workdir", type=Path, help="where the copies go (a fresh temporary directory by default)")
+    parser.add_argument("--workdir", type=Path,
+                        help="where the copies go, created if missing (a fresh temporary directory by default)")
     args = parser.parse_args(argv)
+    if args.workdir:
+        args.workdir.mkdir(parents=True, exist_ok=True)
 
     modules = set(args.module.split(",")) if args.module else None
     functions = set(args.function.split(",")) if args.function else None

@@ -20,7 +20,7 @@ import importlib.util
 import json
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cevians import Triangle
 from .conics import Conic
@@ -29,13 +29,12 @@ from .projective import HPoint
 from .scalars import DEFAULT_CLOSURE_TOL, DEFAULT_EPS, format_scalar
 from .scene import (
     SceneError,
+    _read_scene_json,
     _verify,
     decode_value,
-    load_scene,
     parse_tolerance,
-    report_to_json,
+    report_to_dict,
     scene_from_dict,
-    scene_to_dict,
 )
 
 
@@ -105,58 +104,50 @@ def _parse_point(text: str) -> HPoint:
     raise SceneError(f"point {text!r} must be 'x,y' or 'x,y,z'")
 
 
-def _write_svg(path: Optional[str], content: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], Iterable[str]],
+          drawing: Callable[[], str], ok: bool) -> int:
+    """The one ending of every command: the JSON of ``payload()`` with ``--json``, else the lines
+    of ``text()``; ``drawing()`` written to the ``--svg`` path; exit 0 when ``ok``, else 2.  The
+    three are thunks, so no command builds an output that no flag asks for."""
+    print(json.dumps(payload(), indent=2, sort_keys=True) if args.json else "\n".join(text()))
+    if args.svg:
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(drawing())
+    return EXIT_OK if ok else EXIT_DISAGREE
 
 
 # ----- verify ---------------------------------------------------------------
 
 
-def _print_verify_text(report) -> None:
+def _verify_lines(report) -> Iterator[str]:
     conditions, ch = report.conditions, report.chart
     for name, v in conditions.named:
         flag = "holds" if v.holds else "fails"
         extra = "  (degenerate witness)" if v.degenerate else ""
-        print(f"{name:<11} {flag}  residual {_fmt_value(v.residual)}{extra}")
+        yield f"{name:<11} {flag}  residual {_fmt_value(v.residual)}{extra}"
     if ch is None:
-        print("chart       degenerate (frame could not be built)")
+        yield "chart       degenerate (frame could not be built)"
     else:
         crit = "undefined" if ch.degenerate else "p = q" if ch.criterion else "p != q"
-        print(
-            f"chart       b1={_fmt_value(ch.b1)} c2={_fmt_value(ch.c2)} "
-            f"p={_fmt_value(ch.p)} q={_fmt_value(ch.q)}  criterion: {crit}"
-        )
+        yield (f"chart       b1={_fmt_value(ch.b1)} c2={_fmt_value(ch.c2)} "
+               f"p={_fmt_value(ch.p)} q={_fmt_value(ch.q)}  criterion: {crit}")
     if conditions.agree:
         state = "all four conditions hold" if conditions.all_hold else "all four conditions fail"
-        print(f"agreement   {state}")
+        yield f"agreement   {state}"
     else:
-        print("agreement   conditions disagree (degenerate or perturbed input)")
+        yield "agreement   conditions disagree (degenerate or perturbed input)"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scene = load_scene(args.scene)
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if overrides:
-        scene = scene_from_dict({**scene_to_dict(scene), **overrides})
-
+    data = _read_scene_json(args.scene)
+    if isinstance(data, dict):  # scene_from_dict refuses any other value
+        data.update((k, v) for k, v in (("mode", args.mode), ("epsilon", args.epsilon)) if v is not None)
+    scene = scene_from_dict(data)
     cfg, report = _verify(scene)
-
-    if args.json:
-        print(report_to_json(report))
-    else:
-        _print_verify_text(report)
-
     conditions = report.conditions
-    if args.svg:
-        witnesses = (conditions.outer6.witness_conic, conditions.inner6.witness_conic)
-        _write_svg(args.svg, svg.render_configuration(cfg, witnesses, scene.epsilon))
-    return EXIT_OK if conditions.agree else EXIT_DISAGREE
+    witnesses = (conditions.outer6.witness_conic, conditions.inner6.witness_conic)
+    return _emit(args, lambda: report_to_dict(report), lambda: _verify_lines(report),
+                 lambda: svg.render_configuration(cfg, witnesses, scene.epsilon), conditions.agree)
 
 
 # ----- morley ---------------------------------------------------------------
@@ -184,10 +175,7 @@ def _cmd_morley(args: argparse.Namespace) -> int:
         "triangle": [[float(v) for v in p.coords] for p in tri.vertices],
         "morley_triangle": [[float(v) for v in p.coords] for p in (cfg.U1, cfg.V1, cfg.W1)],
         "equilateral_relative_spread": spread,
-        "verdicts": {
-            name: {"holds": rec.holds, "residual": float(rec.residual)}
-            for name, rec in data.report.named
-        },
+        "verdicts": {name: {"holds": rec.holds, "residual": float(rec.residual)} for name, rec in data.report.named},
         "centers": {
             "first": [float(v) for v in data.centers.first.coords],
             "second": [float(v) for v in data.centers.second.coords],
@@ -200,22 +188,18 @@ def _cmd_morley(args: argparse.Namespace) -> int:
         payload["porism"] = _porism(data.inner_conic, data.cevian_conic, 3, args.poncelet_samples, args)
         ok = ok and payload["porism"]["all_closed"]
 
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"equilateral relative spread: {spread:.3e}")
+    def text() -> Iterator[str]:
+        yield f"equilateral relative spread: {spread:.3e}"
         for name, rec in payload["verdicts"].items():
-            print(f"{name:<11} {'holds' if rec['holds'] else 'fails'}  residual {rec['residual']:.3e}")
+            yield f"{name:<11} {'holds' if rec['holds'] else 'fails'}  residual {rec['residual']:.3e}"
         second = payload["centers"]["second"]
-        print(f"second trisector center: ({second[0]:.6g} : {second[1]:.6g} : {second[2]:.6g})")
+        yield f"second trisector center: ({second[0]:.6g} : {second[1]:.6g} : {second[2]:.6g})"
         if "porism" in payload:
             p = payload["porism"]
             state = "closed" if p["all_closed"] else "did not close"
-            print(f"chains {state} at n=3 over {args.poncelet_samples} samples (max gap {p['max_gap']:.3e})")
+            yield f"chains {state} at n=3 over {args.poncelet_samples} samples (max gap {p['max_gap']:.3e})"
 
-    if args.svg:
-        _write_svg(args.svg, svg.render_morley(data, args.epsilon))
-    return EXIT_OK if ok else EXIT_DISAGREE
+    return _emit(args, lambda: payload, text, lambda: svg.render_morley(data, args.epsilon), ok)
 
 
 # ----- poncelet -------------------------------------------------------------
@@ -226,37 +210,31 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
     inner = _parse_conic(args.inner)
     if args.expected_n is not None:
         payload = {**_porism(outer, inner, args.expected_n, args.samples, args), "samples": args.samples}
-        closed = payload["all_closed"]
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            state = "all chains closed" if closed else "some chains did not close"
-            print(f"{state} at n={args.expected_n} over {args.samples} samples (max gap {payload['max_gap']:.3e})")
-        if args.svg:
-            chain = poncelet.trace_chain(outer, inner, poncelet.find_point_on_conic(outer, args.epsilon),
-                                         max(args.expected_n, 3), args.closure_tol, args.epsilon)
-            _write_svg(args.svg, svg.render_chain(outer, inner, chain, args.epsilon))
-        return EXIT_OK if closed else EXIT_DISAGREE
-
-    if not args.start:
-        raise SceneError("either --start or --expected-n with --samples is required")
-    start = _parse_point(args.start)
-    chain = poncelet.trace_chain(outer, inner, start, args.max_steps, args.closure_tol, args.epsilon)
-    payload = {
-        "closure_step": chain.closure_step,
-        "gap": chain.gap,
-        "points": [[float(v) for v in p.coords] for p in chain.points],
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        ok, chain = payload["all_closed"], None
+        state = "all chains closed" if ok else "some chains did not close"
+        line = f"{state} at n={args.expected_n} over {args.samples} samples (max gap {payload['max_gap']:.3e})"
     else:
-        if chain.closed:
-            print(f"chain closed at step {chain.closure_step} (gap {chain.gap:.3e})")
-        else:
-            print(f"chain did not close within {args.max_steps} steps (best gap {chain.gap:.3e})")
-    if args.svg:
-        _write_svg(args.svg, svg.render_chain(outer, inner, chain, args.epsilon))
-    return EXIT_OK if chain.closed else EXIT_DISAGREE
+        if not args.start:
+            raise SceneError("either --start or --expected-n with --samples is required")
+        chain = poncelet.trace_chain(outer, inner, _parse_point(args.start), args.max_steps,
+                                     args.closure_tol, args.epsilon)
+        payload = {
+            "closure_step": chain.closure_step,
+            "gap": chain.gap,
+            "points": [[float(v) for v in p.coords] for p in chain.points],
+        }
+        ok = chain.closed
+        line = (f"chain closed at step {chain.closure_step} (gap {chain.gap:.3e})" if ok
+                else f"chain did not close within {args.max_steps} steps (best gap {chain.gap:.3e})")
+
+    def drawing() -> str:
+        # porism mode draws one chain from a point of the outer conic
+        drawn = chain if chain is not None else poncelet.trace_chain(
+            outer, inner, poncelet.find_point_on_conic(outer, args.epsilon),
+            max(args.expected_n, 3), args.closure_tol, args.epsilon)
+        return svg.render_chain(outer, inner, drawn, args.epsilon)
+
+    return _emit(args, lambda: payload, lambda: [line], drawing, ok)
 
 
 # ----- entry point ----------------------------------------------------------
@@ -346,16 +324,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (SceneError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     except TheoremConsistencyError as err:
         print(f"internal consistency violation: {err}", file=sys.stderr)
         return EXIT_DISAGREE
     except GeometryError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # a SceneError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -191,6 +191,8 @@ class lazy:
 class HPoint(_HTriple):
     """A point of the projective plane as a homogeneous triple."""
 
+    __slots__ = ()
+
     @classmethod
     def from_xy(cls, x: Scalar, y: Scalar) -> "HPoint":
         return cls(x, y, 1 if all_exact((x, y)) else 1.0)
@@ -213,6 +215,8 @@ class HPoint(_HTriple):
 
 class HLine(_HTriple):
     """A line of the projective plane, as coefficients of ax + by + cz = 0."""
+
+    __slots__ = ()
 
     @classmethod
     def at_infinity(cls) -> "HLine":

@@ -207,14 +207,18 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
 
 
 def load_scene(path: str) -> Scene:
+    return scene_from_dict(_read_scene_json(path))
+
+
+def _read_scene_json(path: str) -> Any:
+    """The JSON value of the scene file at ``path``, not yet checked."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=_json_int)
         except json.JSONDecodeError as err:
             raise SceneError(f"{path} is not valid JSON: {err}") from err
         except ValueError as err:  # undecodable bytes
             raise SceneError(f"{path}: {err}") from err
-    return scene_from_dict(data)
 
 
 def _json_int(text: str) -> int:

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +13,19 @@ from conconic.generate import (
     perturbed_failing_instance,
     through_point_instance,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(rel):
+    """The module of the dev script at ``rel`` (relative to the repository
+    root, e.g. ``scripts/op_count.py``), loaded afresh from its file."""
+    path = ROOT / rel
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

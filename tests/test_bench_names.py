@@ -2,21 +2,12 @@
 names must still resolve, or a traced run breaks where tier-1 cannot see."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_every_traced_name_resolves_in_conconic():
-    keys = _load_tracing().TRACED_KEYS
+    keys = load_script("bench/tracing.py").TRACED_KEYS
     assert keys
     missing = []
     for key in keys:

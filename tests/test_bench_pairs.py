@@ -2,20 +2,11 @@
 raw setup timing on fake checkouts."""
 
 import argparse
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-
-
-def _load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def _runs(**series):
@@ -25,7 +16,7 @@ def _runs(**series):
 
 
 def test_summary_reads_quartiles_iqr_and_wins_in_the_better_direction():
-    summarize = _load_bench_pairs().summarize
+    summarize = load_script("scripts/bench_pairs.py").summarize
     parent = _runs(ops_per_s=[100, 110, 90, 105, 95], op_ms_p50=[2.0, 1.8, 2.2, 1.9, 2.1])
     change = _runs(ops_per_s=[130, 110, 125, 85, 140], op_ms_p50=[1.5, 1.8, 1.6, 2.0, 2.2])
     ops, p50 = summarize(parent, change, [("ops_per_s", "higher"), ("op_ms_p50", "lower")])
@@ -41,14 +32,14 @@ def test_summary_reads_quartiles_iqr_and_wins_in_the_better_direction():
 
 
 def test_summary_of_one_pair():
-    summarize = _load_bench_pairs().summarize
+    summarize = load_script("scripts/bench_pairs.py").summarize
     (row,) = summarize(_runs(setup_s=[0.1]), _runs(setup_s=[0.1]), [("setup_s", "lower")])
     assert row["parent"] == row["change"] == (0.1, 0.1, 0.1)
     assert row["parent_iqr"] == 0 and (row["change_wins"], row["parent_wins"]) == (0, 0)
 
 
 def _verdict(parent, change, better="higher", bound=0.2):
-    bench_pairs = _load_bench_pairs()
+    bench_pairs = load_script("scripts/bench_pairs.py")
     (row,) = bench_pairs.summarize(_runs(m=parent), _runs(m=change), [("m", better)])
     return bench_pairs.verdict(row, better, bound)
 
@@ -83,7 +74,7 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_change_wi
 
 
 def test_bytecode_condition_reads_the_environment_and_the_package_cache(tmp_path):
-    bytecode_condition = _load_bench_pairs().bytecode_condition
+    bytecode_condition = load_script("scripts/bench_pairs.py").bytecode_condition
     package = tmp_path / "src" / "conconic"
     (package / "__pycache__").mkdir(parents=True)
     for stem in ("__init__", "cli", "svg"):
@@ -100,7 +91,7 @@ def test_bytecode_condition_reads_the_environment_and_the_package_cache(tmp_path
 
 
 def test_setup_line_reads_unscaled_medians_and_iqrs_in_ms():
-    setup_line = _load_bench_pairs().setup_line
+    setup_line = load_script("scripts/bench_pairs.py").setup_line
     walls = {"parent": [0.140, 0.130, 0.136, 0.150, 0.135], "change": [0.139, 0.137, 0.160, 0.138, 0.133]}
     assert setup_line(walls) == ("setup raw (5 --setup-only children per side, unscaled wall): "
                                  "parent 136.0 ms (IQR 5.0) -> change 138.0 ms (IQR 2.0) (+1.5%)")
@@ -118,7 +109,7 @@ def test_setup_walls_alternate_setup_only_children_between_checkouts(tmp_path):
             f"    fh.write({side!r} + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n",
             encoding="utf-8")
     args = argparse.Namespace(workload="exact_sweep", seed=7)
-    walls = _load_bench_pairs().setup_walls(tmp_path / "parent", tmp_path / "change", args, runs=3)
+    walls = load_script("scripts/bench_pairs.py").setup_walls(tmp_path / "parent", tmp_path / "change", args, runs=3)
     assert [len(walls[side]) for side in ("parent", "change")] == [3, 3]
     assert all(t > 0 for side in walls.values() for t in side)
     lines = log.read_text(encoding="utf-8").splitlines()

@@ -119,6 +119,16 @@ def bad_foot(rnd, tri, foot):
     return rnd.choice((p, float_copy(p)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: feet_from_params(RIGHT_345, [Fraction(1, 2)] * 5), "six side parameters are required"),
+    (lambda: feet_from_params(RIGHT_345, [Fraction(1, 2)] * 6).triple(3), "triple index must be 1 or 2"),
+], ids=["five-params", "third-triple"])
+def test_feet_input_checks_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_validate_feet_names_the_first_offending_foot_as_the_per_foot_rule():
     names = ("A1", "A2", "B1", "B2", "C1", "C2")
     outcomes = Counter()

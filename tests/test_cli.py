@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,40 @@ def test_verify_float_mode_override(scene_file, capsys):
     assert isinstance(data["verdicts"]["outer6"]["residual"], float)
 
 
+def _verify_run(scene_file, data, name, flags, capsys):
+    """(exit code, stdout, stderr) of ``verify`` on the scene ``data``."""
+    code = main(["verify", scene_file(json.dumps(data), name), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("text", [ISOGONAL_SCENE, MIXED_SCENE], ids=["agreeing", "disagreeing"])
+def test_rational_override_of_a_float_scene_of_exact_strings(text, flags, scene_file, capsys):
+    # the override is merged before the file's values are decoded, so the
+    # exact strings of a float-mode file are read exactly
+    data = {**json.loads(text), "mode": "rational"}
+    expected = _verify_run(scene_file, data, "rational.json", flags, capsys)
+    assert expected[0] in (0, 2) and expected[2] == ""
+    got = _verify_run(scene_file, {**data, "mode": "float"}, "float.json", ["--mode", "rational", *flags], capsys)
+    assert got == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_float_override_of_a_rational_scene_of_json_floats(flags, scene_file, capsys):
+    data = {"triangle": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
+            "feet": {"generator": "isogonal", "params": [0.5, 0.5, 0.5]}}
+    expected = _verify_run(scene_file, {**data, "mode": "float"}, "float.json", flags, capsys)
+    assert expected[0] == 0 and expected[2] == ""
+    got = _verify_run(scene_file, {**data, "mode": "rational"}, "rational.json", ["--mode", "float", *flags], capsys)
+    assert got == expected
+
+
+def test_mode_override_of_a_scene_that_is_not_an_object_exits_one(scene_file, capsys):
+    assert main(["verify", scene_file("[1, 2]"), "--mode", "float"]) == 1
+    assert capsys.readouterr().err == "error: a scene must be a JSON object\n"
+
+
 def test_verify_svg_is_deterministic(scene_file, tmp_path):
     scene = scene_file(ISOGONAL_SCENE)
     svg1 = tmp_path / "a.svg"
@@ -188,7 +223,7 @@ def test_bad_flags_exit_one_naming_the_flag(argv, needle, capsys):
     [
         ({"mode": "float", "triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]]}, [], "1e400"),
         ({"mode": "float", "triangle": [[0, 0], [10**400, 0], [0, 3]]}, [], str(10**400)),
-        ({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]]}, ["--mode", "float"], "1" + "0" * 400),
+        ({"triangle": [["0", "0"], ["1e400", "0"], ["0", "3"]]}, ["--mode", "float"], "1e400"),
         ({"triangle": [["0", "0"], ["4", "0"], ["0", "3"]], "epsilon": 10**400}, [], str(10**400)),
     ],
 )
@@ -261,6 +296,23 @@ def test_morley_command(capsys, tmp_path):
     assert data["porism"]["all_closed"] is True
     assert data["porism"]["steps"] == [3] * 10
     assert svg.exists()
+
+
+def test_morley_text_prints_the_second_center_in_coordinate_order(capsys):
+    triangle = ["morley", "--triangle", "0,0 4,0 1,3"]
+    assert main(triangle) == 0
+    text = capsys.readouterr().out
+    assert main([*triangle, "--json"]) == 0
+    x, y, z = json.loads(capsys.readouterr().out)["centers"]["second"]
+    assert len({x, y, z}) == 3
+    assert f"second trisector center: ({x:.6g} : {y:.6g} : {z:.6g})\n" in text
+
+
+def test_main_reads_the_command_line_when_given_no_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["conconic", "poncelet", "--outer", "1,0,1,0,0,-4",
+                                      "--inner", "1,0,1,0,0,-1", "--expected-n", "3", "--samples", "4"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("all chains closed at n=3 over 4 samples")
 
 
 def test_morley_exits_two_when_the_chains_miss_a_tight_closure_tolerance(capsys):

@@ -371,6 +371,18 @@ def test_polar_pole_round_trip():
     assert UNIT_CIRCLE.pole(HLine(3, 4, -5)) == HPoint(3, 4, 5)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Conic.from_coeffs((1, 0, 1, 0, 0)), ValueError, "a conic needs exactly six coefficients"),
+    # x^2 - y^2: the line pair x = y, x = -y, singular at their meet
+    (lambda: Conic.from_coeffs((1, 0, -1, 0, 0, 0)).polar(HPoint(0, 0, 1)), DegenerateConic,
+     "HPoint(0 : 0 : 1) is a singular point of the conic"),
+], ids=["five-coefficients", "polar-at-the-singular-point"])
+def test_conic_input_checks_name_the_problem(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_conic_transform_covariance():
     m = ProjectiveMap(((1, 1, 0), (0, 2, 1), (1, 0, 1)))
     moved = UNIT_CIRCLE.transformed(m)

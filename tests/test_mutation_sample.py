@@ -1,21 +1,12 @@
 """``scripts/mutation_sample.py`` draws the same mutants on every run."""
 
 import ast
-import importlib.util
-from pathlib import Path
 
-MUTATION_SAMPLE = Path(__file__).resolve().parent.parent / "scripts" / "mutation_sample.py"
-
-
-def _load_mutation_sample():
-    spec = importlib.util.spec_from_file_location("mutation_sample", MUTATION_SAMPLE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_one_seed_always_draws_the_same_mutants():
-    ms = _load_mutation_sample()
+    ms = load_script("scripts/mutation_sample.py")
     functions = {"_meet_coords", "_quadratic_root_pairs"}
     first = ms.sample(ms.ROOT, 1, 12, functions=functions)
     assert ms.sample(ms.ROOT, 1, 12, functions=functions) == first
@@ -45,7 +36,7 @@ class K:
 
 
 def test_the_operator_set_on_a_small_module(tmp_path):
-    ms = _load_mutation_sample()
+    ms = load_script("scripts/mutation_sample.py")
     package = tmp_path / ms.PACKAGE
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("X = 1 + 2\n")
@@ -70,3 +61,12 @@ def test_the_operator_set_on_a_small_module(tmp_path):
     assert ms.enumerate_mutants(tmp_path, functions={"K.g"}) == mutants[-1:]
     dropped = ms.mutated_source(tmp_path, "src/conconic/sample.py", 3)
     assert "if x < y and x in y:" in dropped
+
+
+def test_a_missing_workdir_is_created_before_the_draw(tmp_path, capsys):
+    # a filter that matches no site ends the run right after the draw
+    workdir = tmp_path / "missing" / "nested"
+    argv = ["--seed", "1", "-n", "1", "--function", "no_such_function", "--workdir", str(workdir)]
+    assert load_script("scripts/mutation_sample.py").main(argv) == 2
+    assert workdir.is_dir()
+    assert capsys.readouterr().err == "no mutation site matches the filters\n"

@@ -1,24 +1,16 @@
 """``scripts/op_count.py`` counts the same work on every run."""
 
-import importlib.util
 import random
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-OP_COUNT = Path(__file__).resolve().parent.parent / "scripts" / "op_count.py"
-
-
-def _load_op_count():
-    spec = importlib.util.spec_from_file_location("op_count", OP_COUNT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_counts_of_exact_sweep_ops_repeat_exactly():
-    count = _load_op_count().count
+    count = load_script("scripts/op_count.py").count
     first = count("exact_sweep", 7, 3)
     second = count("exact_sweep", 7, 3)
     opcodes, calls, failed = first
@@ -58,7 +50,7 @@ def _edges_of_ops(workload: str, seed: int, n_ops: int) -> Counter:
         edges[name(frame.f_back), name(frame)] += 1
 
     with tempfile.TemporaryDirectory() as workdir:
-        wl = _load_op_count().load_workloads().WORKLOADS[workload](seed, Path(workdir))
+        wl = load_script("scripts/op_count.py").load_workloads().WORKLOADS[workload](seed, Path(workdir))
         wl.setup()
         try:
             for i in range(wl.warmup_ops):
@@ -91,7 +83,7 @@ def test_exact_sweep_decides_identity_on_integer_triples():
     # one op per generator family: exact coincidence, join and meet never
     # reach the float zero test, and to_chart reads the chart from integer
     # brackets: no frame matrix, no composed map, no scalars.div
-    _, calls, failed = _load_op_count().count("exact_sweep", 7, 5)
+    _, calls, failed = load_script("scripts/op_count.py").count("exact_sweep", 7, 5)
     assert failed == 0
     assert calls["conconic.projective.coincident"] > 0 and calls["conconic.projective.join"] > 0
     assert calls["conconic.projective._coincident"] == 0
@@ -124,7 +116,7 @@ def test_every_six_item_condition_takes_the_one_verdict():
     # ops 0-4 of exact_sweep, one per generator family: outer6, inner6 and
     # tangent6 of every check_conditions reach conics._six_point_verdict,
     # the collapsed inner points of the through-point family included
-    _, calls, failed = _load_op_count().count("exact_sweep", 7, 5)
+    _, calls, failed = load_script("scripts/op_count.py").count("exact_sweep", 7, 5)
     assert failed == 0
     assert calls["conconic.cevians.check_conditions"] == 6
     assert calls["conconic.conics._six_point_verdict"] == 3 * calls["conconic.cevians.check_conditions"]
@@ -135,7 +127,7 @@ def test_exact_six_point_verdicts_make_no_integer_elimination():
     # (8 verdicts): every exact residual and witness comes from brackets,
     # so linalg.bareiss, linalg.det's integer backend, is never called
     for workload, n_ops in (("exact_sweep", 5), ("sextuple_oracles", 8)):
-        _, calls, failed = _load_op_count().count(workload, 7, n_ops)
+        _, calls, failed = load_script("scripts/op_count.py").count(workload, 7, n_ops)
         assert failed == 0
         assert calls["conconic.conics._six_point_verdict"] > 0
         assert calls["conconic.conics._bracket_parts"] > 0
@@ -150,7 +142,7 @@ def test_float_chain_steps_make_no_helper_calls():
     # first step reads its touch points off the inner adjugate rows, so
     # what is left of linalg's triple helpers is counted below; a helper
     # call put back on the step path raises one of these counts.
-    _, calls, failed = _load_op_count().count("float_chains", 7, 4)
+    _, calls, failed = load_script("scripts/op_count.py").count("float_chains", 7, 4)
     assert failed == 0
     steps = 3 * 25 * 3 + 20 * 3 + 100
     assert calls["conconic.poncelet._step"] == steps
@@ -198,7 +190,7 @@ def test_float_chain_points_and_lines_skip_the_generic_canonicalizer():
     # orients by or a point search starts from is built once: an outer and
     # an inner conic per trisector op, one outer and two inner circles in the
     # concentric op
-    _, calls, failed = _load_op_count().count("float_chains", 7, 4)
+    _, calls, failed = load_script("scripts/op_count.py").count("float_chains", 7, 4)
     assert failed == 0
     assert calls["conconic.scalars.canonical_tuple"] == calls["conconic.conics.Conic.__init__"] <= 20
     assert calls["conconic.scalars.canonical_triple"] > 0

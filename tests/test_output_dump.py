@@ -10,13 +10,11 @@ chains, sixth feet or drawings, so those digests stay fixed."""
 
 import contextlib
 import hashlib
-import importlib.util
 import io
-from pathlib import Path
 
 import pytest
 
-OUTPUT_DUMP = Path(__file__).resolve().parent.parent / "scripts" / "output_dump.py"
+from conftest import load_script
 
 EXACT_DIGESTS = {
     "verdicts": "82e201479833b519f8870959331b9d1d10ea59bedf4b070af35a059664d9de56",
@@ -39,17 +37,10 @@ FLOAT_DIGESTS = {
 }
 
 
-def _load_output_dump():
-    spec = importlib.util.spec_from_file_location("output_dump", OUTPUT_DUMP)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _run_output_dump(*argv) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert _load_output_dump().main(list(argv)) == 0
+        assert load_script("scripts/output_dump.py").main(list(argv)) == 0
     return stdout.getvalue()
 
 

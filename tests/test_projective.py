@@ -195,6 +195,14 @@ def test_map_from_correspondence_degenerate_quadruple():
         map_from_correspondence(src, dst)
 
 
+@pytest.mark.parametrize("src_count, dst_count", [(3, 4), (4, 3)])
+def test_map_from_correspondence_needs_four_points_each_side(src_count, dst_count):
+    frame = (HPoint(1, 0, 0), HPoint(0, 1, 0), HPoint(0, 0, 1), HPoint(1, 1, 1))
+    with pytest.raises(ValueError) as err:
+        map_from_correspondence(frame[:src_count], frame[:dst_count])
+    assert str(err.value) == "correspondence needs exactly four source and target points"
+
+
 def test_coincident_tolerates_float_noise():
     p = HPoint(1.0, 2.0, 3.0)
     q = HPoint(1.0 + 1e-13, 2.0, 3.0)
@@ -277,6 +285,13 @@ def test_triples_copy_and_pickle_and_refuse_del(item):
     with pytest.raises(AttributeError):
         del item.coords
     assert len(item.coords) == 3
+
+
+@pytest.mark.parametrize("cls", [HPoint, HLine])
+def test_points_and_lines_carry_no_instance_dict(cls):
+    # every class from the value base down declares __slots__
+    assert not hasattr(cls(1, 2, 3), "__dict__")
+    assert not hasattr(cls(0.5, 2.0, 3.0), "__dict__")
 
 
 def unit_sphere_gap(p, q):

@@ -176,6 +176,13 @@ def test_canonical_tuple_rejects_zero():
         canonical_tuple([0, 0, 0])
 
 
+@pytest.mark.parametrize("empty", [(), []])
+def test_canonical_tuple_rejects_an_empty_tuple(empty):
+    with pytest.raises(ValueError) as err:
+        canonical_tuple(empty)
+    assert str(err.value) == "empty coordinate tuple"
+
+
 def reduced_by_formula(vals):
     """The generic rule for integers: divide by the gcd, signed so that the
     first nonzero entry comes out positive."""

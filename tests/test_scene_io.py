@@ -14,7 +14,7 @@ from conconic import (
     scene_to_dict,
     verify_scene,
 )
-from conconic.scene import SceneError
+from conconic.scene import SceneError, decode_value
 
 ISOGONAL_SCENE = {
     "triangle": [["0", "0"], ["4", "0"], ["0", "3"]],
@@ -237,6 +237,34 @@ def test_rational_values_travel_as_strings():
     assert data["chart"]["b1"] == "25/16"
     assert data["verdicts"]["outer6"]["residual"] == "0"
     assert all(isinstance(v, str) for v in data["witnesses"]["outer6"])
+
+
+def _load_undecodable_bytes(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_bytes(b"\xff{}")
+    return load_scene(str(path))
+
+
+def _scene_with(**fields):
+    return scene_from_dict({"triangle": ISOGONAL_SCENE["triangle"], "feet": {"params": ["1/2"] * 6}, **fields})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: decode_value([1], True), "expected a number or string, got list"),
+    (lambda tmp: report_from_dict({"mode": "exact"}), "mode must be one of ('rational', 'float'), got 'exact'"),
+    (_load_undecodable_bytes,
+     "{tmp}/scene.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda tmp: scene_from_dict([ISOGONAL_SCENE]), "a scene must be a JSON object"),
+    (lambda tmp: _scene_with(feet=[["1/2"] * 6]), "feet must be an object with params or a generator"),
+    (lambda tmp: _scene_with(feet={"generator": "through_points", "points": [["1", "1"]]}),
+     "through_points needs exactly two points"),
+    (lambda tmp: _scene_with(triangle=[["0", "0"], "40", ["0", "3"]]), "vertex 1 must be a pair of coordinates"),
+], ids=["list-value", "report-mode", "undecodable-bytes", "scene-not-an-object", "feet-not-an-object",
+        "one-through-point", "vertex-not-a-pair"])
+def test_scene_input_checks_name_the_problem(call, message, tmp_path):
+    with pytest.raises(SceneError) as err:
+        call(tmp_path)
+    assert str(err.value) == message.format(tmp=tmp_path)
 
 
 @pytest.mark.parametrize("key", ["agree", "all_hold", "criterion"])

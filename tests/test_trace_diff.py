@@ -1,17 +1,6 @@
 """The comparison of ``scripts/trace_diff.py`` on fixed metric dicts."""
 
-import importlib.util
-from pathlib import Path
-
-TRACE_DIFF = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
-
-
-def _load_trace_diff():
-    spec = importlib.util.spec_from_file_location("trace_diff", TRACE_DIFF)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import load_script
 
 PARENT = {
     "linalg.det.calls_per_op": 2.0,
@@ -30,7 +19,7 @@ PARENT = {
 
 def test_equal_calls_print_only_the_self_times_side_by_side():
     change = dict(PARENT, **{"poncelet.poncelet_step.self_ms_per_op": 1.1, "fail_frac": 0.5})
-    calls, self_ms, vanished = _load_trace_diff().compare(PARENT, change)
+    calls, self_ms, vanished = load_script("scripts/trace_diff.py").compare(PARENT, change)
     assert calls == [] and vanished == []
     # functions with no calls on either side are left out
     assert self_ms == [
@@ -48,7 +37,7 @@ def test_a_function_whose_calls_fall_to_zero_has_vanished():
         "svg.render_chain.calls_per_op": 1.0,
     })
     del change["linalg.det.calls_per_op"]
-    calls, self_ms, vanished = _load_trace_diff().compare(PARENT, change)
+    calls, self_ms, vanished = load_script("scripts/trace_diff.py").compare(PARENT, change)
     assert calls == [
         ("linalg.det.calls_per_op", 2.0, None),
         ("linalg.det.float_calls_per_op", 2.0, 0.0),
@@ -62,6 +51,6 @@ def test_a_function_whose_calls_fall_to_zero_has_vanished():
 
 def test_metrics_only_the_change_has_come_last():
     change = dict(PARENT, **{"conics._fit.calls_per_op": 3.5, "conics._fit.self_ms_per_op": 0.2})
-    calls, self_ms, vanished = _load_trace_diff().compare(PARENT, change)
+    calls, self_ms, vanished = load_script("scripts/trace_diff.py").compare(PARENT, change)
     assert calls == [("conics._fit.calls_per_op", None, 3.5)]
     assert self_ms[-1] == ("conics._fit", None, 0.2) and vanished == []
