@@ -96,25 +96,22 @@ from conconic.cevians import foot_point
 from conconic.errors import GeometryError
 from conconic.poncelet import spread_on_conic
 from conconic.generate import (
+    EXACT_FAMILIES,
     SIDES,
-    concurrency_solved_instance,
     conconic_sextuple,
-    conjugate_instance,
     cotangent_sextuple,
+    exact_instance,
     float_copy,
     float_triangle,
-    perturbed_failing_instance,
     random_fraction,
     random_line_sextuple,
     random_projective_map,
     random_sextuple,
     random_triangle,
     sixth_foot_draw,
-    through_point_instance,
 )
 
-FAMILIES = ("solved", "isogonal", "isotomic", "through", "perturbed")
-CONFIGS = 50     # exact configurations, cycling through FAMILIES
+CONFIGS = 50     # exact configurations, cycling through EXACT_FAMILIES
 SEXTUPLES = 64   # point and line sextuples, alternating
 DRAWS = 200      # sixth-foot draws
 TRIANGLES = 20   # float triangles for the trisector configuration
@@ -126,16 +123,6 @@ def op_rng(seed: int, i: int) -> random.Random:
     """The per-operation generator of ``bench/workloads.py``: configuration
     record i sees the inputs of ``exact_sweep`` operation i."""
     return random.Random(seed * 1_000_003 + i)
-
-
-def instance(rnd: random.Random, family: str):
-    if family == "solved":
-        return concurrency_solved_instance(rnd)[:2]
-    if family == "through":
-        return through_point_instance(rnd)[:2]
-    if family == "perturbed":
-        return perturbed_failing_instance(rnd)
-    return conjugate_instance(rnd, family)
 
 
 def coeffs(conic):
@@ -334,7 +321,7 @@ def seed_lines(seed: int) -> list:
     out = {prefix + name: [] for prefix in ("", "float_") for name in names}
     out.update(feet=[], sextuples=[], sixth_feet=[], float_sixth_feet=[], morley=[], chains=[], chain_points=[], svg=[])
     for i in range(CONFIGS):
-        tri, feet = instance(op_rng(seed, i), FAMILIES[i % len(FAMILIES)])
+        tri, feet = exact_instance(op_rng(seed, i), EXACT_FAMILIES[i % len(EXACT_FAMILIES)])
         out["feet"].append(repr((tri, feet)))
         config_records(tri, feet, out, "")
         config_records(float_copy(tri), float_copy(feet), out, "float_")
@@ -347,7 +334,7 @@ def seed_lines(seed: int) -> list:
         ffive = tuple(map(float_copy, five))
         out["float_sixth_feet"].append(sixth_foot_record(float_copy(tri), ffive, side))
     for i in range(DRAWINGS):
-        tri, feet = instance(op_rng(seed, i), FAMILIES[i % len(FAMILIES)])
+        tri, feet = exact_instance(op_rng(seed, i), EXACT_FAMILIES[i % len(EXACT_FAMILIES)])
         cfg = build_config(tri, feet)
         report = check_conditions(cfg)
         witnesses = (report.outer6.witness_conic, report.inner6.witness_conic)

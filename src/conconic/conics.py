@@ -85,7 +85,6 @@ from .projective import (
     all_exact_items,
     coincident,
     collinear,
-    concurrent,
     join,
     lazy,
     meet,
@@ -703,6 +702,13 @@ def conconic_by_fit(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
 # ----- classical incidence cross-checks ----------------------------------
 
 
+def _hexagon(items: list, eps: float, adjacent, opposite) -> bool:
+    """Pascal's hexagon test or its dual: ``collinear`` (on lines it is
+    ``concurrent``) of ``opposite`` of opposite ``adjacent`` of neighbours."""
+    sides = [adjacent(items[i], items[(i + 1) % 6], eps) for i in range(6)]
+    return collinear([opposite(sides[i], sides[i + 3], eps) for i in range(3)], eps)
+
+
 def pascal_collinear(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
     """Whether the three opposite-side meets of the hexagon are collinear.
 
@@ -710,10 +716,7 @@ def pascal_collinear(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool
     points it fails, which makes it usable as an independent conconicity
     check.
     """
-    pts = _distinct(points, 6, "a hexagon needs exactly six vertices", eps)
-    sides = [join(pts[i], pts[(i + 1) % 6], eps) for i in range(6)]
-    meets = [meet(sides[i], sides[i + 3], eps) for i in range(3)]
-    return collinear(meets, eps)
+    return _hexagon(_distinct(points, 6, "a hexagon needs exactly six vertices", eps), eps, join, meet)
 
 
 def brianchon_concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bool:
@@ -723,6 +726,4 @@ def brianchon_concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bo
     counterpart of the hexagon test on points.
     """
     ls = _distinct(lines, 6, "a hexagon needs exactly six sides", eps, exc=DuplicateLine)
-    vertices = [meet(ls[i], ls[(i + 1) % 6], eps) for i in range(6)]
-    diagonals = [join(vertices[i], vertices[i + 3], eps) for i in range(3)]
-    return concurrent(diagonals, eps)
+    return _hexagon(ls, eps, meet, join)

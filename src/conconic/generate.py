@@ -49,6 +49,8 @@ TRIANGLE_SPAN = 6      # random_triangle: coordinates k / d with |k| <= 2 span, 
 MAP_SPAN = 9           # random_projective_map entries, and _distinct_fractions' range
 SEXTUPLE_SPAN = 8      # random_sextuple points, random_line_sextuple coefficients
 INTERIOR_MAX_DEN = 10  # random_interior_point: integer barycentric weights up to this
+# exact_instance: the five exact families of the benchmark's exact sweep
+EXACT_FAMILIES = ("solved", "isogonal", "isotomic", "through", "perturbed")
 
 # ----- scalar and point helpers -------------------------------------------
 
@@ -62,13 +64,9 @@ def random_fraction(rnd: random.Random, max_den: int = 12) -> Fraction:
 
 def random_triangle(rnd: random.Random) -> Triangle:
     """A nondegenerate triangle with small rational vertices."""
-    span = TRIANGLE_SPAN
     while True:
-        # each coordinate is num / den, drawn in that order: x = a/b, y = c/d
-        draws = [(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 4)) for _ in range(6)]
-        pts = tuple(HPoint(a * d, c * b, b * d) for (a, b), (c, d) in zip(draws[::2], draws[1::2]))
         try:
-            return Triangle(*pts)
+            return Triangle(*[_random_point(rnd, TRIANGLE_SPAN, 4) for _ in range(3)])
         except GeometryError:
             continue
 
@@ -193,6 +191,17 @@ def perturbed_failing_instance(rnd: random.Random) -> Tuple[Triangle, CevianFeet
             return tri, feet
 
 
+def exact_instance(rnd: random.Random, family: str) -> Tuple[Triangle, CevianFeet]:
+    """(triangle, feet) of one instance of an ``EXACT_FAMILIES`` family."""
+    if family == "solved":
+        return concurrency_solved_instance(rnd)[:2]
+    if family == "through":
+        return through_point_instance(rnd)[:2]
+    if family == "perturbed":
+        return perturbed_failing_instance(rnd)
+    return conjugate_instance(rnd, family)
+
+
 # ----- sextuples on (and off) conics ---------------------------------------
 
 
@@ -238,24 +247,25 @@ def cotangent_sextuple(rnd: random.Random) -> Tuple[HLine, ...]:
     return tuple(pmap.apply_line(HLine(x, y, -z)) for x, y, z in points)
 
 
-def _random_point(rnd: random.Random, span: int) -> HPoint:
-    """A point with coordinates x = a/b, y = c/d in [-2 span, 2 span] with
-    denominators 1 to 3, drawn in that order: the triple (a d, c b, b d)."""
-    (a, b), (c, d) = [(rnd.randint(-2 * span, 2 * span), rnd.randint(1, 3)) for _ in range(2)]
+def _random_point(rnd: random.Random, span: int, max_den: int = 3) -> HPoint:
+    """A point x = a/b, y = c/d, numerators in [-2 span, 2 span] and
+    denominators 1 to ``max_den``, drawn in that order: (a d, c b, b d)."""
+    a, b = rnd.randint(-2 * span, 2 * span), rnd.randint(1, max_den)
+    c, d = rnd.randint(-2 * span, 2 * span), rnd.randint(1, max_den)
     return HPoint(a * d, c * b, b * d)
 
 
-def _three_dependent(vectors) -> bool:
-    """Whether some three of the homogeneous vectors are dependent."""
-    return any(det3(triple) == 0 for triple in itertools.combinations(vectors, 3))
+def _general_position(items) -> bool:
+    """Whether six exact points (lines) are distinct, no three collinear (concurrent)."""
+    coords = {item.coords for item in items}
+    return len(coords) == 6 and all(det3(triple) != 0 for triple in itertools.combinations(coords, 3))
 
 
 def random_sextuple(rnd: random.Random) -> Tuple[HPoint, ...]:
     """Six distinct random rational points with no three collinear."""
     while True:
         pts = tuple(_random_point(rnd, SEXTUPLE_SPAN) for _ in range(6))
-        coords = {p.coords for p in pts}
-        if len(coords) == 6 and not _three_dependent(coords):
+        if _general_position(pts):
             return pts
 
 
@@ -267,8 +277,7 @@ def random_line_sextuple(rnd: random.Random) -> Tuple[HLine, ...]:
             lines = tuple(HLine(*(rnd.randint(-span, span) for _ in range(3))) for _ in range(6))
         except ValueError:
             continue
-        coords = {l.coords for l in lines}
-        if len(coords) == 6 and not _three_dependent(coords):
+        if _general_position(lines):
             return lines
 
 

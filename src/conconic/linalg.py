@@ -1,14 +1,13 @@
 """Small dense linear algebra over exact rationals or floats.
 
 Everything here works on plain tuples/lists so both backends share one code
-path.  Determinants take two routes: integer matrices go through
-fraction-free Bareiss elimination, any other matrix through partially
-pivoted LU in floats (exact coordinates are canonical ints, so no library
-caller has a ``Fraction`` determinant to take).  The integer pass,
-``bareiss``, also returns the integral null vector of a matrix whose rank
-is one below its column count.  No verdict of the package runs it: exact
-six-point verdicts take their 6x6 determinant and witness from 3x3
-brackets (``conics._bracket_parts``).
+path.  A determinant past 3x3 is partially pivoted LU in floats, whatever
+its entries: exact six-point verdicts take their 6x6 determinant and
+witness from 3x3 brackets (``conics._bracket_parts``), so no library
+caller has an exact one to take.  ``bareiss``, a fraction-free integer
+echelon pass that also returns the integral null vector of a matrix whose
+rank is one below its column count, is the exact reference that the
+tests check those bracket verdicts against; no library function calls it.
 
 The triple helpers (``dot``, ``cross``, ``det3``, ``matvec3``,
 ``transpose3``, ``adjugate3`` and the triple case of ``row_norm``) are
@@ -158,39 +157,31 @@ def bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, Optional[Tuple[int, ...
     return d, tuple(x)
 
 
-def _det_float(rows) -> float:
+def det(rows) -> float:
+    """Determinant of a square matrix by partially pivoted LU in floats,
+    whatever the entry types."""
     n = len(rows)
     m = [[float(v) for v in r] for r in rows]
-    det = 1.0
+    d = 1.0
     for k in range(n):
         pivot_row = max(range(k, n), key=lambda i: abs(m[i][k]))
         if m[pivot_row][k] == 0.0:
             return 0.0
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
+            d = -d
         pivot = m[k][k]
-        det *= pivot
+        d *= pivot
         for i in range(k + 1, n):
             factor = m[i][k] / pivot
             for j in range(k, n):
                 m[i][j] -= factor * m[k][j]
-    return det
-
-
-def det(rows) -> Scalar:
-    """Determinant of a square matrix, picked from the entry types in one
-    pass: an ``int`` from Bareiss when every entry is an integer (a ``bool``
-    is not), and a float from LU for anything else, ``Fraction`` included."""
-    kinds = {type(v) for r in rows for v in r}
-    if all(issubclass(k, int) and k is not bool for k in kinds):
-        return bareiss(rows)[0]
-    return _det_float(rows)
+    return d
 
 
 def normalized_det(rows) -> Scalar:
     """Determinant residual of a square matrix, ``det3`` for three rows and
-    ``det`` otherwise: an exact determinant is returned as it is, a float
+    ``det`` otherwise: an exact ``det3`` is returned as it is, a float
     one divided by the product of the Euclidean row norms (``0.0`` when
     that product is zero), so a float residual is scale invariant."""
     d = det3(rows) if len(rows) == 3 else det(rows)

@@ -22,7 +22,7 @@ from .errors import (
     DuplicatePoints,
     SingularMap,
 )
-from .linalg import adjugate3, cross, det3, dot, matmul3, matvec3, normalized_det, row_norm, transpose3
+from .linalg import adjugate3, det3, dot, matmul3, matvec3, normalized_det, row_norm, transpose3
 from .scalars import DEFAULT_EPS, Scalar, all_exact, canonical_triple, div, is_zero
 
 if TYPE_CHECKING:
@@ -279,33 +279,30 @@ def coincident(a, b, eps: float = DEFAULT_EPS) -> bool:
     return _coincident(u, v, raw, eps)
 
 
-def join(p: HPoint, q: HPoint, eps: float = DEFAULT_EPS) -> HLine:
-    """The line through two distinct points.
-
-    For two exact points the cross product is an ``int`` triple, and the
-    points coincide exactly when it is all zero; any other pair takes the
-    tolerance test of ``coincident``.
-    """
-    u, v = p.coords, q.coords
-    raw = cross(u, v)
-    if type(u[0]) is int and type(v[0]) is int:
+def _checked_cross(a, b, eps: float, exc, verb: str) -> Triple:
+    """The cross product of two points (lines), written out as in
+    ``coincident``; ``exc`` when it is exactly zero on exact items, or by
+    the tolerance test of ``coincident`` on any other pair."""
+    u, v = a.coords, b.coords
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    raw = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    if type(u0) is int and type(v0) is int:
         if not (raw[0] or raw[1] or raw[2]):
-            raise CoincidentPoints(f"cannot join {p} with {q}")
+            raise exc(f"cannot {verb} {a} with {b}")
     elif _coincident(u, v, raw, eps):
-        raise CoincidentPoints(f"cannot join {p} with {q}")
-    return HLine(*raw)
+        raise exc(f"cannot {verb} {a} with {b}")
+    return raw
+
+
+def join(p: HPoint, q: HPoint, eps: float = DEFAULT_EPS) -> HLine:
+    """The line through two distinct points."""
+    return HLine(*_checked_cross(p, q, eps, CoincidentPoints, "join"))
 
 
 def meet(l: HLine, m: HLine, eps: float = DEFAULT_EPS) -> HPoint:
-    """The intersection point of two distinct lines, decided as in ``join``."""
-    u, v = l.coords, m.coords
-    raw = cross(u, v)
-    if type(u[0]) is int and type(v[0]) is int:
-        if not (raw[0] or raw[1] or raw[2]):
-            raise CoincidentLines(f"cannot meet {l} with {m}")
-    elif _coincident(u, v, raw, eps):
-        raise CoincidentLines(f"cannot meet {l} with {m}")
-    return HPoint(*raw)
+    """The intersection point of two distinct lines."""
+    return HPoint(*_checked_cross(l, m, eps, CoincidentLines, "meet"))
 
 
 def incident(p: HPoint, l: HLine, eps: float = DEFAULT_EPS) -> bool:

@@ -34,7 +34,6 @@ from .cevians import (
     build_config,
     cevians_through_point,
     check_conditions,
-    feet_from_params,
     foot_point,
     isogonal_feet,
     isotomic_feet,
@@ -110,6 +109,13 @@ def _decode_field(v: Any, exact: bool, what: str) -> Scalar:
         raise SceneError(f"{what}: {err}") from None
 
 
+def _exact_mode(mode: Any) -> bool:
+    """Whether the scene or report ``mode`` is exact, after checking it."""
+    if mode not in MODES:
+        raise SceneError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode == "rational"
+
+
 def _decode_pair(pair: Any, exact: bool, what: str) -> Tuple[Scalar, Scalar]:
     if not _is_list(pair, 2):
         raise SceneError(f"{what} must be a pair of coordinates")
@@ -140,9 +146,7 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
     if unknown:
         raise SceneError(f"unknown scene fields: {sorted(unknown)}")
     mode = data.get("mode", "rational")
-    if mode not in MODES:
-        raise SceneError(f"mode must be one of {MODES}, got {mode!r}")
-    exact = mode == "rational"
+    exact = _exact_mode(mode)
 
     triangle_raw = data.get("triangle")
     if not _is_list(triangle_raw, 3):
@@ -172,14 +176,11 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         values = tuple(
             _decode_pair(p, exact, f"generator point {i}") for i, p in enumerate(pts)
         )
-    elif kind == "params":
-        raw = feet["params"]
-        if not _is_list(raw, 6):
-            raise SceneError("feet params must list exactly six side parameters")
-        values = tuple(_decode_field(v, exact, f"feet params[{i}]") for i, v in enumerate(raw))
     else:
         raw = feet.get("params")
-        if not _is_list(raw, 3):
+        if kind == "params" and not _is_list(raw, 6):
+            raise SceneError("feet params must list exactly six side parameters")
+        if kind != "params" and not _is_list(raw, 3):
             raise SceneError(f"{kind} needs exactly three side parameters")
         values = tuple(_decode_field(v, exact, f"feet params[{i}]") for i, v in enumerate(raw))
 
@@ -232,21 +233,27 @@ def _json_int(text: str) -> int:
 def scene_instance(scene: Scene) -> Tuple[Triangle, CevianFeet]:
     """Materialize the triangle and the six feet a scene describes.
 
-    The feet are not validated here: ``build_config`` checks them.
+    The feet are not validated here: ``build_config`` checks them, and a
+    foot past float range raises a ``SceneError`` naming its parameter.
     """
     tri = Triangle(*(HPoint(x, y, 1) for x, y in scene.triangle))
     kind, values = scene.feet
-    if kind == "params":
-        return tri, feet_from_params(tri, values)
     if kind == "through_points":
         p1, p2 = (HPoint(x, y, 1) for x, y in values)
         return tri, CevianFeet.from_triples(
             cevians_through_point(tri, p1, scene.epsilon),
             cevians_through_point(tri, p2, scene.epsilon),
         )
+    feet = []
+    for i, t in enumerate(values):
+        try:
+            feet.append(foot_point(tri, SIDES[i % 3], t))
+        except ValueError as err:  # a non-finite coordinate
+            raise SceneError(f"feet params[{i}]: {err}") from None
+    if kind == "params":
+        return tri, CevianFeet.from_triples(feet[:3], feet[3:])
     conjugate = {"isogonal": isogonal_feet, "isotomic": isotomic_feet}[kind]
-    first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, values))
-    return tri, CevianFeet.from_triples(first, conjugate(tri, first, scene.epsilon))
+    return tri, CevianFeet.from_triples(feet, conjugate(tri, feet, scene.epsilon))
 
 
 # ----- reports --------------------------------------------------------------
@@ -367,9 +374,7 @@ def _decode_verdict(data: Dict[str, Any], name: str, exact: bool) -> Verdict:
 
 def report_from_dict(data: Dict[str, Any]) -> VerifyReport:
     mode = _field(data, "mode")
-    if mode not in MODES:
-        raise SceneError(f"mode must be one of {MODES}, got {mode!r}")
-    exact = mode == "rational"
+    exact = _exact_mode(mode)
     conditions = ConditionReport(**{name: _decode_verdict(data, name, exact) for name in CONDITION_NAMES})
     b1 = _field(data, "chart", "b1")
     chart = None if b1 is None else ProofChart(

@@ -7,12 +7,6 @@ import pytest
 from hypothesis import strategies as st
 
 from conconic import HPoint, Triangle
-from conconic.generate import (
-    concurrency_solved_instance,
-    conjugate_instance,
-    perturbed_failing_instance,
-    through_point_instance,
-)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,21 +25,6 @@ def load_script(rel):
 @pytest.fixture
 def rnd():
     return random.Random(0xC0FFEE)
-
-
-# the five exact instance families of the benchmark's exact sweep
-EXACT_FAMILIES = ("solved", "isogonal", "isotomic", "through", "perturbed")
-
-
-def exact_family_instance(rnd, family):
-    """(triangle, feet) of one instance of an ``EXACT_FAMILIES`` family."""
-    if family == "solved":
-        return concurrency_solved_instance(rnd)[:2]
-    if family == "through":
-        return through_point_instance(rnd)[:2]
-    if family == "perturbed":
-        return perturbed_failing_instance(rnd)
-    return conjugate_instance(rnd, family)
 
 
 # hypothesis strategies shared across test modules

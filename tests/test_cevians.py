@@ -43,8 +43,10 @@ from conconic.errors import (
     TheoremConsistencyError,
 )
 from conconic.generate import (
+    EXACT_FAMILIES,
     concurrency_solved_instance,
     conjugate_instance,
+    exact_instance,
     feet_from_params,
     float_copy,
     foot_point,
@@ -56,7 +58,7 @@ from conconic.generate import (
 )
 from conconic.scalars import exact_sqrt
 
-from conftest import EXACT_FAMILIES, exact_family_instance, exact_triangles, unit_interval_fractions
+from conftest import exact_triangles, unit_interval_fractions
 
 RIGHT_345 = Triangle(HPoint(0, 0, 1), HPoint(4, 0, 1), HPoint(0, 3, 1))
 
@@ -629,7 +631,7 @@ def test_exact_chart_from_brackets_matches_the_map_route_on_the_five_families():
     for seed in range(200):
         rnd = random.Random(seed)
         for family in EXACT_FAMILIES:
-            cfg = build_config(*exact_family_instance(rnd, family))
+            cfg = build_config(*exact_instance(rnd, family))
             assert cfg.exact
             want = _chart_outcome(cevians._map_chart, cfg)
             assert _chart_outcome(to_chart, cfg) == want, (seed, family)

@@ -126,6 +126,17 @@ def test_verify_foot_at_a_vertex_exits_one(scene_file, capsys, flags):
     assert captured.err == "error: FootOffSide: foot A1 coincides with vertex B\n"
 
 
+@pytest.mark.parametrize("feet, index", [
+    ({"params": [0.3, 1e308, 0.5, 0.25, 0.4, 0.2]}, 1),
+    ({"params": [0.3, 0.2, 0.5, 0.25, -1e308, 0.2]}, 4),
+    ({"generator": "isogonal", "params": [0.3, 1e308, 0.5]}, 1),
+], ids=["params", "second-triple", "isogonal"])
+def test_verify_names_a_foot_past_float_range(feet, index, scene_file, capsys):
+    data = {"mode": "float", "triangle": [[0, 0], [4, 0], [1, 3]], "feet": feet}
+    assert _verify_run(scene_file, data, "scene.json", [], capsys) == (
+        1, "", f"error: feet params[{index}]: non-finite homogeneous coordinate\n")
+
+
 def test_verify_float_mode_override(scene_file, capsys):
     code = main(["verify", scene_file(ISOGONAL_SCENE), "--mode", "float", "--json"])
     data = json.loads(capsys.readouterr().out)

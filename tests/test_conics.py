@@ -34,6 +34,8 @@ from conconic import (
     veronese,
 )
 from conconic.errors import (
+    CoincidentLines,
+    CoincidentPoints,
     DegenerateConic,
     DuplicateLine,
     DuplicatePoints,
@@ -676,6 +678,21 @@ def test_brianchon_matches_determinant_route(rnd):
     for k in range(100):
         lines = cotangent_sextuple(rnd) if k % 2 == 0 else random_line_sextuple(rnd)
         assert brianchon_concurrent(lines) == cotangent(lines).holds
+
+
+def test_hexagon_oracles_raise_when_opposite_items_coincide():
+    # six distinct points, four of them (0, 1, 3, 4) on the x-axis: sides 0
+    # and 3 are both that axis, so their meet raises
+    points = [HPoint(0, 0, 1), HPoint(1, 0, 1), HPoint(0, 1, 1), HPoint(2, 0, 1), HPoint(3, 0, 1), HPoint(1, 1, 1)]
+    with pytest.raises(CoincidentLines) as err:
+        pascal_collinear(points)
+    assert str(err.value) == "cannot meet HLine(0 : 1 : 0) with HLine(0 : 1 : 0)"
+    # dually, six distinct lines, four of them (0, 1, 3, 4) through the
+    # origin: vertices 0 and 3 are both the origin, so their join raises
+    lines = [HLine(1, 0, 0), HLine(0, 1, 0), HLine(1, 1, 1), HLine(1, 1, 0), HLine(1, -1, 0), HLine(1, 2, 3)]
+    with pytest.raises(CoincidentPoints) as err:
+        brianchon_concurrent(lines)
+    assert str(err.value) == "cannot join HPoint(0 : 0 : 1) with HPoint(0 : 0 : 1)"
 
 
 @pytest.mark.parametrize("seed", range(4))

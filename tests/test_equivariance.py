@@ -20,14 +20,14 @@ import pytest
 from conconic import CevianFeet, Triangle, build_config, check_conditions, conconic, cotangent, to_chart
 from conconic.errors import GeometryError
 from conconic.generate import (
+    EXACT_FAMILIES,
     conconic_sextuple,
     cotangent_sextuple,
+    exact_instance,
     random_line_sextuple,
     random_projective_map,
     random_sextuple,
 )
-
-from conftest import EXACT_FAMILIES, exact_family_instance
 
 SEEDS = range(60)
 MAPS = 2
@@ -55,7 +55,7 @@ def chart_record(cfg):
 def test_exact_verdicts_witnesses_and_charts_are_projectively_equivariant(family):
     for seed in SEEDS:
         rnd = random.Random(seed)
-        tri, feet = exact_family_instance(rnd, family)
+        tri, feet = exact_instance(rnd, family)
         cfg = build_config(tri, feet)
         report = check_conditions(cfg)
         chart = chart_record(cfg)

@@ -9,6 +9,7 @@ take the affine formulas themselves and must agree bit for bit (compared
 by ``repr``, which tells -0.0 from 0.0)."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import conconic.generate as generate
 from conconic import HPoint, Triangle, build_config
 from conconic.errors import GeometryError, TheoremConsistencyError
 from conconic.generate import (
+    EXACT_FAMILIES,
     INTERIOR_MAX_DEN,
     MAP_SPAN,
     SEXTUPLE_SPAN,
@@ -26,20 +28,26 @@ from conconic.generate import (
     TRIANGLE_SPAN,
     _circle_point,
     _random_point,
+    concurrency_solved_instance,
     conjugate_instance,
+    exact_instance,
     feet_from_params,
     float_copy,
     float_triangle,
     foot_point,
     isogonal_feet,
     isotomic_feet,
+    perturbed_failing_instance,
     random_fraction,
     random_interior_point,
+    random_line_sextuple,
     random_projective_map,
+    random_sextuple,
     random_triangle,
     through_point_instance,
 )
 from conconic.linalg import cross
+from conconic.projective import collinear
 from conconic.scalars import div
 
 
@@ -183,6 +191,27 @@ def test_generators_match_the_fraction_draws_and_leave_the_stream_in_step():
         point = random_interior_point(rnd, tri)
         rnd.setstate(state)
         assert point == fraction_interior_point(rnd, tri)
+
+
+def test_exact_instance_draws_each_family_from_its_generator():
+    draws = {"solved": lambda rnd: concurrency_solved_instance(rnd)[:2],
+             "isogonal": lambda rnd: conjugate_instance(rnd, "isogonal"),
+             "isotomic": lambda rnd: conjugate_instance(rnd, "isotomic"),
+             "through": lambda rnd: through_point_instance(rnd)[:2],
+             "perturbed": perturbed_failing_instance}
+    assert tuple(draws) == EXACT_FAMILIES
+    for seed in range(3):
+        for family, draw in draws.items():
+            assert exact_instance(random.Random(seed), family) == draw(random.Random(seed))
+
+
+def test_sextuples_are_six_distinct_items_no_three_on_one_line_or_point():
+    # ``collinear`` on three lines is their concurrency test
+    for seed in range(300):
+        rnd = random.Random(seed)
+        for items in (random_sextuple(rnd), random_line_sextuple(rnd)):
+            assert len(set(items)) == 6
+            assert not any(collinear(triple) for triple in itertools.combinations(items, 3))
 
 
 def test_a_vertex_at_infinity_raises_as_the_affine_formulas_do():

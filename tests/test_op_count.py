@@ -125,7 +125,7 @@ def test_every_six_item_condition_takes_the_one_verdict():
 def test_exact_six_point_verdicts_make_no_integer_elimination():
     # ops 0-4 of exact_sweep (18 verdicts) and ops 0-7 of sextuple_oracles
     # (8 verdicts): every exact residual and witness comes from brackets,
-    # so linalg.bareiss, linalg.det's integer backend, is never called
+    # so linalg.bareiss, the tests' integer reference, is never called
     for workload, n_ops in (("exact_sweep", 5), ("sextuple_oracles", 8)):
         _, calls, failed = load_script("scripts/op_count.py").count(workload, 7, n_ops)
         assert failed == 0

@@ -35,8 +35,7 @@ from conconic.errors import (
     NoRealSolution,
     NoTangentLine,
 )
-from conconic.generate import concurrency_solved_instance, float_copy, float_triangle
-from conftest import exact_family_instance
+from conconic.generate import concurrency_solved_instance, exact_instance, float_copy, float_triangle
 
 UNIT = Conic.from_coeffs((1, 0, 1, 0, 0, -1))
 OUTER_R2 = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -4.0))
@@ -58,6 +57,11 @@ def test_sample_on_conic_frozen_oracle():
     assert sample_on_conic(UNIT, base, Fraction(1, 2)) == HPoint(3, 4, 5)
     # t = 0 selects the second intersection of the first pencil line
     assert UNIT.contains(sample_on_conic(UNIT, base, 0))
+    # at (1 : 0 : 0) and (0 : 1 : 0) on xy = z^2 one basis cross of the base
+    # vanishes, and the pencil is spanned by the other two
+    hyperbola = Conic.from_coeffs((0, 1, 0, 0, 0, -1))
+    assert [sample_on_conic(hyperbola, HPoint(1, 0, 0), t) for t in (1, 2)] == [HPoint(1, 1, 1), HPoint(4, 1, 2)]
+    assert [sample_on_conic(hyperbola, HPoint(0, 1, 0), t) for t in (1, 2)] == [HPoint(1, 1, 1), HPoint(1, 4, 2)]
 
 
 def test_sample_on_conic_is_rational_and_injective():
@@ -189,6 +193,15 @@ def test_trace_chain_triangle_closure():
     assert result.gap <= 1e-12
     assert len(result.points) == 4
     assert len(result.links) == 3
+
+
+def test_a_chain_closes_when_its_gap_equals_the_tolerance():
+    # the closure test is ``gap <= closure_tol``, so a tolerance equal to
+    # the step-3 gap (0.0 from (2, 0), 2.5e-16 from (1.2, 1.6)) closes there
+    for start in (HPoint(2.0, 0.0, 1.0), HPoint(1.2, 1.6, 1.0)):
+        gap = trace_chain(OUTER_R2, INNER_R1, start).gap
+        result = trace_chain(OUTER_R2, INNER_R1, start, closure_tol=gap)
+        assert result.closure_step == 3 and result.gap == gap
 
 
 def test_a_chain_starts_at_a_point_at_infinity_of_an_outer_hyperbola():
@@ -379,7 +392,9 @@ def test_point_away_from_base_keeps_the_first_of_tied_separations():
     # are equally far: the first wins
     assert poncelet._point_on_line_away_from((0.0, 0.0, 1.0), HPoint(1.0, 1.0, 0.0), 1e-9) == (0.0, 1.0, 0.0)
     checked = 0
-    for line in ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (2.0, 2.0, -2.0), (0.0, -1.0, 1.0)):
+    lines = ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (2.0, 2.0, -2.0), (0.0, -1.0, 1.0),
+             (-0.0, 1.0, 1.0), (-0.0, -1.0, 2.0))  # a signed-zero entry of each candidate
+    for line in lines:
         candidates = [linalg.cross(line, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             for sign in (1.0, -1.0):
@@ -548,7 +563,7 @@ def witness_pairs():
     pairs, skipped = [], 0
     for family in ("solved", "isogonal", "isotomic"):
         for seed in range(20):
-            cfg = build_config(*exact_family_instance(random.Random(seed), family))
+            cfg = build_config(*exact_instance(random.Random(seed), family))
             report = check_conditions(cfg)
             inner, tangent = report.inner6.witness_conic, report.tangent6.witness_conic
             if inner is None or tangent is None or inner.is_degenerate() or tangent.is_degenerate():

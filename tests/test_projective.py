@@ -59,10 +59,13 @@ def test_a_float_direction_lies_at_infinity():
 
 
 def test_an_exact_and_a_nearly_equal_float_item_neither_join_nor_meet():
-    with pytest.raises(CoincidentPoints):
-        join(HPoint(1, 0, 0), HPoint(1.0, 1e-12, 0.0))
-    with pytest.raises(CoincidentLines):
-        meet(HLine(1, 0, 0), HLine(1.0, 1e-12, 0.0))
+    # in either order: the float item sends the pair to the tolerance test
+    exact, near = (1, 0, 0), (1.0, 1e-12, 0.0)
+    for a, b in ((exact, near), (near, exact)):
+        with pytest.raises(CoincidentPoints):
+            join(HPoint(*a), HPoint(*b))
+        with pytest.raises(CoincidentLines):
+            meet(HLine(*a), HLine(*b))
 
 
 def test_float_incidence_is_relative_to_the_product_of_the_norms():
@@ -100,13 +103,29 @@ def test_join_meet_oracle():
     assert x_axis == HLine(0, 1, 0)
     y_axis = HLine(1, 0, 0)
     assert meet(x_axis, y_axis) == origin
+    # exact crosses with one nonzero entry, in each place
+    for u, v, w in (((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+                    ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        assert join(HPoint(*u), HPoint(*v)) == HLine(*w)
+        assert meet(HLine(*u), HLine(*v)) == HPoint(*w)
 
 
 def test_join_duplicate_points_raises():
-    with pytest.raises(CoincidentPoints):
-        join(HPoint(1, 2, 3), HPoint(2, 4, 6))
-    with pytest.raises(CoincidentLines):
-        meet(HLine(1, 2, 3), HLine(-2, -4, -6))
+    # the message names both items, exact or float
+    cases = [
+        (join, HPoint(1, 2, 3), HPoint(2, 4, 6), CoincidentPoints,
+         "cannot join HPoint(1 : 2 : 3) with HPoint(1 : 2 : 3)"),
+        (join, HPoint(0.5, 0.25, 1.0), HPoint(0.5, 0.25 + 1e-12, 1.0), CoincidentPoints,
+         "cannot join HPoint(0.5 : 0.25 : 1.0) with HPoint(0.5 : 0.250000000001 : 1.0)"),
+        (meet, HLine(1, 2, 3), HLine(-2, -4, -6), CoincidentLines,
+         "cannot meet HLine(1 : 2 : 3) with HLine(1 : 2 : 3)"),
+        (meet, HLine(0.5, 0.25, 1.0), HLine(0.5, 0.25 + 1e-12, 1.0), CoincidentLines,
+         "cannot meet HLine(0.5 : 0.25 : 1.0) with HLine(0.5 : 0.250000000001 : 1.0)"),
+    ]
+    for make, a, b, exc, message in cases:
+        with pytest.raises(exc) as err:
+            make(a, b)
+        assert type(err.value) is exc and str(err.value) == message
 
 
 @given(exact_points(), exact_points())
