@@ -90,6 +90,13 @@ class Triangle(Record):
         """Whether all three vertices are exact, read once per triangle."""
         return all_exact_items((self.A, self.B, self.C))
 
+    @lazy
+    def integer_vertices(self) -> Optional[tuple]:
+        """The vertices' integer triples when all three are exact and
+        finite, else None: the view the exact foot rules read."""
+        triples = (self.A.coords, self.B.coords, self.C.coords)
+        return triples if self.exact and all(v[2] for v in triples) else None
+
     @property
     def vertices(self) -> Tuple[HPoint, HPoint, HPoint]:
         return (self.A, self.B, self.C)
@@ -173,26 +180,26 @@ class CevianConfig(Record):
         return (self.X1, self.X2, self.Y1, self.Y2, self.Z1, self.Z2)
 
 
-def _check_foot(foot: HPoint, side: int, tri: Triangle, corners, eps: float, off: str, at: str) -> None:
+def _check_foot(foot: HPoint, side: int, tri: Triangle, eps: float, off: str, at: str) -> None:
     """Raise ``FootOffSide`` (naming the foot as ``off`` or ``at``) unless the
     foot sits on the side line ``tri.sides[side]`` and away from the vertices
     A, B, C, tested in that order.
 
-    ``corners`` is the vertices' triples on an exact triangle and None on
-    any other.  An exact foot there is decided on its integer triple by the
-    rules ``incident`` and ``coincident`` apply to exact items: it is on the
-    line when its dot product with the line is 0, and at a vertex when its
-    canonical triple is that vertex's.  Any other foot takes their
-    tolerance tests.
+    On a triangle with ``integer_vertices``, an exact foot is decided on its
+    integer triple by the rules ``incident`` and ``coincident`` apply to
+    exact items: it is on the line when its dot product with the line is 0,
+    and at a vertex when its canonical triple is that vertex's.  Any other
+    foot takes their tests, which on exact items make the same decisions.
     """
     line = tri.sides[side]
     f = foot.coords
-    if corners is not None and type(f[0]) is int:
+    vertices = tri.integer_vertices
+    if vertices is not None and type(f[0]) is int:
         l0, l1, l2 = line.coords
         if f[0] * l0 + f[1] * l1 + f[2] * l2:
             raise FootOffSide(f"{off} does not lie on side {SIDES[side]}")
-        if f in corners:
-            raise FootOffSide(f"{at} coincides with vertex {'ABC'[corners.index(f)]}")
+        if f in vertices:
+            raise FootOffSide(f"{at} coincides with vertex {'ABC'[vertices.index(f)]}")
         return
     if not incident(foot, line, eps):
         raise FootOffSide(f"{off} does not lie on side {SIDES[side]}")
@@ -201,24 +208,15 @@ def _check_foot(foot: HPoint, side: int, tri: Triangle, corners, eps: float, off
             raise FootOffSide(f"{at} coincides with vertex {vname}")
 
 
-def _corners(tri: Triangle):
-    """The vertex triples that ``_check_foot`` takes: on an exact triangle
-    ``(A, B, C)``'s canonical triples, on any other None."""
-    return (tri.A.coords, tri.B.coords, tri.C.coords) if tri.exact else None
-
-
 # each foot's side index in SIDES and its name in messages, in CevianFeet.outer order
 _FEET = tuple(("ABC".index(name[0]), f"foot {name}") for name in ("A1", "A2", "B1", "B2", "C1", "C2"))
 
 
 def validate_feet(tri: Triangle, feet: CevianFeet, eps: float = DEFAULT_EPS) -> None:
     """Check every foot sits on its side line and away from the vertices, in
-    the order A1, A2, B1, B2, C1, C2, by ``_check_foot``: the vertex
-    triples are read once, and exact feet on an exact triangle are decided
-    by tuple tests."""
-    corners = _corners(tri)
+    the order A1, A2, B1, B2, C1, C2, by ``_check_foot``."""
     for foot, (side, name) in zip(feet.outer, _FEET):
-        _check_foot(foot, side, tri, corners, eps, name, name)
+        _check_foot(foot, side, tri, eps, name, name)
 
 
 def _cevian_meet(l: HLine, m: HLine, label: str, eps: float) -> HPoint:
@@ -376,14 +374,10 @@ def _conjugate_feet(tri: Triangle, triple: FeetTriple, eps: float, weight) -> Fe
     N[k] != 0, r = (F x Q)[k] and s = (P x F)[k].  Otherwise P and Q are
     affine-normalized and ``_side_weights`` solves for (r, s).
     """
-    corners = _corners(tri)
     for side, foot in enumerate(triple):
-        _check_foot(foot, side, tri, corners, eps, "foot", f"foot on {SIDES[side]}")
-    exact = tri.exact and all_exact_items(triple) and all(v.z for v in tri.vertices)
-    if exact:
-        a, b, c = (v.coords for v in tri.vertices)
-    else:
-        a, b, c = (_affine_triple(v, "triangle vertex") for v in tri.vertices)
+        _check_foot(foot, side, tri, eps, "foot", f"foot on {SIDES[side]}")
+    exact = tri.integer_vertices is not None and all_exact_items(triple)
+    a, b, c = tri.integer_vertices if exact else (_affine_triple(v, "triangle vertex") for v in tri.vertices)
     out = []
     for foot, (p, q, o), line in zip(triple, ((b, c, a), (c, a, b), (a, b, c)), tri.sides):
         if exact:
@@ -431,12 +425,11 @@ def cevians_through_point(tri: Triangle, p: HPoint, eps: float = DEFAULT_EPS) ->
 def foot_point(tri: Triangle, side: str, t: Scalar) -> HPoint:
     """The point P + t (Q - P) on the named side with endpoints (P, Q).
 
-    On an exact triangle with finite endpoints and an exact t, the foot is
-    the integer triple of ``_exact_foot``.
+    On a triangle with ``integer_vertices`` and an exact t, the foot is the
+    integer triple of ``_exact_foot``.
     """
     p, q = tri.side_endpoints(side)
-    pz, qz = p.z, q.z
-    if tri.exact and is_exact(t) and pz and qz:
+    if tri.integer_vertices is not None and is_exact(t):
         return _exact_foot(p.coords, q.coords, t)
     px, py = p.to_xy()
     qx, qy = q.to_xy()
@@ -460,23 +453,22 @@ _RATIONAL_TYPES = frozenset((int, Fraction))
 def feet_from_params(tri: Triangle, params: Sequence[Scalar]) -> CevianFeet:
     """Feet from six side parameters in the order (a1, b1, c1, a2, b2, c2).
 
-    On an exact triangle with finite vertices and six ``int`` or
-    ``Fraction`` parameters, the vertex triples are read once and every
-    foot is ``_exact_foot``, the integer rule of ``foot_point``.  Any other
-    input (float or mixed parameters, a vertex at infinity) takes
-    ``foot_point`` foot by foot, with its values and errors.
+    On a triangle with ``integer_vertices`` and six ``int`` or ``Fraction``
+    parameters, every foot is ``_exact_foot`` on those triples, the integer
+    rule of ``foot_point``.  Any other input (float or mixed parameters, a
+    vertex at infinity) takes ``foot_point`` foot by foot, with its values
+    and errors.
     """
     if len(params) != 6:
         raise ValueError("six side parameters are required")
-    if tri.exact and _RATIONAL_TYPES.issuperset(map(type, params)):
-        a, b, c = tri.A.coords, tri.B.coords, tri.C.coords
-        if a[2] and b[2] and c[2]:
-            a1, b1, c1, a2, b2, c2 = params
-            return CevianFeet(
-                _exact_foot(b, c, a1), _exact_foot(b, c, a2),
-                _exact_foot(c, a, b1), _exact_foot(c, a, b2),
-                _exact_foot(a, b, c1), _exact_foot(a, b, c2),
-            )
+    if tri.integer_vertices is not None and _RATIONAL_TYPES.issuperset(map(type, params)):
+        a, b, c = tri.integer_vertices
+        a1, b1, c1, a2, b2, c2 = params
+        return CevianFeet(
+            _exact_foot(b, c, a1), _exact_foot(b, c, a2),
+            _exact_foot(c, a, b1), _exact_foot(c, a, b2),
+            _exact_foot(a, b, c1), _exact_foot(a, b, c2),
+        )
     first = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[:3]))
     second = tuple(foot_point(tri, side, t) for side, t in zip(SIDES, params[3:]))
     return CevianFeet.from_triples(first, second)

@@ -73,35 +73,31 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _read_values(text: str, counts: Sequence[int], message: str) -> list:
+    """The comma-separated values of ``text``, read in float mode once their
+    count is one of ``counts``; else ``SceneError(message)``."""
+    values = text.split(",")
+    if len(values) not in counts:
+        raise SceneError(message)
+    return [decode_value(v, exact=False) for v in values]
+
+
 def _parse_triangle(text: str) -> Triangle:
     parts = text.replace(";", " ").split()
     if len(parts) != 3:
         raise SceneError("triangle must be three 'x,y' pairs separated by spaces")
-    pts = []
-    for part in parts:
-        coords = part.split(",")
-        if len(coords) != 2:
-            raise SceneError(f"vertex {part!r} is not an 'x,y' pair")
-        pts.append(HPoint(*(decode_value(v, exact=False) for v in coords), 1.0))
-    return Triangle(*pts)
+    return Triangle(*(HPoint(*_read_values(part, (2,), f"vertex {part!r} is not an 'x,y' pair"), 1.0)
+                      for part in parts))
 
 
 def _parse_conic(text: str) -> Conic:
-    coeffs = [decode_value(v, exact=False) for v in text.split(",")]
-    if len(coeffs) != 6:
-        raise SceneError(
-            "a conic needs six coefficients (x^2, xy, y^2, xz, yz, z^2 order)"
-        )
-    return Conic.from_coeffs(tuple(coeffs))
+    message = "a conic needs six coefficients (x^2, xy, y^2, xz, yz, z^2 order)"
+    return Conic.from_coeffs(tuple(_read_values(text, (6,), message)))
 
 
 def _parse_point(text: str) -> HPoint:
-    coords = text.split(",")
-    if len(coords) == 2:
-        return HPoint(*(decode_value(v, exact=False) for v in coords), 1.0)
-    if len(coords) == 3:
-        return HPoint(*(decode_value(v, exact=False) for v in coords))
-    raise SceneError(f"point {text!r} must be 'x,y' or 'x,y,z'")
+    coords = _read_values(text, (2, 3), f"point {text!r} must be 'x,y' or 'x,y,z'")
+    return HPoint(*coords) if len(coords) == 3 else HPoint(*coords, 1.0)
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], Iterable[str]],
@@ -240,6 +236,14 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
 # ----- entry point ----------------------------------------------------------
 
 
+def _add_output(cmd: argparse.ArgumentParser, drawn: str, func: Callable[[argparse.Namespace], int]) -> None:
+    """The options every command ends with, ``--svg`` (a drawing of the
+    ``drawn``) and ``--json``, and the function that runs the command."""
+    cmd.add_argument("--svg", metavar="PATH", help=f"write a drawing of the {drawn}")
+    cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
+    cmd.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conconic",
@@ -254,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override the scene's arithmetic backend")
     verify_cmd.add_argument("--epsilon", type=_tolerance, default=None,
                             help="float-mode tolerance for residual predicates")
-    verify_cmd.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
-    verify_cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
-    verify_cmd.set_defaults(func=_cmd_verify)
+    _add_output(verify_cmd, "configuration", _cmd_verify)
 
     morley_cmd = sub.add_parser("morley", help="build and check a trisector configuration")
     morley_cmd.add_argument("--triangle", required=True,
@@ -265,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="also check chain closure at n=3 from N sample points")
     morley_cmd.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
     morley_cmd.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
-    morley_cmd.add_argument("--svg", metavar="PATH", help="write a drawing of the configuration")
-    morley_cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
-    morley_cmd.set_defaults(func=_cmd_morley)
+    _add_output(morley_cmd, "configuration", _cmd_morley)
 
     poncelet_cmd = sub.add_parser("poncelet", help="trace tangent chains between two conics")
     poncelet_cmd.add_argument("--outer", required=True, metavar="C",
@@ -282,9 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="porism mode: number of starting points")
     poncelet_cmd.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS)
     poncelet_cmd.add_argument("--closure-tol", type=_tolerance, default=DEFAULT_CLOSURE_TOL)
-    poncelet_cmd.add_argument("--svg", metavar="PATH", help="write a drawing of the chain")
-    poncelet_cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
-    poncelet_cmd.set_defaults(func=_cmd_poncelet)
+    _add_output(poncelet_cmd, "chain", _cmd_poncelet)
     return parser
 
 

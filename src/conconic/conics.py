@@ -703,8 +703,8 @@ def conconic_by_fit(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
 
 
 def _hexagon(items: list, eps: float, adjacent, opposite) -> bool:
-    """Pascal's hexagon test or its dual: ``collinear`` (on lines it is
-    ``concurrent``) of ``opposite`` of opposite ``adjacent`` of neighbours."""
+    """Pascal's hexagon test or its dual: ``collinear`` (of points or of
+    lines) of ``opposite`` of opposite ``adjacent`` of neighbours."""
     sides = [adjacent(items[i], items[(i + 1) % 6], eps) for i in range(6)]
     return collinear([opposite(sides[i], sides[i + 3], eps) for i in range(3)], eps)
 

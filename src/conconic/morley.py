@@ -34,7 +34,7 @@ from .errors import (
     LabelingSelfCheckFailed,
     TheoremConsistencyError,
 )
-from .projective import HLine, HPoint, Record, concurrency, join, meet, projective_gap
+from .projective import HLine, HPoint, Record, Verdict, concurrency, join, meet, projective_gap
 from .scalars import DEFAULT_EPS
 
 # Tolerance for matching computed meets against the equilateral triangle
@@ -111,8 +111,12 @@ def second_morley_center(tri: Triangle, eps: float = DEFAULT_EPS) -> HPoint:
     u1, v1, w1 = morley_triangle(tri)
     la = join(tri.A, u1)
     lb = join(tri.B, v1)
-    lc = join(tri.C, w1)
-    verdict = concurrency(la, lb, lc, eps)
+    return _concurrency_point(la, lb, concurrency(la, lb, join(tri.C, w1), eps))
+
+
+def _concurrency_point(la: HLine, lb: HLine, verdict: Verdict) -> HPoint:
+    """The meet of the lines A-U1 and B-V1 when ``verdict``, the concurrency
+    of A-U1, B-V1 and C-W1, holds; else ``ConcurrencyViolated``."""
     if not verdict.holds:
         raise ConcurrencyViolated(
             f"trisector-meet cevians are not concurrent (residual {verdict.residual!r})"
@@ -183,11 +187,7 @@ def morley_config(tri: Triangle, eps: float = DEFAULT_EPS) -> MorleyData:
             "no conic tangent to five trisectors touches the sixth", verdicts=report
         )
 
-    if not report.concurrent.holds:
-        raise ConcurrencyViolated(
-            f"trisector-meet cevians are not concurrent (residual {report.concurrent.residual!r})"
-        )
-    second = meet(join(tri.A, cfg.U1), join(tri.B, cfg.V1))
+    second = _concurrency_point(join(tri.A, cfg.U1), join(tri.B, cfg.V1), report.concurrent)
     centers = MorleyCenters(first=_centroid(target), second=second)
 
     return MorleyData(

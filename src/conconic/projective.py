@@ -313,24 +313,14 @@ def _triple_det_zero(rows: Sequence[Triple], eps: float) -> bool:
     return is_zero(det3(rows), eps, lambda: math.prod(row_norm(r) for r in rows))
 
 
-def _rank_two(items: Sequence[_HTriple], eps: float) -> bool:
+def collinear(items: Sequence[_HTriple], eps: float = DEFAULT_EPS) -> bool:
     """Whether each triple after the first two depends linearly on them:
-    points on one line, lines through one point (trivially true below 3)."""
+    points on one line, or lines through one point (trivially true below 3)."""
     items = list(items)
     if len(items) < 3:
         return True
     a, b = items[0].coords, items[1].coords
     return all(_triple_det_zero((a, b, c.coords), eps) for c in items[2:])
-
-
-def collinear(points: Sequence[HPoint], eps: float = DEFAULT_EPS) -> bool:
-    """Whether all the points lie on one line (trivially true below 3)."""
-    return _rank_two(points, eps)
-
-
-def concurrent(lines: Sequence[HLine], eps: float = DEFAULT_EPS) -> bool:
-    """Whether all the lines pass through one point (trivially true below 3)."""
-    return _rank_two(lines, eps)
 
 
 class Verdict(Record):

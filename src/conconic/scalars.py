@@ -177,8 +177,7 @@ def float_scaled(values: tuple) -> tuple:
 
 
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    """An exact scalar as an integer or "p/q", at any length; callers write floats themselves."""
     f = Fraction(x)
     if f.denominator == 1:
         return _int_to_digits(f.numerator)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from conconic import (
 from conconic.conics import Conic, conic_through_points
 from conconic.errors import (
     ChartDegenerate,
+    CoincidentCevians,
     DegenerateTriangle,
     DuplicatePoints,
     FootOffSide,
@@ -689,3 +691,45 @@ def test_exact_chart_from_brackets_matches_the_map_route_on_hand_built_configura
         else:
             seen["p or q at infinity" if None in (want[2][0], want[3][0]) else "finite"] += 1
     assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
+def test_float_cevians_that_coincide_within_tolerance_raise_coincident_cevians():
+    # B lies 1e-3 off the line CA, and the feet B1 and C1 lie 1e-7 from C
+    # and B: each foot passes the vertex test, but BB1 and CC1 are both the
+    # side BC to within 1e-9, so they have no meet X1
+    tri = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(0.5, 1e-3, 1.0), HPoint(1.0, 0.0, 1.0))
+    feet = feet_from_params(tri, [0.5, 1e-7, 1 - 1e-7, 0.5, 0.3, 0.6])
+    validate_feet(tri, feet)
+    with pytest.raises(CoincidentCevians) as err:
+        build_config(tri, feet)
+    assert str(err.value) == "cevians defining X1 coincide"
+
+
+def test_the_integer_view_of_a_triangle_needs_every_vertex_exact_and_finite():
+    assert RIGHT_345.integer_vertices == ((0, 0, 1), (4, 0, 1), (0, 3, 1))
+    assert float_copy(RIGHT_345).integer_vertices is None
+    tri = Triangle(HPoint(0, 0, 1), HPoint(4, 0, 1), HPoint(1, 1, 0))  # C at infinity
+    assert tri.exact and tri.integer_vertices is None
+    # off the integer view an exact foot takes the affine rule, which
+    # canonicalizes to the same integer triple
+    for t in (Fraction(1, 3), 2, Fraction(-5, 7)):
+        foot = foot_point(tri, "AB", t)
+        assert foot.exact and foot == HPoint(4 * t, 0, 1)
+    # and the tolerance tests make the exact rules' decisions, in the same
+    # order, with the same messages
+    on_side = {"BC": HPoint(5, 1, 1), "CA": HPoint(2, 2, 1), "AB": HPoint(1, 0, 1)}
+    second = tuple(on_side.values())
+    seen = Counter()
+    for first in itertools.product(*([p, HPoint(1, 2, 1), *tri.vertices] for p in on_side.values())):
+        feet = CevianFeet.from_triples(first, second)
+        checks = [(getattr(feet, n), FOOT_SIDES[n[0]], f"foot {n}", f"foot {n}")
+                  for n in ("A1", "A2", "B1", "B2", "C1", "C2")]
+        expected = per_foot_error(tri, checks)
+        seen[expected and expected.split()[2]] += 1
+        if expected is None:
+            validate_feet(tri, feet)
+        else:
+            with pytest.raises(FootOffSide) as err:
+                validate_feet(tri, feet)
+            assert str(err.value) == expected
+    assert set(seen) == {None, "does", "coincides"}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 import conconic.scene as scene
 from conconic import Conic, ProofChart, load_scene, report_from_dict, verify_scene
-from conconic.cli import main
+from conconic.cli import build_parser, main
 from conconic.errors import ChartDegenerate
 
 ISOGONAL_SCENE = """
@@ -227,6 +228,101 @@ def test_verify_svg_bytes_are_pinned(tmp_path):
 def test_bad_flags_exit_one_naming_the_flag(argv, needle, capsys):
     assert main(argv) == 1
     assert needle in capsys.readouterr().err
+
+
+_CONICS = ["--outer", "1,0,1,0,0,-4", "--inner", "1,0,1,0,0,-1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["morley", "--triangle", "0,0 4,0"], "triangle must be three 'x,y' pairs separated by spaces"),
+    (["morley", "--triangle", "0,0;4,0;0,3;1,1"], "triangle must be three 'x,y' pairs separated by spaces"),
+    (["morley", "--triangle", "0,0 4,0,1 0,3"], "vertex '4,0,1' is not an 'x,y' pair"),
+    # the count is read before the values, so a short vertex with a bad value names the count
+    (["morley", "--triangle", "0,0 x 0,3"], "vertex 'x' is not an 'x,y' pair"),
+    (["morley", "--triangle", "0,0 4,x 0,3"], "cannot parse 'x' as a number"),
+    (["poncelet", "--outer", "1,0,1,0,0,-4,1", "--inner", "1,0,1,0,0,-1", "--start", "2,0"],
+     "a conic needs six coefficients (x^2, xy, y^2, xz, yz, z^2 order)"),
+    (["poncelet", "--outer", "1,2,x", "--inner", "1,0,1,0,0,-1", "--start", "2,0"],
+     "a conic needs six coefficients (x^2, xy, y^2, xz, yz, z^2 order)"),
+    (["poncelet", "--outer", "1,0,1,0,0,x", "--inner", "1,0,1,0,0,-1", "--start", "2,0"],
+     "cannot parse 'x' as a number"),
+    (["poncelet", *_CONICS, "--start", "2"], "point '2' must be 'x,y' or 'x,y,z'"),
+    (["poncelet", *_CONICS, "--start", "x,0,1,1"], "point 'x,0,1,1' must be 'x,y' or 'x,y,z'"),
+    (["poncelet", *_CONICS, "--start", "2,0,x"], "cannot parse 'x' as a number"),
+], ids=["two-vertices", "four-vertices", "three-value-vertex", "one-value-vertex", "bad-vertex-value",
+        "seven-coefficients", "count-before-values", "bad-coefficient", "one-value-point", "four-value-point",
+        "bad-point-value"])
+def test_each_coordinate_reader_message_is_one_error_line(argv, message, capsys):
+    # every CLI coordinate is read by one rule: split on commas, check the
+    # count, then decode each value in float mode
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _actions(parser):
+    return [(a.option_strings, a.dest, a.default, getattr(a.type, "__name__", a.type), a.choices,
+             a.required, a.metavar, a.help) for a in parser._actions]
+
+
+_HELP = (["-h", "--help"], "help", argparse.SUPPRESS, None, None, False, None, "show this help message and exit")
+_OUTPUT = {
+    "configuration": [
+        (["--svg"], "svg", None, None, None, False, "PATH", "write a drawing of the configuration"),
+        (["--json"], "json", False, None, None, False, None, "emit the report as JSON"),
+    ],
+    "chain": [
+        (["--svg"], "svg", None, None, None, False, "PATH", "write a drawing of the chain"),
+        (["--json"], "json", False, None, None, False, None, "emit the report as JSON"),
+    ],
+}
+_TOLERANCES = [
+    (["--epsilon"], "epsilon", 1e-9, "_tolerance", None, False, None, None),
+    (["--closure-tol"], "closure_tol", 1e-7, "_tolerance", None, False, None, None),
+]
+_SUBCOMMANDS = {
+    "verify": ("check the four conditions on a scene file", "_cmd_verify", [
+        _HELP,
+        ([], "scene", None, None, None, True, None, "path to a scene JSON file"),
+        (["--mode"], "mode", None, None, ("rational", "float"), False, None, "override the scene's arithmetic backend"),
+        (["--epsilon"], "epsilon", None, "_tolerance", None, False, None, "float-mode tolerance for residual predicates"),
+        *_OUTPUT["configuration"],
+    ]),
+    "morley": ("build and check a trisector configuration", "_cmd_morley", [
+        _HELP,
+        (["--triangle"], "triangle", None, None, None, True, None, "three vertices as 'x,y x,y x,y'"),
+        (["--poncelet-samples"], "poncelet_samples", 0, "int", None, False, "N",
+         "also check chain closure at n=3 from N sample points"),
+        *_TOLERANCES,
+        *_OUTPUT["configuration"],
+    ]),
+    "poncelet": ("trace tangent chains between two conics", "_cmd_poncelet", [
+        _HELP,
+        (["--outer"], "outer", None, None, None, True, "C", "outer conic, six comma-separated coefficients"),
+        (["--inner"], "inner", None, None, None, True, "C", "inner conic, six comma-separated coefficients"),
+        (["--start"], "start", None, None, None, False, "PT", "chain start 'x,y' on the outer conic"),
+        (["--max-steps"], "max_steps", 100, "int", None, False, None, None),
+        (["--expected-n"], "expected_n", None, "int", None, False, None,
+         "porism mode: require closure at exactly this step"),
+        (["--samples"], "samples", 20, "int", None, False, None, "porism mode: number of starting points"),
+        *_TOLERANCES,
+        *_OUTPUT["chain"],
+    ]),
+}
+
+
+def test_each_subcommand_lists_its_options_in_order():
+    # the parser's structure, which reads the same on every Python version
+    # where the help text's layout may not
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert commands.dest == "command" and commands.required
+    assert [(a.dest, a.help) for a in commands._choices_actions] == [
+        (name, help_text) for name, (help_text, _, _) in _SUBCOMMANDS.items()]
+    assert list(commands.choices) == list(_SUBCOMMANDS)
+    for name, (_, func, actions) in _SUBCOMMANDS.items():
+        sub = commands.choices[name]
+        assert sub.get_default("func").__name__ == func
+        assert _actions(sub) == actions, name
 
 
 @pytest.mark.parametrize(

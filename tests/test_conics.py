@@ -1029,3 +1029,10 @@ def test_meet_matches_the_three_function_route():
                 want = outcome(lambda: tuple(HLine(*c) for c in three_function_meet(conic.dual(), p.coords, 1e-9)))
                 assert outcome(lambda: tangent_lines_from(conic, p)) == want, (seed, conic, p)
     assert {"0 points", "1 points", "2 points", "LineOnConic", "IrrationalResult", "OverflowError"} <= seen
+
+
+def test_pole_refuses_a_degenerate_conic():
+    for pair in (Conic.from_line_pair(HLine(1, 0, 0), HLine(0, 1, 0)), Conic.from_double_line(HLine(1.0, 2.0, 0.5))):
+        with pytest.raises(DegenerateConic) as err:
+            pair.pole(HLine(1, 1, 1))
+        assert str(err.value) == "pole is only defined for a nondegenerate conic"

@@ -16,9 +16,10 @@ from conconic import (
 )
 import conconic.morley as morley
 from conconic.cli import main
-from conconic.errors import LabelingSelfCheckFailed, TheoremConsistencyError
+from conconic.errors import ConcurrencyViolated, LabelingSelfCheckFailed, TheoremConsistencyError
 from conconic.generate import float_triangle
 from conconic.morley import equilateral_side_spread, first_morley_center
+from conconic.projective import Verdict
 
 RIGHT_345 = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(0.0, 3.0, 1.0))
 
@@ -180,3 +181,21 @@ def test_sliver_triangle_still_works():
     assert spread < 1e-10
     center = second_morley_center(sliver, eps=1e-6)
     assert center is not None
+
+
+def test_a_failing_concurrency_verdict_raises_from_both_callers(monkeypatch, capsys):
+    # second_morley_center and morley_config end in one concurrency check;
+    # a failing verdict there raises ConcurrencyViolated with its residual
+    failing = Verdict(residual=0.25, holds=False)
+    message = "trisector-meet cevians are not concurrent (residual 0.25)"
+    monkeypatch.setattr(morley, "concurrency", lambda *args: failing)
+    with pytest.raises(ConcurrencyViolated) as err:
+        second_morley_center(RIGHT_345)
+    assert str(err.value) == message
+    check = morley.check_conditions
+    monkeypatch.setattr(morley, "check_conditions", lambda cfg, eps: check(cfg, eps).replace(concurrent=failing))
+    with pytest.raises(ConcurrencyViolated) as err:
+        morley_config(RIGHT_345)
+    assert str(err.value) == message
+    assert main(["morley", "--triangle", "0,0 4,0 0,3"]) == 1
+    assert capsys.readouterr().err == f"error: ConcurrencyViolated: {message}\n"

@@ -671,3 +671,17 @@ def test_a_first_step_with_no_tangent_turning_counterclockwise_is_stuck(monkeypa
         poncelet_step(OUTER_R2, INNER_R1, start)
     with pytest.raises(ChainStuck, match="^step 1: no tangent advances the chain counterclockwise$"):
         trace_chain(OUTER_R2, INNER_R1, start)
+
+
+def test_a_spread_refuses_its_base_point_at_a_tolerance_below_float_resolution():
+    # the base point is found in floats; below about 1e-16 the conic's own
+    # point test no longer accepts it, and the spread and the porism check
+    # raise before any chain is traced
+    circle = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -3.0))
+    assert len(list(poncelet.spread_on_conic(circle, 3, 1e-16))) == 3
+    message = "HPoint(1.0 : 0.0 : 0.5773502691896258) does not lie on the conic"
+    for run in (lambda: next(poncelet.spread_on_conic(circle, 3, 1e-17)),
+                lambda: porism_check(circle, UNIT, expected_n=3, num_samples=2, eps=1e-17)):
+        with pytest.raises(BaseNotOnConic) as err:
+            run()
+        assert str(err.value) == message

@@ -1,8 +1,11 @@
 import math
 
+import pytest
+
 import conconic.svg as svg
 from conconic import Conic, HLine, HPoint, Triangle, join, trace_chain
 from conconic.cevians import build_config
+from conconic.errors import IrrationalResult
 from conconic.generate import feet_from_params
 from conconic.poncelet import ChainResult
 from conconic.svg import render_chain, render_configuration
@@ -113,3 +116,31 @@ def test_a_chain_drawing_with_nothing_finite_to_show_frames_the_unit_square():
     empty = ChainResult(points=(), links=(), closure_step=None, gap=0.0)
     out = render_chain(Conic(1, 0, 1, 0, 0, 1), Conic(1, 0, 1, 0, 0, 2), empty)  # no real points
     assert f'viewBox="{svg.Frame([0.0, 1.0], [0.0, 1.0]).viewbox()}"' in out
+
+
+def test_a_point_at_infinity_is_not_drawn():
+    # an exact point with z == 0, and a float point whose z is below 1e-14
+    # of its largest coordinate, have no affine place in the drawing
+    assert svg._affine(HPoint(2, 4, 2)) == (1.0, 2.0)
+    assert svg._affine(HPoint(1, 1, 0)) is None
+    assert svg._affine(HPoint(1.0, 1.0, 0.0)) is None
+    assert svg._affine(HPoint(1.0, 1.0, 1e-15)) is None
+    outer = Conic.from_coeffs((1, 0, -1, 0, 0, -1))
+    inner = Conic.from_coeffs((1.0, 0.0, 1.0, 0.0, 0.0, -0.25))
+    for start in (HPoint(1, 1, 0), HPoint(1.0, 1.0, 0.0)):
+        chain = trace_chain(outer, inner, start, max_steps=4)
+        finite = [p for p in chain.points if svg._affine(p) is not None]
+        assert len(finite) == len(chain.points) - 1
+        assert render_chain(outer, inner, chain).count("<circle") == len(finite)
+
+
+def test_a_line_pair_whose_lines_cannot_be_found_is_left_out():
+    # x^2 = 2 y^2 is the pair of lines x = ±sqrt(2) y: exact arithmetic
+    # cannot name them, so nothing is drawn for it
+    pair = Conic.from_coeffs((1, 0, -2, 0, 0, 0))
+    assert pair.classify(1e-9) == "line_pair"
+    with pytest.raises(IrrationalResult):
+        svg._component_lines(pair, 1e-9)
+    tri = Triangle(HPoint(0.0, 0.0, 1.0), HPoint(4.0, 0.0, 1.0), HPoint(0.0, 3.0, 1.0))
+    cfg = build_config(tri, feet_from_params(tri, [0.3, 0.4, 0.5, 0.6, 0.7, 0.2]))
+    assert render_configuration(cfg, (pair,)) == render_configuration(cfg, ())
